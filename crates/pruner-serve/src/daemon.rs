@@ -76,6 +76,21 @@ impl ServeConfig {
     }
 }
 
+/// A failed durable write that the wire protocol has no place for (the
+/// response the client gets is unchanged) leaves a `serve.io_error` record
+/// naming the path and the error kind; the trace report counts them in its
+/// serve section.
+fn note_io_error(trace: &mut TraceHandle, path: &Path, result: io::Result<()>) {
+    if let Err(e) = result {
+        trace.emit(
+            Record::new("serve.io_error")
+                .str("path", path.display().to_string())
+                .str("kind", format!("{:?}", e.kind()))
+                .str("error", e.to_string()),
+        );
+    }
+}
+
 /// Everything the connection handlers share.
 struct DaemonInner {
     cfg: ServeConfig,
@@ -193,13 +208,16 @@ impl DaemonInner {
             if let Some(json) = &result_json {
                 // Written atomically: the restart scan treats its
                 // presence as "this campaign is finished".
-                let _ = write_atomic_durable(&result_path, json, None);
+                let written = write_atomic_durable(&result_path, json, None);
+                note_io_error(&mut trace, &result_path, written);
             } else if outcome == "quarantined" {
-                let _ = write_atomic_durable(&quarantine_marker, "quarantined\n", None);
+                let marked = write_atomic_durable(&quarantine_marker, "quarantined\n", None);
+                note_io_error(&mut trace, &quarantine_marker, marked);
             }
             // Cadence flush: records land on disk at least once per
             // finished campaign, whatever the outcome.
-            let _ = store.flush();
+            let flushed = store.flush();
+            note_io_error(&mut trace, &store.with(|s| s.path().to_path_buf()), flushed);
             trace.emit(
                 Record::new("serve.done").str("campaign", &id_owned).str("outcome", &outcome),
             );
@@ -292,7 +310,8 @@ impl DaemonInner {
                     // campaign must not be resumed by the restart scan.
                     if let Some(tenant) = tenant {
                         let marker = self.campaign_dir(&tenant, &campaign).join("cancelled");
-                        let _ = write_atomic_durable(&marker, "cancelled\n", None);
+                        let written = write_atomic_durable(&marker, "cancelled\n", None);
+                        note_io_error(&mut self.trace_clone(), &marker, written);
                     }
                     self.emit(Record::new("serve.cancel").str("campaign", &campaign));
                     Response::Cancelled { campaign }

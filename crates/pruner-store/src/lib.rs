@@ -245,6 +245,18 @@ pub struct Store {
     replay: ReplayStats,
     appended: usize,
     io_faults: Option<IoFaults>,
+    rendered: Mutex<Rendered>,
+}
+
+/// The file text of the first `records` live records, kept between
+/// flushes: `records` only ever grows at its tail, so a flush renders the
+/// lines appended since the last one instead of the whole log. It mirrors
+/// memory, not the disk — a flush that fails after rendering leaves it
+/// valid, and the next flush still publishes the complete file.
+#[derive(Debug, Default)]
+struct Rendered {
+    text: String,
+    records: usize,
 }
 
 /// Minimal probe used to classify lines that fail to parse as a full
@@ -281,6 +293,7 @@ impl Store {
             replay: ReplayStats::default(),
             appended: 0,
             io_faults: None,
+            rendered: Mutex::default(),
         };
         for line in text.lines() {
             let line = line.trim();
@@ -420,16 +433,21 @@ impl Store {
     /// fsyncs the parent directory — the same discipline as campaign
     /// checkpoints. Re-flushing an opened store also *compacts* it:
     /// duplicates and damaged lines that were skipped on load are not
-    /// rewritten.
+    /// rewritten. Only records appended since the previous flush are
+    /// rendered; the whole file is still written every time.
     pub fn flush(&self) -> io::Result<()> {
-        let mut text = String::new();
-        for record in &self.records {
+        // Poison is ignored as in `SharedStore::lock`: the only call below
+        // that can panic, `to_string`, runs before a line's three updates,
+        // so `text` and `records` agree wherever an unwind could start.
+        let mut rendered = self.rendered.lock().unwrap_or_else(|p| p.into_inner());
+        for record in &self.records[rendered.records..] {
             let line = serde_json::to_string(record)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            text.push_str(&line);
-            text.push('\n');
+            rendered.text.push_str(&line);
+            rendered.text.push('\n');
+            rendered.records += 1;
         }
-        write_atomic_durable(&self.path, &text, self.io_faults.as_ref())
+        write_atomic_durable(&self.path, &rendered.text, self.io_faults.as_ref())
     }
 }
 
@@ -762,6 +780,86 @@ mod tests {
         assert_eq!(clean.len(), 1);
         assert_eq!(clean.replay_stats().skipped(), 0);
         cleanup(&path);
+    }
+
+    /// What a flush that renders every live record from scratch writes —
+    /// the reference the incremental flush must reproduce byte for byte.
+    fn full_render(store: &Store) -> String {
+        store
+            .records()
+            .iter()
+            .map(|record| serde_json::to_string(record).unwrap() + "\n")
+            .collect()
+    }
+
+    fn distinct(spec: &GpuSpec, i: u64) -> TuningRecord {
+        success(spec, &Workload::matmul(1, 32 + 8 * i, 32, 32), 1e-3 * (i + 1) as f64)
+    }
+
+    #[test]
+    fn incremental_flush_writes_the_same_bytes_as_a_full_render() {
+        let path = tmp_path("incremental");
+        let spec = GpuSpec::t4();
+        let mut store = Store::open(&path).unwrap();
+        for i in 0..3 {
+            assert!(store.append(distinct(&spec, i)));
+        }
+        store.flush().unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), full_render(&store));
+
+        assert!(!store.append(distinct(&spec, 1)), "a duplicate adds no line");
+        for i in 3..5 {
+            assert!(store.append(distinct(&spec, i)));
+        }
+        store.flush().unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), full_render(&store));
+        store.flush().unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), full_render(&store), "idle flush");
+
+        // A reopened store starts with nothing rendered: its first flush
+        // compacts a dirtied file, later ones extend it.
+        let clean = fs::read_to_string(&path).unwrap();
+        let first_line = clean.lines().next().unwrap();
+        fs::write(&path, format!("{clean}{first_line}\nnot json at all\n")).unwrap();
+        let mut reopened = Store::open(&path).unwrap();
+        assert_eq!(reopened.replay_stats().skipped(), 2);
+        assert!(reopened.append(distinct(&spec, 5)));
+        reopened.flush().unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), full_render(&reopened));
+        assert!(reopened.append(distinct(&spec, 6)));
+        reopened.flush().unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), full_render(&reopened));
+        assert_eq!(Store::open(&path).unwrap().replay_stats().skipped(), 0);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn flush_after_an_injected_fault_is_complete_and_correct() {
+        let never = IoFaultModel::from_rate(1, 0.0);
+        for (tag, model) in [
+            ("torn", IoFaultModel { torn_tail_p: 1.0, ..never }),
+            ("rename", IoFaultModel { rename_fail_p: 1.0, ..never }),
+        ] {
+            let path = tmp_path(tag);
+            let spec = GpuSpec::t4();
+            let mut store = Store::open(&path).unwrap();
+            store.append(distinct(&spec, 0));
+            store.append(distinct(&spec, 1));
+            store.flush().unwrap();
+            let published = fs::read_to_string(&path).unwrap();
+
+            store.append(distinct(&spec, 2));
+            store.set_io_faults(Some(IoFaults::new(model)));
+            assert!(store.flush().is_err(), "{tag}: the injected fault surfaces");
+            assert_eq!(fs::read_to_string(&path).unwrap(), published, "{tag}: log untouched");
+
+            store.append(distinct(&spec, 3));
+            store.set_io_faults(None);
+            store.flush().unwrap();
+            assert_eq!(fs::read_to_string(&path).unwrap(), full_render(&store), "{tag}");
+            assert_eq!(Store::open(&path).unwrap().records(), store.records(), "{tag}");
+            cleanup(&path);
+        }
     }
 
     /// The worked example in docs/STORE_FORMAT.md must parse with the

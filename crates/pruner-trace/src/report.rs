@@ -111,6 +111,10 @@ pub struct ServeActivity {
     pub batched_requests: u64,
     /// Total samples scored through the batcher.
     pub batched_samples: u64,
+    /// Durable writes that failed without a wire error to carry them —
+    /// result files, skip markers, cadence store flushes (`serve.io_error`
+    /// records).
+    pub io_errors: u64,
 }
 
 /// What a cross-hardware fleet run did over its roster: stages tuned (one
@@ -263,6 +267,9 @@ impl Report {
                         .to_string();
                     *serve.done.entry(outcome).or_insert(0) += 1;
                 }
+                "serve.io_error" => {
+                    report.serve.get_or_insert_with(ServeActivity::default).io_errors += 1;
+                }
                 "serve.batch" => {
                     let serve = report.serve.get_or_insert_with(ServeActivity::default);
                     serve.batches += 1;
@@ -406,6 +413,9 @@ impl Report {
                     "batched inference", serve.batches, serve.batched_requests,
                     serve.batched_samples
                 );
+            }
+            if serve.io_errors > 0 {
+                let _ = writeln!(out, "{:<21}: {}", "io errors", serve.io_errors);
             }
         }
         if let Some(fleet) = &self.fleet {
@@ -599,8 +609,15 @@ mod tests {
         records.push(Record::new("serve.batch").u64("requests", 1).u64("samples", 16));
         records.push(Record::new("serve.done").str("campaign", "c1").str("outcome", "completed"));
         records.push(Record::new("serve.done").str("campaign", "c2").str("outcome", "cancelled"));
+        records.push(
+            Record::new("serve.io_error")
+                .str("path", "tenants/acme/c1/result.json")
+                .str("kind", "PermissionDenied")
+                .str("error", "permission denied"),
+        );
         let report = Report::from_records(&records);
         let serve = report.serve.clone().expect("serve activity must be aggregated");
+        assert_eq!(serve.io_errors, 1);
         assert_eq!(serve.submitted, 2);
         assert_eq!(serve.resumed, 2);
         assert_eq!(serve.cancelled, 1);
@@ -614,6 +631,7 @@ mod tests {
         assert!(text.contains("2 (2 resumed on restart)"));
         assert!(text.contains("done completed"));
         assert!(text.contains("2 batches over 4 requests (112 samples)"));
+        assert!(text.lines().any(|l| l.starts_with("io errors") && l.ends_with(": 1")), "{text}");
         // A daemon-less campaign renders no serve section.
         assert!(!Report::from_records(&demo_records()).render().contains("serve"));
     }

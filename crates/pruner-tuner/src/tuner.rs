@@ -178,7 +178,7 @@ enum StoreSlot {
     /// No store attached.
     Detached,
     /// A store owned by this campaign alone.
-    Owned(Store),
+    Owned(Box<Store>),
     /// A handle to a store shared with concurrent campaigns.
     Shared(SharedStore),
 }
@@ -468,7 +468,7 @@ impl<B: Backend> Tuner<B> {
     /// replays regardless of the flag — its checkpoint already contains
     /// every effect of the measurements it made.
     pub fn set_store(&mut self, store: Store, warm_start: bool) {
-        self.store = StoreSlot::Owned(store);
+        self.store = StoreSlot::Owned(Box::new(store));
         self.warm_start = warm_start;
     }
 

@@ -51,6 +51,15 @@ fn serve_config(seed: u64) -> TunerConfig {
     }
 }
 
+/// The kill-and-restart campaigns. The kill is gated on the first cadence
+/// checkpoint (2 rounds in), which leaves every campaign ≥ 14 rounds to
+/// run — ≥ 70 ms of work in an optimised build, seconds unoptimised —
+/// against a kill that lands within one accept-loop poll (15 ms). More
+/// rounds would buy more margin at 50× their cost in the debug profile.
+fn restart_config(seed: u64) -> TunerConfig {
+    TunerConfig { rounds: 16, ..serve_config(seed) }
+}
+
 /// Each tenant tunes a *different* shape so shared-store dedup keys are
 /// disjoint across tenants and the exact-union assertion is byte-exact.
 fn tenant_workload(i: usize) -> Workload {
@@ -59,8 +68,8 @@ fn tenant_workload(i: usize) -> Workload {
 
 /// The one-shot golden for a tenant: same spec, config and workload as
 /// the daemon submission, record-only store on the side.
-fn solo_run(seed: u64, workload: &Workload, store_path: &Path) -> TuningResult {
-    let mut t = Tuner::new(GpuSpec::t4(), serve_config(seed), ModelSetup::Fresh(ModelKind::Pacm));
+fn solo_run(config: TunerConfig, workload: &Workload, store_path: &Path) -> TuningResult {
+    let mut t = Tuner::new(GpuSpec::t4(), config, ModelSetup::Fresh(ModelKind::Pacm));
     t.add_task(workload.clone(), 1);
     t.set_store(Store::open(store_path).expect("solo store opens"), false);
     let result = t.run();
@@ -80,12 +89,12 @@ fn store_lines(path: &Path) -> BTreeSet<String> {
         .collect()
 }
 
-fn submit(client: &mut Client, tenant: &str, seed: u64, workload: &Workload) -> String {
+fn submit(client: &mut Client, tenant: &str, config: TunerConfig, workload: &Workload) -> String {
     let req = Request::SubmitCampaign {
         tenant: tenant.to_owned(),
         spec: GpuSpec::t4(),
         workloads: vec![(workload.clone(), 1)],
-        config: serve_config(seed),
+        config,
         model: None,
     };
     match client.call(&req).expect("submit crosses the wire") {
@@ -146,7 +155,7 @@ fn daemon_lifecycle_submit_status_predict_shutdown() {
         other => panic!("predict answered {other:?}"),
     }
 
-    let id = submit(&mut client, "alice", 42, &tenant_workload(0));
+    let id = submit(&mut client, "alice", serve_config(42), &tenant_workload(0));
     assert!(id.starts_with("alice-"), "campaign id {id} carries its tenant");
     let (state, _, _) = status(&mut client, &id);
     assert!(
@@ -182,14 +191,14 @@ fn daemon_lifecycle_submit_status_predict_shutdown() {
 fn daemon_campaign_is_byte_identical_to_oneshot() {
     let dir = scratch_dir("golden");
     let workload = tenant_workload(0);
-    let solo = solo_run(42, &workload, &dir.join("solo-store.jsonl"));
+    let solo = solo_run(serve_config(42), &workload, &dir.join("solo-store.jsonl"));
 
     let state = dir.join("state");
     let cfg = ServeConfig::new(dir.join("sock"), &state);
     let daemon = Daemon::start(cfg).expect("daemon starts");
     let mut client =
         Client::connect_with_retry(daemon.socket(), Duration::from_secs(5)).expect("connects");
-    let id = submit(&mut client, "alice", 42, &workload);
+    let id = submit(&mut client, "alice", serve_config(42), &workload);
     let (_, wire_result) = wait_done(&mut client, &id);
     daemon.shutdown().expect("daemon tears down");
 
@@ -217,7 +226,8 @@ fn killed_daemon_restart_resumes_every_tenant() {
     let mut goldens = Vec::new();
     for (i, tenant) in TENANTS.iter().enumerate() {
         let solo_store = dir.join(format!("solo-{tenant}.jsonl"));
-        goldens.push(result_bytes(&solo_run(100 + i as u64, &tenant_workload(i), &solo_store)));
+        let config = restart_config(100 + i as u64);
+        goldens.push(result_bytes(&solo_run(config, &tenant_workload(i), &solo_store)));
     }
 
     let state = dir.join("state");
@@ -229,17 +239,24 @@ fn killed_daemon_restart_resumes_every_tenant() {
     let ids: Vec<String> = TENANTS
         .iter()
         .enumerate()
-        .map(|(i, tenant)| submit(&mut client, tenant, 100 + i as u64, &tenant_workload(i)))
+        .map(|(i, tenant)| {
+            submit(&mut client, tenant, restart_config(100 + i as u64), &tenant_workload(i))
+        })
         .collect();
     drop(client);
-    // Let the running campaigns make some progress (and likely cross a
-    // checkpoint boundary), then pull the plug without any teardown
-    // courtesy: no final store flush, no trace write, queues dropped.
-    std::thread::sleep(Duration::from_millis(300));
+    // Wait until a running campaign has published its first cadence
+    // checkpoint, then pull the plug without any teardown courtesy: no
+    // final store flush, no trace write, queues dropped.
+    let campaign_dir = |i: usize| state.join("tenants").join(TENANTS[i]).join(&ids[i]);
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while !(0..TENANTS.len()).any(|i| campaign_dir(i).join("checkpoint.json").exists()) {
+        assert!(std::time::Instant::now() < deadline, "no campaign ever checkpointed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     daemon.kill();
 
-    for (tenant, id) in TENANTS.iter().zip(&ids) {
-        let campaign = state.join("tenants").join(tenant).join(id);
+    for (i, id) in ids.iter().enumerate() {
+        let campaign = campaign_dir(i);
         assert!(campaign.join("manifest.json").exists(), "{id} manifest survives the kill");
         assert!(!campaign.join("result.json").exists(), "{id} had not finished");
     }
@@ -274,7 +291,8 @@ fn concurrent_tenants_match_solo_and_store_is_exact_union() {
     let mut union = BTreeSet::new();
     for (i, tenant) in TENANTS.iter().enumerate() {
         let solo_store = dir.join(format!("solo-{tenant}.jsonl"));
-        goldens.push(result_bytes(&solo_run(200 + i as u64, &tenant_workload(i), &solo_store)));
+        let config = serve_config(200 + i as u64);
+        goldens.push(result_bytes(&solo_run(config, &tenant_workload(i), &solo_store)));
         union.extend(store_lines(&solo_store));
     }
 
@@ -287,7 +305,9 @@ fn concurrent_tenants_match_solo_and_store_is_exact_union() {
     let ids: Vec<String> = TENANTS
         .iter()
         .enumerate()
-        .map(|(i, tenant)| submit(&mut client, tenant, 200 + i as u64, &tenant_workload(i)))
+        .map(|(i, tenant)| {
+            submit(&mut client, tenant, serve_config(200 + i as u64), &tenant_workload(i))
+        })
         .collect();
     for (i, id) in ids.iter().enumerate() {
         let (_, wire_result) = wait_done(&mut client, id);
@@ -304,6 +324,39 @@ fn concurrent_tenants_match_solo_and_store_is_exact_union() {
         union,
         "shared store is the exact union of the four solo stores"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A durable write the wire has no way to report — here a `cancelled`
+/// marker whose temp path is squatted by a directory — leaves the wire
+/// response unchanged and is counted in the daemon's report.
+#[test]
+fn failed_marker_write_is_traced_not_silent() {
+    let dir = scratch_dir("ioerror");
+    let state = dir.join("state");
+    let daemon =
+        Daemon::start(ServeConfig::new(dir.join("sock"), &state)).expect("daemon starts");
+    let mut client =
+        Client::connect_with_retry(daemon.socket(), Duration::from_secs(5)).expect("connects");
+    // Per-tenant budget 1: the second campaign waits behind the first.
+    let first = submit(&mut client, "alice", restart_config(1), &tenant_workload(0));
+    let second = submit(&mut client, "alice", restart_config(2), &tenant_workload(1));
+    fs::create_dir_all(state.join("tenants/alice").join(&second).join("cancelled.tmp"))
+        .expect("squat on the marker's temp path");
+
+    match client.call(&Request::Cancel { campaign: second.clone() }).expect("cancel crosses") {
+        Response::Cancelled { campaign } => assert_eq!(campaign, second),
+        other => panic!("cancel answered {other:?}"),
+    }
+    let _ = client.call(&Request::Cancel { campaign: first }).expect("cancel crosses");
+    daemon.wait_idle();
+
+    let report = daemon.report();
+    let serve = report.serve.as_ref().expect("the daemon reports serve activity");
+    assert_eq!(serve.io_errors, 1, "exactly the blocked marker write failed");
+    let text = report.render();
+    assert!(text.contains("io errors"), "the report shows the failure:\n{text}");
+    daemon.shutdown().expect("daemon tears down");
     let _ = fs::remove_dir_all(&dir);
 }
 
