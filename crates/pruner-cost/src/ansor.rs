@@ -1,7 +1,7 @@
 //! Ansor's online cost model, approximated by a compact MLP regressor.
 
 use crate::model::{CostModel, ModelSnapshot};
-use crate::sample::{group_by_task, stack_pooled_in, Sample};
+use crate::sample::{labeled_groups, stack_pooled_in, Sample};
 use pruner_features::STMT_DIM;
 use pruner_nn::{latencies_to_relevance, mse_loss, Adam, Graph, Mlp, Module, NodeId};
 use rand::SeedableRng;
@@ -37,7 +37,7 @@ impl AnsorModel {
 
     fn forward(&mut self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_pooled_in(g, samples, picks);
-        let x = g.input(stacked);
+        let x = g.constant(stacked);
         self.net.forward(g, x)
     }
 
@@ -45,7 +45,7 @@ impl AnsorModel {
     /// gradient-free, so it works through `&self` across threads.
     fn forward_infer(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_pooled_in(g, samples, picks);
-        let x = g.input(stacked);
+        let x = g.constant(stacked);
         self.net.forward_infer(g, x)
     }
 
@@ -86,24 +86,20 @@ impl CostModel for AnsorModel {
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
-        let labeled: Vec<usize> =
-            (0..samples.len()).filter(|&i| samples[i].is_labeled()).collect();
-        if labeled.is_empty() {
+        let groups = labeled_groups(samples);
+        if groups.is_empty() {
             return 0.0;
         }
-        let labeled_samples: Vec<Sample> = labeled.iter().map(|&i| samples[i].clone()).collect();
-        let groups = group_by_task(&labeled_samples);
         let mut g = Graph::with_threads(threads);
         let mut last = 0.0;
         for _ in 0..epochs.max(1) {
             let mut total = 0.0;
-            for group_local in &groups {
-                let group: Vec<usize> = group_local.iter().map(|&i| labeled[i]).collect();
+            for group in &groups {
                 let lats: Vec<f64> = group.iter().map(|&i| samples[i].latency).collect();
                 let rel = latencies_to_relevance(&lats);
                 self.zero_grad();
                 g.reset();
-                let scores = self.forward(&mut g, samples, &group);
+                let scores = self.forward(&mut g, samples, group);
                 let loss = mse_loss(&mut g, scores, &rel);
                 total += g.value(loss).at(0, 0) as f64;
                 g.backward(loss);

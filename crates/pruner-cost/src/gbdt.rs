@@ -8,7 +8,7 @@
 //! scratch at every `fit` exactly as Ansor retrains per round.
 
 use crate::model::{CostModel, ModelSnapshot};
-use crate::sample::{group_by_task, stack_pooled, Sample};
+use crate::sample::{labeled_groups, stack_pooled, Sample};
 use pruner_nn::latencies_to_relevance;
 use serde::{Deserialize, Serialize};
 
@@ -226,17 +226,14 @@ impl CostModel for XgbModel {
     fn fit(&mut self, samples: &[Sample], _epochs: usize) -> f64 {
         // Targets: per-task normalized throughput (same objective as the
         // MLP Ansor baseline); trees are retrained from scratch.
-        let labeled: Vec<usize> =
-            (0..samples.len()).filter(|&i| samples[i].is_labeled()).collect();
-        if labeled.len() < 8 {
+        let groups = labeled_groups(samples);
+        let labeled: usize = groups.iter().map(Vec::len).sum();
+        if labeled < 8 {
             return 0.0;
         }
-        let labeled_samples: Vec<Sample> =
-            labeled.iter().map(|&i| samples[i].clone()).collect();
-        let mut x = Vec::with_capacity(labeled.len());
-        let mut y = Vec::with_capacity(labeled.len());
-        for group_local in group_by_task(&labeled_samples) {
-            let group: Vec<usize> = group_local.iter().map(|&i| labeled[i]).collect();
+        let mut x = Vec::with_capacity(labeled);
+        let mut y = Vec::with_capacity(labeled);
+        for group in groups {
             let lats: Vec<f64> = group.iter().map(|&i| samples[i].latency).collect();
             let rel = latencies_to_relevance(&lats);
             x.extend(Self::featurize(samples, &group));

@@ -1,8 +1,8 @@
 //! The cost-model interface and shared training helpers.
 
-use crate::sample::{group_by_task, Sample};
+use crate::sample::{labeled_groups, Sample};
 use pruner_nn::Graph;
-use pruner_nn::{lambdarank_grad, latencies_to_relevance};
+use pruner_nn::latencies_to_relevance;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -328,14 +328,7 @@ pub fn lambdarank_epochs(
     seed: u64,
     mut step: impl FnMut(&[usize], &[f32]) -> f64,
 ) -> f64 {
-    let labeled: Vec<usize> = (0..samples.len()).filter(|&i| samples[i].is_labeled()).collect();
-    let labeled_refs: Vec<Sample> = labeled.iter().map(|&i| samples[i].clone()).collect();
-    let groups_local = group_by_task(&labeled_refs);
-    // Map back to original indices.
-    let groups: Vec<Vec<usize>> = groups_local
-        .into_iter()
-        .map(|g| g.into_iter().map(|i| labeled[i]).collect())
-        .collect();
+    let groups = labeled_groups(samples);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut last = 0.0;
     for _ in 0..epochs.max(1) {
@@ -362,11 +355,11 @@ pub fn lambdarank_epochs(
     last
 }
 
-/// Magnitude of the LambdaRank forces for a score list — the per-group
-/// objective value reported by the built-in models.
-pub fn lambda_magnitude(scores: &[f32], rel: &[f32]) -> f64 {
-    lambdarank_grad(scores, rel).iter().map(|v| v.abs() as f64).sum::<f64>()
-        / scores.len().max(1) as f64
+/// Magnitude of a list's LambdaRank forces (mean `|λ|` over the output of
+/// `pruner_nn::lambdarank_grad`) — the per-group objective value reported
+/// by the built-in models.
+pub fn lambda_magnitude(lambdas: &[f32]) -> f64 {
+    lambdas.iter().map(|v| v.abs() as f64).sum::<f64>() / lambdas.len().max(1) as f64
 }
 
 #[cfg(test)]

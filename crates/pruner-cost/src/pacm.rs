@@ -77,7 +77,7 @@ impl PacmModel {
         let mut joined: Option<NodeId> = None;
         if self.use_stmt {
             let stacked = stack_stmt_in(g, samples, picks);
-            let x = g.input(stacked);
+            let x = g.constant(stacked);
             let enc = self.stmt_enc.forward(g, x);
             let pooled = g.sum_groups(enc, MAX_STMTS);
             joined = Some(pooled);
@@ -85,11 +85,11 @@ impl PacmModel {
         if self.use_flow {
             let stacked = stack_flow_in(g, samples, picks);
             let (col_mask, row_mask) = attention_masks_in(g, &stacked, MAX_FLOW, FLOW_HIDDEN);
-            let x = g.input(stacked);
+            let x = g.constant(stacked);
             let emb = self.flow_embed.forward_relu(g, x);
-            let col = g.input(col_mask);
+            let col = g.constant(col_mask);
             let ctx = self.flow_attn.forward_masked(g, emb, Some(col));
-            let row = g.input(row_mask);
+            let row = g.constant(row_mask);
             let ctx = g.mul(ctx, row);
             let pooled = g.sum_groups(ctx, MAX_FLOW);
             joined = Some(match joined {
@@ -108,7 +108,7 @@ impl PacmModel {
         let mut joined: Option<NodeId> = None;
         if self.use_stmt {
             let stacked = stack_stmt_in(g, samples, picks);
-            let x = g.input(stacked);
+            let x = g.constant(stacked);
             let enc = self.stmt_enc.forward_infer(g, x);
             let pooled = g.sum_groups(enc, MAX_STMTS);
             joined = Some(pooled);
@@ -116,11 +116,11 @@ impl PacmModel {
         if self.use_flow {
             let stacked = stack_flow_in(g, samples, picks);
             let (col_mask, row_mask) = attention_masks_in(g, &stacked, MAX_FLOW, FLOW_HIDDEN);
-            let x = g.input(stacked);
+            let x = g.constant(stacked);
             let emb = self.flow_embed.forward_relu_infer(g, x);
-            let col = g.input(col_mask);
+            let col = g.constant(col_mask);
             let ctx = self.flow_attn.forward_masked_infer(g, emb, Some(col));
-            let row = g.input(row_mask);
+            let row = g.constant(row_mask);
             let ctx = g.mul(ctx, row);
             let pooled = g.sum_groups(ctx, MAX_FLOW);
             joined = Some(match joined {
@@ -248,7 +248,7 @@ impl CostModel for PacmModel {
             let scores = this.forward(&mut g, samples, group);
             let sv: Vec<f32> = g.value(scores).as_slice().to_vec();
             let lambdas = lambdarank_grad(&sv, rel);
-            let objective = lambda_magnitude(&sv, rel);
+            let objective = lambda_magnitude(&lambdas);
             let seed_grad = Tensor::from_vec(group.len(), 1, lambdas);
             g.backward_from(scores, seed_grad);
             this.absorb_grads(&g);

@@ -69,10 +69,12 @@ impl Sample {
     }
 }
 
-/// Groups sample indices by task id (sorted by task for determinism).
-pub fn group_by_task(samples: &[Sample]) -> Vec<Vec<usize>> {
+/// Groups the indices of the *labeled* samples by task id (groups sorted
+/// by task, indices ascending, for determinism) — the ranking groups every
+/// model's `fit` iterates. Unlabeled samples belong to no group.
+pub fn labeled_groups(samples: &[Sample]) -> Vec<Vec<usize>> {
     let mut map: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, s) in samples.iter().enumerate() {
+    for (i, s) in samples.iter().enumerate().filter(|(_, s)| s.is_labeled()) {
         map.entry(s.task_id).or_default().push(i);
     }
     map.into_values().collect()
@@ -275,11 +277,14 @@ mod tests {
 
     #[test]
     fn grouping_by_task() {
-        let s = samples();
-        let groups = group_by_task(&s);
+        let mut s = samples();
+        let groups = labeled_groups(&s);
         assert_eq!(groups.len(), 2);
         assert!(groups.iter().all(|g| g.len() == 3));
         assert!(groups[0].iter().all(|&i| s[i].task_id == 0));
+        // Unlabeled samples drop out; indices still refer to `s`.
+        s[0].latency = f64::NAN;
+        assert_eq!(labeled_groups(&s), vec![vec![1, 2], vec![3, 4, 5]]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl TensetMlpModel {
 
     fn forward(&mut self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_stmt_in(g, samples, picks);
-        let x = g.input(stacked);
+        let x = g.constant(stacked);
         let enc = self.encoder.forward(g, x);
         let pooled = g.sum_groups(enc, MAX_STMTS);
         self.head.forward(g, pooled)
@@ -49,7 +49,7 @@ impl TensetMlpModel {
     /// gradient-free, so it works through `&self` across threads.
     fn forward_infer(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_stmt_in(g, samples, picks);
-        let x = g.input(stacked);
+        let x = g.constant(stacked);
         let enc = self.encoder.forward_infer(g, x);
         let pooled = g.sum_groups(enc, MAX_STMTS);
         self.head.forward_infer(g, pooled)
@@ -102,8 +102,8 @@ impl CostModel for TensetMlpModel {
             g.reset();
             let scores = this.forward(&mut g, samples, group);
             let sv: Vec<f32> = g.value(scores).as_slice().to_vec();
-            let objective = lambda_magnitude(&sv, rel);
             let lambdas = lambdarank_grad(&sv, rel);
+            let objective = lambda_magnitude(&lambdas);
             g.backward_from(scores, Tensor::from_vec(group.len(), 1, lambdas));
             this.absorb_grads(&g);
             let mut adam = std::mem::replace(&mut this.adam, default_adam());

@@ -49,12 +49,12 @@ impl TlpModel {
     fn forward(&mut self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_tokens_in(g, samples, picks);
         let (col_mask, row_mask) = attention_masks_in(g, &stacked, MAX_TOKENS, D_MODEL);
-        let x = g.input(stacked);
+        let x = g.constant(stacked);
         let emb = self.embed.forward_relu(g, x);
-        let col = g.input(col_mask);
+        let col = g.constant(col_mask);
         let h = self.attn1.forward_masked(g, emb, Some(col));
         let h = self.attn2.forward_masked(g, h, Some(col));
-        let row = g.input(row_mask);
+        let row = g.constant(row_mask);
         let h = g.mul(h, row);
         let pooled = g.sum_groups(h, MAX_TOKENS);
         self.head.forward(g, pooled)
@@ -65,12 +65,12 @@ impl TlpModel {
     fn forward_infer(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_tokens_in(g, samples, picks);
         let (col_mask, row_mask) = attention_masks_in(g, &stacked, MAX_TOKENS, D_MODEL);
-        let x = g.input(stacked);
+        let x = g.constant(stacked);
         let emb = self.embed.forward_relu_infer(g, x);
-        let col = g.input(col_mask);
+        let col = g.constant(col_mask);
         let h = self.attn1.forward_masked_infer(g, emb, Some(col));
         let h = self.attn2.forward_masked_infer(g, h, Some(col));
-        let row = g.input(row_mask);
+        let row = g.constant(row_mask);
         let h = g.mul(h, row);
         let pooled = g.sum_groups(h, MAX_TOKENS);
         self.head.forward_infer(g, pooled)
@@ -125,8 +125,8 @@ impl CostModel for TlpModel {
             g.reset();
             let scores = this.forward(&mut g, samples, group);
             let sv: Vec<f32> = g.value(scores).as_slice().to_vec();
-            let objective = lambda_magnitude(&sv, rel);
             let lambdas = lambdarank_grad(&sv, rel);
+            let objective = lambda_magnitude(&lambdas);
             g.backward_from(scores, Tensor::from_vec(group.len(), 1, lambdas));
             this.absorb_grads(&g);
             let mut adam = std::mem::replace(&mut this.adam, default_adam());

@@ -1,12 +1,15 @@
-//! Register-blocked GEMM micro-kernels with a bit-exactness guarantee.
+//! Register-blocked GEMM kernels with a bit-exactness guarantee.
 //!
 //! Every kernel in this module computes each output element as the plain
-//! ascending-`k` sum `Σₖ a·b` — the same per-element accumulation order as
-//! the naive triple loop in [`mod@reference`]. Tiling here only changes *which*
-//! elements are in flight at once (register blocks of independent
-//! accumulator chains), never the order of additions inside one element, so
-//! the blocked kernels are **bit-identical** to the reference at any block
-//! shape and any thread count. That is what lets the tuner's golden
+//! ascending-`k` sum `Σₖ a·b` — separate multiply and add, the same
+//! per-element accumulation order as the naive triple loop in
+//! [`mod@reference`]. Blocking here only changes *which* elements are in
+//! flight at once and *where* a partial sum waits between two of its
+//! additions (a register, or its `out` slot), never the order of additions
+//! inside one element, so the blocked kernels are **bit-identical** to the
+//! reference at any shape and any thread count (an element that is NaN
+//! on one path is NaN on the other; a NaN's sign and payload are the one
+//! thing Rust leaves unspecified). That is what lets the tuner's golden
 //! campaigns stay byte-stable while the compute core gets rewritten.
 //!
 //! Three layouts cover everything the autodiff tape needs:
@@ -14,6 +17,21 @@
 //! * `matmul_into` — `C[m×n] = A[m×k] · B[k×n]` (forward activations),
 //! * `matmul_nt_into` — `C[m×p] = A[m×k] · B[p×k]ᵀ` (input gradients),
 //! * `matmul_tn_into` — `C[m×n] = A[k×m]ᵀ · B[k×n]` (weight gradients).
+//!
+//! There are two kernels behind the three:
+//!
+//! * **the NN band** (`nn_band`): `MR`×`NR` output tiles held in register
+//!   accumulators, `k` innermost, one broadcast of `A` against a
+//!   fixed-width `&[f32; NR]` row panel of `B` per step. NT runs on it
+//!   too: `Bᵀ` is packed once per call (`B` is a weight matrix in the
+//!   backward pass, so the pack is `1/m` of the product) and the product
+//!   becomes an ordinary NN one with the same per-element chain.
+//! * **the TN range** (`tn_range`): the same tile shape, with the long
+//!   reduction cut into `KC`-row blocks. A tile's accumulators are loaded
+//!   from `out` when a block starts and stored back when it ends — an
+//!   exact round trip — so the `KC` rows of `A` and of the `B` panel that
+//!   a block touches stay cache-resident across every tile that needs
+//!   them, instead of each tile streaming the whole reduction.
 //!
 //! Each dispatching entry point takes a `threads` argument: large products
 //! are banded over contiguous output-row ranges and fanned out on scoped
@@ -28,22 +46,25 @@
 //!
 //! # SIMD width and bit-exactness
 //!
-//! On `x86_64` hosts with AVX2 the band kernels run through
+//! On `x86_64` hosts with AVX2 the two kernels run through
 //! `#[target_feature(enable = "avx2")]` clones of the *same* Rust code
 //! (selected once at runtime). This only widens the compiler's
 //! vectorization of the independent accumulator lanes; Rust forbids
 //! floating-point reassociation and mul/add contraction, so the AVX2 path
 //! produces exactly the same bits as the scalar build — the per-element
 //! sums are still evaluated in ascending-`k` order with separate rounding
-//! per multiply and add. The one `unsafe` block in this crate is the
-//! feature-gated call, guarded by `is_x86_feature_detected!`.
+//! per multiply and add. The only `unsafe` in this crate is those two
+//! feature-gated calls, each guarded by `is_x86_feature_detected!`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Column-panel width of the NN/TN kernels (fits two 8-lane f32 vectors).
+/// Column-panel width of both kernels (two 8-lane f32 vectors).
 const NR: usize = 16;
-/// Row-block height of all kernels.
+/// Row-block height of both kernels.
 const MR: usize = 4;
+/// Reduction-block length of the TN kernel: `KC` rows of an `NR`-wide `B`
+/// panel (16 KiB) stay in L1 while the tiles of a panel column visit them.
+const KC: usize = 256;
 
 /// Minimum multiply-add count before banding over threads pays for the
 /// scoped-thread spawns.
@@ -75,7 +96,7 @@ fn band_workers(threads: usize, out_rows: usize, work: usize) -> usize {
     threads.min(out_rows / PAR_MIN_ROWS).max(1)
 }
 
-/// AVX2-compiled clones of the band kernels. The bodies are the very same
+/// AVX2-compiled clones of the two kernels. The bodies are the very same
 /// functions (inlined into a `#[target_feature]` shell), so semantics are
 /// identical by construction — only the emitted vector width changes.
 #[cfg(target_arch = "x86_64")]
@@ -83,11 +104,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
         super::nn_band(a, b, out, rows, k, n);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub fn nt_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, p: usize) {
-        super::nt_band(a, b, out, rows, k, p);
     }
 
     #[target_feature(enable = "avx2")]
@@ -122,16 +138,6 @@ fn run_nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: 
         return unsafe { avx2::nn_band(a, b, out, rows, k, n) };
     }
     nn_band(a, b, out, rows, k, n)
-}
-
-fn run_nt_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, p: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 presence verified at runtime.
-        #[allow(unsafe_code)]
-        return unsafe { avx2::nt_band(a, b, out, rows, k, p) };
-    }
-    nt_band(a, b, out, rows, k, p)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -182,6 +188,13 @@ pub fn matmul_into(
         reference::matmul(a, b, out, m, k, n);
         return;
     }
+    nn_banded(a, b, out, m, k, n, threads);
+}
+
+/// Blocked `out = A[m×k] × B[k×n]` banded over contiguous output-row
+/// ranges — the one dispatch behind both the NN and the (packed) NT entry
+/// points. Shapes are non-degenerate here.
+fn nn_banded(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, threads: usize) {
     let workers = band_workers(threads, m, m.saturating_mul(k).saturating_mul(n));
     if workers <= 1 {
         run_nn_band(a, b, out, m, k, n);
@@ -198,6 +211,9 @@ pub fn matmul_into(
 
 /// `out = A[m×k] × B[p×k]ᵀ`, overwriting `out` entirely.
 ///
+/// Allocates the `k·p`-float transposition scratch per call; the autodiff
+/// tape passes a pooled buffer (`matmul_nt_scratch_into`) instead.
+///
 /// # Panics
 /// Panics if a slice length disagrees with its shape.
 pub fn matmul_nt_into(
@@ -209,9 +225,37 @@ pub fn matmul_nt_into(
     p: usize,
     threads: usize,
 ) {
+    let mut bt = vec![0.0f32; b.len()];
+    matmul_nt_scratch_into(a, b, &mut bt, out, m, k, p, threads);
+}
+
+/// [`matmul_nt_into`] with a caller-owned scratch for the packed `Bᵀ`.
+///
+/// `B` is transposed once into the first `k·p` floats of `bt` (contents on
+/// entry are irrelevant, contents on exit unspecified) and the product
+/// runs through the NN band kernel and banding: `out[i][j]` is the same
+/// ascending-`k` sum of the same products as the NT reference, so the
+/// result is bit-identical to it. In the backward pass `B` is a weight
+/// matrix, so the pack is `1/m` of the product's work.
+///
+/// # Panics
+/// Panics if a slice length disagrees with its shape or `bt` is shorter
+/// than `k·p`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matmul_nt_scratch_into(
+    a: &[f32],
+    b: &[f32],
+    bt: &mut [f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    p: usize,
+    threads: usize,
+) {
     assert_eq!(a.len(), m * k, "A length mismatch");
     assert_eq!(b.len(), p * k, "B length mismatch");
     assert_eq!(out.len(), m * p, "C length mismatch");
+    assert!(bt.len() >= k * p, "Bᵀ scratch too short");
     if m == 0 || p == 0 {
         return;
     }
@@ -223,18 +267,13 @@ pub fn matmul_nt_into(
         reference::matmul_nt(a, b, out, m, k, p);
         return;
     }
-    let workers = band_workers(threads, m, m.saturating_mul(k).saturating_mul(p));
-    if workers <= 1 {
-        run_nt_band(a, b, out, m, k, p);
-        return;
-    }
-    let band = m.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        for (ab, ob) in a.chunks(band * k).zip(out.chunks_mut(band * p)) {
-            scope.spawn(move |_| run_nt_band(ab, b, ob, ab.len() / k, k, p));
+    let bt = &mut bt[..k * p];
+    for (j, brow) in b.chunks_exact(k).enumerate() {
+        for (kk, &v) in brow.iter().enumerate() {
+            bt[kk * p + j] = v;
         }
-    })
-    .expect("gemm workers must not panic");
+    }
+    nn_banded(a, bt, out, m, k, p, threads);
 }
 
 /// `out = A[k×m]ᵀ × B[k×n]`, overwriting `out` entirely.
@@ -350,57 +389,29 @@ fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usiz
     }
 }
 
-/// NT band: `out[rows×p] = A[rows×k] × B[p×k]ᵀ`.
-///
-/// `MR×MR` output tiles of independent serial dot-product chains: each
-/// chain is strictly ascending in `k` (bit-exact), and the 16 chains in
-/// flight cover the FMA latency the naive one-chain loop stalls on.
+/// One `MR`-row tile of the TN kernel over reduction rows `rows`:
+/// `acc[r][c] += A[row][i + r] · panel(row)[c]`, rows ascending. `panel`
+/// yields a fixed-width `&[f32; NR]` for full panels — which is what keeps
+/// the accumulators in registers — and a slice for the ragged last one.
 #[inline(always)]
-fn nt_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, p: usize) {
-    let mut i = 0;
-    while i < rows {
-        let mr = MR.min(rows - i);
-        let mut j = 0;
-        while j < p {
-            let nc = MR.min(p - j);
-            if mr == MR && nc == MR {
-                let a0 = &a[i * k..(i + 1) * k];
-                let a1 = &a[(i + 1) * k..(i + 2) * k];
-                let a2 = &a[(i + 2) * k..(i + 3) * k];
-                let a3 = &a[(i + 3) * k..(i + 4) * k];
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let mut acc = [[0.0f32; MR]; MR];
-                for kk in 0..k {
-                    let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
-                    let bv = [b0[kk], b1[kk], b2[kk], b3[kk]];
-                    for (accr, &ar) in acc.iter_mut().zip(&av) {
-                        for (accc, &bc) in accr.iter_mut().zip(&bv) {
-                            *accc += ar * bc;
-                        }
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    out[(i + r) * p + j..(i + r) * p + j + MR].copy_from_slice(accr);
-                }
-            } else {
-                for r in 0..mr {
-                    let arow = &a[(i + r) * k..(i + r + 1) * k];
-                    for c in 0..nc {
-                        let brow = &b[(j + c) * k..(j + c + 1) * k];
-                        let mut acc = 0.0f32;
-                        for (&av, &bv) in arow.iter().zip(brow) {
-                            acc += av * bv;
-                        }
-                        out[(i + r) * p + j + c] = acc;
-                    }
-                }
+fn tn_tile<'b, P>(
+    acc: &mut [[f32; NR]; MR],
+    a: &[f32],
+    m: usize,
+    i: usize,
+    rows: std::ops::Range<usize>,
+    panel: impl Fn(usize) -> P,
+) where
+    P: IntoIterator<Item = &'b f32> + Copy,
+{
+    for r in rows {
+        let ap: &[f32; MR] = a[r * m + i..r * m + i + MR].try_into().expect("A block width");
+        let bp = panel(r);
+        for (accr, &av) in acc.iter_mut().zip(ap) {
+            for (accc, &bv) in accr.iter_mut().zip(bp) {
+                *accc += av * bv;
             }
-            j += nc;
         }
-        i += mr;
     }
 }
 
@@ -408,7 +419,13 @@ fn nt_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, p: usiz
 ///
 /// `out` covers exactly the `i0..i1` row range. Out rows index columns of
 /// `A`, so an `MR` row block reads four *contiguous* values of each `A`
-/// row; the `r` (reduction) loop is ascending for every output element.
+/// row. The reduction is cut into `KC`-row blocks so the `A`/`B` rows a
+/// block touches stay cache-resident while every output tile visits them;
+/// a tile's accumulators are loaded from `out` at the start of a block and
+/// stored back at its end. An `f32` survives that round trip unchanged and
+/// the blocks run in ascending order, so every output element is still
+/// the single ascending-`r` chain of the reference, which also starts from
+/// a zero-filled `out`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tn_range(
@@ -421,46 +438,49 @@ fn tn_range(
     m: usize,
     n: usize,
 ) {
-    let mut i = i0;
-    while i + MR <= i1 {
+    out.fill(0.0);
+    let mut r0 = 0;
+    while r0 < k {
+        let r1 = (r0 + KC).min(k);
         let mut j = 0;
         while j < n {
             let w = NR.min(n - j);
-            let mut acc = [[0.0f32; NR]; MR];
-            for r in 0..k {
-                let ap: &[f32; MR] =
-                    a[r * m + i..r * m + i + MR].try_into().expect("A block width");
-                let bp = &b[r * n + j..r * n + j + w];
-                for (accr, &av) in acc.iter_mut().zip(ap) {
-                    for (accc, &bv) in accr.iter_mut().zip(bp) {
+            let mut i = i0;
+            while i + MR <= i1 {
+                let o = (i - i0) * n + j;
+                let mut acc = [[0.0f32; NR]; MR];
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    accr[..w].copy_from_slice(&out[o + r * n..o + r * n + w]);
+                }
+                if w == NR {
+                    tn_tile(&mut acc, a, m, i, r0..r1, |r| -> &[f32; NR] {
+                        b[r * n + j..r * n + j + NR].try_into().expect("panel width")
+                    });
+                } else {
+                    tn_tile(&mut acc, a, m, i, r0..r1, |r| &b[r * n + j..r * n + j + w]);
+                }
+                for (r, accr) in acc.iter().enumerate() {
+                    out[o + r * n..o + r * n + w].copy_from_slice(&accr[..w]);
+                }
+                i += MR;
+            }
+            while i < i1 {
+                let o = (i - i0) * n + j;
+                let mut acc = [0.0f32; NR];
+                acc[..w].copy_from_slice(&out[o..o + w]);
+                for r in r0..r1 {
+                    let av = a[r * m + i];
+                    let bp = &b[r * n + j..r * n + j + w];
+                    for (accc, &bv) in acc.iter_mut().zip(bp) {
                         *accc += av * bv;
                     }
                 }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                out[(i - i0 + r) * n + j..(i - i0 + r) * n + j + w]
-                    .copy_from_slice(&accr[..w]);
+                out[o..o + w].copy_from_slice(&acc[..w]);
+                i += 1;
             }
             j += w;
         }
-        i += MR;
-    }
-    while i < i1 {
-        let mut j = 0;
-        while j < n {
-            let w = NR.min(n - j);
-            let mut acc = [0.0f32; NR];
-            for r in 0..k {
-                let av = a[r * m + i];
-                let bp = &b[r * n + j..r * n + j + w];
-                for (accc, &bv) in acc.iter_mut().zip(bp) {
-                    *accc += av * bv;
-                }
-            }
-            out[(i - i0) * n + j..(i - i0) * n + j + w].copy_from_slice(&acc[..w]);
-            j += w;
-        }
-        i += 1;
+        r0 = r1;
     }
 }
 
@@ -561,7 +581,16 @@ mod tests {
 
     #[test]
     fn blocked_tn_matches_reference_bitwise() {
-        for &(k, m, n) in &[(1, 1, 1), (4, 6, 10), (16, 16, 16), (29, 35, 67)] {
+        // The last three cross one, two and several `KC` block boundaries.
+        for &(k, m, n) in &[
+            (1, 1, 1),
+            (4, 6, 10),
+            (16, 16, 16),
+            (29, 35, 67),
+            (KC + 1, 6, 17),
+            (2 * KC + 3, 9, 33),
+            (3200, 5, 16),
+        ] {
             let a = seeded(k * m, 19);
             let b = seeded(k * n, 23);
             let mut blocked = vec![3.0f32; m * n];
@@ -585,6 +614,17 @@ mod tests {
             let mut banded = vec![7.0f32; m * n];
             matmul_into(&a, &b, &mut banded, m, k, n, threads);
             assert_eq!(banded, serial, "{threads} threads diverged");
+        }
+        let bnt = seeded(160 * k, 53); // viewed as p×k for NT
+        let mut serial_nt = vec![0.0f32; m * 160];
+        matmul_nt_into(&a, &bnt, &mut serial_nt, m, k, 160, 1);
+        let mut naive_nt = vec![0.0f32; m * 160];
+        reference::matmul_nt(&a, &bnt, &mut naive_nt, m, k, 160);
+        assert_eq!(serial_nt, naive_nt, "packed NT diverged from the reference");
+        for threads in [2, 3, 4] {
+            let mut banded = vec![6.0f32; m * 160];
+            matmul_nt_into(&a, &bnt, &mut banded, m, k, 160, threads);
+            assert_eq!(banded, serial_nt, "NT {threads} threads diverged");
         }
         let at = seeded(512 * 64, 37); // viewed as k×m for TN
         let bt = seeded(512 * 160, 41);

@@ -38,6 +38,8 @@ const MAX_INPUTS: usize = 3;
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Input,
+    /// A leaf that takes no gradient: data, masks, targets.
+    Constant,
     MatMul,
     /// Fused `x·W + bias` (one tape node instead of two).
     Linear,
@@ -143,7 +145,8 @@ fn copy_of(ws: &mut Workspace, src: &Tensor) -> Tensor {
 ///
 /// A graph is built per forward pass (the usual define-by-run pattern);
 /// parameters enter through [`Graph::input`] / [`Graph::input_ref`] and
-/// their node ids are remembered by the layers that own them. Call
+/// their node ids are remembered by the layers that own them, data enters
+/// through [`Graph::constant`] and takes no gradient. Call
 /// [`Graph::reset`] between passes to recycle every buffer the previous
 /// pass used.
 pub struct Graph {
@@ -239,9 +242,20 @@ impl Graph {
         self.push(Op::Input, &[], v)
     }
 
+    /// Registers a leaf that takes **no gradient**, taking ownership — the
+    /// binding for data (feature batches, masks, targets) as opposed to
+    /// parameters. The backward sweep skips every product whose only
+    /// consumer would be this leaf (for a first-layer `linear` that is the
+    /// whole input-gradient GEMM) and [`Graph::grad`] stays `None` for it;
+    /// the gradients of all other nodes are bit-identical to binding the
+    /// same tensor with [`Graph::input`].
+    pub fn constant(&mut self, t: Tensor) -> NodeId {
+        self.push(Op::Constant, &[], t)
+    }
+
     /// Pool-allocates a `rows × cols` tensor with **unspecified contents**
     /// for callers assembling input batches (feature stacking, masks).
-    /// Fill it completely, then hand it to [`Graph::input`]; the buffer
+    /// Fill it completely, then hand it to [`Graph::constant`]; the buffer
     /// returns to the pool on [`Graph::reset`] like any tape value, so
     /// steady-state batch preparation allocates nothing.
     pub fn scratch(&mut self, rows: usize, cols: usize) -> Tensor {
@@ -585,8 +599,18 @@ impl Graph {
 }
 
 /// Adds `g` into the gradient slot for `id`, recycling `g`'s buffer when
-/// the slot already holds a tensor.
-fn add_grad(grads: &mut [Option<Tensor>], ws: &mut Workspace, id: NodeId, g: Tensor) {
+/// the slot already holds a tensor or `id` is a no-grad leaf.
+fn add_grad(
+    nodes: &[Node],
+    grads: &mut [Option<Tensor>],
+    ws: &mut Workspace,
+    id: NodeId,
+    g: Tensor,
+) {
+    if matches!(nodes[id.0].op, Op::Constant) {
+        ws.put(g.into_vec());
+        return;
+    }
     match &mut grads[id.0] {
         Some(existing) => {
             existing.axpy(1.0, &g);
@@ -610,7 +634,8 @@ fn row_bias_grad(ws: &mut Workspace, gout: &Tensor) -> Tensor {
 }
 
 /// `gx = gout × Wᵀ` and `gw = xᵀ × gout` for a matmul/linear node —
-/// pushed straight into the gradient slots.
+/// pushed straight into the gradient slots. `gx` is skipped outright when
+/// `x` is a no-grad leaf (nothing would ever read it).
 fn matmul_grads(
     nodes: &[Node],
     grads: &mut [Option<Tensor>],
@@ -622,16 +647,22 @@ fn matmul_grads(
 ) {
     let xv = &nodes[x.0].value;
     let wv = &nodes[w.0].value;
-    let mut gx = alloc(ws, gout.rows(), wv.rows());
-    gemm::matmul_nt_into(
-        gout.as_slice(),
-        wv.as_slice(),
-        gx.as_mut_slice(),
-        gout.rows(),
-        gout.cols(),
-        wv.rows(),
-        threads,
-    );
+    if !matches!(nodes[x.0].op, Op::Constant) {
+        let mut gx = alloc(ws, gout.rows(), wv.rows());
+        let mut wt = ws.take(wv.len());
+        gemm::matmul_nt_scratch_into(
+            gout.as_slice(),
+            wv.as_slice(),
+            &mut wt,
+            gx.as_mut_slice(),
+            gout.rows(),
+            gout.cols(),
+            wv.rows(),
+            threads,
+        );
+        ws.put(wt);
+        add_grad(nodes, grads, ws, x, gx);
+    }
     let mut gw = alloc(ws, xv.cols(), gout.cols());
     gemm::matmul_tn_into(
         xv.as_slice(),
@@ -642,8 +673,7 @@ fn matmul_grads(
         gout.cols(),
         threads,
     );
-    add_grad(grads, ws, x, gx);
-    add_grad(grads, ws, w, gw);
+    add_grad(nodes, grads, ws, w, gw);
 }
 
 fn accumulate_inputs(
@@ -657,7 +687,7 @@ fn accumulate_inputs(
     let op = nodes[idx].op;
     let inputs = nodes[idx].inputs;
     match op {
-        Op::Input => {}
+        Op::Input | Op::Constant => {}
         Op::MatMul => {
             matmul_grads(nodes, grads, ws, threads, inputs[0], inputs[1], gout);
         }
@@ -666,7 +696,7 @@ fn accumulate_inputs(
             // the same kernels and order as the unfused two-node chain.
             let gb = row_bias_grad(ws, gout);
             matmul_grads(nodes, grads, ws, threads, inputs[0], inputs[1], gout);
-            add_grad(grads, ws, inputs[2], gb);
+            add_grad(nodes, grads, ws, inputs[2], gb);
         }
         Op::LinearRelu => {
             // y = relu(x·W + b): mask the upstream gradient by the stored
@@ -680,20 +710,20 @@ fn accumulate_inputs(
             }
             let gb = row_bias_grad(ws, &gm);
             matmul_grads(nodes, grads, ws, threads, inputs[0], inputs[1], &gm);
-            add_grad(grads, ws, inputs[2], gb);
+            add_grad(nodes, grads, ws, inputs[2], gb);
             ws.put(gm.into_vec());
         }
         Op::AddRowBias => {
             let gb = row_bias_grad(ws, gout);
             let gx = copy_of(ws, gout);
-            add_grad(grads, ws, inputs[0], gx);
-            add_grad(grads, ws, inputs[1], gb);
+            add_grad(nodes, grads, ws, inputs[0], gx);
+            add_grad(nodes, grads, ws, inputs[1], gb);
         }
         Op::Add => {
             let ga = copy_of(ws, gout);
-            add_grad(grads, ws, inputs[0], ga);
+            add_grad(nodes, grads, ws, inputs[0], ga);
             let gb = copy_of(ws, gout);
-            add_grad(grads, ws, inputs[1], gb);
+            add_grad(nodes, grads, ws, inputs[1], gb);
         }
         Op::Mul => {
             let (a, b) = (inputs[0], inputs[1]);
@@ -709,13 +739,13 @@ fn accumulate_inputs(
             {
                 *o = g * v;
             }
-            add_grad(grads, ws, a, ga);
-            add_grad(grads, ws, b, gb);
+            add_grad(nodes, grads, ws, a, ga);
+            add_grad(nodes, grads, ws, b, gb);
         }
         Op::Scale(c) => {
             let mut g = copy_of(ws, gout);
             g.as_mut_slice().iter_mut().for_each(|v| *v *= c);
-            add_grad(grads, ws, inputs[0], g);
+            add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::Relu => {
             let mut g = copy_of(ws, gout);
@@ -724,21 +754,21 @@ fn accumulate_inputs(
                     *gv = 0.0;
                 }
             }
-            add_grad(grads, ws, inputs[0], g);
+            add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::Tanh => {
             let mut g = copy_of(ws, gout);
             for (gv, &y) in g.as_mut_slice().iter_mut().zip(nodes[idx].value.as_slice()) {
                 *gv *= 1.0 - y * y;
             }
-            add_grad(grads, ws, inputs[0], g);
+            add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::Sigmoid => {
             let mut g = copy_of(ws, gout);
             for (gv, &y) in g.as_mut_slice().iter_mut().zip(nodes[idx].value.as_slice()) {
                 *gv *= y * (1.0 - y);
             }
-            add_grad(grads, ws, inputs[0], g);
+            add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::SoftmaxRows => {
             let yv = &nodes[idx].value;
@@ -755,7 +785,7 @@ fn accumulate_inputs(
                     *o = y * (gv - dot);
                 }
             }
-            add_grad(grads, ws, inputs[0], g);
+            add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::NormRows(eps) => {
             // y = (x - μ) / σ; dx = (dy - mean(dy) - y·mean(dy∘y)) / σ.
@@ -777,7 +807,7 @@ fn accumulate_inputs(
                     *o = (d - mean_dy - y * mean_dyy) * inv;
                 }
             }
-            add_grad(grads, ws, inputs[0], g);
+            add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::SumGroups(group) => {
             let x_rows = nodes[inputs[0].0].value.rows();
@@ -785,14 +815,14 @@ fn accumulate_inputs(
             for r in 0..x_rows {
                 g.row_mut(r).copy_from_slice(gout.row(r / group));
             }
-            add_grad(grads, ws, inputs[0], g);
+            add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::MeanAll => {
             let xv = &nodes[inputs[0].0].value;
             let scale = gout.at(0, 0) / xv.len() as f32;
             let mut g = alloc(ws, xv.rows(), xv.cols());
             g.as_mut_slice().fill(scale);
-            add_grad(grads, ws, inputs[0], g);
+            add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::ConcatCols => {
             let (a, b) = (inputs[0], inputs[1]);
@@ -806,8 +836,8 @@ fn accumulate_inputs(
                 ga.row_mut(r).copy_from_slice(&grow[..ac]);
                 gb.row_mut(r).copy_from_slice(&grow[ac..]);
             }
-            add_grad(grads, ws, a, ga);
-            add_grad(grads, ws, b, gb);
+            add_grad(nodes, grads, ws, a, ga);
+            add_grad(nodes, grads, ws, b, gb);
         }
         Op::GroupMatMulNT(group) => {
             // C_g = A_g B_gᵀ ⇒ dA_g = dC_g B_g ; dB_g = dC_gᵀ A_g.
@@ -837,8 +867,8 @@ fn accumulate_inputs(
                     }
                 }
             }
-            add_grad(grads, ws, a, ga);
-            add_grad(grads, ws, b, gb);
+            add_grad(nodes, grads, ws, a, ga);
+            add_grad(nodes, grads, ws, b, gb);
         }
         Op::GroupMatMul(group) => {
             // C_g = S_g V_g ⇒ dS_g = dC_g V_gᵀ ; dV_g = S_gᵀ dC_g.
@@ -868,8 +898,8 @@ fn accumulate_inputs(
                     }
                 }
             }
-            add_grad(grads, ws, s, gs);
-            add_grad(grads, ws, v, gv);
+            add_grad(nodes, grads, ws, s, gs);
+            add_grad(nodes, grads, ws, v, gv);
         }
     }
 }
@@ -1168,6 +1198,45 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn constant_leaf_leaves_parameter_gradients_bit_identical() {
+        // Data bound as a no-grad leaf (both straight into a linear layer
+        // and as an elementwise mask) must change nothing but the data
+        // leaves' own gradient slots.
+        let x0 = seeded(37, 9, 103);
+        let mask0 = seeded(37, 18, 107);
+        let (w1, b1) = (seeded(9, 18, 109), seeded(1, 18, 113));
+        let (w2, b2) = (seeded(18, 1, 127), seeded(1, 1, 131));
+        let run = |no_grad: bool| {
+            let mut g = Graph::new();
+            let leaf = |g: &mut Graph, t: &Tensor| {
+                if no_grad {
+                    g.constant(t.clone())
+                } else {
+                    g.input(t.clone())
+                }
+            };
+            let x = leaf(&mut g, &x0);
+            let mask = leaf(&mut g, &mask0);
+            let params: Vec<NodeId> =
+                [&w1, &b1, &w2, &b2].into_iter().map(|t| g.input_ref(t)).collect();
+            let h = g.linear_relu(x, params[0], params[1]);
+            let h = g.mul(h, mask);
+            let y = g.linear(h, params[2], params[3]);
+            let l = g.mean_all(y);
+            g.backward(l);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let grads: Vec<Vec<u32>> =
+                params.iter().map(|&p| bits(g.grad(p).expect("parameter gradient"))).collect();
+            (grads, g.grad(x).is_some(), g.grad(mask).is_some())
+        };
+        let (with_input, x_grad, mask_grad) = run(false);
+        assert!(x_grad && mask_grad, "ordinary leaves receive gradients");
+        let (with_constant, x_grad, mask_grad) = run(true);
+        assert!(!x_grad && !mask_grad, "no-grad leaves must stay without a gradient");
+        assert_eq!(with_constant, with_input);
     }
 
     #[test]

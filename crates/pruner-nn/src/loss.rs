@@ -12,7 +12,7 @@ use crate::tensor::Tensor;
 pub fn mse_loss(g: &mut Graph, pred: NodeId, targets: &[f32]) -> NodeId {
     let shape = g.value(pred).shape();
     assert_eq!(shape, (targets.len(), 1), "mse target length mismatch");
-    let t = g.input(Tensor::from_vec(targets.len(), 1, targets.to_vec()));
+    let t = g.constant(Tensor::from_vec(targets.len(), 1, targets.to_vec()));
     let neg = g.scale(t, -1.0);
     let diff = g.add(pred, neg);
     let sq = g.mul(diff, diff);
@@ -28,7 +28,13 @@ pub fn mse_loss(g: &mut Graph, pred: NodeId, targets: &[f32]) -> NodeId {
 ///
 /// The implementation follows Burges' LambdaRank: for every pair with
 /// `relᵢ > relⱼ`, `λ = -σ / (1 + exp(σ (sᵢ - sⱼ)))`, weighted by the
-/// |ΔNDCG| of swapping the pair under the current predicted order.
+/// |ΔNDCG| of swapping the pair under the current predicted order. The
+/// NDCG gain and discount are functions of one item each, so they are
+/// evaluated once per item, not once per pair.
+///
+/// A diverged model can emit NaN or ±∞ scores; such a list has no usable
+/// order, so it gets all-zero lambdas (the update is skipped) rather than
+/// a panic — the same degrade-gracefully rule the proposal ranking uses.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -36,7 +42,7 @@ pub fn lambdarank_grad(scores: &[f32], relevance: &[f32]) -> Vec<f32> {
     assert_eq!(scores.len(), relevance.len(), "score/relevance length mismatch");
     let n = scores.len();
     let mut lambdas = vec![0.0f32; n];
-    if n < 2 {
+    if n < 2 || scores.iter().any(|s| !s.is_finite()) {
         return lambdas;
     }
     let sigma = 1.0f32;
@@ -49,14 +55,16 @@ pub fn lambdarank_grad(scores: &[f32], relevance: &[f32]) -> Vec<f32> {
         rank[i] = pos;
     }
 
-    // Ideal DCG for normalization.
     let gain = |r: f32| 2.0f32.powf(4.0 * r) - 1.0;
     let discount = |pos: usize| 1.0 / ((pos as f32 + 2.0).log2());
+    // Ideal DCG for normalization.
     let mut ideal: Vec<f32> = relevance.to_vec();
     ideal.sort_by(|a, b| b.partial_cmp(a).expect("finite relevance"));
     let idcg: f32 = ideal.iter().enumerate().map(|(p, &r)| gain(r) * discount(p)).sum();
     let idcg = idcg.max(1e-6);
 
+    let gains: Vec<f32> = relevance.iter().map(|&r| gain(r)).collect();
+    let discounts: Vec<f32> = rank.iter().map(|&pos| discount(pos)).collect();
     for i in 0..n {
         for j in 0..n {
             if relevance[i] <= relevance[j] {
@@ -65,10 +73,8 @@ pub fn lambdarank_grad(scores: &[f32], relevance: &[f32]) -> Vec<f32> {
             // i should be ranked above j.
             let s_diff = sigma * (scores[i] - scores[j]);
             let rho = 1.0 / (1.0 + s_diff.exp());
-            let delta_ndcg = ((gain(relevance[i]) - gain(relevance[j]))
-                * (discount(rank[i]) - discount(rank[j])))
-            .abs()
-                / idcg;
+            let delta_ndcg =
+                ((gains[i] - gains[j]) * (discounts[i] - discounts[j])).abs() / idcg;
             let lambda = sigma * rho * delta_ndcg;
             // Loss decreases when s_i grows: gradient is negative for i.
             lambdas[i] -= lambda;
@@ -142,6 +148,102 @@ mod tests {
         assert_eq!(lambdarank_grad(&[1.0], &[1.0]), vec![0.0]);
         // Equal relevance → no pairs → zero lambdas.
         assert_eq!(lambdarank_grad(&[1.0, 2.0], &[0.5, 0.5]), vec![0.0, 0.0]);
+    }
+
+    /// The pair loop as it stood before the gain/discount hoist: `powf`
+    /// and `log2` evaluated per pair. The oracle for the hoisted version.
+    fn lambdarank_grad_per_pair(scores: &[f32], relevance: &[f32]) -> Vec<f32> {
+        let n = scores.len();
+        let mut lambdas = vec![0.0f32; n];
+        if n < 2 {
+            return lambdas;
+        }
+        let sigma = 1.0f32;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite scores"));
+        let mut rank = vec![0usize; n];
+        for (pos, &i) in order.iter().enumerate() {
+            rank[i] = pos;
+        }
+        let gain = |r: f32| 2.0f32.powf(4.0 * r) - 1.0;
+        let discount = |pos: usize| 1.0 / ((pos as f32 + 2.0).log2());
+        let mut ideal: Vec<f32> = relevance.to_vec();
+        ideal.sort_by(|a, b| b.partial_cmp(a).expect("finite relevance"));
+        let idcg: f32 = ideal.iter().enumerate().map(|(p, &r)| gain(r) * discount(p)).sum();
+        let idcg = idcg.max(1e-6);
+        for i in 0..n {
+            for j in 0..n {
+                if relevance[i] <= relevance[j] {
+                    continue;
+                }
+                let s_diff = sigma * (scores[i] - scores[j]);
+                let rho = 1.0 / (1.0 + s_diff.exp());
+                let delta_ndcg = ((gain(relevance[i]) - gain(relevance[j]))
+                    * (discount(rank[i]) - discount(rank[j])))
+                .abs()
+                    / idcg;
+                let lambda = sigma * rho * delta_ndcg;
+                lambdas[i] -= lambda;
+                lambdas[j] += lambda;
+            }
+        }
+        lambdas
+    }
+
+    #[test]
+    fn hoisted_lambdarank_is_bit_identical_to_per_pair_loop() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for case in 0..200 {
+            let n = rng.gen_range(2..40);
+            // Draw from small pools so score ties (incl. ±0) and relevance
+            // ties are common, not a measure-zero accident.
+            let coarse = case % 2 == 0;
+            let scores: Vec<f32> = (0..n)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ if coarse => rng.gen_range(-3i32..=3) as f32 * 0.5,
+                    _ => rng.gen_range(-4.0f32..4.0),
+                })
+                .collect();
+            let rel: Vec<f32> = (0..n)
+                .map(|_| {
+                    if coarse {
+                        rng.gen_range(0u32..=4) as f32 / 4.0
+                    } else {
+                        rng.gen_range(0.0f32..=1.0)
+                    }
+                })
+                .collect();
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(lambdarank_grad(&scores, &rel)),
+                bits(lambdarank_grad_per_pair(&scores, &rel)),
+                "case {case}: scores {scores:?} rel {rel:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lambdarank_non_finite_scores_skip_the_update() {
+        let rel = [1.0f32, 0.5, 0.1, 0.7];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in 0..rel.len() {
+                let mut scores = [0.3f32, -1.0, 2.0, 0.0];
+                scores[at] = bad;
+                assert_eq!(
+                    lambdarank_grad(&scores, &rel),
+                    vec![0.0; rel.len()],
+                    "{bad} at {at} must zero the step"
+                );
+            }
+        }
+        assert_eq!(lambdarank_grad(&[f32::NAN; 3], &[0.1, 0.2, 0.3]), vec![0.0; 3]);
+        // Finite lists next to the guard still get real forces.
+        assert!(lambdarank_grad(&[0.3, -1.0, 2.0, 0.0], &rel).iter().any(|&l| l != 0.0));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property tests: the register-blocked GEMM kernels are bit-exact
 //! replacements for the naive reference loops on every shape — including
-//! degenerate (empty, 1×N, N×1) and non-multiple-of-tile sizes — and
+//! degenerate (empty, 1×N, N×1) and non-multiple-of-tile sizes, reductions
+//! that cross the TN kernel's block boundaries, products large enough to
+//! band over threads, and streams salted with ±0, ±∞ and NaN — and
 //! `matmul_into` on a dirty recycled buffer matches a fresh allocation.
 
 use proptest::prelude::*;
@@ -21,8 +23,12 @@ fn entry() -> impl Strategy<Value = f32> {
     ]
 }
 
+/// Bit patterns, with every NaN folded onto one. Which elements are NaN
+/// is part of the contract; a NaN's sign and payload are not — Rust leaves
+/// them unspecified per operation (on x86 they follow the operand order
+/// of a commutative `mul`/`add`, which the compiler picks per loop).
 fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
+    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
 }
 
 /// One dimension, biased toward tile edges: the blocked kernels use
@@ -51,7 +57,75 @@ fn seeded_pair(alen: usize, blen: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
     (fill(alen, 0x9e37), fill(blen, 0x79b9))
 }
 
+/// Reduction lengths around the TN kernel's block length (`KC` = 256 in
+/// `gemm.rs`): one short of a block, exactly one, one over, two blocks
+/// and a ragged third, and the training length (12.5 blocks).
+fn long_k() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(255usize), Just(256usize), Just(257usize), Just(515usize), Just(3200usize)]
+}
+
+/// A panel-side dimension (`p`/`n`) on both sides of the 16-wide panel,
+/// plus one wide enough (with [`long_k`] and [`tall`]) to cross the
+/// banding threshold.
+fn panel() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..=3, 15usize..=17, 31usize..=33, Just(130usize)]
+}
+
+/// An output-row dimension that is mostly *not* a multiple of the 4-row
+/// block; the larger ones give `threads` 2–4 real bands to split.
+fn tall() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..=7, Just(66usize), Just(130usize), Just(259usize)]
+}
+
+/// [`seeded_pair`] with a few ±∞ and NaN entries dropped into each matrix
+/// — few enough that most output elements stay finite next to the
+/// poisoned rows and columns.
+fn seeded_pair_special(alen: usize, blen: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
+    let (mut a, mut b) = seeded_pair(alen, blen, seed);
+    for (salt, v) in [(0x51u64, &mut a), (0xa7u64, &mut b)] {
+        for (n, special) in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN].into_iter().enumerate() {
+            if !v.is_empty() {
+                let at = seed.wrapping_mul(salt + n as u64).rotate_left(23) as usize % v.len();
+                v[at] = special;
+            }
+        }
+    }
+    (a, b)
+}
+
 proptest! {
+    #[test]
+    fn long_reduction_tn_is_bitexact(
+        (k, m, n) in (long_k(), tall(), panel()),
+        threads in 1usize..=4,
+        special in prop_oneof![Just(false), Just(true)],
+        seed in 0u64..u64::MAX,
+    ) {
+        let fill = if special { seeded_pair_special } else { seeded_pair };
+        let (a, b) = fill(k * m, k * n, seed);
+        let mut blocked = vec![f32::NAN; m * n];
+        matmul_tn_into(&a, &b, &mut blocked, k, m, n, threads);
+        let mut naive = vec![0.0f32; m * n];
+        gemm::reference::matmul_tn(&a, &b, &mut naive, k, m, n);
+        prop_assert_eq!(bits(&blocked), bits(&naive));
+    }
+
+    #[test]
+    fn packed_nt_is_bitexact(
+        (m, k, p) in (tall(), long_k(), panel()),
+        threads in 1usize..=4,
+        special in prop_oneof![Just(false), Just(true)],
+        seed in 0u64..u64::MAX,
+    ) {
+        let fill = if special { seeded_pair_special } else { seeded_pair };
+        let (a, b) = fill(m * k, p * k, seed);
+        let mut blocked = vec![f32::NAN; m * p];
+        matmul_nt_into(&a, &b, &mut blocked, m, k, p, threads);
+        let mut naive = vec![0.0f32; m * p];
+        gemm::reference::matmul_nt(&a, &b, &mut naive, m, k, p);
+        prop_assert_eq!(bits(&blocked), bits(&naive));
+    }
+
     #[test]
     fn blocked_nn_is_bitexact(
         (m, k, n) in (edge(), edge(), edge()),
@@ -69,11 +143,12 @@ proptest! {
     #[test]
     fn blocked_nt_is_bitexact(
         (m, k, p) in (edge(), edge(), edge()),
+        threads in 1usize..=4,
         seed in 0u64..u64::MAX,
     ) {
         let (a, b) = seeded_pair(m * k, p * k, seed);
         let mut blocked = vec![f32::NAN; m * p];
-        matmul_nt_into(&a, &b, &mut blocked, m, k, p, 1);
+        matmul_nt_into(&a, &b, &mut blocked, m, k, p, threads);
         let mut naive = vec![0.0f32; m * p];
         gemm::reference::matmul_nt(&a, &b, &mut naive, m, k, p);
         prop_assert_eq!(bits(&blocked), bits(&naive));
@@ -82,11 +157,12 @@ proptest! {
     #[test]
     fn blocked_tn_is_bitexact(
         (k, m, n) in (edge(), edge(), edge()),
+        threads in 1usize..=4,
         seed in 0u64..u64::MAX,
     ) {
         let (a, b) = seeded_pair(k * m, k * n, seed);
         let mut blocked = vec![f32::NAN; m * n];
-        matmul_tn_into(&a, &b, &mut blocked, k, m, n, 1);
+        matmul_tn_into(&a, &b, &mut blocked, k, m, n, threads);
         let mut naive = vec![0.0f32; m * n];
         gemm::reference::matmul_tn(&a, &b, &mut naive, k, m, n);
         prop_assert_eq!(bits(&blocked), bits(&naive));

@@ -70,6 +70,10 @@ pub struct TaskTuner {
     /// Shared schedule-space context for the arena hot path.
     ctx: Arc<WorkloadCtx>,
     measured: Vec<(Program, f64)>,
+    /// The labeled training sample of each `measured` entry, featurized
+    /// once when the measurement is recorded (live, from a checkpoint or
+    /// from a store replay) — positionally aligned with `measured`.
+    samples: Vec<Sample>,
     /// Schedule fingerprints of every known program (measured or
     /// quarantined) — the hot-path dedup set. The string `dedup_key` form
     /// survives only in the on-disk store/checkpoint formats.
@@ -91,6 +95,7 @@ impl TaskTuner {
             weight,
             ctx,
             measured: Vec::new(),
+            samples: Vec::new(),
             measured_fps: HashSet::new(),
             quarantined: BTreeMap::new(),
             best: None,
@@ -165,12 +170,10 @@ impl TaskTuner {
         self.rounds_since_improvement
     }
 
-    /// All labeled samples of this task (for cost-model training).
-    pub fn labeled_samples(&self) -> Vec<Sample> {
-        self.measured
-            .iter()
-            .map(|(p, l)| Sample::labeled(p, *l, self.task_id))
-            .collect()
+    /// All labeled samples of this task, in measurement order (for
+    /// cost-model training).
+    pub fn labeled_samples(&self) -> &[Sample] {
+        &self.samples
     }
 
     /// Proposes the next batch of programs to measure (one round of
@@ -335,14 +338,17 @@ impl TaskTuner {
         (picked, funnel)
     }
 
-    /// Records one measurement and updates the incumbent.
-    pub fn record(&mut self, prog: Program, latency: f64) {
+    /// Records one measurement, featurizes it into its labeled training
+    /// sample (returned) and updates the incumbent.
+    pub fn record(&mut self, prog: Program, latency: f64) -> &Sample {
         let improved = latency < self.best_latency();
         if improved {
             self.best = Some((prog.clone(), latency));
         }
         self.measured_fps.insert(prog.fingerprint());
+        self.samples.push(Sample::labeled(&prog, latency, self.task_id));
         self.measured.push((prog, latency));
+        self.samples.last().expect("just pushed")
     }
 
     /// Whether this task has already seen the program — recorded as a

@@ -1032,8 +1032,7 @@ impl<B: Backend> Tuner<B> {
             self.store_seeded.insert(key);
             match record.outcome {
                 RecordOutcome::Success { latency_s, .. } => {
-                    samples.push(Sample::labeled(&record.program, latency_s, ti));
-                    self.tasks[ti].record(record.program.clone(), latency_s);
+                    samples.push(self.tasks[ti].record(record.program.clone(), latency_s).clone());
                 }
                 RecordOutcome::Failure { .. } => {
                     self.tasks[ti].quarantine(&record.program);
@@ -1114,14 +1113,13 @@ impl<B: Backend> Tuner<B> {
         best
     }
 
+    /// The most recent `train_window` labeled samples of the tasks'
+    /// concatenated measurement logs (task order, then measurement order),
+    /// copied from the per-task caches.
     fn training_window(&self) -> Vec<Sample> {
-        let mut samples: Vec<Sample> =
-            self.tasks.iter().flat_map(|t| t.labeled_samples()).collect();
-        if samples.len() > self.cfg.train_window {
-            let skip = samples.len() - self.cfg.train_window;
-            samples.drain(..skip);
-        }
-        samples
+        let total: usize = self.tasks.iter().map(|t| t.labeled_samples().len()).sum();
+        let skip = total.saturating_sub(self.cfg.train_window);
+        self.tasks.iter().flat_map(|t| t.labeled_samples()).skip(skip).cloned().collect()
     }
 }
 
@@ -1218,6 +1216,39 @@ mod tests {
         let fallback = pruner_gpu::Simulator::new(GpuSpec::t4())
             .latency(&pruner_sketch::Program::fallback(&Workload::matmul(1, 1024, 1024, 1024)));
         assert!(*matmul_best < fallback, "the heavy task was starved");
+    }
+
+    /// The window handed to the model must be exactly what re-featurizing
+    /// the whole measurement history (the pre-cache implementation) yields
+    /// — same samples, same order — live and after a checkpoint restore,
+    /// with the window cutting into the first task's log.
+    #[test]
+    fn training_window_equals_refeaturized_history() {
+        let cfg = TunerConfig { rounds: 6, train_window: 14, ..TunerConfig::quick() };
+        let mut t = Tuner::new(GpuSpec::t4(), cfg, ModelSetup::Fresh(ModelKind::Random));
+        t.add_task(Workload::matmul(1, 256, 256, 256), 2);
+        t.add_task(Workload::reduction(1024, 256), 1);
+        t.run();
+        let refeaturized = |t: &Tuner| {
+            let mut all: Vec<Sample> = t
+                .tasks
+                .iter()
+                .flat_map(|task| {
+                    task.measured_log()
+                        .iter()
+                        .map(|(p, l)| Sample::labeled(p, *l, task.task_id))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            assert!(all.len() > t.cfg.train_window, "the window must actually cut");
+            assert!(t.tasks[1].num_measured() < t.cfg.train_window, "and cut into task 0");
+            all.drain(..all.len() - t.cfg.train_window);
+            serde_json::to_string(&all).unwrap()
+        };
+        let window = |t: &Tuner| serde_json::to_string(&t.training_window()).unwrap();
+        assert_eq!(window(&t), refeaturized(&t));
+        let restored = Tuner::from_checkpoint(t.park());
+        assert_eq!(window(&restored), window(&t), "restore must rebuild the same window");
     }
 
     #[test]
