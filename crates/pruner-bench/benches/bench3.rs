@@ -182,8 +182,12 @@ fn main() {
     // struct-of-arrays arena, at the pool size one desktop-CPU exploration
     // round actually sees. Bit-identity across thread counts is asserted
     // first (same seed, threads 1 vs 4), then the throughput run is timed
-    // at the host's parallelism with warm pages (best-of-`repeats` after a
-    // warm-up round, so first-touch page faults don't bill the arena).
+    // at the host's parallelism, best-of-`repeats` after one untimed round.
+    // Every round here builds its pool in fresh arenas (the `_arena_par`
+    // wrappers allocate), so each timed round still pays the allocation
+    // and first-touch page faults of its columns; the untimed round only
+    // warms code, caches and the allocator. A campaign pays those once —
+    // it reuses one arena — so this number is a floor on its pool stage.
     let arena_pool = if smoke() { 4096 } else { 1 << 20 };
     let wl = Workload::matmul(1, 512, 512, 512);
     let ctx = Arc::new(WorkloadCtx::new(&wl));
@@ -205,7 +209,7 @@ fn main() {
         && s1.iter().zip(&s4).all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(arena_bit_identical, "arena round differs between 1 and 4 threads");
 
-    let _warm = run(3, threads); // page in the arena columns before timing
+    let _warm = run(3, threads); // untimed: code, caches, allocator (not the columns)
     let mut arena_round_s = f64::INFINITY;
     let mut arena_unique = 0;
     for r in 0..repeats as u64 {

@@ -7,7 +7,8 @@ use pruner::cost::{ModelKind, Sample};
 use pruner::gpu::{GpuSpec, Simulator};
 use pruner::ir::Workload;
 use pruner::psa::Psa;
-use pruner::sketch::{evolve, HardwareLimits, Program};
+use pruner::sketch::{evolve, CandidateArena, HardwareLimits, Program};
+use pruner::trace::NoopRecorder;
 use pruner::tuner::{Measurer, ProposeParams, TaskTuner};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -93,7 +94,17 @@ fn bench_propose(c: &mut Criterion) {
                         round: 0,
                         threads,
                     };
-                    task.propose(model.as_ref(), Some(&psa), &mut measurer, &limits, &params, &mut rng)
+                    let mut arena = CandidateArena::default();
+                    task.propose(
+                        model.as_ref(),
+                        Some(&psa),
+                        &mut measurer,
+                        &limits,
+                        &params,
+                        &mut rng,
+                        &mut arena,
+                        &mut NoopRecorder,
+                    )
                 },
                 BatchSize::LargeInput,
             )

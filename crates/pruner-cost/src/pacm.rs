@@ -305,6 +305,68 @@ mod tests {
         }
     }
 
+    /// Inference binds the weights without gradient nodes and fans out over
+    /// chunks; its scores must equal the training-path forward bit for bit
+    /// — on every sketch kind (2, 4 and 5 all-zero padding slots of 8), on
+    /// a sample with no padding at all, on an all-zero sample, with trained
+    /// weights (non-zero biases make a mishandled padded slot visible), for
+    /// both ablations and at every `predict_batch` fan-out.
+    #[test]
+    fn inference_matches_the_training_forward_bitwise() {
+        use pruner_ir::{EwKind, Workload};
+        use pruner_sketch::{HardwareLimits, Program};
+        let limits = HardwareLimits::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut samples = Vec::new();
+        for (task, wl) in [
+            Workload::matmul(1, 256, 256, 256),
+            Workload::conv2d(1, 32, 28, 28, 32, 3, 1, 1),
+            Workload::elementwise(EwKind::Gelu, 1 << 16),
+            Workload::reduction(1024, 512),
+        ]
+        .iter()
+        .enumerate()
+        {
+            for k in 0..75 {
+                let p = Program::sample(wl, &limits, &mut rng);
+                samples.push(Sample::labeled(&p, 1e-3 * (1 + (k * 7) % 13) as f64, task));
+            }
+        }
+        // No padding: a matmul sample whose two padded slots repeat real rows.
+        let mut full = samples[0].clone();
+        full.stmt.copy_within(..2 * STMT_DIM, 6 * STMT_DIM);
+        assert!(full.stmt.chunks(STMT_DIM).all(|r| r.iter().any(|&v| v != 0.0)));
+        samples.push(full);
+        // Nothing but padding.
+        let mut empty = samples[1].clone();
+        empty.stmt.fill(0.0);
+        empty.flow.fill(0.0);
+        samples.push(empty);
+        assert!(samples.len() > 256, "must span more than one predict chunk");
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let picks: Vec<usize> = (0..samples.len()).collect();
+        for mut m in [
+            PacmModel::new(5),
+            PacmModel::without_stmt_branch(5),
+            PacmModel::without_flow_branch(5),
+        ] {
+            m.fit(&samples, 2);
+            let mut g = Graph::new();
+            let dense = m.forward(&mut g, &samples, &picks);
+            let dense = bits(g.value(dense).as_slice());
+            assert_eq!(bits(&m.predict(&samples)), dense, "{} predict", m.name());
+            for threads in 1..=3 {
+                assert_eq!(
+                    bits(&m.predict_batch(&samples, threads)),
+                    dense,
+                    "{} predict_batch at {threads} threads",
+                    m.name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn weight_count_is_stable() {
         let mut a = PacmModel::new(7);

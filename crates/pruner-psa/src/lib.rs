@@ -358,7 +358,9 @@ impl Psa {
     /// [`CandidateArena::gather`] or [`CandidateArena::program`] only at
     /// the measure boundary. Ties keep arena order (the same stable order
     /// as the legacy pair sort), so `gather(&prune_arena(..))` materializes
-    /// exactly the programs [`Self::prune_par`] would keep.
+    /// exactly the programs [`Self::prune_par`] would keep. Only the kept
+    /// prefix is sorted: the cost is a selection over the pool plus a sort
+    /// of `size`, not a sort of the pool.
     pub fn prune_arena(
         &self,
         arena: &CandidateArena,
@@ -367,8 +369,19 @@ impl Psa {
     ) -> Vec<usize> {
         let scores = self.estimate_arena(arena, threads);
         let mut order: Vec<usize> = (0..arena.len()).collect();
-        order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite estimates"));
-        order.truncate(size);
+        // `(estimate, index)` is a total order — the one a stable sort by
+        // estimate yields — so selecting the `size` smallest and sorting
+        // only those keeps the same candidates in the same order.
+        let by_estimate = |a: &usize, b: &usize| {
+            scores[*a].partial_cmp(&scores[*b]).expect("finite estimates").then(a.cmp(b))
+        };
+        if size < order.len() {
+            if size > 0 {
+                order.select_nth_unstable_by(size - 1, by_estimate);
+            }
+            order.truncate(size);
+        }
+        order.sort_unstable_by(by_estimate);
         order
     }
 
@@ -689,6 +702,43 @@ mod tests {
             assert_eq!(kept.len(), 48);
             let materialized = arena.gather(&kept).programs();
             assert_eq!(materialized, legacy, "prune diverged at {threads} threads");
+        }
+    }
+
+    /// Pools bred from a handful of elites in a tiny space are mostly exact
+    /// ties, where a top-k selection that forgot the index tie-break would
+    /// keep different candidates than the stable sort it replaced.
+    #[test]
+    fn prune_arena_equals_a_stable_sort_on_tie_heavy_pools() {
+        let psa = t4_psa();
+        let limits = HardwareLimits::default();
+        for wl in [
+            Workload::elementwise(pruner_ir::EwKind::Gelu, 1 << 18),
+            Workload::reduction(2048, 768),
+        ] {
+            let ctx = std::sync::Arc::new(pruner_sketch::WorkloadCtx::new(&wl));
+            let seeds = evolve::init_arena_par(&ctx, 4, &limits, 2, 0, 1);
+            let elites: Vec<_> = (0..seeds.len()).map(|i| seeds.genes(i)).collect();
+            let mut arena =
+                evolve::next_generation_arena_par(&ctx, &elites, 400, &limits, 2, 1, 1);
+            arena.ensure_stats();
+            let scores = psa.estimate_arena(&arena, 1);
+            let mut oracle: Vec<usize> = (0..arena.len()).collect();
+            oracle.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap());
+            let distinct: std::collections::HashSet<u64> =
+                scores.iter().map(|s| s.to_bits()).collect();
+            assert!(distinct.len() * 2 < arena.len(), "pool for {} has too few ties", wl.key());
+            let len = arena.len();
+            for size in [0, 1, len - 1, len, len + 5] {
+                for threads in [1usize, 3] {
+                    assert_eq!(
+                        psa.prune_arena(&arena, size, threads),
+                        oracle[..size.min(len)],
+                        "size {size} of {len} for {}",
+                        wl.key()
+                    );
+                }
+            }
         }
     }
 

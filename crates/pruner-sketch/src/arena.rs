@@ -24,8 +24,10 @@ use crate::limits::HardwareLimits;
 use crate::program::{fnv1a_u64, workload_fnv, Program};
 use crate::split::{divisors, pad_to_quantum};
 use crate::stats::{MemLevel, StmtKind, ELEM_BYTES};
-use pruner_ir::Workload;
+use pruner_ir::{EwKind, Workload};
 use rand::Rng;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Maximum spatial axes of any supported workload (conv3d has 5).
@@ -1173,13 +1175,262 @@ struct MtDerived {
     wb_innermost: u64,
 }
 
+/// Below this many rows the stats fill stays on the calling thread, as it
+/// did before the arena was filled in place: at the default pool (2 048)
+/// the work is cheaper than the spawns, and worker threads a small campaign
+/// never had would each grow the allocator's footprint. A fixed constant,
+/// like `pruner_nn::gemm`'s `PAR_MIN_WORK`.
+const PAR_MIN_ROWS: usize = 8192;
+
+/// Hasher for sets keyed by schedule fingerprints. The key already is an
+/// FNV hash, so hashing it again is wasted work; one fold brings the
+/// well-mixed high half down into the bits the table indexes with
+/// (word-wise FNV multiplies only carry entropy upward).
+#[derive(Default)]
+pub(crate) struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint sets hash u64 keys only");
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v ^ (v >> 32);
+    }
+}
+
+/// A set of schedule fingerprints.
+pub(crate) type FpSet = HashSet<u64, BuildHasherDefault<FpHasher>>;
+
+// Gene columns: every column is a flat `u64` buffer with a fixed number of
+// entries per candidate (`CandidateArena::gene_strides`).
+const SPATIAL: usize = 0;
+const REDUCE: usize = 1;
+const ANN: usize = 2;
+const FP: usize = 3;
+
+// Stats columns, one entry per candidate. The u64 block is the launch
+// geometry and annotations, then one innermost-run column per statement
+// slot; the f64 block is the six scalars, then (n_ops, global, shared) per
+// slot — so a context with `n_stmts` slots uses a prefix of each block.
+const THREADS: usize = 0;
+const NUM_BLOCKS: usize = 1;
+const VTHREADS: usize = 2;
+const REGS: usize = 3;
+const SHARED_BYTES: usize = 4;
+const UNROLL: usize = 5;
+const VECTORIZE: usize = 6;
+const STMT_INNERMOST: usize = 7;
+const N_U: usize = STMT_INNERMOST + MAX_ARENA_STMTS;
+const FLOPS_TOTAL: usize = 0;
+const GLOBAL_BYTES: usize = 1;
+const SHARED_TRAFFIC: usize = 2;
+const PADDING_WASTE: usize = 3;
+const PTF: usize = 4;
+const PTRA: usize = 5;
+const STMT_N_OPS: usize = 6;
+const STMT_GLOBAL: usize = 7;
+const STMT_SHARED: usize = 8;
+const N_F: usize = STMT_N_OPS + 3 * MAX_ARENA_STMTS;
+
+impl StatsRow {
+    /// The row as one value per stats column, in column order.
+    fn column_values(&self) -> ([u64; N_U], [f64; N_F]) {
+        let mut u = [0u64; N_U];
+        let mut f = [0.0f64; N_F];
+        u[THREADS] = self.threads_per_block;
+        u[NUM_BLOCKS] = self.num_blocks;
+        u[VTHREADS] = self.vthreads;
+        u[REGS] = self.regs_per_thread;
+        u[SHARED_BYTES] = self.shared_bytes_per_block;
+        u[UNROLL] = self.unroll;
+        u[VECTORIZE] = self.vectorize;
+        u[STMT_INNERMOST..].copy_from_slice(&self.stmt_innermost);
+        f[FLOPS_TOTAL] = self.flops_total;
+        f[GLOBAL_BYTES] = self.global_bytes;
+        f[SHARED_TRAFFIC] = self.shared_traffic_bytes;
+        f[PADDING_WASTE] = self.padding_waste;
+        f[PTF] = self.per_thread_flops;
+        f[PTRA] = self.per_thread_reg_accesses;
+        for j in 0..MAX_ARENA_STMTS {
+            f[STMT_N_OPS + 3 * j] = self.stmt_n_ops[j];
+            f[STMT_GLOBAL + 3 * j] = self.stmt_global[j];
+            f[STMT_SHARED + 3 * j] = self.stmt_shared[j];
+        }
+        (u, f)
+    }
+}
+
+/// Grows a column to at least `need` entries. Columns never shrink — they
+/// keep their length across [`CandidateArena::reset`], so a reused arena
+/// neither allocates nor zero-fills.
+fn grow<T: Copy + Default>(col: &mut Vec<T>, need: usize) {
+    if col.is_empty() {
+        // Nothing to preserve: a zeroed allocation maps untouched pages,
+        // so the first touch happens in the (parallel) writers instead of
+        // a serial fill here.
+        *col = vec![T::default(); need];
+    } else if col.len() < need {
+        col.resize(need, T::default());
+    }
+}
+
+/// Mutable views of rows `lo..hi` of every column (`strides[c]` entries per
+/// row; a zero stride yields an empty view).
+fn rows_mut<T, const N: usize>(
+    cols: &mut [Vec<T>; N],
+    strides: [usize; N],
+    lo: usize,
+    hi: usize,
+) -> [&mut [T]; N] {
+    let mut c = 0;
+    cols.each_mut().map(|col| {
+        let s = strides[c];
+        c += 1;
+        &mut col[lo * s..hi * s]
+    })
+}
+
+/// Splits every column view at row `rows`.
+fn split_rows<'a, T, const N: usize>(
+    cols: [&'a mut [T]; N],
+    strides: [usize; N],
+    rows: usize,
+) -> ([&'a mut [T]; N], [&'a mut [T]; N]) {
+    let mut tails: [&'a mut [T]; N] = std::array::from_fn(|_| Default::default());
+    let mut c = 0;
+    let heads = cols.map(|col| {
+        let (head, tail) = col.split_at_mut(rows * strides[c]);
+        tails[c] = tail;
+        c += 1;
+        head
+    });
+    (heads, tails)
+}
+
+/// Copies `n` rows of `src` starting at row `from` to row `at` of `dst`.
+fn copy_rows<T: Copy, const N: usize>(
+    dst: &mut [Vec<T>; N],
+    src: &[Vec<T>; N],
+    strides: [usize; N],
+    at: usize,
+    from: usize,
+    n: usize,
+) {
+    for ((d, s), stride) in dst.iter_mut().zip(src).zip(strides) {
+        d[at * stride..(at + n) * stride]
+            .copy_from_slice(&s[from * stride..(from + n) * stride]);
+    }
+}
+
+/// Moves the rows of `col[start..]` whose `mask` entry is set down to a
+/// contiguous run beginning at row `start`, keeping their order.
+fn compact_rows<T: Copy>(col: &mut [T], stride: usize, start: usize, mask: &[bool]) {
+    if stride == 0 {
+        return;
+    }
+    let mut w = start;
+    for (k, &keep) in mask.iter().enumerate() {
+        if keep {
+            let i = start + k;
+            if w != i {
+                col.copy_within(i * stride..(i + 1) * stride, w * stride);
+            }
+            w += 1;
+        }
+    }
+}
+
+/// Runs `work(first_row, rows, band)` over contiguous bands of `n` rows on
+/// up to `workers` scoped threads (on the calling thread when `workers ≤
+/// 1`). `split(views, rows)` cuts the leading `rows` rows off a set of
+/// column views, so every worker writes a disjoint range in place.
+fn fan_out<B: Send>(
+    n: usize,
+    workers: usize,
+    mut rest: B,
+    split: impl Fn(B, usize) -> (B, B),
+    work: impl Fn(usize, usize, B) + Sync,
+) {
+    if workers <= 1 {
+        return work(0, n, rest);
+    }
+    let band = n.div_ceil(workers);
+    crossbeam::thread::scope(|scope| {
+        let mut first = 0;
+        while first < n {
+            let rows = band.min(n - first);
+            let (head, tail) = split(rest, rows);
+            rest = tail;
+            let work = &work;
+            scope.spawn(move |_| work(first, rows, head));
+            first += rows;
+        }
+    })
+    .expect("arena workers must not panic");
+}
+
+/// Reconstructs candidate `i`'s genes from the gene columns.
+fn read_genes(cols: &[Vec<u64>; 4], ctx: &WorkloadCtx, i: usize) -> GeneBuf {
+    let (n_s, n_r) = (ctx.n_s, ctx.n_r);
+    let mut g = GeneBuf::default();
+    for (a, s) in g.spatial[..n_s].iter_mut().enumerate() {
+        let base = (i * n_s + a) * 5;
+        s.copy_from_slice(&cols[SPATIAL][base..base + 5]);
+    }
+    for (a, r) in g.reduce[..n_r].iter_mut().enumerate() {
+        let base = (i * n_r + a) * 3;
+        r.copy_from_slice(&cols[REDUCE][base..base + 3]);
+    }
+    g.a0 = cols[ANN][i * 3];
+    g.a1 = cols[ANN][i * 3 + 1];
+    g.a2 = cols[ANN][i * 3 + 2];
+    g
+}
+
+/// Writes one candidate's genes and their fingerprint at row `k` of `band`.
+fn write_genes(band: &mut [&mut [u64]; 4], ctx: &WorkloadCtx, k: usize, genes: &GeneBuf) {
+    let (n_s, n_r) = (ctx.n_s, ctx.n_r);
+    for (a, s) in genes.spatial[..n_s].iter().enumerate() {
+        band[SPATIAL][(k * n_s + a) * 5..][..5].copy_from_slice(s);
+    }
+    for (a, r) in genes.reduce[..n_r].iter().enumerate() {
+        band[REDUCE][(k * n_r + a) * 3..][..3].copy_from_slice(r);
+    }
+    band[ANN][k * 3..][..3].copy_from_slice(&[genes.a0, genes.a1, genes.a2]);
+    band[FP][k] = ctx.fingerprint_genes(genes);
+}
+
+/// Writes one stats row at row `k` of a band: the prefix of each block
+/// that the row's statement count uses (the other columns' views are
+/// empty).
+fn write_stats(u: &mut [&mut [u64]; N_U], f: &mut [&mut [f64]; N_F], k: usize, row: &StatsRow) {
+    let (ru, rf) = row.column_values();
+    for (col, v) in u[..STMT_INNERMOST + row.n_stmts].iter_mut().zip(ru) {
+        col[k] = v;
+    }
+    for (col, v) in f[..STMT_N_OPS + 3 * row.n_stmts].iter_mut().zip(rf) {
+        col[k] = v;
+    }
+}
+
 /// Struct-of-arrays candidate pool: one flat column per gene family and
 /// per derived statistic, with program identity = index.
 ///
-/// Statement columns are stored slot-major (`stmt_*[j]` is the column of
-/// statement slot `j` across all candidates), so PSA's accumulation loops
-/// run contiguously over candidates and auto-vectorize while preserving
-/// each candidate's ascending-slot accumulation order.
+/// Statement columns are stored slot-major (one column per statement slot
+/// across all candidates), so PSA's accumulation loops run contiguously
+/// over candidates and auto-vectorize while preserving each candidate's
+/// ascending-slot accumulation order.
+///
+/// The arena is built to be **reused**: [`CandidateArena::reset`] drops the
+/// candidates but keeps every column's storage, and every O(pool) stage
+/// (generation, stats, dedup) writes the columns in place. A column's
+/// `Vec` length is therefore only its initialized extent — the logical
+/// lengths are `len` (genes, fingerprints) and `stats_len` (statistics).
 #[derive(Debug)]
 pub struct CandidateArena {
     ctx: Arc<WorkloadCtx>,
@@ -1189,30 +1440,20 @@ pub struct CandidateArena {
     /// candidates dropped by dedup never pay for a stats row; the filled
     /// region is always a contiguous prefix.
     stats_len: usize,
-    // Gene columns.
-    spatial: Vec<u64>,
-    reduce: Vec<u64>,
-    ann: Vec<u64>,
-    fp: Vec<u64>,
-    // Scalar stat columns.
-    threads: Vec<u64>,
-    num_blocks: Vec<u64>,
-    vthreads: Vec<u64>,
-    regs: Vec<u64>,
-    shared_bytes: Vec<u64>,
-    flops_total: Vec<f64>,
-    global_bytes: Vec<f64>,
-    shared_traffic: Vec<f64>,
-    padding_waste: Vec<f64>,
-    ptf: Vec<f64>,
-    ptra: Vec<f64>,
-    unroll: Vec<u64>,
-    vectorize: Vec<u64>,
-    // Statement columns, slot-major.
-    stmt_n_ops: Vec<Vec<f64>>,
-    stmt_global: Vec<Vec<f64>>,
-    stmt_shared: Vec<Vec<f64>>,
-    stmt_innermost: Vec<Vec<u64>>,
+    /// Spatial splits, reduction splits, annotations, fingerprint.
+    genes: [Vec<u64>; 4],
+    stat_u: [Vec<u64>; N_U],
+    stat_f: [Vec<f64>; N_F],
+}
+
+impl Default for CandidateArena {
+    /// An empty arena without storage, for a long-lived owner that lends it
+    /// out: it is aimed at a one-element placeholder workload until
+    /// [`CandidateArena::reset`] targets it at a real one.
+    fn default() -> CandidateArena {
+        let placeholder = Workload::elementwise(EwKind::Relu, 1);
+        CandidateArena::new(Arc::new(WorkloadCtx::new(&placeholder)))
+    }
 }
 
 impl CandidateArena {
@@ -1221,35 +1462,44 @@ impl CandidateArena {
         Self::with_capacity(ctx, 0)
     }
 
-    /// Creates an empty arena with reserved capacity.
+    /// Creates an empty arena whose gene and fingerprint columns are
+    /// pre-sized for `cap` candidates. Stats columns are sized on demand by
+    /// [`CandidateArena::ensure_stats`]: a raw arena never pays for them.
     pub fn with_capacity(ctx: Arc<WorkloadCtx>, cap: usize) -> CandidateArena {
-        let n_stmts = ctx.n_stmts;
-        let (n_s, n_r) = (ctx.n_s, ctx.n_r);
-        CandidateArena {
+        let mut arena = CandidateArena {
             ctx,
             len: 0,
             stats_len: 0,
-            spatial: Vec::with_capacity(cap * n_s * 5),
-            reduce: Vec::with_capacity(cap * n_r * 3),
-            ann: Vec::with_capacity(cap * 3),
-            fp: Vec::with_capacity(cap),
-            threads: Vec::with_capacity(cap),
-            num_blocks: Vec::with_capacity(cap),
-            vthreads: Vec::with_capacity(cap),
-            regs: Vec::with_capacity(cap),
-            shared_bytes: Vec::with_capacity(cap),
-            flops_total: Vec::with_capacity(cap),
-            global_bytes: Vec::with_capacity(cap),
-            shared_traffic: Vec::with_capacity(cap),
-            padding_waste: Vec::with_capacity(cap),
-            ptf: Vec::with_capacity(cap),
-            ptra: Vec::with_capacity(cap),
-            unroll: Vec::with_capacity(cap),
-            vectorize: Vec::with_capacity(cap),
-            stmt_n_ops: (0..n_stmts).map(|_| Vec::with_capacity(cap)).collect(),
-            stmt_global: (0..n_stmts).map(|_| Vec::with_capacity(cap)).collect(),
-            stmt_shared: (0..n_stmts).map(|_| Vec::with_capacity(cap)).collect(),
-            stmt_innermost: (0..n_stmts).map(|_| Vec::with_capacity(cap)).collect(),
+            genes: Default::default(),
+            stat_u: Default::default(),
+            stat_f: Default::default(),
+        };
+        arena.grow_genes(cap);
+        arena
+    }
+
+    /// Drops every candidate and re-targets the arena at `ctx` (any rank,
+    /// any statement count), keeping each column's storage for the next
+    /// round.
+    pub fn reset(&mut self, ctx: Arc<WorkloadCtx>) {
+        self.ctx = ctx;
+        self.len = 0;
+        self.stats_len = 0;
+    }
+
+    /// Drops every candidate and, unless the arena has held a pool large
+    /// enough for the stats fill to fan out over, frees the columns too.
+    /// Reuse pays at large pools (no page faults on freshly mapped
+    /// columns); a default-size pool is cheaper to allocate again next
+    /// round than to hold through model training in between, where it only
+    /// adds to the campaign's peak footprint.
+    pub fn release_if_small(&mut self) {
+        self.len = 0;
+        self.stats_len = 0;
+        if self.genes[FP].len() < PAR_MIN_ROWS {
+            self.genes = Default::default();
+            self.stat_u = Default::default();
+            self.stat_f = Default::default();
         }
     }
 
@@ -1278,23 +1528,78 @@ impl CandidateArena {
         self.ctx.n_stmts
     }
 
-    /// Appends one candidate: computes its stats row and fingerprint and
-    /// pushes every column.
-    pub fn push_genes(&mut self, genes: &GeneBuf) {
-        let mut row = StatsRow::default();
-        self.ctx.compute_row(genes, &mut row);
-        let fp = self.ctx.fingerprint_genes(genes);
-        self.push_computed(genes, &row, fp);
+    /// Entries per candidate in each gene column.
+    fn gene_strides(&self) -> [usize; 4] {
+        [self.ctx.n_s * 5, self.ctx.n_r * 3, 3, 1]
     }
 
-    /// Appends one candidate's genes and fingerprint only, deferring the
-    /// stats row to [`CandidateArena::ensure_stats`]. This is the hot
-    /// generation path: a candidate that dedup later drops never pays for
-    /// stats.
-    pub fn push_genes_raw(&mut self, genes: &GeneBuf) {
-        self.push_gene_columns(genes);
-        self.fp.push(self.ctx.fingerprint_genes(genes));
-        self.len += 1;
+    /// Entries per candidate in each stats column: one for the columns
+    /// this context's statement count uses, none for the rest.
+    fn stat_strides(&self) -> ([usize; N_U], [usize; N_F]) {
+        let n = self.ctx.n_stmts;
+        (
+            std::array::from_fn(|c| usize::from(c < STMT_INNERMOST + n)),
+            std::array::from_fn(|c| usize::from(c < STMT_N_OPS + 3 * n)),
+        )
+    }
+
+    fn grow_genes(&mut self, rows: usize) {
+        let strides = self.gene_strides();
+        for (col, s) in self.genes.iter_mut().zip(strides) {
+            grow(col, rows * s);
+        }
+    }
+
+    fn grow_stats(&mut self, rows: usize) {
+        let (su, sf) = self.stat_strides();
+        for (col, s) in self.stat_u.iter_mut().zip(su) {
+            grow(col, rows * s);
+        }
+        for (col, s) in self.stat_f.iter_mut().zip(sf) {
+            grow(col, rows * s);
+        }
+    }
+
+    /// Appends one candidate with its fingerprint and stats row (eager:
+    /// tests and single-candidate callers; pools go through the
+    /// generators in [`crate::evolve`]).
+    ///
+    /// # Panics
+    /// Panics if this arena has a raw (stats-deferred) tail — an eager push
+    /// behind it would break the stats prefix.
+    pub fn push_genes(&mut self, genes: &GeneBuf) {
+        assert!(self.has_stats(), "eager push onto a raw-tail arena");
+        self.extend_par(1, 1, |_| *genes);
+        self.ensure_stats();
+    }
+
+    /// Appends `n` raw candidates in place, candidate `len + k` being
+    /// `f(k)`, fanned out over `threads` workers that each write a
+    /// disjoint row range of the gene and fingerprint columns. This is the
+    /// hot generation path: stats rows are deferred to
+    /// [`CandidateArena::ensure_stats`], so a candidate that dedup later
+    /// drops never pays for one. `f` must be pure per `k`; the result is
+    /// then identical at any thread count.
+    pub(crate) fn extend_par<F>(&mut self, n: usize, threads: usize, f: F)
+    where
+        F: Fn(usize) -> GeneBuf + Sync,
+    {
+        let start = self.len;
+        self.grow_genes(start + n);
+        let strides = self.gene_strides();
+        let ctx = &*self.ctx;
+        fan_out(
+            n,
+            threads.min(n),
+            rows_mut(&mut self.genes, strides, start, start + n),
+            |views, rows| split_rows(views, strides, rows),
+            |first, rows, mut band| {
+                for k in 0..rows {
+                    write_genes(&mut band, ctx, k, &f(first + k));
+                }
+            },
+        );
+        self.len += n;
     }
 
     /// Whether every candidate has a computed stats row.
@@ -1303,99 +1608,43 @@ impl CandidateArena {
     }
 
     /// Computes stats rows for every candidate that does not have one yet
-    /// (idempotent). Call after raw generation + dedup, before handing the
-    /// arena to PSA or featurization.
+    /// (idempotent), on the calling thread. Call after raw generation +
+    /// dedup, before handing the arena to PSA or featurization.
     pub fn ensure_stats(&mut self) {
-        let mut row = StatsRow::default();
-        for i in self.stats_len..self.len {
-            self.ctx.compute_row(&self.genes(i), &mut row);
-            self.push_stats_row(&row);
-        }
-        self.stats_len = self.len;
+        self.ensure_stats_par(1);
     }
 
-    fn push_gene_columns(&mut self, genes: &GeneBuf) {
-        for s in &genes.spatial[..self.ctx.n_s] {
-            self.spatial.extend_from_slice(s);
-        }
-        for r in &genes.reduce[..self.ctx.n_r] {
-            self.reduce.extend_from_slice(r);
-        }
-        self.ann.extend_from_slice(&[genes.a0, genes.a1, genes.a2]);
+    /// [`CandidateArena::ensure_stats`] fanned out over `threads` workers
+    /// writing disjoint row ranges of the stats columns in place. Each row
+    /// depends only on its own genes, so the columns are bit-identical at
+    /// any thread count.
+    pub fn ensure_stats_par(&mut self, threads: usize) {
+        let (lo, hi) = (self.stats_len, self.len);
+        let n = hi - lo;
+        self.grow_stats(hi);
+        let (su, sf) = self.stat_strides();
+        let (ctx, genes) = (&*self.ctx, &self.genes);
+        fan_out(
+            n,
+            if n < PAR_MIN_ROWS { 1 } else { threads.min(n) },
+            (rows_mut(&mut self.stat_u, su, lo, hi), rows_mut(&mut self.stat_f, sf, lo, hi)),
+            |(u, f), rows| {
+                let (u_head, u_tail) = split_rows(u, su, rows);
+                let (f_head, f_tail) = split_rows(f, sf, rows);
+                ((u_head, f_head), (u_tail, f_tail))
+            },
+            |first, rows, (mut u, mut f)| {
+                let mut row = StatsRow::default();
+                for k in 0..rows {
+                    ctx.compute_row(&read_genes(genes, ctx, lo + first + k), &mut row);
+                    write_stats(&mut u, &mut f, k, &row);
+                }
+            },
+        );
+        self.stats_len = hi;
     }
 
-    /// Appends one candidate from an already-computed row (no recompute).
-    ///
-    /// # Panics
-    /// Panics if this arena has a raw (stats-deferred) tail — eager and
-    /// raw pushes cannot interleave without breaking the stats prefix.
-    pub fn push_computed(&mut self, genes: &GeneBuf, row: &StatsRow, fp: u64) {
-        assert!(self.stats_len == self.len, "eager push onto a raw-tail arena");
-        self.push_gene_columns(genes);
-        self.fp.push(fp);
-        self.push_stats_row(row);
-        self.len += 1;
-    }
-
-    fn push_stats_row(&mut self, row: &StatsRow) {
-        self.threads.push(row.threads_per_block);
-        self.num_blocks.push(row.num_blocks);
-        self.vthreads.push(row.vthreads);
-        self.regs.push(row.regs_per_thread);
-        self.shared_bytes.push(row.shared_bytes_per_block);
-        self.flops_total.push(row.flops_total);
-        self.global_bytes.push(row.global_bytes);
-        self.shared_traffic.push(row.shared_traffic_bytes);
-        self.padding_waste.push(row.padding_waste);
-        self.ptf.push(row.per_thread_flops);
-        self.ptra.push(row.per_thread_reg_accesses);
-        self.unroll.push(row.unroll);
-        self.vectorize.push(row.vectorize);
-        for j in 0..self.ctx.n_stmts {
-            self.stmt_n_ops[j].push(row.stmt_n_ops[j]);
-            self.stmt_global[j].push(row.stmt_global[j]);
-            self.stmt_shared[j].push(row.stmt_shared[j]);
-            self.stmt_innermost[j].push(row.stmt_innermost[j]);
-        }
-        self.stats_len += 1;
-    }
-
-    /// Copies candidate `i` of `src` into this arena without recomputing.
-    /// The stats row is copied too when `src` has one for `i` and this
-    /// arena's stats prefix is unbroken; otherwise it is deferred to
-    /// [`CandidateArena::ensure_stats`].
-    pub fn push_row_from(&mut self, src: &CandidateArena, i: usize) {
-        let (n_s, n_r, n_stmts) = (self.ctx.n_s, self.ctx.n_r, self.ctx.n_stmts);
-        self.spatial.extend_from_slice(&src.spatial[i * n_s * 5..(i + 1) * n_s * 5]);
-        self.reduce.extend_from_slice(&src.reduce[i * n_r * 3..(i + 1) * n_r * 3]);
-        self.ann.extend_from_slice(&src.ann[i * 3..(i + 1) * 3]);
-        self.fp.push(src.fp[i]);
-        if i < src.stats_len && self.stats_len == self.len {
-            self.threads.push(src.threads[i]);
-            self.num_blocks.push(src.num_blocks[i]);
-            self.vthreads.push(src.vthreads[i]);
-            self.regs.push(src.regs[i]);
-            self.shared_bytes.push(src.shared_bytes[i]);
-            self.flops_total.push(src.flops_total[i]);
-            self.global_bytes.push(src.global_bytes[i]);
-            self.shared_traffic.push(src.shared_traffic[i]);
-            self.padding_waste.push(src.padding_waste[i]);
-            self.ptf.push(src.ptf[i]);
-            self.ptra.push(src.ptra[i]);
-            self.unroll.push(src.unroll[i]);
-            self.vectorize.push(src.vectorize[i]);
-            for j in 0..n_stmts {
-                self.stmt_n_ops[j].push(src.stmt_n_ops[j][i]);
-                self.stmt_global[j].push(src.stmt_global[j][i]);
-                self.stmt_shared[j].push(src.stmt_shared[j][i]);
-                self.stmt_innermost[j].push(src.stmt_innermost[j][i]);
-            }
-            self.stats_len += 1;
-        }
-        self.len += 1;
-    }
-
-    /// Appends every candidate of `other` (band merge).
+    /// Appends every candidate of `other`.
     ///
     /// # Panics
     /// Panics if the arenas were built from different contexts.
@@ -1405,33 +1654,18 @@ impl CandidateArena {
                 || (self.ctx.key_fnv == other.ctx.key_fnv && self.ctx.kind == other.ctx.kind),
             "cannot append arenas of different workloads"
         );
-        self.spatial.extend_from_slice(&other.spatial);
-        self.reduce.extend_from_slice(&other.reduce);
-        self.ann.extend_from_slice(&other.ann);
-        self.fp.extend_from_slice(&other.fp);
+        let at = self.len;
+        self.grow_genes(at + other.len);
+        let strides = self.gene_strides();
+        copy_rows(&mut self.genes, &other.genes, strides, at, 0, other.len);
         // Copy `other`'s stats prefix only while it keeps this arena's
         // stats prefix unbroken; the rest is deferred to `ensure_stats`.
-        if self.stats_len == self.len {
+        if self.stats_len == at {
             let k = other.stats_len;
-            self.threads.extend_from_slice(&other.threads[..k]);
-            self.num_blocks.extend_from_slice(&other.num_blocks[..k]);
-            self.vthreads.extend_from_slice(&other.vthreads[..k]);
-            self.regs.extend_from_slice(&other.regs[..k]);
-            self.shared_bytes.extend_from_slice(&other.shared_bytes[..k]);
-            self.flops_total.extend_from_slice(&other.flops_total[..k]);
-            self.global_bytes.extend_from_slice(&other.global_bytes[..k]);
-            self.shared_traffic.extend_from_slice(&other.shared_traffic[..k]);
-            self.padding_waste.extend_from_slice(&other.padding_waste[..k]);
-            self.ptf.extend_from_slice(&other.ptf[..k]);
-            self.ptra.extend_from_slice(&other.ptra[..k]);
-            self.unroll.extend_from_slice(&other.unroll[..k]);
-            self.vectorize.extend_from_slice(&other.vectorize[..k]);
-            for j in 0..self.ctx.n_stmts {
-                self.stmt_n_ops[j].extend_from_slice(&other.stmt_n_ops[j][..k]);
-                self.stmt_global[j].extend_from_slice(&other.stmt_global[j][..k]);
-                self.stmt_shared[j].extend_from_slice(&other.stmt_shared[j][..k]);
-                self.stmt_innermost[j].extend_from_slice(&other.stmt_innermost[j][..k]);
-            }
+            self.grow_stats(at + k);
+            let (su, sf) = self.stat_strides();
+            copy_rows(&mut self.stat_u, &other.stat_u, su, at, 0, k);
+            copy_rows(&mut self.stat_f, &other.stat_f, sf, at, 0, k);
             self.stats_len += k;
         }
         self.len += other.len;
@@ -1439,74 +1673,88 @@ impl CandidateArena {
 
     /// Reconstructs candidate `i`'s genes from the columns.
     pub fn genes(&self, i: usize) -> GeneBuf {
-        let (n_s, n_r) = (self.ctx.n_s, self.ctx.n_r);
-        let mut g = GeneBuf::default();
-        for (a, s) in g.spatial[..n_s].iter_mut().enumerate() {
-            let base = (i * n_s + a) * 5;
-            s.copy_from_slice(&self.spatial[base..base + 5]);
-        }
-        for (a, r) in g.reduce[..n_r].iter_mut().enumerate() {
-            let base = (i * n_r + a) * 3;
-            r.copy_from_slice(&self.reduce[base..base + 3]);
-        }
-        g.a0 = self.ann[i * 3];
-        g.a1 = self.ann[i * 3 + 1];
-        g.a2 = self.ann[i * 3 + 2];
-        g
+        assert!(i < self.len, "candidate index out of range");
+        read_genes(&self.genes, &self.ctx, i)
     }
 
     /// Candidate `i`'s schedule fingerprint.
     pub fn fingerprint(&self, i: usize) -> u64 {
-        self.fp[i]
+        self.fingerprints()[i]
     }
 
     /// The full fingerprint column.
     pub fn fingerprints(&self) -> &[u64] {
-        &self.fp
+        &self.genes[FP][..self.len]
     }
 
-    /// Batch dedup/filter: evaluates `keep(index, fingerprint)` in
-    /// ascending index order (so first-wins dedup sets behave like the
-    /// legacy in-order loop) and compacts every column in place.
-    pub fn retain_with(&mut self, mut keep: impl FnMut(usize, u64) -> bool) {
-        let mask: Vec<bool> = (0..self.len).map(|i| keep(i, self.fp[i])).collect();
-        let (n_s, n_r) = (self.ctx.n_s, self.ctx.n_r);
-        compact_strided(&mut self.spatial, &mask, n_s * 5);
-        compact_strided(&mut self.reduce, &mask, n_r * 3);
-        compact_strided(&mut self.ann, &mask, 3);
-        compact(&mut self.fp, &mask);
+    /// Batch filter: evaluates `keep(index, fingerprint)` in ascending
+    /// index order (so first-wins dedup sets behave like an in-order loop)
+    /// and compacts every column in place.
+    pub fn retain_with(&mut self, keep: impl FnMut(usize, u64) -> bool) {
+        self.retain_from(0, keep);
+    }
+
+    /// [`CandidateArena::retain_with`] over the tail `start..len` only;
+    /// candidates before `start` are untouched.
+    pub(crate) fn retain_from(&mut self, start: usize, mut keep: impl FnMut(usize, u64) -> bool) {
+        let mask: Vec<bool> =
+            (start..self.len).map(|i| keep(i, self.genes[FP][i])).collect();
+        self.compact_from(start, &mask);
+    }
+
+    /// Drops already-`known` fingerprints and every repeat of an earlier
+    /// candidate — exactly `retain_with(|_, fp| !known.contains(&fp) &&
+    /// seen.insert(fp))` over a fresh `seen`, but with one probe per
+    /// candidate: the set is keyed by the fingerprint itself, pre-sized,
+    /// and pre-seeded with `known`.
+    pub fn dedup_first_wins(&mut self, known: &HashSet<u64>) {
+        let mut seen =
+            FpSet::with_capacity_and_hasher(self.len + known.len(), Default::default());
+        seen.extend(known);
+        self.retain_with(|_, fp| seen.insert(fp));
+    }
+
+    /// Keeps the candidates of `start..start + mask.len()` whose mask entry
+    /// is set, compacting every column in place.
+    fn compact_from(&mut self, start: usize, mask: &[bool]) {
+        let kept = |m: &[bool]| m.iter().filter(|&&k| k).count();
+        let strides = self.gene_strides();
+        for (col, s) in self.genes.iter_mut().zip(strides) {
+            compact_rows(col, s, start, mask);
+        }
         // Stats exist only for the leading `stats_len` candidates; the
         // survivors among them stay a contiguous prefix after compaction.
-        let smask = &mask[..self.stats_len];
-        compact(&mut self.threads, smask);
-        compact(&mut self.num_blocks, smask);
-        compact(&mut self.vthreads, smask);
-        compact(&mut self.regs, smask);
-        compact(&mut self.shared_bytes, smask);
-        compact(&mut self.flops_total, smask);
-        compact(&mut self.global_bytes, smask);
-        compact(&mut self.shared_traffic, smask);
-        compact(&mut self.padding_waste, smask);
-        compact(&mut self.ptf, smask);
-        compact(&mut self.ptra, smask);
-        compact(&mut self.unroll, smask);
-        compact(&mut self.vectorize, smask);
-        for j in 0..self.ctx.n_stmts {
-            compact(&mut self.stmt_n_ops[j], smask);
-            compact(&mut self.stmt_global[j], smask);
-            compact(&mut self.stmt_shared[j], smask);
-            compact(&mut self.stmt_innermost[j], smask);
+        if start < self.stats_len {
+            let smask = &mask[..self.stats_len - start];
+            let (su, sf) = self.stat_strides();
+            for (col, s) in self.stat_u.iter_mut().zip(su) {
+                compact_rows(col, s, start, smask);
+            }
+            for (col, s) in self.stat_f.iter_mut().zip(sf) {
+                compact_rows(col, s, start, smask);
+            }
+            self.stats_len = start + kept(smask);
         }
-        self.stats_len = self.threads.len();
-        self.len = self.fp.len();
+        self.len = start + kept(mask);
     }
 
     /// Builds a new arena holding `indices` in order (shortlist gather).
+    /// Stats rows are copied for the leading run of indices that have one.
     pub fn gather(&self, indices: &[usize]) -> CandidateArena {
         let mut out = CandidateArena::with_capacity(Arc::clone(&self.ctx), indices.len());
-        for &i in indices {
-            out.push_row_from(self, i);
+        let with_stats = indices.iter().take_while(|&&i| i < self.stats_len).count();
+        out.grow_stats(with_stats);
+        let (strides, (su, sf)) = (self.gene_strides(), self.stat_strides());
+        for (k, &i) in indices.iter().enumerate() {
+            assert!(i < self.len, "candidate index out of range");
+            copy_rows(&mut out.genes, &self.genes, strides, k, i, 1);
+            if k < with_stats {
+                copy_rows(&mut out.stat_u, &self.stat_u, su, k, i, 1);
+                copy_rows(&mut out.stat_f, &self.stat_f, sf, k, i, 1);
+            }
         }
+        out.len = indices.len();
+        out.stats_len = with_stats;
         out
     }
 
@@ -1530,142 +1778,130 @@ impl CandidateArena {
         self.ctx.flow_row(&self.genes(i), row);
     }
 
+    fn u_col(&self, c: usize) -> &[u64] {
+        &self.stat_u[c][..self.stats_len]
+    }
+
+    fn f_col(&self, c: usize) -> &[f64] {
+        &self.stat_f[c][..self.stats_len]
+    }
+
     /// Threads-per-block column.
     pub fn threads_col(&self) -> &[u64] {
-        &self.threads
+        self.u_col(THREADS)
     }
 
     /// Num-blocks column.
     pub fn num_blocks_col(&self) -> &[u64] {
-        &self.num_blocks
+        self.u_col(NUM_BLOCKS)
     }
 
     /// Vthreads column.
     pub fn vthreads_col(&self) -> &[u64] {
-        &self.vthreads
+        self.u_col(VTHREADS)
     }
 
     /// Registers-per-thread column.
     pub fn regs_col(&self) -> &[u64] {
-        &self.regs
+        self.u_col(REGS)
     }
 
     /// Shared-bytes-per-block column.
     pub fn shared_bytes_col(&self) -> &[u64] {
-        &self.shared_bytes
+        self.u_col(SHARED_BYTES)
     }
 
     /// Total-FLOPs column.
     pub fn flops_total_col(&self) -> &[f64] {
-        &self.flops_total
+        self.f_col(FLOPS_TOTAL)
     }
 
     /// Global-traffic column.
     pub fn global_bytes_col(&self) -> &[f64] {
-        &self.global_bytes
+        self.f_col(GLOBAL_BYTES)
     }
 
     /// Shared-traffic column.
     pub fn shared_traffic_col(&self) -> &[f64] {
-        &self.shared_traffic
+        self.f_col(SHARED_TRAFFIC)
     }
 
     /// Padding-waste column.
     pub fn padding_waste_col(&self) -> &[f64] {
-        &self.padding_waste
+        self.f_col(PADDING_WASTE)
     }
 
     /// Per-thread-FLOPs column.
     pub fn per_thread_flops_col(&self) -> &[f64] {
-        &self.ptf
+        self.f_col(PTF)
     }
 
     /// Per-thread-register-accesses column.
     pub fn per_thread_reg_accesses_col(&self) -> &[f64] {
-        &self.ptra
+        self.f_col(PTRA)
     }
 
     /// Unroll-annotation column.
     pub fn unroll_col(&self) -> &[u64] {
-        &self.unroll
+        self.u_col(UNROLL)
     }
 
     /// Vectorize-annotation column.
     pub fn vectorize_col(&self) -> &[u64] {
-        &self.vectorize
+        self.u_col(VECTORIZE)
+    }
+
+    /// Column `base` of statement slot `j` in the f64 block.
+    fn stmt_f_col(&self, base: usize, j: usize) -> &[f64] {
+        assert!(j < self.ctx.n_stmts, "statement slot out of range");
+        self.f_col(base + 3 * j)
     }
 
     /// Statement slot `j`'s n_ops column.
     pub fn stmt_n_ops_col(&self, j: usize) -> &[f64] {
-        &self.stmt_n_ops[j]
+        self.stmt_f_col(STMT_N_OPS, j)
     }
 
     /// Statement slot `j`'s global-bytes column.
     pub fn stmt_global_col(&self, j: usize) -> &[f64] {
-        &self.stmt_global[j]
+        self.stmt_f_col(STMT_GLOBAL, j)
     }
 
     /// Statement slot `j`'s shared-bytes column.
     pub fn stmt_shared_col(&self, j: usize) -> &[f64] {
-        &self.stmt_shared[j]
+        self.stmt_f_col(STMT_SHARED, j)
     }
 
     /// Statement slot `j`'s innermost-run column.
     pub fn stmt_innermost_col(&self, j: usize) -> &[u64] {
-        &self.stmt_innermost[j]
+        assert!(j < self.ctx.n_stmts, "statement slot out of range");
+        self.u_col(STMT_INNERMOST + j)
     }
 
     /// Reads candidate `i` back into a [`StatsRow`] (tests / single-row
     /// consumers).
     pub fn stats_row(&self, i: usize, row: &mut StatsRow) {
-        row.threads_per_block = self.threads[i];
-        row.num_blocks = self.num_blocks[i];
-        row.vthreads = self.vthreads[i];
-        row.regs_per_thread = self.regs[i];
-        row.shared_bytes_per_block = self.shared_bytes[i];
-        row.flops_total = self.flops_total[i];
-        row.global_bytes = self.global_bytes[i];
-        row.shared_traffic_bytes = self.shared_traffic[i];
-        row.padding_waste = self.padding_waste[i];
-        row.per_thread_flops = self.ptf[i];
-        row.per_thread_reg_accesses = self.ptra[i];
-        row.unroll = self.unroll[i];
-        row.vectorize = self.vectorize[i];
+        row.threads_per_block = self.threads_col()[i];
+        row.num_blocks = self.num_blocks_col()[i];
+        row.vthreads = self.vthreads_col()[i];
+        row.regs_per_thread = self.regs_col()[i];
+        row.shared_bytes_per_block = self.shared_bytes_col()[i];
+        row.flops_total = self.flops_total_col()[i];
+        row.global_bytes = self.global_bytes_col()[i];
+        row.shared_traffic_bytes = self.shared_traffic_col()[i];
+        row.padding_waste = self.padding_waste_col()[i];
+        row.per_thread_flops = self.per_thread_flops_col()[i];
+        row.per_thread_reg_accesses = self.per_thread_reg_accesses_col()[i];
+        row.unroll = self.unroll_col()[i];
+        row.vectorize = self.vectorize_col()[i];
         row.n_stmts = self.ctx.n_stmts;
         for j in 0..self.ctx.n_stmts {
-            row.stmt_n_ops[j] = self.stmt_n_ops[j][i];
-            row.stmt_global[j] = self.stmt_global[j][i];
-            row.stmt_shared[j] = self.stmt_shared[j][i];
-            row.stmt_innermost[j] = self.stmt_innermost[j][i];
+            row.stmt_n_ops[j] = self.stmt_n_ops_col(j)[i];
+            row.stmt_global[j] = self.stmt_global_col(j)[i];
+            row.stmt_shared[j] = self.stmt_shared_col(j)[i];
+            row.stmt_innermost[j] = self.stmt_innermost_col(j)[i];
         }
     }
-}
-
-/// In-place mask compaction of a plain column.
-fn compact<T: Copy>(v: &mut Vec<T>, mask: &[bool]) {
-    let mut w = 0usize;
-    for (i, &keep) in mask.iter().enumerate() {
-        if keep {
-            v[w] = v[i];
-            w += 1;
-        }
-    }
-    v.truncate(w);
-}
-
-/// In-place mask compaction of a column with `stride` entries per row.
-fn compact_strided<T: Copy>(v: &mut Vec<T>, mask: &[bool], stride: usize) {
-    if stride == 0 {
-        return;
-    }
-    let mut w = 0usize;
-    for (i, &keep) in mask.iter().enumerate() {
-        if keep {
-            v.copy_within(i * stride..(i + 1) * stride, w * stride);
-            w += 1;
-        }
-    }
-    v.truncate(w * stride);
 }
 
 #[cfg(test)]
@@ -1673,7 +1909,6 @@ mod tests {
     use super::*;
     use crate::evolve::{crossover, mutate};
     use crate::program::sample_schedule;
-    use pruner_ir::EwKind;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

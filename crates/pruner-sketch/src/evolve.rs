@@ -6,10 +6,11 @@
 //! Both preserve validity by rejection, falling back to returning a parent
 //! clone when no valid offspring is found within the retry budget.
 
-use crate::arena::{CandidateArena, GeneBuf, WorkloadCtx};
+use crate::arena::{CandidateArena, FpSet, GeneBuf, WorkloadCtx};
 use crate::config::{Schedule, UNROLL_CANDIDATES, VECTORIZE_CANDIDATES};
 use crate::limits::HardwareLimits;
 use crate::program::{sample_reduce_split, sample_spatial_split, Program};
+use pruner_trace::NoopRecorder;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -372,82 +373,121 @@ pub fn next_generation_traced(
     out
 }
 
-/// Generates `n` candidates straight into a [`CandidateArena`], one per item
-/// index, fanned out over `threads` workers in contiguous index bands.
-///
-/// Each worker fills its own band-local arena (genes and the schedule
-/// fingerprint only — stats rows are deferred to
-/// [`CandidateArena::ensure_stats`] so dedup casualties never pay for one),
-/// and the bands are appended back in index order — so the result is
-/// bit-identical at any thread count, and the candidate at index `i` is
-/// exactly what `f` produces from the RNG stream of item `base_item + i`.
-pub fn generate_arena_par<F>(
-    ctx: &Arc<WorkloadCtx>,
-    n: usize,
-    threads: usize,
-    seed: u64,
-    round: u64,
-    base_item: u64,
-    f: F,
-) -> CandidateArena
-where
-    F: Fn(&mut ChaCha8Rng) -> GeneBuf + Sync,
-{
-    let mut out = CandidateArena::with_capacity(Arc::clone(ctx), n);
-    if n == 0 {
-        return out;
-    }
-    let item_rng = |i: usize| {
-        ChaCha8Rng::seed_from_u64(derive_item_seed(seed, round, base_item + i as u64))
-    };
-    let workers = threads.max(1).min(n);
-    if workers == 1 {
-        for i in 0..n {
-            let mut rng = item_rng(i);
-            let genes = f(&mut rng);
-            out.push_genes_raw(&genes);
-        }
-        return out;
-    }
-    let band = n.div_ceil(workers);
-    let mut bands: Vec<Option<CandidateArena>> = (0..workers).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        for (b, slot) in bands.iter_mut().enumerate() {
-            let f = &f;
-            let item_rng = &item_rng;
-            let band_ctx = Arc::clone(ctx);
-            scope.spawn(move |_| {
-                let start = b * band;
-                let count = band.min(n.saturating_sub(start));
-                let mut local = CandidateArena::with_capacity(band_ctx, count);
-                for k in 0..count {
-                    let mut rng = item_rng(start + k);
-                    let genes = f(&mut rng);
-                    local.push_genes_raw(&genes);
-                }
-                *slot = Some(local);
-            });
-        }
-    })
-    .expect("generation workers must not panic");
-    for local in bands.into_iter().flatten() {
-        out.append(&local);
-    }
-    out
+/// The RNG stream of one generated candidate (see [`derive_item_seed`]).
+fn item_rng(seed: u64, round: u64, item: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(derive_item_seed(seed, round, item as u64))
 }
 
-/// Arena counterpart of [`init_population_par`]: samples distinct valid
-/// candidates directly into a [`CandidateArena`].
+/// Samples up to `size` *distinct* valid candidates onto the tail of
+/// `arena`, in place — the arena counterpart of [`init_population_par`].
 ///
 /// Mirrors the legacy generator draw for draw — same batch sizing, same
-/// per-item RNG streams, same stale budget — and deduplicates by the arena's
-/// u64 schedule fingerprint instead of per-candidate string keys, so the
-/// materialized programs equal the legacy population exactly. The result
-/// may be shorter than `size` when the space is tiny.
+/// per-item RNG streams, same stale budget — and deduplicates by the
+/// arena's u64 schedule fingerprint, so the materialized programs equal the
+/// legacy population exactly. Each batch is generated straight into the
+/// arena's columns by `threads` workers writing disjoint row ranges, then
+/// its first-wins filter compacts that tail in place; candidates already in
+/// the arena are neither moved nor deduplicated against. Fewer than `size`
+/// candidates are added when the space is tiny.
 ///
-/// The returned arena is *raw*: stats rows are deferred so candidates
+/// The new candidates are *raw*: stats rows are deferred so candidates
 /// rejected by dedup never pay for one. Call
 /// [`CandidateArena::ensure_stats`] before PSA or featurization.
+///
+/// Emits an `evolve.init` span and the `evolve.sampled` counter on `rec`,
+/// which only observes: the candidates are identical with any recorder.
+#[allow(clippy::too_many_arguments)]
+pub fn init_into(
+    arena: &mut CandidateArena,
+    size: usize,
+    limits: &HardwareLimits,
+    seed: u64,
+    round: u64,
+    threads: usize,
+    rec: &mut dyn pruner_trace::Recorder,
+) {
+    rec.span_begin("evolve.init");
+    let ctx = Arc::clone(arena.ctx());
+    let base = arena.len();
+    let mut seen = FpSet::with_capacity_and_hasher(size, Default::default());
+    let mut next_item = 0usize;
+    let mut stale = 0usize;
+    while arena.len() - base < size && stale < 200 {
+        // Batch size depends only on progress so far, never on threads.
+        let mut kept = arena.len() - base;
+        let batch = (size - kept).max(32);
+        let tail = arena.len();
+        arena.extend_par(batch, threads, |k| {
+            ctx.sample_genes(limits, &mut item_rng(seed, round, next_item + k))
+        });
+        next_item += batch;
+        arena.retain_from(tail, |_, fp| {
+            if kept >= size || stale >= 200 {
+                return false;
+            }
+            let fresh = seen.insert(fp);
+            if fresh {
+                kept += 1;
+                stale = 0;
+            } else {
+                stale += 1;
+            }
+            fresh
+        });
+    }
+    rec.counter("evolve.sampled", (arena.len() - base) as u64);
+    rec.span_end("evolve.init");
+}
+
+/// Breeds one round's `size` offspring (mutations, crossovers and fresh
+/// samples) onto the tail of `arena`, in place — the arena counterpart of
+/// [`next_generation_par`].
+///
+/// `elites` are the parents' gene buffers (extract them with
+/// [`CandidateArena::genes`] or [`WorkloadCtx::genes_from_schedule`]). Each
+/// child draws its operator and parents from its own item RNG with the same
+/// roll thresholds as the legacy generator, so the materialized programs
+/// equal [`next_generation_par`] over the same elites exactly, at any
+/// thread count. The children are *raw* (stats deferred) — see
+/// [`CandidateArena::ensure_stats`].
+///
+/// Emits an `evolve.next` span and the `evolve.offspring` counter on `rec`.
+///
+/// # Panics
+/// Panics if `elites` is empty.
+#[allow(clippy::too_many_arguments)]
+pub fn next_generation_into(
+    arena: &mut CandidateArena,
+    elites: &[GeneBuf],
+    size: usize,
+    limits: &HardwareLimits,
+    seed: u64,
+    round: u64,
+    threads: usize,
+    rec: &mut dyn pruner_trace::Recorder,
+) {
+    assert!(!elites.is_empty(), "need at least one elite");
+    rec.span_begin("evolve.next");
+    let ctx = Arc::clone(arena.ctx());
+    arena.extend_par(size, threads, |k| {
+        let rng = &mut item_rng(seed, round, k);
+        let roll: f64 = rng.gen();
+        if roll < 0.45 {
+            let p = &elites[rng.gen_range(0..elites.len())];
+            ctx.mutate_genes(p, limits, rng)
+        } else if roll < 0.75 && elites.len() >= 2 {
+            let i = rng.gen_range(0..elites.len());
+            let j = rng.gen_range(0..elites.len());
+            ctx.crossover_genes(&elites[i], &elites[j], limits, rng)
+        } else {
+            ctx.sample_genes(limits, rng)
+        }
+    });
+    rec.counter("evolve.offspring", size as u64);
+    rec.span_end("evolve.next");
+}
+
+/// [`init_into`] a fresh arena, untraced.
 pub fn init_arena_par(
     ctx: &Arc<WorkloadCtx>,
     size: usize,
@@ -457,43 +497,11 @@ pub fn init_arena_par(
     threads: usize,
 ) -> CandidateArena {
     let mut out = CandidateArena::with_capacity(Arc::clone(ctx), size);
-    let mut seen = std::collections::HashSet::new();
-    let mut next_item = 0u64;
-    let mut stale = 0usize;
-    while out.len() < size && stale < 200 {
-        // Batch size depends only on progress so far, never on threads.
-        let batch = (size - out.len()).max(32);
-        let sampled = generate_arena_par(ctx, batch, threads, seed, round, next_item, |rng| {
-            ctx.sample_genes(limits, rng)
-        });
-        next_item += batch as u64;
-        for i in 0..sampled.len() {
-            if out.len() >= size || stale >= 200 {
-                break;
-            }
-            if seen.insert(sampled.fingerprint(i)) {
-                out.push_row_from(&sampled, i);
-                stale = 0;
-            } else {
-                stale += 1;
-            }
-        }
-    }
+    init_into(&mut out, size, limits, seed, round, threads, &mut NoopRecorder);
     out
 }
 
-/// Arena counterpart of [`next_generation_par`]: regenerates one round's
-/// sample space (mutations, crossovers and fresh samples) straight into a
-/// [`CandidateArena`].
-///
-/// `elites` are the parents' gene buffers (extract them with
-/// [`CandidateArena::genes`] or [`WorkloadCtx::genes_from_schedule`]). Each
-/// child draws its operator and parents from its own item RNG with the same
-/// roll thresholds as the legacy generator, so the materialized programs
-/// equal [`next_generation_par`] over the same elites exactly.
-///
-/// The returned arena is *raw* (stats deferred) — see
-/// [`CandidateArena::ensure_stats`].
+/// [`next_generation_into`] a fresh arena, untraced.
 ///
 /// # Panics
 /// Panics if `elites` is empty.
@@ -506,62 +514,8 @@ pub fn next_generation_arena_par(
     round: u64,
     threads: usize,
 ) -> CandidateArena {
-    assert!(!elites.is_empty(), "need at least one elite");
-    generate_arena_par(ctx, size, threads, seed, round, 0, |rng| {
-        let roll: f64 = rng.gen();
-        if roll < 0.45 {
-            let p = &elites[rng.gen_range(0..elites.len())];
-            ctx.mutate_genes(p, limits, rng)
-        } else if roll < 0.75 && elites.len() >= 2 {
-            let i = rng.gen_range(0..elites.len());
-            let j = rng.gen_range(0..elites.len());
-            ctx.crossover_genes(&elites[i], &elites[j], limits, rng)
-        } else {
-            ctx.sample_genes(limits, rng)
-        }
-    })
-}
-
-/// [`init_arena_par`] with observability: the same `evolve.init` span and
-/// `evolve.sampled` counter as [`init_population_traced`], so swapping the
-/// tuner onto the arena path leaves traces byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn init_arena_traced(
-    ctx: &Arc<WorkloadCtx>,
-    size: usize,
-    limits: &HardwareLimits,
-    seed: u64,
-    round: u64,
-    threads: usize,
-    rec: &mut dyn pruner_trace::Recorder,
-) -> CandidateArena {
-    rec.span_begin("evolve.init");
-    let out = init_arena_par(ctx, size, limits, seed, round, threads);
-    rec.counter("evolve.sampled", out.len() as u64);
-    rec.span_end("evolve.init");
-    out
-}
-
-/// [`next_generation_arena_par`] with observability: the same `evolve.next`
-/// span and `evolve.offspring` counter as [`next_generation_traced`].
-///
-/// # Panics
-/// Panics if `elites` is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn next_generation_arena_traced(
-    ctx: &Arc<WorkloadCtx>,
-    elites: &[GeneBuf],
-    size: usize,
-    limits: &HardwareLimits,
-    seed: u64,
-    round: u64,
-    threads: usize,
-    rec: &mut dyn pruner_trace::Recorder,
-) -> CandidateArena {
-    rec.span_begin("evolve.next");
-    let out = next_generation_arena_par(ctx, elites, size, limits, seed, round, threads);
-    rec.counter("evolve.offspring", out.len() as u64);
-    rec.span_end("evolve.next");
+    let mut out = CandidateArena::with_capacity(Arc::clone(ctx), size);
+    next_generation_into(&mut out, elites, size, limits, seed, round, threads, &mut NoopRecorder);
     out
 }
 
@@ -825,11 +779,12 @@ mod tests {
         let wl = Workload::matmul(1, 256, 256, 256);
         let ctx = Arc::new(WorkloadCtx::new(&wl));
         let mut trace = TraceHandle::new();
-        let init = init_arena_traced(&ctx, 48, &limits, 3, 1, 4, &mut trace);
+        let mut init = CandidateArena::new(Arc::clone(&ctx));
+        init_into(&mut init, 48, &limits, 3, 1, 4, &mut trace);
         assert_eq!(init.programs(), init_arena_par(&ctx, 48, &limits, 3, 1, 4).programs());
         let elite_genes: Vec<GeneBuf> = (0..4).map(|i| init.genes(i)).collect();
-        let bred =
-            next_generation_arena_traced(&ctx, &elite_genes, 32, &limits, 3, 2, 2, &mut trace);
+        let mut bred = CandidateArena::new(Arc::clone(&ctx));
+        next_generation_into(&mut bred, &elite_genes, 32, &limits, 3, 2, 2, &mut trace);
         assert_eq!(
             bred.programs(),
             next_generation_arena_par(&ctx, &elite_genes, 32, &limits, 3, 2, 2).programs()
@@ -839,6 +794,35 @@ mod tests {
         assert!(jsonl.contains("\"name\":\"evolve.next\""), "{jsonl}");
         assert!(jsonl.contains("\"name\":\"evolve.sampled\",\"value\":48"), "{jsonl}");
         assert!(jsonl.contains("\"name\":\"evolve.offspring\",\"value\":32"), "{jsonl}");
+    }
+
+    /// The tuner's pool shape: offspring first, then the fresh-blood
+    /// quarter sampled onto the tail of the same arena. The tail's
+    /// first-wins filter must neither move nor consult the offspring.
+    #[test]
+    fn fresh_blood_tail_leaves_the_offspring_alone() {
+        let limits = HardwareLimits::default();
+        for wl in arena_zoo() {
+            let ctx = Arc::new(WorkloadCtx::new(&wl));
+            let elites: Vec<GeneBuf> = {
+                let seed_pop = init_arena_par(&ctx, 8, &limits, 5, 0, 1);
+                (0..seed_pop.len()).map(|i| seed_pop.genes(i)).collect()
+            };
+            let offspring = next_generation_arena_par(&ctx, &elites, 96, &limits, 11, 5, 1);
+            let fresh = init_arena_par(&ctx, 40, &limits, 12, 5, 1);
+            for threads in [1usize, 3, 8] {
+                let mut pool = CandidateArena::new(Arc::clone(&ctx));
+                let rec = &mut NoopRecorder;
+                next_generation_into(&mut pool, &elites, 96, &limits, 11, 5, threads, rec);
+                init_into(&mut pool, 40, &limits, 12, 5, threads, rec);
+                let expected: Vec<u64> =
+                    offspring.fingerprints().iter().chain(fresh.fingerprints()).copied().collect();
+                assert_eq!(pool.fingerprints(), expected, "{} at {threads} threads", wl.key());
+                let programs: Vec<Program> =
+                    offspring.programs().into_iter().chain(fresh.programs()).collect();
+                assert_eq!(pool.programs(), programs);
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use pruner_cost::{CostModel, Sample};
 use pruner_ir::Workload;
 use pruner_psa::Psa;
 use pruner_sketch::{evolve, CandidateArena, GeneBuf, HardwareLimits, Program, WorkloadCtx};
-use pruner_trace::{NoopRecorder, Recorder};
+use pruner_trace::Recorder;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -177,7 +177,7 @@ impl TaskTuner {
     }
 
     /// Proposes the next batch of programs to measure (one round of
-    /// Algorithm 1).
+    /// Algorithm 1) and reports the round's [`FunnelCounts`].
     ///
     /// A fresh sample pool of `pool_size` candidates is generated each
     /// round — evolved from the measured elites plus fresh random samples
@@ -191,10 +191,25 @@ impl TaskTuner {
     /// unmeasured programs; charges generation, PSA and inference time on
     /// `measurer`.
     ///
-    /// Generation, PSA estimation, feature extraction and cost-model
-    /// inference all fan out over `params.threads` workers; `rng` is only
-    /// consumed by the (cheap, sequential) ε-retention draw, so the
-    /// proposal is bit-identical at any thread count.
+    /// The pool lives in `arena`, which the caller lends and should reuse
+    /// from round to round and task to task (any arena will do, a
+    /// `CandidateArena::default()` included): it is reset to this task's
+    /// context, and generation, dedup and the deferred stats fill all write
+    /// its columns in place, so a steady-state round allocates nothing that
+    /// scales with the pool.
+    ///
+    /// Generation, the stats fill, PSA estimation, feature extraction and
+    /// cost-model inference all fan out over `params.threads` workers;
+    /// `rng` is only consumed by the (cheap, sequential) ε-retention draw,
+    /// so the proposal is bit-identical at any thread count.
+    ///
+    /// `rec` receives the stage spans (`propose.generate` /
+    /// `propose.draft` / `propose.predict`, whose elapsed times also feed
+    /// the [`SearchStats`](crate::SearchStats) wall ledger) and the
+    /// per-stage counters of generation, PSA and inference. It only
+    /// observes; with a [`pruner_trace::NoopRecorder`] no clock is read
+    /// and no event is built.
+    #[allow(clippy::too_many_arguments)]
     pub fn propose<B: pruner_gpu::Backend>(
         &mut self,
         model: &dyn CostModel,
@@ -203,26 +218,7 @@ impl TaskTuner {
         limits: &HardwareLimits,
         params: &ProposeParams,
         rng: &mut ChaCha8Rng,
-    ) -> Vec<Program> {
-        self.propose_traced(model, psa, measurer, limits, params, rng, &mut NoopRecorder).0
-    }
-
-    /// [`TaskTuner::propose`] with an explicit [`Recorder`] and the
-    /// round's [`FunnelCounts`]: identical proposals, plus stage spans
-    /// (`propose.generate` / `propose.draft` / `propose.predict`, whose
-    /// elapsed times also feed the [`SearchStats`](crate::SearchStats)
-    /// wall ledger) and per-stage counters from the traced generation,
-    /// PSA and inference wrappers. With a [`pruner_trace::NoopRecorder`]
-    /// this *is* `propose` — no clock is read and no event is built.
-    #[allow(clippy::too_many_arguments)]
-    pub fn propose_traced<B: pruner_gpu::Backend>(
-        &mut self,
-        model: &dyn CostModel,
-        psa: Option<&Psa>,
-        measurer: &mut Measurer<B>,
-        limits: &HardwareLimits,
-        params: &ProposeParams,
-        rng: &mut ChaCha8Rng,
+        arena: &mut CandidateArena,
         rec: &mut dyn Recorder,
     ) -> (Vec<Program>, FunnelCounts) {
         let threads = params.threads.max(1);
@@ -234,26 +230,16 @@ impl TaskTuner {
 
         // --- Sample pool: GA offspring + fresh random blood --------------
         rec.span_begin("propose.generate");
+        arena.reset(Arc::clone(&self.ctx));
         let elites = self.elites();
         let pool_size = params.pool_size.max(params.space_size);
-        let mut arena: CandidateArena = if elites.is_empty() {
-            evolve::init_arena_traced(
-                &self.ctx,
-                pool_size,
-                limits,
-                gen_seed,
-                params.round,
-                threads,
-                rec,
-            )
+        if elites.is_empty() {
+            evolve::init_into(arena, pool_size, limits, gen_seed, params.round, threads, rec);
         } else {
             let elite_genes: Vec<GeneBuf> =
                 elites.iter().map(|p| self.ctx.genes_from_schedule(&p.schedule)).collect();
-            // The fresh-blood tail reuses the same derived-seed generator
-            // with a disjoint round tag so its streams never collide with
-            // the offspring streams.
-            let mut a = evolve::next_generation_arena_traced(
-                &self.ctx,
+            evolve::next_generation_into(
+                arena,
                 &elite_genes,
                 pool_size * 3 / 4,
                 limits,
@@ -262,34 +248,34 @@ impl TaskTuner {
                 threads,
                 rec,
             );
-            let fresh = pool_size - a.len();
-            a.append(&evolve::init_arena_traced(
-                &self.ctx,
-                fresh,
+            // The fresh-blood tail reuses the same derived-seed generator
+            // with a disjoint round tag so its streams never collide with
+            // the offspring streams.
+            evolve::init_into(
+                arena,
+                pool_size - arena.len(),
                 limits,
                 gen_seed ^ 0xA076_1D64_78BD_642F,
                 params.round,
                 threads,
                 rec,
-            ));
-            a
-        };
+            );
+        }
         funnel.generated = arena.len();
         measurer.charge_evolution(arena.len());
 
         // Drop duplicates and already-measured programs up front — one
-        // batch pass over the fingerprint column, no string keys.
-        let mut seen = HashSet::new();
-        let measured_fps = &self.measured_fps;
-        arena.retain_with(|_, fp| !measured_fps.contains(&fp) && seen.insert(fp));
+        // batch pass over the fingerprint column, no string keys. Stats
+        // rows were deferred during generation; fill them only for the
+        // survivors (the GA path is typically ~75% duplicates).
+        arena.dedup_first_wins(&self.measured_fps);
         funnel.deduped = arena.len();
+        arena.ensure_stats_par(threads);
         measurer.record_wall(PipelineStage::Generate, rec.span_end("propose.generate"));
         if arena.is_empty() {
             return (Vec::new(), funnel);
         }
-        // Stats rows are deferred during generation; fill them only for
-        // the deduped survivors (the GA path is typically ~75% duplicates).
-        arena.ensure_stats();
+        let arena = &*arena;
 
         // --- Draft: PSA shortlist (or the whole pool for the baseline) ---
         let candidates: Vec<usize> = if let Some(psa) = psa {
@@ -297,13 +283,15 @@ impl TaskTuner {
             measurer.charge_psa_evals(arena.len());
             let n_random = ((params.space_size as f64) * params.epsilon).round() as usize;
             let n_target = params.space_size.saturating_sub(n_random).min(arena.len());
-            let shortlist = psa.prune_arena_traced(&arena, n_target, threads, rec);
+            let shortlist = psa.prune_arena_traced(arena, n_target, threads, rec);
             funnel.psa_survivors = Some(shortlist.len());
-            let kept: HashSet<usize> = shortlist.iter().copied().collect();
+            let mut kept = vec![false; arena.len()];
+            for &i in &shortlist {
+                kept[i] = true;
+            }
             let mut c = shortlist;
             // ε-retention: random members of the original (unpruned) pool.
-            let leftovers: Vec<usize> =
-                (0..arena.len()).filter(|i| !kept.contains(i)).collect();
+            let leftovers: Vec<usize> = (0..arena.len()).filter(|&i| !kept[i]).collect();
             for _ in 0..n_random.min(leftovers.len()) {
                 let pick = rand::Rng::gen_range(rng, 0..leftovers.len());
                 c.push(leftovers[pick]);
@@ -318,7 +306,7 @@ impl TaskTuner {
 
         // --- Verify: cost-model ranking ----------------------------------
         rec.span_begin("propose.predict");
-        let samples = featurize_arena_par(&arena, &candidates, self.task_id, threads);
+        let samples = featurize_arena_par(arena, &candidates, self.task_id, threads);
         let scores = model.predict_batch_traced(&samples, threads, rec);
         measurer.charge_model_evals(candidates.len());
         measurer.record_wall(PipelineStage::Predict, rec.span_end("propose.predict"));
@@ -423,6 +411,7 @@ fn featurize_arena_par(
 mod tests {
     use super::*;
     use pruner_cost::{ModelKind, RandomModel};
+    use pruner_trace::NoopRecorder;
     use pruner_gpu::{GpuSpec, Simulator};
     use rand::SeedableRng;
 
@@ -436,12 +425,26 @@ mod tests {
         ProposeParams { space_size, pool_size, epsilon, n, seed: 7, round, threads: 1 }
     }
 
+    /// One untraced proposal through a throw-away arena.
+    fn propose(
+        task: &mut TaskTuner,
+        model: &dyn CostModel,
+        psa: Option<&Psa>,
+        m: &mut Measurer,
+        limits: &HardwareLimits,
+        p: &ProposeParams,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<Program> {
+        let mut arena = CandidateArena::default();
+        task.propose(model, psa, m, limits, p, rng, &mut arena, &mut NoopRecorder).0
+    }
+
     #[test]
     fn propose_returns_requested_count() {
         let (mut task, mut m, limits, mut rng) = setup();
         let model = RandomModel::new(1);
         let progs =
-            task.propose(&model, None, &mut m, &limits, &params(128, 128, 0.0, 10, 0), &mut rng);
+            propose(&mut task, &model, None, &mut m, &limits, &params(128, 128, 0.0, 10, 0), &mut rng);
         assert_eq!(progs.len(), 10);
         assert!(m.stats().model_time_s > 0.0);
     }
@@ -451,10 +454,10 @@ mod tests {
         let (mut task, mut m, limits, mut rng) = setup();
         let psa = Psa::new(GpuSpec::t4());
         let model = RandomModel::new(1);
-        task.propose(&model, Some(&psa), &mut m, &limits, &params(64, 256, 0.2, 5, 0), &mut rng);
+        propose(&mut task, &model, Some(&psa), &mut m, &limits, &params(64, 256, 0.2, 5, 0), &mut rng);
         let psa_time = m.stats().psa_time_s;
         assert!(psa_time > 0.0);
-        task.propose(&model, Some(&psa), &mut m, &limits, &params(64, 256, 0.2, 5, 1), &mut rng);
+        propose(&mut task, &model, Some(&psa), &mut m, &limits, &params(64, 256, 0.2, 5, 1), &mut rng);
         assert!(m.stats().psa_time_s > psa_time, "PSA must draft every round");
         // The model only ever scores the shortlist, not the full pool.
         let model_evals = m.stats().model_time_s / m.time_model().model_eval_s;
@@ -471,7 +474,7 @@ mod tests {
             let mut all = Vec::new();
             for round in 0..3 {
                 let p = ProposeParams { threads, ..params(64, 256, 0.2, 6, round) };
-                let progs = task.propose(&model, Some(&psa), &mut m, &limits, &p, &mut rng);
+                let progs = propose(&mut task, &model, Some(&psa), &mut m, &limits, &p, &mut rng);
                 for prog in &progs {
                     task.record(prog.clone(), m.measure(prog).latency().unwrap());
                 }
@@ -494,25 +497,16 @@ mod tests {
             let model = RandomModel::new(1);
             let (mut task, mut m, limits, mut rng) = setup();
             let mut trace = pruner_trace::TraceHandle::new();
+            // One arena across the rounds, as the tuner lends it.
+            let mut arena = CandidateArena::default();
             let mut all = Vec::new();
             let mut funnels = Vec::new();
             for round in 0..3 {
                 let p = params(64, 256, 0.2, 6, round);
-                let (progs, funnel) = if traced {
-                    task.propose_traced(
-                        &model, Some(&psa), &mut m, &limits, &p, &mut rng, &mut trace,
-                    )
-                } else {
-                    task.propose_traced(
-                        &model,
-                        Some(&psa),
-                        &mut m,
-                        &limits,
-                        &p,
-                        &mut rng,
-                        &mut pruner_trace::NoopRecorder,
-                    )
-                };
+                let rec: &mut dyn Recorder = if traced { &mut trace } else { &mut NoopRecorder };
+                let (progs, funnel) = task.propose(
+                    &model, Some(&psa), &mut m, &limits, &p, &mut rng, &mut arena, rec,
+                );
                 for prog in &progs {
                     task.record(prog.clone(), m.measure(prog).latency().unwrap());
                 }
@@ -570,12 +564,12 @@ mod tests {
         let (mut task, mut m, limits, mut rng) = setup();
         let model = RandomModel::new(2);
         let first =
-            task.propose(&model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 0), &mut rng);
+            propose(&mut task, &model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 0), &mut rng);
         for p in &first {
             task.record(p.clone(), 1e-3);
         }
         let second =
-            task.propose(&model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 1), &mut rng);
+            propose(&mut task, &model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 1), &mut rng);
         let first_keys: HashSet<String> = first.iter().map(|p| p.dedup_key()).collect();
         assert!(second.iter().all(|p| !first_keys.contains(&p.dedup_key())));
     }
@@ -585,13 +579,13 @@ mod tests {
         let (mut task, mut m, limits, mut rng) = setup();
         let model = RandomModel::new(2);
         let first =
-            task.propose(&model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 0), &mut rng);
+            propose(&mut task, &model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 0), &mut rng);
         let bad = first[0].clone();
         task.quarantine(&bad);
         assert_eq!(task.num_quarantined(), 1);
         assert!(task.labeled_samples().is_empty(), "quarantine must not create training data");
         let second =
-            task.propose(&model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 1), &mut rng);
+            propose(&mut task, &model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 1), &mut rng);
         assert!(
             second.iter().all(|p| p.dedup_key() != bad.dedup_key()),
             "a quarantined program must never be re-proposed"
@@ -648,7 +642,7 @@ mod tests {
         let (mut task, mut m, limits, mut rng) = setup();
         let model = HalfNan;
         let progs =
-            task.propose(&model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 0), &mut rng);
+            propose(&mut task, &model, None, &mut m, &limits, &params(64, 64, 0.0, 8, 0), &mut rng);
         assert_eq!(progs.len(), 8, "NaN scores must not shrink the proposal");
     }
 
@@ -667,7 +661,8 @@ mod tests {
         let (mut task, mut m, limits, mut rng) = setup();
         for (round, kind) in [ModelKind::Pacm, ModelKind::Ansor].into_iter().enumerate() {
             let model = kind.build(3);
-            let progs = task.propose(
+            let progs = propose(
+                &mut task,
                 model.as_ref(),
                 None,
                 &mut m,

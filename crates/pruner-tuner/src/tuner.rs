@@ -10,6 +10,7 @@ use pruner_cost::{CostModel, ModelKind, PacmModel, Sample};
 use pruner_gpu::{Backend, FaultModel, GpuSpec, Simulator};
 use pruner_ir::{Network, Workload};
 use pruner_psa::{Psa, PsaConfig};
+use pruner_sketch::CandidateArena;
 use pruner_store::{IoFaults, RecordOutcome, SharedStore, Store, TuningRecord};
 use pruner_trace::{NoopRecorder, Record, Recorder};
 use rand::SeedableRng;
@@ -258,6 +259,10 @@ pub struct Tuner<B: Backend = Simulator> {
     /// Optional seeded fault injector for *checkpoint* writes (the store
     /// carries its own); chaos harnesses only.
     io_faults: Option<IoFaults>,
+    /// The campaign's one candidate arena, lent to every task's
+    /// [`TaskTuner::propose`]: one per campaign, not per task, so a
+    /// many-task network holds one pool.
+    arena: CandidateArena,
 }
 
 impl Tuner {
@@ -353,6 +358,7 @@ impl<B: Backend> Tuner<B> {
             started: false,
             resumed: false,
             io_faults: None,
+            arena: CandidateArena::default(),
         }
     }
 
@@ -441,6 +447,7 @@ impl<B: Backend> Tuner<B> {
             started: false,
             resumed: true,
             io_faults: None,
+            arena: CandidateArena::default(),
         })
     }
 
@@ -716,16 +723,20 @@ impl<B: Backend> Tuner<B> {
                         threads: cfg.threads,
                     };
                     let task = &mut self.tasks[ti];
-                    task.propose_traced(
+                    task.propose(
                         self.model.as_ref(),
                         self.psa.as_ref(),
                         &mut self.measurer,
                         &self.limits,
                         &params,
                         &mut self.rng,
+                        &mut self.arena,
                         self.recorder.as_mut(),
                     )
                 };
+                // The proposals are materialized programs: a small pool
+                // gives its storage back before measuring and training.
+                self.arena.release_if_small();
                 self.recorder.span_begin("measure");
                 CampaignPhase::Measuring {
                     round,

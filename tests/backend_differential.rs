@@ -118,8 +118,15 @@ fn cpu_smoke_campaign_completes_and_records_tagged_verdicts() {
     let lats: Vec<f64> = result.curve.points().iter().map(|p| p.best_latency_s).collect();
     assert!(lats.windows(2).all(|w| w[1] <= w[0] + 1e-12), "curve must stay monotone");
 
+    // The store holds one verdict per program — quarantines included: on a
+    // loaded host the real timings of this backend can starve past their
+    // retry budget, and such a program is recorded without being a trial.
     let store = pruner::store::Store::open(&store_path).expect("store re-opens");
-    assert_eq!(store.len() as u64, result.stats.trials, "every trial is recorded");
+    assert_eq!(
+        store.len() as u64,
+        result.stats.trials + result.stats.quarantined,
+        "every verdict is recorded"
+    );
     assert!(
         store.records().iter().all(|r| r.backend == "cpu"),
         "cpu campaigns must tag records with their backend"
