@@ -1,22 +1,20 @@
-//! Bench 3 — compute-core throughput: register-blocked GEMM kernels and
-//! fused graph ops versus the naive reference loops they replaced.
+//! Bench 3 — compute-core throughput: the register-blocked GEMM kernels and
+//! fused graph ops under the verifier, and the candidate arena.
 //!
-//! Measures the verifier's hot path (`predict_batch` over a
-//! 2,048-candidate pool) and one online training step, in both kernel
-//! modes, asserting the scores are **bit-identical** before reporting
-//! any speedup. Also pushes a full million-candidate exploration round
+//! Times the verifier's hot path (`predict_batch` over a 2,048-candidate
+//! pool) and one online training step. Also pushes a full
+//! million-candidate exploration round
 //! (generate→dedup→PSA→featurize→predict) through the struct-of-arrays
 //! candidate arena and holds it to a 1M candidates/second floor, after
 //! asserting the round is bit-identical at 1 and 4 threads. Writes
 //! machine-readable `BENCH_3.json` at the workspace root.
 //!
-//! `PRUNER_BENCH_SMOKE=1` shrinks the pool so CI can exercise the whole
-//! harness in seconds (the speedup assertion is relaxed accordingly).
+//! `PRUNER_BENCH_SMOKE=1` shrinks the pools so CI can exercise the whole
+//! harness in seconds (the throughput floor is not asserted then).
 
 use pruner::cost::{CostModel, ModelKind, Sample};
 use pruner::gpu::{GpuSpec, Simulator};
 use pruner::ir::Workload;
-use pruner::nn::set_reference_kernels;
 use pruner::psa::Psa;
 use pruner::sketch::{evolve, GeneBuf, HardwareLimits, Program, WorkloadCtx};
 use pruner::trace::{NoopRecorder, Recorder, TraceHandle};
@@ -36,13 +34,8 @@ struct Bench3Result {
     threads: usize,
     repeats: usize,
     smoke: bool,
-    naive_predict_s: f64,
     blocked_predict_s: f64,
-    predict_speedup: f64,
-    naive_train_step_s: f64,
     blocked_train_step_s: f64,
-    train_speedup: f64,
-    bit_identical: bool,
     arena_pool: usize,
     arena_round_s: f64,
     arena_cands_per_s: f64,
@@ -141,41 +134,11 @@ fn main() {
     let model = ModelKind::Pacm.build(3);
 
     // --- predict_batch: the verify stage's inner loop ---
-    set_reference_kernels(true);
-    let (naive_predict_s, naive_scores) =
-        best_of(repeats, || model.predict_batch(&samples, threads));
-    set_reference_kernels(false);
-    let (blocked_predict_s, blocked_scores) =
-        best_of(repeats, || model.predict_batch(&samples, threads));
-
-    let scores_identical = naive_scores
-        .iter()
-        .zip(&blocked_scores)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(
-        scores_identical && naive_scores.len() == blocked_scores.len(),
-        "blocked kernels changed predict_batch scores"
-    );
+    let (blocked_predict_s, _) = best_of(repeats, || model.predict_batch(&samples, threads));
 
     // --- one training step (the per-round model update) ---
-    set_reference_kernels(true);
-    let mut naive_model = ModelKind::Pacm.build(5);
-    let (naive_train_step_s, _) =
-        best_of(1, || naive_model.fit_batch(&samples, 1, threads));
-    set_reference_kernels(false);
-    let mut blocked_model = ModelKind::Pacm.build(5);
-    let (blocked_train_step_s, _) =
-        best_of(1, || blocked_model.fit_batch(&samples, 1, threads));
-
-    let trained_identical = naive_model
-        .predict(&samples)
-        .iter()
-        .zip(&blocked_model.predict(&samples))
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(trained_identical, "blocked kernels changed the trained weights");
-
-    let predict_speedup = naive_predict_s / blocked_predict_s;
-    let train_speedup = naive_train_step_s / blocked_train_step_s;
+    let mut trained = ModelKind::Pacm.build(5);
+    let (blocked_train_step_s, _) = best_of(1, || trained.fit_batch(&samples, 1, threads));
 
     // --- million-candidate arena round ---
     // The whole generate→dedup→PSA→featurize→predict pipeline through the
@@ -260,19 +223,9 @@ fn main() {
         trace_disabled_overhead * 100.0
     );
 
-    let mut table = TextTable::new(&["stage", "naive (s)", "blocked (s)", "speedup"]);
-    table.row(vec![
-        format!("predict_batch x{pool}"),
-        format!("{naive_predict_s:.4}"),
-        format!("{blocked_predict_s:.4}"),
-        format!("{predict_speedup:.2}x"),
-    ]);
-    table.row(vec![
-        "train_step".into(),
-        format!("{naive_train_step_s:.4}"),
-        format!("{blocked_train_step_s:.4}"),
-        format!("{train_speedup:.2}x"),
-    ]);
+    let mut table = TextTable::new(&["stage", "best (s)"]);
+    table.row(vec![format!("predict_batch x{pool}"), format!("{blocked_predict_s:.4}")]);
+    table.row(vec!["train_step".into(), format!("{blocked_train_step_s:.4}")]);
     println!("Bench 3 — compute core ({pool} candidates, {threads} threads)\n");
     table.print();
 
@@ -309,13 +262,8 @@ fn main() {
         threads,
         repeats,
         smoke: smoke(),
-        naive_predict_s,
         blocked_predict_s,
-        predict_speedup,
-        naive_train_step_s,
         blocked_train_step_s,
-        train_speedup,
-        bit_identical: scores_identical && trained_identical,
         arena_pool,
         arena_round_s,
         arena_cands_per_s,
@@ -334,12 +282,8 @@ fn main() {
     println!("\n[results written to {}]", path.display());
 
     // Smoke runs only check the harness end to end; the full run holds the
-    // compute-core rewrite to its headline number.
+    // arena to its headline number.
     if !smoke() {
-        assert!(
-            predict_speedup >= 3.0,
-            "predict_batch speedup {predict_speedup:.2}x fell below the 3x floor"
-        );
         assert!(
             arena_cands_per_s >= 1_000_000.0,
             "arena round throughput {arena_cands_per_s:.0} cand/s fell below the \

@@ -88,36 +88,24 @@ fn fill_stack(dst: &mut [f32], samples: &[Sample], picks: &[usize], f: impl Fn(&
     }
 }
 
-/// Stacks statement features of the picked samples: `[n·MAX_STMTS, STMT_DIM]`.
-pub fn stack_stmt(samples: &[Sample], picks: &[usize]) -> Tensor {
-    stack_stmt_in(&mut Graph::new(), samples, picks)
-}
-
-/// [`stack_stmt`] into `g`'s buffer pool — allocation-free once warm.
+/// Stacks statement features of the picked samples: `[n·MAX_STMTS, STMT_DIM]`,
+/// drawn from `g`'s buffer pool — allocation-free once warm.
 pub fn stack_stmt_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
     let mut t = g.scratch(picks.len() * MAX_STMTS, STMT_DIM);
     fill_stack(t.as_mut_slice(), samples, picks, |s| &s.stmt);
     t
 }
 
-/// Stacks data-flow features: `[n·MAX_FLOW, FLOW_DIM]`.
-pub fn stack_flow(samples: &[Sample], picks: &[usize]) -> Tensor {
-    stack_flow_in(&mut Graph::new(), samples, picks)
-}
-
-/// [`stack_flow`] into `g`'s buffer pool — allocation-free once warm.
+/// Stacks data-flow features: `[n·MAX_FLOW, FLOW_DIM]`, drawn from `g`'s
+/// buffer pool — allocation-free once warm.
 pub fn stack_flow_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
     let mut t = g.scratch(picks.len() * MAX_FLOW, FLOW_DIM);
     fill_stack(t.as_mut_slice(), samples, picks, |s| &s.flow);
     t
 }
 
-/// Stacks TLP tokens: `[n·MAX_TOKENS, TLP_DIM]`.
-pub fn stack_tokens(samples: &[Sample], picks: &[usize]) -> Tensor {
-    stack_tokens_in(&mut Graph::new(), samples, picks)
-}
-
-/// [`stack_tokens`] into `g`'s buffer pool — allocation-free once warm.
+/// Stacks TLP tokens: `[n·MAX_TOKENS, TLP_DIM]`, drawn from `g`'s buffer
+/// pool — allocation-free once warm.
 pub fn stack_tokens_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
     let mut t = g.scratch(picks.len() * MAX_TOKENS, TLP_DIM);
     fill_stack(t.as_mut_slice(), samples, picks, |s| &s.tokens);
@@ -153,17 +141,10 @@ pub fn stack_pooled_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Te
 /// `0.0` on padded rows (multiplied into the encoder output before pooling
 /// so padding contributes nothing).
 ///
+/// The masks are drawn from `g`'s buffer pool — allocation-free once warm.
+///
 /// # Panics
 /// Panics if the row count is not a multiple of `group`.
-pub fn attention_masks(stacked: &Tensor, group: usize, width: usize) -> (Tensor, Tensor) {
-    let rows = stacked.rows();
-    let mut col = Tensor::zeros(rows, group);
-    let mut row = Tensor::zeros(rows, width);
-    fill_masks(stacked, group, &mut col, &mut row);
-    (col, row)
-}
-
-/// [`attention_masks`] into `g`'s buffer pool — allocation-free once warm.
 pub fn attention_masks_in(
     g: &mut Graph,
     stacked: &Tensor,
@@ -291,9 +272,10 @@ mod tests {
     fn stacking_shapes() {
         let s = samples();
         let picks: Vec<usize> = (0..4).collect();
-        assert_eq!(stack_stmt(&s, &picks).shape(), (4 * MAX_STMTS, STMT_DIM));
-        assert_eq!(stack_flow(&s, &picks).shape(), (4 * MAX_FLOW, FLOW_DIM));
-        assert_eq!(stack_tokens(&s, &picks).shape(), (4 * MAX_TOKENS, TLP_DIM));
+        let g = &mut Graph::new();
+        assert_eq!(stack_stmt_in(g, &s, &picks).shape(), (4 * MAX_STMTS, STMT_DIM));
+        assert_eq!(stack_flow_in(g, &s, &picks).shape(), (4 * MAX_FLOW, FLOW_DIM));
+        assert_eq!(stack_tokens_in(g, &s, &picks).shape(), (4 * MAX_TOKENS, TLP_DIM));
         assert_eq!(stack_pooled(&s, &picks).shape(), (4, STMT_DIM));
     }
 

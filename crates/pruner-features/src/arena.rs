@@ -16,36 +16,20 @@
 //! `#[target_feature(enable = "avx2")]` clones of the same Rust bodies
 //! (the `pruner-nn::gemm` pattern): the clone only widens what the compiler
 //! can vectorize (one-hots, phases, ratios — the `ln` calls stay scalar
-//! libm calls), so results are bit-identical to the scalar build, which
-//! [`set_reference_features`] can force as the oracle.
+//! libm calls), so results are bit-identical to the scalar build; the tests
+//! hold each dispatched filler against its scalar `*_body` and against the
+//! per-program extractors.
 
 use crate::{
     level_idx, lg, workload_token, FLOW_DIM, MAX_FLOW, MAX_STMTS, MAX_TOKENS, STMT_DIM, TLP_DIM,
 };
 use pruner_sketch::{CandidateArena, FlowRow, SketchKind, StmtKind};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Routes the arena feature stacks through the scalar builds of the band
-/// fillers.
-///
-/// Bench/test hook only: the AVX2 clones are bit-identical to the scalar
-/// builds, so this switch can only ever change timing, never results.
-pub fn set_reference_features(on: bool) {
-    REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Whether the arena feature stacks currently use the scalar builds.
-pub fn reference_features() -> bool {
-    REFERENCE.load(Ordering::Relaxed)
-}
 
 /// Statement features of candidates `start..start + n` into `out`
 /// (`n · MAX_STMTS · STMT_DIM` floats). `inline(always)` so the AVX2 shell
 /// compiles this body at full width.
 #[inline(always)]
-fn stmt_band_body(arena: &CandidateArena, start: usize, out: &mut [f32]) {
+pub(crate) fn stmt_band_body(arena: &CandidateArena, start: usize, out: &mut [f32]) {
     const W: usize = MAX_STMTS * STMT_DIM;
     let n = out.len() / W;
     out.fill(0.0);
@@ -118,7 +102,7 @@ fn stmt_band_body(arena: &CandidateArena, start: usize, out: &mut [f32]) {
 /// Data-flow features of candidates `start..start + n` into `out`
 /// (`n · MAX_FLOW · FLOW_DIM` floats).
 #[inline(always)]
-fn flow_band_body(arena: &CandidateArena, start: usize, out: &mut [f32]) {
+pub(crate) fn flow_band_body(arena: &CandidateArena, start: usize, out: &mut [f32]) {
     const W: usize = MAX_FLOW * FLOW_DIM;
     let n = out.len() / W;
     out.fill(0.0);
@@ -171,7 +155,7 @@ fn flow_band_body(arena: &CandidateArena, start: usize, out: &mut [f32]) {
 /// (`n · MAX_TOKENS · TLP_DIM` floats). `wl_token` is the per-workload
 /// token, computed once by the caller.
 #[inline(always)]
-fn tlp_band_body(
+pub(crate) fn tlp_band_body(
     arena: &CandidateArena,
     start: usize,
     wl_token: &[f32; TLP_DIM],
@@ -262,13 +246,13 @@ mod avx2 {
 
 /// Whether the AVX2 clones are usable on this machine.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
 fn run_stmt_band(arena: &CandidateArena, start: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() && !reference_features() {
+    if avx2_available() {
         // SAFETY: AVX2 presence verified at runtime.
         #[allow(unsafe_code)]
         return unsafe { avx2::stmt_band(arena, start, out) };
@@ -278,7 +262,7 @@ fn run_stmt_band(arena: &CandidateArena, start: usize, out: &mut [f32]) {
 
 fn run_flow_band(arena: &CandidateArena, start: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() && !reference_features() {
+    if avx2_available() {
         // SAFETY: AVX2 presence verified at runtime.
         #[allow(unsafe_code)]
         return unsafe { avx2::flow_band(arena, start, out) };
@@ -293,7 +277,7 @@ fn run_tlp_band(
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() && !reference_features() {
+    if avx2_available() {
         // SAFETY: AVX2 presence verified at runtime.
         #[allow(unsafe_code)]
         return unsafe { avx2::tlp_band(arena, start, wl_token, out) };

@@ -30,8 +30,7 @@ pub mod arena;
 use pruner_sketch::{MemLevel, Program, ProgramStats, Schedule, StmtKind};
 
 pub use arena::{
-    features_arena_row, flow_features_arena, reference_features, set_reference_features,
-    stmt_features_arena, tlp_tokens_arena,
+    features_arena_row, flow_features_arena, stmt_features_arena, tlp_tokens_arena,
 };
 
 /// Dimensions of one statement-level feature vector.
@@ -412,21 +411,26 @@ mod tests {
         }
     }
 
+    /// The dispatched (AVX2) band fillers against their scalar bodies, on
+    /// real arena columns of all four sketch kinds.
     #[test]
+    #[cfg(target_arch = "x86_64")]
     fn reference_features_are_bit_transparent() {
-        let wl = Workload::conv2d(1, 64, 56, 56, 64, 3, 1, 1);
-        let arena = arena_of(&wl, 48, 11);
-        let wide = stmt_features_arena(&arena, 1);
-        let wide_f = flow_features_arena(&arena, 1);
-        let wide_t = tlp_tokens_arena(&arena, 1);
-        set_reference_features(true);
-        let scalar = stmt_features_arena(&arena, 1);
-        let scalar_f = flow_features_arena(&arena, 1);
-        let scalar_t = tlp_tokens_arena(&arena, 1);
-        set_reference_features(false);
-        assert_eq!(bits(&wide), bits(&scalar));
-        assert_eq!(bits(&wide_f), bits(&scalar_f));
-        assert_eq!(bits(&wide_t), bits(&scalar_t));
+        if !arena::avx2_available() {
+            return;
+        }
+        for wl in feature_zoo() {
+            let arena = arena_of(&wl, 48, 11);
+            let mut scalar = vec![0.0f32; arena.len() * MAX_STMTS * STMT_DIM];
+            arena::stmt_band_body(&arena, 0, &mut scalar);
+            assert_eq!(bits(&stmt_features_arena(&arena, 1)), bits(&scalar), "{}", wl.key());
+            let mut scalar = vec![0.0f32; arena.len() * MAX_FLOW * FLOW_DIM];
+            arena::flow_band_body(&arena, 0, &mut scalar);
+            assert_eq!(bits(&flow_features_arena(&arena, 1)), bits(&scalar), "{}", wl.key());
+            let mut scalar = vec![0.0f32; arena.len() * MAX_TOKENS * TLP_DIM];
+            arena::tlp_band_body(&arena, 0, &workload_token(&wl), &mut scalar);
+            assert_eq!(bits(&tlp_tokens_arena(&arena, 1)), bits(&scalar), "{}", wl.key());
+        }
     }
 
     #[test]

@@ -328,12 +328,6 @@ impl Simulator {
         let memory = min_bytes / (self.spec.dram_gbps * 1e9);
         compute.max(memory) + self.spec.launch_overhead_us * 1e-6
     }
-
-    /// A `Rng`-style helper exposing the deterministic noise stream; useful
-    /// for tests and calibration tooling.
-    pub fn noise_rng(&self, salt: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(self.cfg.seed ^ salt)
-    }
 }
 
 /// Convenience: simulate a program on a platform with default constants.

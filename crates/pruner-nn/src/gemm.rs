@@ -38,11 +38,9 @@
 //! threads. An output element is always computed in full by exactly one
 //! worker, so results are independent of the band split.
 //!
-//! The [`set_reference_kernels`] switch reroutes every dispatch through the
-//! naive loops — a bench/test hook for measuring the blocked kernels'
-//! speedup and for cross-checking bit-exactness at the model level. Since
-//! both paths produce identical bits, flipping the switch can never change
-//! any result, only the wall clock.
+//! The naive loops stay as [`mod@reference`], called only by tests: the
+//! unit tests and `tests/gemm_proptest.rs` hold every dispatch against them
+//! bit for bit.
 //!
 //! # SIMD width and bit-exactness
 //!
@@ -55,8 +53,6 @@
 //! sums are still evaluated in ascending-`k` order with separate rounding
 //! per multiply and add. The only `unsafe` in this crate is those two
 //! feature-gated calls, each guarded by `is_x86_feature_detected!`.
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Column-panel width of both kernels (two 8-lane f32 vectors).
 const NR: usize = 16;
@@ -71,21 +67,6 @@ const KC: usize = 256;
 const PAR_MIN_WORK: usize = 1 << 22;
 /// Minimum output rows per band; below this the spawn overhead dominates.
 const PAR_MIN_ROWS: usize = 64;
-
-static REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Routes all GEMM dispatches through the naive [`mod@reference`] loops.
-///
-/// Bench/test hook only: the two paths are bit-identical, so this switch
-/// can only ever change timing, never results.
-pub fn set_reference_kernels(on: bool) {
-    REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Whether dispatches currently use the naive reference loops.
-pub fn reference_kernels() -> bool {
-    REFERENCE.load(Ordering::Relaxed)
-}
 
 /// Picks the worker count for an `out_rows`-row product of `work`
 /// multiply-adds.
@@ -184,10 +165,6 @@ pub fn matmul_into(
         out.fill(0.0);
         return;
     }
-    if reference_kernels() {
-        reference::matmul(a, b, out, m, k, n);
-        return;
-    }
     nn_banded(a, b, out, m, k, n, threads);
 }
 
@@ -263,10 +240,6 @@ pub(crate) fn matmul_nt_scratch_into(
         out.fill(0.0);
         return;
     }
-    if reference_kernels() {
-        reference::matmul_nt(a, b, out, m, k, p);
-        return;
-    }
     let bt = &mut bt[..k * p];
     for (j, brow) in b.chunks_exact(k).enumerate() {
         for (kk, &v) in brow.iter().enumerate() {
@@ -297,10 +270,6 @@ pub fn matmul_tn_into(
     }
     if k == 0 {
         out.fill(0.0);
-        return;
-    }
-    if reference_kernels() {
-        reference::matmul_tn(a, b, out, k, m, n);
         return;
     }
     let workers = band_workers(threads, m, m.saturating_mul(k).saturating_mul(n));
@@ -485,8 +454,7 @@ fn tn_range(
 }
 
 /// The naive triple-loop kernels: the correctness oracle the blocked
-/// kernels are proptested against, and the baseline the micro-bench
-/// measures speedups from.
+/// kernels are proptested against.
 ///
 /// These mirror the original seed implementation with one fix: no
 /// data-dependent `a == 0.0` skip, so `0·NaN` and `0·∞` propagate as IEEE
@@ -639,15 +607,16 @@ mod tests {
 
     #[test]
     fn reference_switch_is_bit_transparent() {
-        let (m, k, n) = (10, 12, 14);
+        // Above the banding threshold, where `blocked_nn_*` does not reach.
+        let (m, k, n) = (512, 64, 160);
         let a = seeded(m * k, 43);
         let b = seeded(k * n, 47);
-        let mut blocked = vec![0.0f32; m * n];
-        matmul_into(&a, &b, &mut blocked, m, k, n, 1);
-        set_reference_kernels(true);
-        let mut via_flag = vec![1.0f32; m * n];
-        matmul_into(&a, &b, &mut via_flag, m, k, n, 1);
-        set_reference_kernels(false);
-        assert_eq!(blocked, via_flag);
+        let mut naive = vec![1.0f32; m * n];
+        reference::matmul(&a, &b, &mut naive, m, k, n);
+        for threads in [1, 4] {
+            let mut blocked = vec![0.0f32; m * n];
+            matmul_into(&a, &b, &mut blocked, m, k, n, threads);
+            assert_eq!(blocked, naive, "{threads} threads diverged from the reference");
+        }
     }
 }

@@ -85,13 +85,6 @@ impl Workspace {
     /// Acquires a buffer of exactly `len` elements with unspecified
     /// contents.
     fn take(&mut self, len: usize) -> Vec<f32> {
-        if gemm::reference_kernels() {
-            // Reference mode emulates the pre-optimization path faithfully:
-            // naive kernels, unfused ops, and a fresh zeroed allocation per
-            // buffer. Contents are identical either way (every op fully
-            // overwrites what it takes), so only the wall clock differs.
-            return vec![0.0; len];
-        }
         let mut best: Option<(usize, usize)> = None;
         for (i, b) in self.free.iter().enumerate() {
             let cap = b.capacity();
@@ -118,7 +111,7 @@ impl Workspace {
 
     /// Returns a retired buffer to the pool.
     fn put(&mut self, b: Vec<f32>) {
-        if b.capacity() > 0 && !gemm::reference_kernels() {
+        if b.capacity() > 0 {
             self.free.push(b);
         }
     }
@@ -172,11 +165,6 @@ impl Graph {
     /// `threads` scoped workers (bit-identical to serial at any count).
     pub fn with_threads(threads: usize) -> Graph {
         Graph { threads: threads.max(1), ..Graph::default() }
-    }
-
-    /// Changes the GEMM worker budget for subsequent ops.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Current GEMM worker budget.
@@ -287,11 +275,6 @@ impl Graph {
     /// # Panics
     /// Panics on shape mismatches.
     pub fn linear(&mut self, x: NodeId, w: NodeId, bias: NodeId) -> NodeId {
-        if gemm::reference_kernels() {
-            // Reference mode mirrors the unfused tape for baseline timing.
-            let y = self.matmul(x, w);
-            return self.add_row_bias(y, bias);
-        }
         let out = self.linear_value(x, w, bias);
         self.push(Op::Linear, &[x, w, bias], out)
     }
@@ -302,11 +285,6 @@ impl Graph {
     /// # Panics
     /// Panics on shape mismatches.
     pub fn linear_relu(&mut self, x: NodeId, w: NodeId, bias: NodeId) -> NodeId {
-        if gemm::reference_kernels() {
-            let y = self.matmul(x, w);
-            let y = self.add_row_bias(y, bias);
-            return self.relu(y);
-        }
         let mut out = self.linear_value(x, w, bias);
         out.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
         self.push(Op::LinearRelu, &[x, w, bias], out)

@@ -60,7 +60,6 @@ mod loss;
 mod optim;
 mod tensor;
 
-pub use gemm::{reference_kernels, set_reference_kernels};
 pub use graph::{Graph, NodeId, Workspace};
 pub use layers::{Linear, Mlp, Module, MultiHeadAttention, Param, SelfAttention};
 pub use loss::{lambdarank_grad, latencies_to_relevance, mse_loss};

@@ -20,28 +20,12 @@
 //! bit-identical to the scalar build. Each candidate's statement terms are
 //! accumulated in ascending slot order — exactly the order of the legacy
 //! per-program `estimate_stats` loop — so the arena path reproduces the
-//! scalar estimator bit for bit. [`set_reference_columns`] forces the scalar
-//! build for oracle checks and benchmarks.
+//! scalar estimator bit for bit; the tests hold the dispatched kernel
+//! against `stmt_accumulate_body` and against [`Psa::estimate`](crate::Psa::estimate).
 
 use pruner_gpu::GpuSpec;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::PsaConfig;
-
-static REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Routes the column accumulator through the scalar build of the kernel.
-///
-/// Bench/test hook only: the AVX2 clone is bit-identical to the scalar
-/// build, so this switch can only ever change timing, never results.
-pub fn set_reference_columns(on: bool) {
-    REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Whether the column accumulator currently uses the scalar build.
-pub fn reference_columns() -> bool {
-    REFERENCE.load(Ordering::Relaxed)
-}
 
 /// Fills the per-candidate thread penalty and compute-denominator columns.
 ///
@@ -140,7 +124,7 @@ pub(crate) fn fill_mem_denominator(
 /// the same bits as the legacy `if global_bytes > 0.0` guard produces.
 /// `inline(always)` so the AVX2 shell compiles this body at full width.
 #[inline(always)]
-fn stmt_accumulate_body(
+pub(crate) fn stmt_accumulate_body(
     acc: &mut [f64],
     n_ops: &[f64],
     thread: &[f64],
@@ -185,13 +169,12 @@ mod avx2 {
 /// Whether the AVX2 clone is usable on this machine (checked once;
 /// `is_x86_feature_detected!` caches internally).
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// Dispatches one statement slot's accumulation to the widest available
-/// build of the kernel (AVX2 where present, unless the reference switch is
-/// on).
+/// build of the kernel (AVX2 where present).
 pub(crate) fn run_stmt_accumulate(
     acc: &mut [f64],
     n_ops: &[f64],
@@ -201,7 +184,7 @@ pub(crate) fn run_stmt_accumulate(
     mem_den: &[f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() && !reference_columns() {
+    if avx2_available() {
         // SAFETY: the only requirement of a safe `#[target_feature]` fn is
         // that the feature is present, which was just verified at runtime.
         #[allow(unsafe_code)]

@@ -52,8 +52,6 @@ use pruner_sketch::{evolve, CandidateArena, Program, ProgramStats};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-pub use columns::{reference_columns, set_reference_columns};
-
 /// Penalty toggles for the Table 4 ablation study.
 ///
 /// All penalties are enabled by default; `w/o com` in the paper corresponds
@@ -218,69 +216,16 @@ impl Psa {
     /// The result is sorted by ascending estimate. If the pool is smaller
     /// than `size`, the whole pool is returned.
     pub fn prune(&self, pool: Vec<Program>, size: usize) -> Vec<Program> {
-        self.prune_par(pool, size, 1)
-    }
-
-    /// Estimates every program's latency, fanning the pure per-program
-    /// analysis out over up to `threads` workers.
-    ///
-    /// Programs are split into contiguous index bands and the scores merged
-    /// back in index order, so the result is bit-identical to mapping
-    /// [`Self::estimate`] sequentially — at any thread count.
-    pub fn estimate_batch(&self, progs: &[Program], threads: usize) -> Vec<f64> {
-        let workers = threads.max(1).min(progs.len().max(1));
-        if workers <= 1 {
-            return progs.iter().map(|p| self.estimate(p)).collect();
-        }
-        let mut scores = vec![0.0f64; progs.len()];
-        let band = progs.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            for (out_band, prog_band) in scores.chunks_mut(band).zip(progs.chunks(band)) {
-                scope.spawn(move |_| {
-                    for (slot, p) in out_band.iter_mut().zip(prog_band) {
-                        *slot = self.estimate(p);
-                    }
-                });
-            }
-        })
-        .expect("PSA workers must not panic");
-        scores
-    }
-
-    /// Parallel [`Self::prune`]: estimates fan out over `threads` workers;
-    /// the stable sort and truncation stay on the calling thread, so the
-    /// kept set and its order are identical at any thread count.
-    pub fn prune_par(&self, pool: Vec<Program>, size: usize, threads: usize) -> Vec<Program> {
-        let scores = self.estimate_batch(&pool, threads);
-        let mut scored: Vec<(f64, Program)> = scores.into_iter().zip(pool).collect();
+        let mut scored: Vec<(f64, Program)> =
+            pool.into_iter().map(|p| (self.estimate(&p), p)).collect();
         scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite estimates"));
         scored.truncate(size);
         scored.into_iter().map(|(_, p)| p).collect()
     }
 
-    /// [`Self::prune_par`] with observability: wraps the drafting fan-out
-    /// in a `psa.prune` span and counts the pool in and the survivors
-    /// out. Bit-identical to the untraced pruner — the recorder observes,
-    /// it never participates.
-    pub fn prune_traced(
-        &self,
-        pool: Vec<Program>,
-        size: usize,
-        threads: usize,
-        rec: &mut dyn pruner_trace::Recorder,
-    ) -> Vec<Program> {
-        rec.span_begin("psa.prune");
-        rec.counter("psa.pool_in", pool.len() as u64);
-        let out = self.prune_par(pool, size, threads);
-        rec.counter("psa.survivors", out.len() as u64);
-        rec.span_end("psa.prune");
-        out
-    }
-
-    /// Approximate latencies of every candidate in an arena, in seconds —
-    /// the columnar counterpart of [`Self::estimate_batch`].
+    /// Approximate latencies of every candidate in an arena, in seconds.
     ///
-    /// Where the legacy batch path re-derives [`ProgramStats`] from each
+    /// Where [`Self::estimate`] re-derives [`ProgramStats`] from a
     /// program's schedule on every call, the arena already holds every
     /// stat column (computed once at insertion and reused by PSA and the
     /// feature extractors alike). The estimate is assembled in three column
@@ -351,14 +296,14 @@ impl Psa {
         }
     }
 
-    /// Arena counterpart of [`Self::prune_par`]: returns the indices of the
+    /// Arena counterpart of [`Self::prune`]: returns the indices of the
     /// `size` lowest-estimated candidates, sorted by ascending estimate.
     ///
     /// Identity stays index-based — materialize survivors with
     /// [`CandidateArena::gather`] or [`CandidateArena::program`] only at
-    /// the measure boundary. Ties keep arena order (the same stable order
-    /// as the legacy pair sort), so `gather(&prune_arena(..))` materializes
-    /// exactly the programs [`Self::prune_par`] would keep. Only the kept
+    /// the measure boundary. Ties keep arena order (the stable order of
+    /// [`Self::prune`]'s sort), so `gather(&prune_arena(..))` materializes
+    /// exactly the programs [`Self::prune`] would keep. Only the kept
     /// prefix is sorted: the cost is a selection over the pool plus a sort
     /// of `size`, not a sort of the pool.
     pub fn prune_arena(
@@ -385,9 +330,10 @@ impl Psa {
         order
     }
 
-    /// [`Self::prune_arena`] with observability: the same `psa.prune` span
-    /// and `psa.pool_in` / `psa.survivors` counters as [`Self::prune_traced`],
-    /// so the arena funnel traces byte-identically to the legacy one.
+    /// [`Self::prune_arena`] with observability: wraps the draft in a
+    /// `psa.prune` span and counts the pool in (`psa.pool_in`) and the
+    /// survivors out (`psa.survivors`). The recorder only observes, so the
+    /// kept indices are identical with any recorder.
     pub fn prune_arena_traced(
         &self,
         arena: &CandidateArena,
@@ -592,54 +538,18 @@ mod tests {
         assert!(wins >= 2, "target space should usually contain better programs ({wins}/3)");
     }
 
-    #[test]
-    fn parallel_prune_matches_serial() {
-        let psa = t4_psa();
-        let mut r = rng();
-        let limits = HardwareLimits::default();
-        let wl = Workload::matmul(1, 512, 512, 512);
-        let pool: Vec<Program> =
-            (0..300).map(|_| Program::sample(&wl, &limits, &mut r)).collect();
-        let serial = psa.prune(pool.clone(), 48);
-        for threads in [2, 4, 8, 300] {
-            assert_eq!(
-                psa.prune_par(pool.clone(), 48, threads),
-                serial,
-                "prune diverged at {threads} threads"
-            );
-        }
+    /// One workload per sketch kind.
+    fn sketch_zoo() -> [Workload; 4] {
+        [
+            Workload::matmul(1, 512, 512, 512),
+            Workload::conv2d(1, 64, 56, 56, 64, 3, 1, 1),
+            Workload::elementwise(pruner_ir::EwKind::Gelu, 1 << 18),
+            Workload::reduction(2048, 768),
+        ]
     }
 
-    #[test]
-    fn prune_traced_matches_untraced_and_counts_the_funnel() {
-        use pruner_trace::TraceHandle;
-        let psa = t4_psa();
-        let mut r = rng();
-        let limits = HardwareLimits::default();
-        let wl = Workload::matmul(1, 256, 256, 256);
-        let pool: Vec<Program> =
-            (0..120).map(|_| Program::sample(&wl, &limits, &mut r)).collect();
-        let mut trace = TraceHandle::new();
-        let traced = psa.prune_traced(pool.clone(), 32, 4, &mut trace);
-        assert_eq!(traced, psa.prune_par(pool, 32, 4));
-        let jsonl = trace.to_jsonl();
-        assert!(jsonl.contains("\"name\":\"psa.prune\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"psa.pool_in\",\"value\":120"), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"psa.survivors\",\"value\":32"), "{jsonl}");
-    }
-
-    #[test]
-    fn estimate_batch_matches_sequential() {
-        let psa = t4_psa();
-        let mut r = rng();
-        let limits = HardwareLimits::default();
-        let wl = Workload::conv2d(1, 64, 56, 56, 64, 3, 1, 1);
-        let progs: Vec<Program> =
-            (0..97).map(|_| Program::sample(&wl, &limits, &mut r)).collect();
-        let sequential: Vec<f64> = progs.iter().map(|p| psa.estimate(p)).collect();
-        for threads in [1, 2, 4, 16] {
-            assert_eq!(psa.estimate_batch(&progs, threads), sequential);
-        }
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn arena_of(wl: &Workload, n: usize, seed: u64) -> pruner_sketch::CandidateArena {
@@ -651,23 +561,29 @@ mod tests {
     }
 
     #[test]
+    fn parallel_prune_matches_serial() {
+        let psa = t4_psa();
+        let arena = arena_of(&Workload::conv2d(1, 64, 56, 56, 64, 3, 1, 1), 300, 11);
+        let serial = psa.prune(arena.programs(), 48);
+        for threads in [2, 4, 8, 300] {
+            let kept = arena.gather(&psa.prune_arena(&arena, 48, threads)).programs();
+            assert_eq!(kept, serial, "prune diverged at {threads} threads");
+        }
+    }
+
+    #[test]
     fn estimate_arena_matches_legacy_bitwise() {
         for cfg in [PsaConfig::default(), PsaConfig::without_compute()] {
             let psa = Psa::with_config(GpuSpec::t4(), cfg);
-            for wl in [
-                Workload::matmul(1, 512, 512, 512),
-                Workload::conv2d(1, 64, 56, 56, 64, 3, 1, 1),
-                Workload::elementwise(pruner_ir::EwKind::Gelu, 1 << 18),
-                Workload::reduction(2048, 768),
-            ] {
+            for wl in sketch_zoo() {
                 let arena = arena_of(&wl, 97, 3);
                 let progs = arena.programs();
-                let legacy = psa.estimate_batch(&progs, 1);
+                let legacy: Vec<f64> = progs.iter().map(|p| psa.estimate(p)).collect();
                 for threads in [1usize, 2, 4] {
                     let columnar = psa.estimate_arena(&arena, threads);
                     assert_eq!(
-                        columnar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        legacy.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        bits(&columnar),
+                        bits(&legacy),
                         "arena estimate diverged for {} at {threads} threads",
                         wl.key()
                     );
@@ -676,19 +592,31 @@ mod tests {
         }
     }
 
+    /// The dispatched (AVX2) Eq. 4 accumulator against its scalar body, on
+    /// real arena columns of all four sketch kinds.
     #[test]
+    #[cfg(target_arch = "x86_64")]
     fn reference_columns_are_bit_transparent() {
+        if !columns::avx2_available() {
+            return;
+        }
         let psa = t4_psa();
-        let wl = Workload::matmul(1, 512, 512, 512);
-        let arena = arena_of(&wl, 128, 9);
-        let wide = psa.estimate_arena(&arena, 1);
-        set_reference_columns(true);
-        let scalar = psa.estimate_arena(&arena, 1);
-        set_reference_columns(false);
-        assert_eq!(
-            wide.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let (t_p, t_m) = (psa.spec.peak_gflops * 1e9, psa.spec.dram_gbps * 1e9);
+        for wl in sketch_zoo() {
+            let arena = arena_of(&wl, 128, 9);
+            let pens: Vec<Penalties> =
+                arena.programs().iter().map(|p| psa.penalties(&p.stats())).collect();
+            let thread: Vec<f64> = pens.iter().map(|p| p.thread).collect();
+            let tkw: Vec<f64> = pens.iter().map(|p| t_p * p.kernel * p.warp).collect();
+            let mut scalar = vec![0.0; arena.len()];
+            for j in 0..arena.n_stmts() {
+                let (n_ops, global) = (arena.stmt_n_ops_col(j), arena.stmt_global_col(j));
+                let mem_den: Vec<f64> =
+                    arena.stmt_innermost_col(j).iter().map(|&l| t_m * psa.mem_penalty(l)).collect();
+                columns::stmt_accumulate_body(&mut scalar, n_ops, &thread, &tkw, global, &mem_den);
+            }
+            assert_eq!(bits(&psa.estimate_arena(&arena, 1)), bits(&scalar), "{}", wl.key());
+        }
     }
 
     #[test]
@@ -696,7 +624,7 @@ mod tests {
         let psa = t4_psa();
         let wl = Workload::matmul(1, 512, 512, 512);
         let arena = arena_of(&wl, 300, 5);
-        let legacy = psa.prune_par(arena.programs(), 48, 1);
+        let legacy = psa.prune(arena.programs(), 48);
         for threads in [1usize, 4] {
             let kept = psa.prune_arena(&arena, 48, threads);
             assert_eq!(kept.len(), 48);

@@ -1,15 +1,15 @@
 //! Struct-of-arrays candidate arena: the million-candidate hot path.
 //!
-//! The legacy pipeline materializes every candidate as a [`Program`] (two
+//! A pool that materializes every candidate as a [`Program`] (two
 //! heap-backed `Vec`s per schedule) and a [`crate::stats::ProgramStats`]
-//! (two more `Vec`s), then dedups by a formatted `String` key. At pool
-//! sizes of 10⁶ candidates per round that is hundreds of MB of short-lived
-//! allocation per second. This module restructures the pool as one flat
+//! (two more `Vec`s), then dedups by a formatted `String` key, costs
+//! hundreds of MB of short-lived allocation per second at pool sizes of
+//! 10⁶ candidates per round. This module instead keeps the pool as one flat
 //! buffer per axis family — tile splits, annotations, derived statistics —
 //! with *program identity = index*. Candidates are materialized back into
 //! [`Program`]s only at the measure boundary (a few hundred per round).
 //!
-//! Bit-exactness contract: every routine here mirrors its legacy
+//! Bit-exactness contract: every routine here mirrors its per-program
 //! counterpart operation-for-operation — the same RNG draw order as
 //! [`Program::sample`]/[`crate::evolve::mutate`]/[`crate::evolve::crossover`],
 //! the same floating-point evaluation order as
@@ -1768,7 +1768,7 @@ impl CandidateArena {
         self.ctx.program_from_genes(&self.genes(i))
     }
 
-    /// Materializes every candidate (tests / legacy interop only).
+    /// Materializes every candidate (tests only).
     pub fn programs(&self) -> Vec<Program> {
         (0..self.len).map(|i| self.program(i)).collect()
     }

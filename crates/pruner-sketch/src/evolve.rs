@@ -160,41 +160,13 @@ pub fn init_population(
     out
 }
 
-/// Regenerates a fresh copy of the full sample space Ansor would draw for
-/// one round: mostly mutations of elite parents plus fresh random samples.
-pub fn next_generation(
-    elites: &[Program],
-    size: usize,
-    limits: &HardwareLimits,
-    rng: &mut impl Rng,
-) -> Vec<Program> {
-    assert!(!elites.is_empty(), "need at least one elite");
-    let mut out = Vec::with_capacity(size);
-    let workload = elites[0].workload.clone();
-    while out.len() < size {
-        let roll: f64 = rng.gen();
-        let child = if roll < 0.45 {
-            let p = &elites[rng.gen_range(0..elites.len())];
-            mutate(p, limits, rng)
-        } else if roll < 0.75 && elites.len() >= 2 {
-            let i = rng.gen_range(0..elites.len());
-            let j = rng.gen_range(0..elites.len());
-            crossover(&elites[i], &elites[j], limits, rng)
-        } else {
-            Program::sample(&workload, limits, rng)
-        };
-        out.push(child);
-    }
-    out
-}
-
 /// Derives the RNG seed for one generated candidate.
 ///
 /// Every candidate index gets its own `ChaCha8Rng` stream, mixed from the
 /// campaign seed, the tuning round and the candidate's global index with a
 /// SplitMix64-style finalizer. Because the seed depends only on
 /// `(seed, round, item)` — never on which worker thread or chunk produced
-/// the candidate — the parallel generators below are bit-identical at any
+/// the candidate — the arena generators below are bit-identical at any
 /// thread count and any chunk size.
 pub fn derive_item_seed(seed: u64, round: u64, item: u64) -> u64 {
     let mut z = seed
@@ -205,85 +177,36 @@ pub fn derive_item_seed(seed: u64, round: u64, item: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Generates `n` programs, one per item index, fanned out over `threads`
-/// workers in contiguous index bands and merged back in index order.
-///
-/// `f` must be pure per item: it receives the item's derived RNG and
-/// nothing else mutable, so the output is independent of scheduling.
-fn par_generate<F>(
-    n: usize,
-    threads: usize,
-    seed: u64,
-    round: u64,
-    base_item: u64,
-    f: F,
-) -> Vec<Program>
-where
-    F: Fn(&mut ChaCha8Rng) -> Program + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let item_rng = |i: usize| {
-        ChaCha8Rng::seed_from_u64(derive_item_seed(seed, round, base_item + i as u64))
-    };
-    let workers = threads.max(1).min(n);
-    if workers == 1 {
-        return (0..n)
-            .map(|i| {
-                let mut rng = item_rng(i);
-                f(&mut rng)
-            })
-            .collect();
-    }
-    let mut slots: Vec<Option<Program>> = (0..n).map(|_| None).collect();
-    let band = n.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        for (b, out_band) in slots.chunks_mut(band).enumerate() {
-            let f = &f;
-            let item_rng = &item_rng;
-            scope.spawn(move |_| {
-                for (k, slot) in out_band.iter_mut().enumerate() {
-                    let mut rng = item_rng(b * band + k);
-                    *slot = Some(f(&mut rng));
-                }
-            });
-        }
-    })
-    .expect("generation workers must not panic");
-    slots.into_iter().map(|s| s.expect("every slot is filled")).collect()
+/// The RNG stream of one generated candidate (see [`derive_item_seed`]).
+fn item_rng(seed: u64, round: u64, item: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(derive_item_seed(seed, round, item as u64))
 }
 
-/// Parallel counterpart of [`init_population`]: samples distinct valid
-/// programs with per-item derived RNG streams.
-///
-/// Candidates are sampled in parallel batches, then deduplicated in item
-/// order on the calling thread, so the population depends only on
-/// `(seed, round)` — not on `threads`. As with the serial sampler, the
-/// result may be shorter than `size` when the space is tiny.
-pub fn init_population_par(
-    workload: &pruner_ir::Workload,
-    size: usize,
-    limits: &HardwareLimits,
-    seed: u64,
-    round: u64,
-    threads: usize,
-) -> Vec<Program> {
-    let mut out: Vec<Program> = Vec::with_capacity(size);
-    let mut seen = std::collections::HashSet::new();
-    let mut next_item = 0u64;
-    let mut stale = 0usize;
-    while out.len() < size && stale < 200 {
-        // Batch size depends only on progress so far, never on threads.
-        let batch = (size - out.len()).max(32);
-        let progs = par_generate(batch, threads, seed, round, next_item, |rng| {
-            Program::sample(workload, limits, rng)
-        });
-        next_item += batch as u64;
-        for p in progs {
-            if out.len() >= size || stale >= 200 {
-                break;
-            }
+/// The executable definition of the arena generators: serial, one
+/// [`Program`] per item, built from [`Program::sample`], [`mutate`] and
+/// [`crossover`]. Tests hold [`init_into`] and [`next_generation_into`] to
+/// these programs at any thread count; no campaign calls this module.
+pub mod reference {
+    use super::{crossover, item_rng, mutate, HardwareLimits, Program};
+    use rand::Rng;
+
+    /// Up to `size` distinct programs: item `k = 0, 1, …` is sampled from
+    /// stream `derive_item_seed(seed, round, k)` and kept if its fingerprint
+    /// is new; stops at `size` kept or after 200 repeats in a row.
+    pub fn init_population(
+        workload: &pruner_ir::Workload,
+        size: usize,
+        limits: &HardwareLimits,
+        seed: u64,
+        round: u64,
+    ) -> Vec<Program> {
+        let mut out = Vec::with_capacity(size);
+        let mut seen = std::collections::HashSet::new();
+        let mut stale = 0usize;
+        let mut item = 0usize;
+        while out.len() < size && stale < 200 {
+            let p = Program::sample(workload, limits, &mut item_rng(seed, round, item));
+            item += 1;
             if seen.insert(p.fingerprint()) {
                 out.push(p);
                 stale = 0;
@@ -291,100 +214,50 @@ pub fn init_population_par(
                 stale += 1;
             }
         }
+        out
     }
-    out
-}
 
-/// Parallel counterpart of [`next_generation`]: regenerates one round's
-/// sample space (mutations, crossovers and fresh samples of the elites'
-/// workload) with per-item derived RNG streams.
-///
-/// Each of the `size` children draws its genetic operator and parents from
-/// its own item RNG, so the generation depends only on `(seed, round)` and
-/// the elite list — not on `threads`.
-///
-/// # Panics
-/// Panics if `elites` is empty.
-pub fn next_generation_par(
-    elites: &[Program],
-    size: usize,
-    limits: &HardwareLimits,
-    seed: u64,
-    round: u64,
-    threads: usize,
-) -> Vec<Program> {
-    assert!(!elites.is_empty(), "need at least one elite");
-    let workload = elites[0].workload.clone();
-    par_generate(size, threads, seed, round, 0, |rng| {
-        let roll: f64 = rng.gen();
-        if roll < 0.45 {
-            let p = &elites[rng.gen_range(0..elites.len())];
-            mutate(p, limits, rng)
-        } else if roll < 0.75 && elites.len() >= 2 {
-            let i = rng.gen_range(0..elites.len());
-            let j = rng.gen_range(0..elites.len());
-            crossover(&elites[i], &elites[j], limits, rng)
-        } else {
-            Program::sample(&workload, limits, rng)
-        }
-    })
-}
-
-/// [`init_population_par`] with observability: wraps the fan-out in an
-/// `evolve.init` span and counts the sampled candidates. Bit-identical to
-/// the untraced generator — the recorder never touches the RNG streams.
-#[allow(clippy::too_many_arguments)]
-pub fn init_population_traced(
-    workload: &pruner_ir::Workload,
-    size: usize,
-    limits: &HardwareLimits,
-    seed: u64,
-    round: u64,
-    threads: usize,
-    rec: &mut dyn pruner_trace::Recorder,
-) -> Vec<Program> {
-    rec.span_begin("evolve.init");
-    let out = init_population_par(workload, size, limits, seed, round, threads);
-    rec.counter("evolve.sampled", out.len() as u64);
-    rec.span_end("evolve.init");
-    out
-}
-
-/// [`next_generation_par`] with observability: wraps the fan-out in an
-/// `evolve.next` span and counts the bred offspring. Bit-identical to the
-/// untraced generator.
-///
-/// # Panics
-/// Panics if `elites` is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn next_generation_traced(
-    elites: &[Program],
-    size: usize,
-    limits: &HardwareLimits,
-    seed: u64,
-    round: u64,
-    threads: usize,
-    rec: &mut dyn pruner_trace::Recorder,
-) -> Vec<Program> {
-    rec.span_begin("evolve.next");
-    let out = next_generation_par(elites, size, limits, seed, round, threads);
-    rec.counter("evolve.offspring", out.len() as u64);
-    rec.span_end("evolve.next");
-    out
-}
-
-/// The RNG stream of one generated candidate (see [`derive_item_seed`]).
-fn item_rng(seed: u64, round: u64, item: usize) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(derive_item_seed(seed, round, item as u64))
+    /// One round's `size` offspring: child `k` rolls its operator and
+    /// parents from stream `derive_item_seed(seed, round, k)` — mutation
+    /// below 0.45, crossover below 0.75 (given two elites), else a fresh
+    /// sample of the elites' workload.
+    ///
+    /// # Panics
+    /// Panics if `elites` is empty.
+    pub fn next_generation(
+        elites: &[Program],
+        size: usize,
+        limits: &HardwareLimits,
+        seed: u64,
+        round: u64,
+    ) -> Vec<Program> {
+        assert!(!elites.is_empty(), "need at least one elite");
+        (0..size)
+            .map(|k| {
+                let rng = &mut item_rng(seed, round, k);
+                let roll: f64 = rng.gen();
+                if roll < 0.45 {
+                    let p = &elites[rng.gen_range(0..elites.len())];
+                    mutate(p, limits, rng)
+                } else if roll < 0.75 && elites.len() >= 2 {
+                    let i = rng.gen_range(0..elites.len());
+                    let j = rng.gen_range(0..elites.len());
+                    crossover(&elites[i], &elites[j], limits, rng)
+                } else {
+                    Program::sample(&elites[0].workload, limits, rng)
+                }
+            })
+            .collect()
+    }
 }
 
 /// Samples up to `size` *distinct* valid candidates onto the tail of
-/// `arena`, in place — the arena counterpart of [`init_population_par`].
+/// `arena`, in place.
 ///
-/// Mirrors the legacy generator draw for draw — same batch sizing, same
-/// per-item RNG streams, same stale budget — and deduplicates by the
-/// arena's u64 schedule fingerprint, so the materialized programs equal the
-/// legacy population exactly. Each batch is generated straight into the
+/// Follows [`reference::init_population`] draw for draw — same per-item RNG
+/// streams, same first-wins order, same stale budget — and deduplicates by
+/// the arena's u64 schedule fingerprint, so the materialized programs equal
+/// that population exactly. Each batch is generated straight into the
 /// arena's columns by `threads` workers writing disjoint row ranges, then
 /// its first-wins filter compacts that tail in place; candidates already in
 /// the arena are neither moved nor deduplicated against. Fewer than `size`
@@ -440,14 +313,13 @@ pub fn init_into(
 }
 
 /// Breeds one round's `size` offspring (mutations, crossovers and fresh
-/// samples) onto the tail of `arena`, in place — the arena counterpart of
-/// [`next_generation_par`].
+/// samples) onto the tail of `arena`, in place.
 ///
 /// `elites` are the parents' gene buffers (extract them with
 /// [`CandidateArena::genes`] or [`WorkloadCtx::genes_from_schedule`]). Each
-/// child draws its operator and parents from its own item RNG with the same
-/// roll thresholds as the legacy generator, so the materialized programs
-/// equal [`next_generation_par`] over the same elites exactly, at any
+/// child draws its operator and parents from its own item RNG with the
+/// roll thresholds of [`reference::next_generation`], so the materialized
+/// programs equal that generation over the same elites exactly, at any
 /// thread count. The children are *raw* (stats deferred) — see
 /// [`CandidateArena::ensure_stats`].
 ///
@@ -603,7 +475,7 @@ mod tests {
         let wl = Workload::matmul(1, 256, 256, 256);
         let elites: Vec<Program> =
             (0..4).map(|_| Program::sample(&wl, &limits, &mut r)).collect();
-        let generation = next_generation(&elites, 64, &limits, &mut r);
+        let generation = reference::next_generation(&elites, 64, &limits, 1, 0);
         assert_eq!(generation.len(), 64);
         assert!(generation.iter().all(|p| p.is_valid(&limits)));
     }
@@ -627,11 +499,12 @@ mod tests {
     fn parallel_population_is_thread_count_invariant() {
         let limits = HardwareLimits::default();
         let wl = Workload::matmul(1, 512, 512, 512);
-        let baseline = init_population_par(&wl, 128, &limits, 7, 3, 1);
+        let ctx = Arc::new(WorkloadCtx::new(&wl));
+        let baseline = reference::init_population(&wl, 128, &limits, 7, 3);
         assert_eq!(baseline.len(), 128);
-        for threads in [2, 3, 4, 8, 17] {
+        for threads in [1, 2, 3, 4, 8, 17] {
             assert_eq!(
-                init_population_par(&wl, 128, &limits, 7, 3, threads),
+                init_arena_par(&ctx, 128, &limits, 7, 3, threads).programs(),
                 baseline,
                 "population diverged at {threads} threads"
             );
@@ -646,14 +519,17 @@ mod tests {
         let limits = HardwareLimits::default();
         let mut r = rng();
         let wl = Workload::matmul(1, 256, 256, 256);
+        let ctx = Arc::new(WorkloadCtx::new(&wl));
         let elites: Vec<Program> =
             (0..6).map(|_| Program::sample(&wl, &limits, &mut r)).collect();
-        let baseline = next_generation_par(&elites, 96, &limits, 11, 5, 1);
+        let genes: Vec<GeneBuf> =
+            elites.iter().map(|p| ctx.genes_from_schedule(&p.schedule)).collect();
+        let baseline = reference::next_generation(&elites, 96, &limits, 11, 5);
         assert_eq!(baseline.len(), 96);
         assert!(baseline.iter().all(|p| p.is_valid(&limits)));
-        for threads in [2, 4, 8, 96, 200] {
+        for threads in [1, 2, 4, 8, 96, 200] {
             assert_eq!(
-                next_generation_par(&elites, 96, &limits, 11, 5, threads),
+                next_generation_arena_par(&ctx, &genes, 96, &limits, 11, 5, threads).programs(),
                 baseline,
                 "generation diverged at {threads} threads"
             );
@@ -667,41 +543,11 @@ mod tests {
         let wl = Workload::matmul(1, 512, 512, 512);
         let elites: Vec<Program> =
             (0..6).map(|_| Program::sample(&wl, &limits, &mut r)).collect();
-        let a = next_generation_par(&elites, 64, &limits, 1, 0, 4);
-        let other_seed = next_generation_par(&elites, 64, &limits, 2, 0, 4);
-        let other_round = next_generation_par(&elites, 64, &limits, 1, 1, 4);
+        let a = reference::next_generation(&elites, 64, &limits, 1, 0);
+        let other_seed = reference::next_generation(&elites, 64, &limits, 2, 0);
+        let other_round = reference::next_generation(&elites, 64, &limits, 1, 1);
         assert_ne!(a, other_seed, "seed must matter");
         assert_ne!(a, other_round, "round must matter");
-    }
-
-    #[test]
-    fn traced_generators_are_bit_identical_to_untraced() {
-        use pruner_trace::{NoopRecorder, TraceHandle};
-        let limits = HardwareLimits::default();
-        let wl = Workload::matmul(1, 256, 256, 256);
-        let mut trace = TraceHandle::new();
-        let traced = init_population_traced(&wl, 48, &limits, 3, 1, 4, &mut trace);
-        assert_eq!(traced, init_population_par(&wl, 48, &limits, 3, 1, 4));
-        let mut noop = NoopRecorder;
-        let elites: Vec<Program> = traced.iter().take(4).cloned().collect();
-        let bred = next_generation_traced(&elites, 32, &limits, 3, 2, 2, &mut trace);
-        assert_eq!(bred, next_generation_traced(&elites, 32, &limits, 3, 2, 2, &mut noop));
-        let jsonl = trace.to_jsonl();
-        assert!(jsonl.contains("\"name\":\"evolve.init\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"evolve.next\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"evolve.sampled\",\"value\":48"), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"evolve.offspring\",\"value\":32"), "{jsonl}");
-    }
-
-    #[test]
-    fn tiny_space_parallel_population_stops_early() {
-        let limits = HardwareLimits::default();
-        let wl = Workload::elementwise(EwKind::Relu, 64);
-        let a = init_population_par(&wl, 500, &limits, 99, 0, 1);
-        let b = init_population_par(&wl, 500, &limits, 99, 0, 8);
-        assert_eq!(a, b);
-        assert!(a.len() < 500, "the elementwise space is small");
-        assert!(!a.is_empty());
     }
 
     fn arena_zoo() -> Vec<Workload> {
@@ -718,7 +564,7 @@ mod tests {
         let limits = HardwareLimits::default();
         for wl in arena_zoo() {
             let ctx = Arc::new(WorkloadCtx::new(&wl));
-            let legacy = init_population_par(&wl, 96, &limits, 7, 3, 1);
+            let legacy = reference::init_population(&wl, 96, &limits, 7, 3);
             let arena = init_arena_par(&ctx, 96, &limits, 7, 3, 1);
             assert_eq!(arena.programs(), legacy, "arena init diverged for {}", wl.key());
             for (i, p) in legacy.iter().enumerate() {
@@ -746,12 +592,12 @@ mod tests {
         let limits = HardwareLimits::default();
         for wl in arena_zoo() {
             let ctx = Arc::new(WorkloadCtx::new(&wl));
-            let elites_legacy = init_population_par(&wl, 8, &limits, 5, 0, 1);
+            let elites_legacy = reference::init_population(&wl, 8, &limits, 5, 0);
             let elite_genes: Vec<GeneBuf> = elites_legacy
                 .iter()
                 .map(|p| ctx.genes_from_schedule(&p.schedule))
                 .collect();
-            let legacy = next_generation_par(&elites_legacy, 96, &limits, 11, 5, 1);
+            let legacy = reference::next_generation(&elites_legacy, 96, &limits, 11, 5);
             for threads in [1usize, 4] {
                 let arena = next_generation_arena_par(
                     &ctx,
@@ -830,12 +676,13 @@ mod tests {
         let limits = HardwareLimits::default();
         let wl = Workload::elementwise(EwKind::Relu, 64);
         let ctx = Arc::new(WorkloadCtx::new(&wl));
-        let legacy = init_population_par(&wl, 500, &limits, 99, 0, 1);
-        let a = init_arena_par(&ctx, 500, &limits, 99, 0, 1);
-        let b = init_arena_par(&ctx, 500, &limits, 99, 0, 8);
-        assert_eq!(a.programs(), legacy);
-        assert_eq!(b.programs(), legacy);
-        assert!(a.len() < 500, "the elementwise space is small");
-        assert!(!a.is_empty());
+        let legacy = reference::init_population(&wl, 500, &limits, 99, 0);
+        assert!(legacy.len() < 500, "the elementwise space is small");
+        assert!(!legacy.is_empty());
+        let keys: std::collections::HashSet<_> = legacy.iter().map(|p| p.dedup_key()).collect();
+        assert_eq!(keys.len(), legacy.len(), "population must stay distinct");
+        for threads in [1, 8] {
+            assert_eq!(init_arena_par(&ctx, 500, &limits, 99, 0, threads).programs(), legacy);
+        }
     }
 }

@@ -102,8 +102,8 @@ fn columns(arena: &CandidateArena) -> Columns {
 }
 
 proptest! {
-    /// In-place generation reproduces the legacy `Vec<Program>` generators
-    /// program for program, at every fan-out.
+    /// In-place generation reproduces the serial `evolve::reference`
+    /// generators program for program, at every fan-out.
     #[test]
     fn in_place_generation_matches_the_legacy_generators(
         wl_idx in 0usize..4,
@@ -112,11 +112,11 @@ proptest! {
     ) {
         let wl = &zoo()[wl_idx];
         let (ctx, limits) = (ctx_of(wl), HardwareLimits::default());
-        let legacy_init = evolve::init_population_par(wl, n, &limits, seed, 2, 1);
-        let parents = evolve::init_population_par(wl, 6, &limits, seed, 0, 1);
+        let legacy_init = evolve::reference::init_population(wl, n, &limits, seed, 2);
+        let parents = evolve::reference::init_population(wl, 6, &limits, seed, 0);
         let elites: Vec<GeneBuf> =
             parents.iter().map(|p| ctx.genes_from_schedule(&p.schedule)).collect();
-        let legacy_next = evolve::next_generation_par(&parents, n, &limits, seed, 3, 1);
+        let legacy_next = evolve::reference::next_generation(&parents, n, &limits, seed, 3);
         for threads in THREADS {
             let mut arena = CandidateArena::new(Arc::clone(&ctx));
             evolve::init_into(&mut arena, n, &limits, seed, 2, threads, &mut NoopRecorder);

@@ -344,11 +344,6 @@ impl Measurer<Simulator> {
     pub fn simulator(&self) -> &Simulator {
         &self.backend
     }
-
-    /// Mutable access to the simulator (e.g. to install a fault model).
-    pub fn simulator_mut(&mut self) -> &mut Simulator {
-        &mut self.backend
-    }
 }
 
 impl<B: Backend> Measurer<B> {
@@ -384,11 +379,6 @@ impl<B: Backend> Measurer<B> {
     /// The measurement backend.
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// Mutable access to the measurement backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
     }
 
     /// The time-cost constants in use.

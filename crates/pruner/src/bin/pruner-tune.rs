@@ -209,14 +209,8 @@ fn parse_args() -> Result<Args, String> {
                     zoo::by_short_name(&v, 1).ok_or_else(|| format!("unknown network `{v}`"))?,
                 );
             }
-            "--matmul" => {
-                let v = parse_u64_list(&value("--matmul")?, 4, "--matmul")?;
-                args.workloads.push(Workload::matmul(v[0], v[1], v[2], v[3]));
-            }
-            "--conv2d" => {
-                let v = parse_u64_list(&value("--conv2d")?, 8, "--conv2d")?;
-                args.workloads
-                    .push(Workload::conv2d(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]));
+            flag @ ("--matmul" | "--conv2d") => {
+                parse_workload_flag(flag, &value(flag)?, &mut args.workloads)?;
             }
             "--trials" => {
                 args.trials =
@@ -686,8 +680,11 @@ campaign from its checkpoint; results are byte-identical to uninterrupted
 runs.
 ";
 
-/// Parses repeated workload flags shared by `serve submit` and `serve
-/// predict`.
+/// Parses and checks the repeated workload flags every subcommand shares
+/// (`tune`, `serve submit`, `serve predict`, `fleet`). Returns whether
+/// `flag` was one of them. Shapes the IR would panic on — a zero extent,
+/// stride or kernel, a kernel wider than the padded input — are usage
+/// errors here.
 fn parse_workload_flag(
     flag: &str,
     value: &str,
@@ -696,11 +693,20 @@ fn parse_workload_flag(
     match flag {
         "--matmul" => {
             let v = parse_u64_list(value, 4, "--matmul")?;
+            if v.contains(&0) {
+                return Err(format!("--matmul extents must be at least 1, got `{value}`"));
+            }
             workloads.push(Workload::matmul(v[0], v[1], v[2], v[3]));
             Ok(true)
         }
         "--conv2d" => {
             let v = parse_u64_list(value, 8, "--conv2d")?;
+            let padded = v[2].min(v[3]).saturating_add(v[7].saturating_mul(2));
+            if v[..7].contains(&0) || v[5] > padded {
+                return Err(format!(
+                    "--conv2d N,C,H,W,CO,K,S must be at least 1 and K fit the padded input, got `{value}`"
+                ));
+            }
             workloads.push(Workload::conv2d(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]));
             Ok(true)
         }

@@ -1,12 +1,13 @@
-//! Integration: the struct-of-arrays candidate arena is a bit-exact drop-in
-//! for the legacy `Vec<Program>` pipeline.
+//! Integration: the struct-of-arrays candidate arena against its per-program
+//! definition.
 //!
 //! Every stage of a proposal round — generation, fingerprint dedup, PSA
 //! penalty estimation, pruning, and featurization — runs through
-//! [`pruner::sketch::CandidateArena`] columns. These tests drive both paths
-//! over a zoo of workloads × pool sizes × thread counts and demand
-//! `to_bits`-level equality, plus scalar-vs-dispatched equality for the
-//! SIMD column kernels.
+//! [`pruner::sketch::CandidateArena`] columns. The oracle is the serial,
+//! scalar, one-[`Program`]-at-a-time code (`evolve::reference`,
+//! `Psa::estimate` / `Psa::prune`, `stmt_features` / `flow_features` /
+//! `tlp_tokens`). These tests drive the arena over a zoo of workloads × pool
+//! sizes × thread counts and demand `to_bits`-level equality with it.
 //!
 //! CI's arena-smoke step reruns this suite with `THREADS=1` and `THREADS=4`
 //! to pin thread-count invariance of the arena path specifically.
@@ -14,12 +15,12 @@
 use proptest::prelude::*;
 use pruner::cost::Sample;
 use pruner::features::{
-    flow_features, flow_features_arena, set_reference_features, stmt_features,
-    stmt_features_arena, tlp_tokens, tlp_tokens_arena,
+    flow_features, flow_features_arena, stmt_features, stmt_features_arena, tlp_tokens,
+    tlp_tokens_arena,
 };
 use pruner::gpu::GpuSpec;
 use pruner::ir::{EwKind, Workload};
-use pruner::psa::{set_reference_columns, Psa, PsaConfig};
+use pruner::psa::{Psa, PsaConfig};
 use pruner::sketch::{evolve, HardwareLimits, Program, WorkloadCtx};
 use std::sync::Arc;
 
@@ -40,9 +41,9 @@ fn zoo() -> Vec<Workload> {
     ]
 }
 
-/// Legacy reference: sample → dedup-by-fingerprint population.
-fn legacy_pool(wl: &Workload, n: usize, seed: u64, threads: usize) -> Vec<Program> {
-    evolve::init_population_par(wl, n, &HardwareLimits::default(), seed, 0, threads)
+/// The serial definition: sample → dedup-by-fingerprint population.
+fn legacy_pool(wl: &Workload, n: usize, seed: u64) -> Vec<Program> {
+    evolve::reference::init_population(wl, n, &HardwareLimits::default(), seed, 0)
 }
 
 fn arena_pool(
@@ -64,7 +65,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Generation: materializing the arena reproduces the legacy population
+    /// Generation: materializing the arena reproduces the serial population
     /// program for program, at every thread count.
     #[test]
     fn generation_is_bit_identical(
@@ -73,8 +74,8 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let wl = &zoo()[wl_idx];
+        let legacy = legacy_pool(wl, n, seed);
         for threads in thread_counts() {
-            let legacy = legacy_pool(wl, n, seed, threads);
             let arena = arena_pool(wl, n, seed, threads);
             prop_assert_eq!(arena.len(), legacy.len());
             prop_assert_eq!(&arena.programs(), &legacy);
@@ -85,7 +86,7 @@ proptest! {
     }
 
     /// PSA: columnar penalty estimates and the pruned shortlist match the
-    /// legacy per-program path bit for bit.
+    /// per-program `estimate` and the serial `prune` bit for bit.
     #[test]
     fn psa_estimates_and_prune_are_bit_identical(
         wl_idx in 0usize..4,
@@ -96,25 +97,24 @@ proptest! {
         let wl = &zoo()[wl_idx];
         for cfg in [PsaConfig::default(), PsaConfig::without_compute()] {
             let psa = Psa::with_config(GpuSpec::t4(), cfg);
+            let legacy = legacy_pool(wl, n, seed);
+            let lbits: Vec<u64> = legacy.iter().map(|p| psa.estimate(p).to_bits()).collect();
+            let keep = ((legacy.len() as f64) * keep_frac).ceil() as usize;
+            let legacy_kept = psa.prune(legacy, keep);
             for threads in thread_counts() {
-                let legacy = legacy_pool(wl, n, seed, threads);
                 let arena = arena_pool(wl, n, seed, threads);
-                let legacy_scores = psa.estimate_batch(&legacy, threads);
                 let arena_scores = psa.estimate_arena(&arena, threads);
-                let lbits: Vec<u64> = legacy_scores.iter().map(|x| x.to_bits()).collect();
                 let abits: Vec<u64> = arena_scores.iter().map(|x| x.to_bits()).collect();
-                prop_assert_eq!(lbits, abits);
-                let keep = ((legacy.len() as f64) * keep_frac).ceil() as usize;
-                let legacy_kept = psa.prune_par(legacy.clone(), keep, threads);
+                prop_assert_eq!(&lbits, &abits);
                 let kept_idx = psa.prune_arena(&arena, keep, threads);
                 let arena_kept: Vec<Program> =
                     kept_idx.iter().map(|&i| arena.program(i)).collect();
-                prop_assert_eq!(arena_kept, legacy_kept);
+                prop_assert_eq!(&arena_kept, &legacy_kept);
             }
         }
     }
 
-    /// Featurization: the arena column stacks equal the legacy per-program
+    /// Featurization: the arena column stacks equal the per-program
     /// extractors bit for bit, and `Sample::from_arena` equals
     /// `Sample::unlabeled` on the materialized program.
     #[test]
@@ -150,34 +150,24 @@ proptest! {
 }
 
 /// The dispatched (AVX2 where available) column kernels produce the same
-/// bits as the forced-scalar reference path, end to end through PSA and
-/// feature extraction.
+/// bits as the per-program scalar code (`Psa::estimate`, `stmt_features`,
+/// `flow_features`, `tlp_tokens`) on fixed cases of every sketch kind.
 #[test]
 fn simd_kernels_match_scalar_reference_bitwise() {
     let psa = Psa::new(GpuSpec::t4());
     for wl in zoo() {
         let arena = arena_pool(&wl, 48, 11, 2);
-        let (dispatched_psa, dispatched_stmt, dispatched_flow, dispatched_tlp) = (
-            psa.estimate_arena(&arena, 2),
-            stmt_features_arena(&arena, 2),
-            flow_features_arena(&arena, 2),
-            tlp_tokens_arena(&arena, 2),
-        );
-        set_reference_columns(true);
-        set_reference_features(true);
-        let (scalar_psa, scalar_stmt, scalar_flow, scalar_tlp) = (
-            psa.estimate_arena(&arena, 2),
-            stmt_features_arena(&arena, 2),
-            flow_features_arena(&arena, 2),
-            tlp_tokens_arena(&arena, 2),
-        );
-        set_reference_columns(false);
-        set_reference_features(false);
-        let d: Vec<u64> = dispatched_psa.iter().map(|x| x.to_bits()).collect();
-        let s: Vec<u64> = scalar_psa.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(d, s, "PSA columns diverge from scalar reference");
-        assert_eq!(bits(&dispatched_stmt), bits(&scalar_stmt));
-        assert_eq!(bits(&dispatched_flow), bits(&scalar_flow));
-        assert_eq!(bits(&dispatched_tlp), bits(&scalar_tlp));
+        let progs = arena.programs();
+        let scalar_psa: Vec<u64> = progs.iter().map(|p| psa.estimate(p).to_bits()).collect();
+        let dispatched: Vec<u64> =
+            psa.estimate_arena(&arena, 2).iter().map(|x| x.to_bits()).collect();
+        assert_eq!(dispatched, scalar_psa, "PSA columns diverge from scalar reference");
+        let stats: Vec<_> = progs.iter().map(Program::stats).collect();
+        let scalar_stmt: Vec<f32> = stats.iter().flat_map(stmt_features).flatten().collect();
+        let scalar_flow: Vec<f32> = stats.iter().flat_map(flow_features).flatten().collect();
+        let scalar_tlp: Vec<f32> = progs.iter().flat_map(tlp_tokens).flatten().collect();
+        assert_eq!(bits(&stmt_features_arena(&arena, 2)), bits(&scalar_stmt));
+        assert_eq!(bits(&flow_features_arena(&arena, 2)), bits(&scalar_flow));
+        assert_eq!(bits(&tlp_tokens_arena(&arena, 2)), bits(&scalar_tlp));
     }
 }

@@ -70,6 +70,30 @@ fn rejects_out_of_range_fault_rate() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("--fault-rate"));
 }
 
+/// Shapes the IR would panic on are usage errors (exit 1), not backtraces
+/// (exit 101), in `tune` and in the subcommands that share the checker.
+#[test]
+fn rejects_degenerate_workload_shapes() {
+    let tune = ["--platform", "t4"];
+    let fleet = ["fleet", "--state-dir", "unused", "--roster", "t4"];
+    let cases: [(&[&str], &str, &str, &str); 6] = [
+        (&tune, "--matmul", "1,0,512,512", "--matmul extents"),
+        (&tune, "--conv2d", "1,64,0,28,64,3,1,1", "--conv2d N,C,H,W,CO,K,S"),
+        (&tune, "--conv2d", "1,64,28,28,64,3,0,1", "--conv2d N,C,H,W,CO,K,S"),
+        (&tune, "--conv2d", "1,64,28,28,64,0,1,1", "--conv2d N,C,H,W,CO,K,S"),
+        (&tune, "--conv2d", "1,64,4,4,64,9,1,1", "--conv2d N,C,H,W,CO,K,S"),
+        (&fleet, "--matmul", "1,512,512,0", "--matmul extents"),
+    ];
+    for (prefix, flag, value, message) in cases {
+        let output =
+            Command::new(bin()).args(prefix).args([flag, value]).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(message), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}
+
 #[test]
 fn kill_and_resume_via_cli_matches_uninterrupted_run() {
     let dir = std::env::temp_dir().join(format!("pruner-cli-resume-{}", std::process::id()));
