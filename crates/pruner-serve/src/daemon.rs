@@ -172,7 +172,7 @@ impl DaemonInner {
             let factory: CampaignFactory<Simulator> = Box::new(move |ckpt| {
                 let mut tuner = match ckpt {
                     Some(ckpt) => Tuner::from_checkpoint_backend(ckpt)?,
-                    None if factory_ckpt.exists() => Tuner::resume_backend(&factory_ckpt)?,
+                    None if factory_ckpt.exists() => Tuner::resume(&factory_ckpt)?,
                     None => {
                         let setup = match &campaign_model {
                             Some(batched) => ModelSetup::Offline(Box::new(batched.clone())),

@@ -122,9 +122,12 @@ pub enum Response {
         state: String,
         /// Best weighted latency so far, when the campaign has one.
         best_latency_s: Option<f64>,
-        /// The final `TuningResult` as its canonical JSON string, once
-        /// the campaign is done — byte-identical to the one-shot CLI's
-        /// `--out` payload for the same submission.
+        /// The final `TuningResult` as compact JSON
+        /// (`serde_json::to_string`), once the campaign is done. It is
+        /// byte-identical to the campaign's persisted `result.json` and to
+        /// the compact JSON of the same submission tuned in-process
+        /// (`tests/serve.rs` pins both). The one-shot CLI's `--output`
+        /// holds the same value, pretty-printed.
         result: Option<String>,
     },
     /// The cancel was accepted.

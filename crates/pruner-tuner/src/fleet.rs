@@ -410,7 +410,7 @@ impl Fleet {
         let run = supervisor.run(move |ckpt| {
             let mut tuner: Tuner<Simulator> = match ckpt {
                 Some(ckpt) => Tuner::from_checkpoint_backend(ckpt)?,
-                None if ckpt_path.exists() => Tuner::resume_backend(&ckpt_path)?,
+                None if ckpt_path.exists() => Tuner::resume(&ckpt_path)?,
                 None => {
                     let mut t = Tuner::new(
                         spec.clone(),

@@ -268,26 +268,8 @@ pub struct Tuner<B: Backend = Simulator> {
 impl Tuner {
     /// Creates a simulator-backed tuner for one platform.
     pub fn new(spec: GpuSpec, cfg: TunerConfig, setup: ModelSetup) -> Tuner {
-        Self::with_psa_config(spec, cfg, setup, PsaConfig::default())
-    }
-
-    /// Creates a simulator-backed tuner with explicit PSA penalty toggles
-    /// (ablations).
-    pub fn with_psa_config(
-        spec: GpuSpec,
-        cfg: TunerConfig,
-        setup: ModelSetup,
-        psa_cfg: PsaConfig,
-    ) -> Tuner {
         let sim = Simulator::new(spec.clone());
-        Tuner::with_backend(spec, cfg, setup, psa_cfg, sim)
-    }
-
-    /// Restores a simulator-backed campaign from a checkpoint file. The
-    /// resumed campaign continues from the first unfinished round and
-    /// produces a byte-identical [`TuningResult`] to the uninterrupted run.
-    pub fn resume<P: AsRef<Path>>(path: P) -> std::io::Result<Tuner> {
-        Tuner::resume_backend(path)
+        Tuner::with_backend(spec, cfg, setup, PsaConfig::default(), sim)
     }
 
     /// Rebuilds a simulator-backed tuner from an in-memory checkpoint.
@@ -375,9 +357,12 @@ impl<B: Backend> Tuner<B> {
     }
 
     /// Restores a campaign from a checkpoint file, rebuilding this
-    /// backend type from the checkpoint's embedded backend configuration.
-    /// Fails if the checkpoint was written by a different backend.
-    pub fn resume_backend<P: AsRef<Path>>(path: P) -> std::io::Result<Tuner<B>> {
+    /// backend type from the checkpoint's embedded backend configuration
+    /// (`Tuner::<Simulator>::resume`, `Tuner::<CpuExec>::resume`). The
+    /// resumed campaign continues from the first unfinished round and
+    /// produces a byte-identical [`TuningResult`] to the uninterrupted
+    /// run. Fails if the checkpoint was written by a different backend.
+    pub fn resume<P: AsRef<Path>>(path: P) -> std::io::Result<Tuner<B>> {
         let ckpt = Checkpoint::load(path.as_ref())?;
         Tuner::from_checkpoint_backend(ckpt)
     }
@@ -1490,7 +1475,7 @@ mod tests {
         let partial = halted.run();
         assert!(partial.curve.points().len() < full.curve.points().len());
 
-        let resumed = Tuner::resume(&path).unwrap().run();
+        let resumed = Tuner::<Simulator>::resume(&path).unwrap().run();
         assert_eq!(
             serde_json::to_string(&full).unwrap(),
             serde_json::to_string(&resumed).unwrap(),
@@ -1518,7 +1503,7 @@ mod tests {
         let mut halted = build(TunerConfig { halt_after: Some(2), ..cfg });
         halted.set_checkpoint_path(&path);
         halted.run();
-        let resumed = Tuner::resume(&path).unwrap().run();
+        let resumed = Tuner::<Simulator>::resume(&path).unwrap().run();
         assert_eq!(
             serde_json::to_string(&full).unwrap(),
             serde_json::to_string(&resumed).unwrap(),

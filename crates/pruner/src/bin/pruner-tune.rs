@@ -1,151 +1,359 @@
-//! `pruner-tune` — the command-line front end of the reproduction.
+//! `pruner-tune` — the command-line front end of the reproduction
+//! (`pruner-tune --help`; the README has worked examples).
 //!
-//! ```text
-//! pruner-tune --platform t4 --network R-50 --trials 800
-//! pruner-tune --platform a100 --matmul 1,512,3072,768 --model ansor --no-psa
-//! pruner-tune --platform titanv --network B-base --trials 500 \
-//!             --show-schedules 3 --output run.json
-//! ```
+//! Every flag of the four subcommands (`tune`, `records`, `serve`,
+//! `fleet`) is declared once, in [`FLAGS`]. That table drives the one
+//! parse loop ([`parse`]) and renders each subcommand's OPTIONS help, and
+//! each kind of value is parsed and range-checked by exactly one getter on
+//! [`Flags`]. A whole command line is checked ([`plan`]) before anything
+//! runs, so no value given on the command line reaches a library panic.
 
 use pruner::cost::ModelKind;
-use pruner::gpu::GpuSpec;
+use pruner::exec::CpuExec;
+use pruner::gpu::{Backend, GpuSpec, Simulator};
 use pruner::ir::{zoo, Network, Workload};
-use pruner::sketch::render;
-use pruner::tuner::TunerConfig;
-use pruner::Pruner;
+use pruner::serve::{Client, Daemon, Request, Response, ServeConfig};
+use pruner::sketch::{render, Program};
+use pruner::store::Store;
+use pruner::trace::TraceHandle;
+use pruner::tuner::{
+    CampaignOutcome, Checkpoint, Supervisor, SupervisorConfig, Tuner, TunerConfig, TuningResult,
+};
+use pruner::{Fleet, FleetConfig, FleetStatus, Pruner};
+use std::fmt::Display;
+use std::ops::{Bound, RangeBounds};
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-/// Which measurement backend a campaign runs on.
-#[derive(Clone, Copy, PartialEq)]
-enum BackendChoice {
-    /// The analytical GPU simulator (default).
-    Sim,
-    /// The executable CPU backend: candidates actually run, latency is
-    /// wall-clock time.
-    Cpu,
+/// The subcommands, as bits of [`Flag::cmds`].
+const TUNE: u8 = 1;
+const RECORDS: u8 = 2;
+const SERVE: u8 = 4;
+const FLEET: u8 = 8;
+/// The subcommands that run campaigns.
+const CAMPAIGN: u8 = TUNE | SERVE | FLEET;
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// What the value looks like in the help; `None` for a switch.
+    metavar: Option<&'static str>,
+    help: &'static str,
+    /// The subcommands that accept it (`TUNE | SERVE | …`).
+    cmds: u8,
 }
 
-struct Args {
-    platform: GpuSpec,
-    backend: BackendChoice,
-    network: Option<Network>,
-    workloads: Vec<Workload>,
-    trials: usize,
-    seed: u64,
-    threads: Option<usize>,
-    model: ModelKind,
-    use_psa: bool,
-    fault_rate: f64,
-    max_retries: Option<u32>,
-    checkpoint: Option<String>,
-    checkpoint_every: Option<usize>,
-    resume: Option<String>,
-    halt_after: Option<usize>,
-    deadline: Option<f64>,
-    watchdog_secs: Option<f64>,
-    max_restarts: Option<u32>,
-    show_schedules: usize,
-    output: Option<String>,
-    trace_out: Option<String>,
-    report: bool,
-    store: Option<String>,
-    warm_start: bool,
+const fn flag(name: &'static str, metavar: &'static str, help: &'static str, cmds: u8) -> Flag {
+    Flag { name, metavar: Some(metavar), help, cmds }
 }
 
-const USAGE: &str = "\
+const fn switch(name: &'static str, help: &'static str, cmds: u8) -> Flag {
+    Flag { name, metavar: None, help, cmds }
+}
+
+/// Every flag of every subcommand, in help order. Repeatable flags
+/// (`--matmul`, `--conv2d`, `--roster`) accumulate; every other flag
+/// keeps the last value given.
+const FLAGS: &[Flag] = &[
+    flag("--platform", "<p>", "k80 | t4 | titanv | a100 | orin", TUNE | RECORDS | SERVE),
+    flag("--backend", "<b>", "sim | cpu [default: sim]", TUNE),
+    flag(
+        "--network",
+        "<name>",
+        "R-50 WR-50 I-V3 D-121 MB-V2 ViT DL-V3 DeTR B-base B-tiny R3D-18",
+        TUNE | SERVE,
+    ),
+    flag("--matmul", "B,M,N,K", "add a matmul task (repeatable)", CAMPAIGN),
+    flag("--conv2d", "N,C,H,W,CO,K,S,P", "add a conv2d task (repeatable)", CAMPAIGN),
+    flag("--roster", "<p1,p2,...>", "device presets in tuning order (repeatable)", FLEET),
+    flag("--roster-file", "<file>", "JSON array of GpuSpec objects to append", FLEET),
+    flag("--trials", "N", "measurement budget [default: tune 800, else 2000]", CAMPAIGN),
+    flag("--seed", "N", "RNG seed [default: 42]", CAMPAIGN),
+    flag("--threads", "N", "pipeline threads (results identical) [default: all cores]", CAMPAIGN),
+    flag("--model", "<m>", "pacm|ansor|xgb|tensetmlp|tlp|random [default: pacm]", TUNE | SERVE),
+    switch("--no-psa", "disable PSA search-space pruning", TUNE | SERVE),
+    flag("--fault-rate", "R", "inject hardware faults at rate R in [0, 0.9] [default: 0]", TUNE),
+    flag("--max-retries", "N", "measurement retries before quarantine [default: 2]", TUNE),
+    flag("--checkpoint", "<file>", "crash-safe campaign checkpoint, rewritten atomically", TUNE),
+    flag("--checkpoint-every", "N", "rounds between checkpoint writes [default: 5]", TUNE | SERVE),
+    flag("--halt-after", "N", "stop after N rounds (simulates a crash)", TUNE),
+    flag("--resume", "<file>", "continue a checkpointed campaign byte-identically", TUNE),
+    flag("--deadline", "S", "supervise; park (exit 3) after S host seconds", TUNE),
+    flag("--watchdog-secs", "S", "restart when stalled S seconds [default: 30]", TUNE | FLEET),
+    flag("--max-restarts", "N", "quarantine after N restarts [default: 3]", TUNE | FLEET),
+    flag("--momentum", "F", "MTL momentum in [0, 1] [default: 0.99]", FLEET),
+    flag("--pretrain", "N", "pre-training samples per workload [default: 64]", FLEET),
+    flag("--probes", "N", "probe programs per workload per device [default: 32]", FLEET),
+    flag("--halt-after-stage", "N", "park the fleet (exit 3) after N stages", FLEET),
+    flag("--show-schedules", "N", "print the N best schedules as pseudo-TIR [default: 1]", TUNE),
+    flag("--store", "<file>", "tuning-record store (docs/STORE_FORMAT.md)", TUNE | RECORDS | FLEET),
+    flag("--warm-start", "on|off", "replay --store records before round 0 [default: on]", TUNE),
+    flag("--output", "<file>", "write the result as JSON", TUNE | RECORDS | SERVE | FLEET),
+    flag("--trace-out", "<file>", "write the trace as versioned JSONL", TUNE | FLEET),
+    switch("--report", "print the end-of-run summary to stderr", TUNE | FLEET),
+    flag("--socket", "<path>", "Unix socket the daemon answers on", SERVE),
+    flag("--state-dir", "<dir>", "durable state root; rerunning on it resumes", SERVE | FLEET),
+    flag("--workers", "N", "concurrent campaign workers [default: 2]", SERVE),
+    flag("--budget", "N", "max concurrent campaigns per tenant [default: 1]", SERVE),
+    flag("--model-dir", "<dir>", "pre-trained ModelSnapshot JSON files", SERVE),
+    flag("--predict-threads", "N", "shared-model predict_batch threads [default: 1]", SERVE),
+    flag("--tenant", "<name>", "tenant the campaign belongs to ([a-zA-Z0-9_-])", SERVE),
+    flag("--campaign", "<id>", "campaign id returned by submit", SERVE),
+];
+
+const TUNE_HELP: &str = "\
 pruner-tune: tune tensor programs on a simulated GPU
 
 USAGE:
     pruner-tune --platform <p> (--network <name> | --matmul B,M,N,K | --conv2d N,C,H,W,CO,K,S,P)...
-                [--backend sim|cpu]
-                [--trials N] [--seed N] [--threads N] [--model <m>] [--no-psa]
-                [--fault-rate R] [--max-retries N]
-                [--checkpoint file.json] [--checkpoint-every N] [--halt-after N]
-                [--deadline S] [--watchdog-secs S] [--max-restarts N]
-                [--show-schedules N] [--output file.json]
-                [--trace-out file.jsonl] [--report]
-                [--store records.jsonl] [--warm-start on|off]
+                [OPTIONS]
     pruner-tune --resume file.json [--checkpoint file.json] [--output file.json]
                 [--trace-out file.jsonl] [--report] [--store records.jsonl]
-    pruner-tune records (stats | compact | export) --store records.jsonl
-                [--platform <p>] [--output dataset.json]
-    pruner-tune serve (start | submit | status | cancel | predict | shutdown) ...
-                (resident multi-tenant tuning daemon; see `serve --help`)
-    pruner-tune fleet --state-dir <dir> --roster <p1,p2,...> ...
-                (cross-hardware continual-learning fleet; see `fleet --help`)
+    pruner-tune (records | serve | fleet) ...   record store, tuning daemon,
+                cross-hardware fleet (`pruner-tune <subcommand> --help`)
 
 OPTIONS:
-    --platform <p>        k80 | t4 | titanv | a100 | orin
-    --backend <b>         sim | cpu [default: sim]. `sim` measures on the
-                          analytical GPU simulator; `cpu` actually executes
-                          every candidate on the host CPU and reports wall
-                          time (see docs/FIDELITY.md; worker threads come
-                          from PRUNER_CPU_THREADS). --fault-rate only
-                          applies to `sim`
-    --network <name>      R-50 WR-50 I-V3 D-121 MB-V2 ViT DL-V3 DeTR B-base B-tiny R3D-18
-    --matmul B,M,N,K      add a matmul task (repeatable)
-    --conv2d N,C,H,W,CO,K,S,P  add a conv2d task (repeatable)
-    --trials N            measurement budget [default: 800]
-    --seed N              RNG seed [default: 42]
-    --threads N           pipeline worker threads; results are identical at
-                          any value [default: all host cores]
-    --model <m>           pacm | ansor | xgb | tensetmlp | tlp | random [default: pacm]
-    --no-psa              disable PSA search-space pruning
-    --fault-rate R        inject deterministic hardware failures (compile
-                          errors, timeouts, device resets, outlier timings)
-                          into the measurement path at composite rate R
-                          [default: 0]
-    --max-retries N       measurement retries before a candidate is
-                          quarantined [default: 2]
-    --checkpoint <file>   write a crash-safe campaign checkpoint (atomic
-                          rename) every --checkpoint-every rounds
-    --checkpoint-every N  rounds between checkpoint writes [default: 5]
-    --halt-after N        stop after N rounds (simulates a crash for
-                          kill-and-resume testing)
-    --resume <file>       continue an interrupted campaign from a checkpoint;
-                          the result is byte-identical to an uninterrupted
-                          run (campaign flags come from the checkpoint)
-    --deadline S          run under the crash-safe supervisor with a wall-clock
-                          budget of S host seconds; on expiry the campaign is
-                          parked (checkpointed) and the exit code is 3
-    --watchdog-secs S     supervisor watchdog: restart the campaign from its
-                          last checkpoint if a round makes no progress for S
-                          host seconds [default: 30]
-    --max-restarts N      supervised restarts allowed before the campaign is
-                          quarantined (exit code 4) [default: 3]
-    --show-schedules N    print the N best tuned schedules as pseudo-TIR [default: 1]
-    --output <file>       write the tuning result as JSON
-    --trace-out <file>    record the campaign as versioned JSONL trace events
-                          (funnel per round, spans, faults, counters) and
-                          write them atomically to <file>
-    --report              print an end-of-campaign summary table (funnel,
-                          simulated-time ledger, host wall clock, faults)
-                          to stderr
-    --store <file>        persist every measurement verdict to an append-only
-                          JSONL tuning-record store (see docs/STORE_FORMAT.md)
-                          and warm-start from records of earlier campaigns on
-                          the same platform
-    --warm-start on|off   with --store, replay matching records before round 0
-                          (pre-seed the measurement cache and pre-train the
-                          cost model); `off` records without replaying
-                          [default: on]
+
+`--backend cpu` runs every candidate on the host CPU and reports wall time
+(docs/FIDELITY.md; PRUNER_CPU_THREADS sets its threads). A resumed campaign
+takes its flags from the checkpoint. --deadline, --watchdog-secs or
+--max-restarts runs the campaign under the crash-safe supervisor.
 
 EXIT CODES:
-    0                     campaign completed
-    1                     usage or I/O error
-    3                     supervised campaign hit --deadline and was parked
-    4                     supervised campaign was quarantined (too many faults)
-
-RECORDS SUBCOMMAND (inspect a store without tuning):
-    stats                 print record counts per platform/workload/verdict
-                          plus corruption counters from loading the file
-    compact               rewrite the store atomically, dropping duplicate and
-                          damaged lines
-    export                convert successful records into a pruner-dataset
-                          JSON file (--output) for offline pre-training;
-                          --platform selects one platform when the store
-                          holds several
+    0    campaign completed
+    1    usage or I/O error
+    3    supervised campaign hit --deadline and was parked
+    4    supervised campaign was quarantined (too many faults)
 ";
+
+const RECORDS_HELP: &str = "\
+pruner-tune records: inspect a tuning-record store without tuning
+
+USAGE:
+    pruner-tune records (stats | compact | export) --store records.jsonl
+                [--platform <p>] [--output dataset.json]
+
+OPTIONS:
+
+MODES:
+    stats      record counts per platform/workload/verdict, corruption counters
+    compact    rewrite the store atomically without duplicate or damaged lines
+    export     successful records as a pruner-dataset JSON file (--output);
+               --platform picks one platform when the store holds several
+
+EXIT CODES:
+    0    done
+    1    usage or I/O error
+";
+
+const SERVE_HELP: &str = "\
+pruner-tune serve: resident multi-tenant tuning daemon (see docs/SERVING.md)
+
+USAGE:
+    pruner-tune serve start --socket <path> --state-dir <dir> [OPTIONS]
+    pruner-tune serve submit --socket <path> --tenant <name> --platform <p>
+                (--network <name> | --matmul B,M,N,K | --conv2d N,C,H,W,CO,K,S,P)...
+                [OPTIONS]
+    pruner-tune serve (status | cancel) --socket <path> --campaign <id> [--output file.json]
+    pruner-tune serve predict --socket <path> --model <name> --matmul B,M,N,K...
+    pruner-tune serve shutdown --socket <path>
+
+OPTIONS:
+
+--model names a daemon model (<model-dir>/<name>.json, then a built-in kind)
+shared frozen across tenants; a campaign without one trains its own PaCM,
+byte-identical to the one-shot CLI.
+
+EXIT CODES:
+    0    request served (status: campaign exists, any state)
+    1    usage error, connection failure, or daemon-side error reply
+";
+
+const FLEET_HELP: &str = "\
+pruner-tune fleet: tune one workload suite across an ordered roster of
+devices with a shared continually-learning cost model (see docs/FLEET.md)
+
+USAGE:
+    pruner-tune fleet --state-dir <dir> (--roster <p1,p2,...> | --roster-file specs.json)
+                (--matmul B,M,N,K | --conv2d N,C,H,W,CO,K,S,P)... [OPTIONS]
+
+OPTIONS:
+
+--trials is per stage. A roster device may repeat (its scoring head is
+restored), and a stage warm-starts from --store records of its own device
+only. --output holds the per-stage results and the transfer/forgetting report.
+
+EXIT CODES:
+    0    roster completed
+    1    usage or I/O error
+    3    fleet parked mid-roster (--halt-after-stage or stage deadline)
+";
+
+/// The help of subcommand `cmd`: its hand-written synopsis and prose, with
+/// the OPTIONS block rendered from [`FLAGS`].
+fn help(cmd: u8) -> String {
+    let text = match cmd {
+        RECORDS => RECORDS_HELP,
+        SERVE => SERVE_HELP,
+        FLEET => FLEET_HELP,
+        _ => TUNE_HELP,
+    };
+    let mut options = String::from("OPTIONS:\n");
+    for f in FLAGS.iter().filter(|f| f.cmds & cmd != 0) {
+        let usage = format!("{} {}", f.name, f.metavar.unwrap_or_default());
+        options += &format!("    {:<26} {}\n", usage.trim_end(), f.help);
+    }
+    text.replacen("OPTIONS:\n", &options, 1)
+}
+
+/// The flags one command line gave, in order, each accepted by the table.
+struct Flags {
+    given: Vec<(&'static str, String)>,
+}
+
+/// Matches `argv` against [`FLAGS`] for subcommand `cmd`. A flag is
+/// looked up before its value is read, so an unknown flag is reported as
+/// such wherever it stands and never swallows the next argument. `None`
+/// means `--help`/`-h` was given.
+fn parse(cmd: u8, argv: &[String]) -> Result<Option<Flags>, String> {
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(None);
+    }
+    let mut given = Vec::new();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let known = FLAGS.iter().find(|f| f.name == arg && f.cmds & cmd != 0);
+        let f = known.ok_or_else(|| format!("unknown flag `{arg}`"))?;
+        let value = match f.metavar {
+            None => String::new(),
+            Some(_) => it.next().ok_or_else(|| format!("{} expects a value", f.name))?.clone(),
+        };
+        given.push((f.name, value));
+    }
+    Ok(Some(Flags { given }))
+}
+
+/// The typed getters: each kind of value is parsed and checked here, once,
+/// for every subcommand that accepts it.
+impl Flags {
+    /// Every value given for `name`, in order.
+    fn all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.given.iter().filter(move |(n, _)| *n == name).map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.all(name).next().is_some()
+    }
+
+    fn string(&self, name: &str) -> Option<String> {
+        self.all(name).last().map(str::to_string)
+    }
+
+    /// The last value of `name` through `parse`; every earlier value must
+    /// parse too.
+    fn get<T>(&self, name: &str, parse: impl Fn(&str) -> Result<T, String>) -> Parsed<T> {
+        self.all(name).try_fold(None, |_, value| parse(value).map(Some))
+    }
+
+    /// A number that must lie in `range`; `what` states the range in the
+    /// error.
+    fn ranged<T: Num>(&self, name: &str, range: impl RangeBounds<T>, what: &str) -> Parsed<T> {
+        self.get(name, |v| {
+            let x: T = v.parse().map_err(|e| format!("{name}: {e}"))?;
+            range.contains(&x).then_some(x).ok_or_else(|| format!("{name} must be {what}"))
+        })
+    }
+
+    /// Any number of type `T`.
+    fn num<T: Num>(&self, name: &str) -> Parsed<T> {
+        self.ranged(name, .., "")
+    }
+
+    /// Host seconds (`--deadline`, `--watchdog-secs`): positive and finite.
+    fn secs(&self, name: &str) -> Parsed<f64> {
+        let positive = (Bound::Excluded(0.0), Bound::Excluded(f64::INFINITY));
+        self.ranged(name, positive, "positive and finite")
+    }
+
+    fn platform(&self) -> Parsed<GpuSpec> {
+        self.get("--platform", spec)
+    }
+
+    fn network(&self) -> Parsed<Network> {
+        self.get("--network", |v| {
+            zoo::by_short_name(v, 1).ok_or_else(|| format!("unknown network `{v}`"))
+        })
+    }
+
+    /// The `--matmul`/`--conv2d` tasks, in command-line order.
+    fn workloads(&self) -> Result<Vec<Workload>, String> {
+        let tasks = self.given.iter().filter(|(n, _)| matches!(*n, "--matmul" | "--conv2d"));
+        tasks.map(|(n, v)| workload(n, v)).collect()
+    }
+
+    /// The `--roster` presets, then the devices of `--roster-file`.
+    fn roster(&self) -> Result<Vec<GpuSpec>, String> {
+        let mut roster = Vec::new();
+        for name in self.all("--roster").flat_map(|v| v.split(',')) {
+            roster.push(spec(name.trim()).map_err(|e| format!("--roster: {e}"))?);
+        }
+        if let Some(path) = self.string("--roster-file") {
+            let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+            let extra: Vec<GpuSpec> =
+                serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+            roster.extend(extra);
+        }
+        Ok(roster)
+    }
+
+    /// The campaign configuration every tuning subcommand shares. Trials
+    /// become rounds here, once; `default_trials` applies when `--trials`
+    /// is absent (otherwise the config's own rounds stand).
+    fn config(&self, default_trials: Option<usize>) -> Result<TunerConfig, String> {
+        let d = TunerConfig::default();
+        let mut cfg = TunerConfig {
+            seed: self.num("--seed")?.unwrap_or(d.seed),
+            threads: self.ranged("--threads", 1.., "at least 1")?.unwrap_or(d.threads),
+            use_psa: !self.has("--no-psa"),
+            fault_rate: self.ranged("--fault-rate", 0.0..=0.9, "in [0, 0.9]")?.unwrap_or(0.0),
+            max_retries: self.num("--max-retries")?.unwrap_or(d.max_retries),
+            checkpoint_every: self.num("--checkpoint-every")?.unwrap_or(d.checkpoint_every),
+            halt_after: self.num("--halt-after")?,
+            ..d
+        };
+        let m = cfg.measure_per_round;
+        let trials = self.ranged("--trials", m.., &format!("at least {m} (one round)"))?;
+        if let Some(trials) = trials.or(default_trials) {
+            cfg.rounds = trials / m;
+        }
+        Ok(cfg)
+    }
+
+    /// The supervision policy: `--deadline`, `--watchdog-secs` and
+    /// `--max-restarts` over the supervisor's defaults.
+    fn supervisor(&self) -> Result<SupervisorConfig, String> {
+        let d = SupervisorConfig::default();
+        Ok(SupervisorConfig {
+            wall_deadline_s: self.secs("--deadline")?,
+            watchdog_timeout_s: self.secs("--watchdog-secs")?.unwrap_or(d.watchdog_timeout_s),
+            max_restarts: self.num("--max-restarts")?.unwrap_or(d.max_restarts),
+            ..d
+        })
+    }
+}
+
+/// What a getter returns: the flag's checked value, if it was given.
+type Parsed<T> = Result<Option<T>, String>;
+
+/// A number a flag can hold.
+trait Num: FromStr<Err: Display> + PartialOrd {}
+impl<T: FromStr<Err: Display> + PartialOrd> Num for T {}
+
+/// A platform preset by name — the one place a name becomes a [`GpuSpec`].
+fn spec(name: &str) -> Result<GpuSpec, String> {
+    GpuSpec::by_name(name).ok_or_else(|| format!("unknown platform `{name}`"))
+}
 
 fn parse_u64_list(s: &str, n: usize, flag: &str) -> Result<Vec<u64>, String> {
     let parts: Result<Vec<u64>, _> = s.split(',').map(|p| p.trim().parse()).collect();
@@ -155,340 +363,387 @@ fn parse_u64_list(s: &str, n: usize, flag: &str) -> Result<Vec<u64>, String> {
     }
 }
 
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        platform: GpuSpec::t4(),
-        backend: BackendChoice::Sim,
-        network: None,
-        workloads: Vec::new(),
-        trials: 800,
-        seed: 42,
-        threads: None,
-        model: ModelKind::Pacm,
-        use_psa: true,
-        fault_rate: 0.0,
-        max_retries: None,
-        checkpoint: None,
-        checkpoint_every: None,
-        resume: None,
-        halt_after: None,
-        deadline: None,
-        watchdog_secs: None,
-        max_restarts: None,
-        show_schedules: 1,
-        output: None,
-        trace_out: None,
-        report: false,
-        store: None,
-        warm_start: true,
-    };
-    let mut it = std::env::args().skip(1);
-    let mut saw_platform = false;
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--platform" => {
-                let v = value("--platform")?;
-                args.platform =
-                    GpuSpec::by_name(&v).ok_or_else(|| format!("unknown platform `{v}`"))?;
-                saw_platform = true;
-            }
-            "--backend" => {
-                args.backend = match value("--backend")?.as_str() {
-                    "sim" => BackendChoice::Sim,
-                    "cpu" => BackendChoice::Cpu,
-                    other => return Err(format!("--backend expects sim|cpu, got `{other}`")),
-                }
-            }
-            "--network" => {
-                let v = value("--network")?;
-                args.network = Some(
-                    zoo::by_short_name(&v, 1).ok_or_else(|| format!("unknown network `{v}`"))?,
-                );
-            }
-            flag @ ("--matmul" | "--conv2d") => {
-                parse_workload_flag(flag, &value(flag)?, &mut args.workloads)?;
-            }
-            "--trials" => {
-                args.trials =
-                    value("--trials")?.parse().map_err(|e| format!("--trials: {e}"))?
-            }
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--threads" => {
-                let n: usize =
-                    value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = Some(n);
-            }
-            "--model" => {
-                args.model = match value("--model")?.as_str() {
-                    "pacm" => ModelKind::Pacm,
-                    "ansor" => ModelKind::Ansor,
-                    "xgb" => ModelKind::AnsorXgb,
-                    "tensetmlp" => ModelKind::TensetMlp,
-                    "tlp" => ModelKind::Tlp,
-                    "random" => ModelKind::Random,
-                    other => return Err(format!("unknown model `{other}`")),
-                }
-            }
-            "--no-psa" => args.use_psa = false,
-            "--fault-rate" => {
-                let r: f64 =
-                    value("--fault-rate")?.parse().map_err(|e| format!("--fault-rate: {e}"))?;
-                if !(0.0..=0.9).contains(&r) {
-                    return Err("--fault-rate must be in [0, 0.9]".into());
-                }
-                args.fault_rate = r;
-            }
-            "--max-retries" => {
-                args.max_retries = Some(
-                    value("--max-retries")?
-                        .parse()
-                        .map_err(|e| format!("--max-retries: {e}"))?,
-                )
-            }
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
-            "--checkpoint-every" => {
-                args.checkpoint_every = Some(
-                    value("--checkpoint-every")?
-                        .parse()
-                        .map_err(|e| format!("--checkpoint-every: {e}"))?,
-                )
-            }
-            "--resume" => args.resume = Some(value("--resume")?),
-            "--halt-after" => {
-                args.halt_after = Some(
-                    value("--halt-after")?
-                        .parse()
-                        .map_err(|e| format!("--halt-after: {e}"))?,
-                )
-            }
-            "--deadline" => {
-                let s: f64 =
-                    value("--deadline")?.parse().map_err(|e| format!("--deadline: {e}"))?;
-                if s <= 0.0 {
-                    return Err("--deadline must be positive".into());
-                }
-                args.deadline = Some(s);
-            }
-            "--watchdog-secs" => {
-                let s: f64 = value("--watchdog-secs")?
-                    .parse()
-                    .map_err(|e| format!("--watchdog-secs: {e}"))?;
-                if s <= 0.0 {
-                    return Err("--watchdog-secs must be positive".into());
-                }
-                args.watchdog_secs = Some(s);
-            }
-            "--max-restarts" => {
-                args.max_restarts = Some(
-                    value("--max-restarts")?
-                        .parse()
-                        .map_err(|e| format!("--max-restarts: {e}"))?,
-                )
-            }
-            "--show-schedules" => {
-                args.show_schedules = value("--show-schedules")?
-                    .parse()
-                    .map_err(|e| format!("--show-schedules: {e}"))?
-            }
-            "--output" => args.output = Some(value("--output")?),
-            "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            "--report" => args.report = true,
-            "--store" => args.store = Some(value("--store")?),
-            "--warm-start" => {
-                args.warm_start = match value("--warm-start")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--warm-start expects on|off, got `{other}`")),
-                }
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+/// One `--matmul` or `--conv2d` task. Shapes the IR would panic on — a
+/// zero extent, stride or kernel, a kernel wider than the padded input —
+/// are usage errors here.
+fn workload(flag: &str, value: &str) -> Result<Workload, String> {
+    if flag == "--matmul" {
+        let v = parse_u64_list(value, 4, flag)?;
+        if v.contains(&0) {
+            return Err(format!("--matmul extents must be at least 1, got `{value}`"));
         }
+        return Ok(Workload::matmul(v[0], v[1], v[2], v[3]));
     }
-    if args.resume.is_none() {
-        if !saw_platform {
+    let v = parse_u64_list(value, 8, flag)?;
+    let padded = v[2].min(v[3]).saturating_add(v[7].saturating_mul(2));
+    if v[..7].contains(&0) || v[5] > padded {
+        return Err(format!(
+            "--conv2d N,C,H,W,CO,K,S must be at least 1 and K fit the padded input, got `{value}`"
+        ));
+    }
+    Ok(Workload::conv2d(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]))
+}
+
+/// Which measurement backend a campaign runs on.
+#[derive(Clone, Copy, PartialEq)]
+enum BackendChoice {
+    /// The analytical GPU simulator (default).
+    Sim,
+    /// The executable CPU backend: latency is host wall-clock time.
+    Cpu,
+}
+
+/// `--output`, `--trace-out` and `--report`: where `tune` and `fleet`
+/// send what a run produced.
+struct Outputs {
+    output: Option<String>,
+    trace_out: Option<String>,
+    report: bool,
+}
+
+impl Outputs {
+    fn new(f: &Flags) -> Outputs {
+        let (output, trace_out) = (f.string("--output"), f.string("--trace-out"));
+        Outputs { output, trace_out, report: f.has("--report") }
+    }
+
+    /// One shared trace buffer for `--trace-out` and `--report`: the run
+    /// records into a clone, this one stays behind to render.
+    fn trace(&self) -> Option<TraceHandle> {
+        (self.trace_out.is_some() || self.report).then(TraceHandle::new)
+    }
+
+    /// Writes `--output` as pretty JSON.
+    fn write(&self, result: &impl serde::Serialize) -> Result<(), String> {
+        let Some(path) = &self.output else { return Ok(()) };
+        let error = |e: &dyn Display| format!("error writing {path}: {e}");
+        let file = std::fs::File::create(path).map_err(|e| error(&e))?;
+        serde_json::to_writer_pretty(file, result).map_err(|e| error(&e))?;
+        println!("result written to {path}");
+        Ok(())
+    }
+
+    /// Writes `--trace-out` and prints `--report`.
+    fn finish(&self, trace: Option<&TraceHandle>) -> Result<(), String> {
+        let Some(trace) = trace else { return Ok(()) };
+        if let Some(path) = &self.trace_out {
+            let written = trace.write_atomic(Path::new(path));
+            written.map_err(|e| format!("error writing trace {path}: {e}"))?;
+            println!("trace written to {path} ({} events)", trace.len());
+        }
+        if self.report {
+            eprint!("{}", trace.report().render());
+        }
+        Ok(())
+    }
+}
+
+/// A checked `tune` command line.
+struct Tune {
+    /// `--platform` (unused when resuming).
+    spec: GpuSpec,
+    backend: BackendChoice,
+    network: Option<Network>,
+    workloads: Vec<Workload>,
+    config: TunerConfig,
+    model: ModelKind,
+    checkpoint: Option<String>,
+    resume: Option<String>,
+    /// `Some` when a supervision flag was given.
+    supervisor: Option<SupervisorConfig>,
+    show_schedules: usize,
+    store: Option<String>,
+    warm_start: bool,
+    out: Outputs,
+}
+
+/// Splits off the subcommand: `records`, `serve` or `fleet`, else `tune`.
+fn subcommand(argv: &[String]) -> (u8, &[String]) {
+    match argv.first().map(String::as_str) {
+        Some("records") => (RECORDS, &argv[1..]),
+        Some("serve") => (SERVE, &argv[1..]),
+        Some("fleet") => (FLEET, &argv[1..]),
+        _ => (TUNE, argv),
+    }
+}
+
+/// A checked command line, ready to run.
+type Run = Box<dyn FnOnce() -> Exit>;
+
+/// Parses and checks a whole command line without running anything.
+/// `None` asks for the subcommand's help.
+fn plan(argv: &[String]) -> Result<Option<Run>, String> {
+    let (cmd, argv) = subcommand(argv);
+    // `records` and `serve` name a mode before their flags.
+    let (mode, argv) = match (cmd, argv.split_first()) {
+        (RECORDS | SERVE, Some((mode, rest))) => (mode.clone(), rest),
+        _ => (String::new(), argv),
+    };
+    if matches!(mode.as_str(), "--help" | "-h" | "help") || (cmd == SERVE && mode.is_empty()) {
+        return Ok(None);
+    }
+    let Some(f) = parse(cmd, argv)? else { return Ok(None) };
+    let run = match cmd {
+        TUNE => plan_tune(&f)?,
+        RECORDS => plan_records(mode, &f)?,
+        SERVE => plan_serve(&mode, &f)?,
+        _ => plan_fleet(&f)?,
+    };
+    Ok(Some(run))
+}
+
+fn plan_records(mode: String, f: &Flags) -> Result<Run, String> {
+    if !matches!(mode.as_str(), "stats" | "compact" | "export") {
+        return Err(format!("records expects stats|compact|export, got `{mode}`"));
+    }
+    let output = f.string("--output");
+    if mode == "export" && output.is_none() {
+        return Err("export needs --output <dataset.json>".into());
+    }
+    let store = f.string("--store").ok_or("records needs --store <file>")?;
+    let platform = f.platform()?;
+    Ok(Box::new(move || records(&mode, &store, platform, output)))
+}
+
+fn plan_tune(f: &Flags) -> Result<Run, String> {
+    let resume = f.string("--resume");
+    let platform = f.platform()?;
+    let network = f.network()?;
+    let workloads = f.workloads()?;
+    if resume.is_none() {
+        if platform.is_none() {
             return Err("--platform is required".into());
         }
-        if args.network.is_none() && args.workloads.is_empty() {
+        if network.is_none() && workloads.is_empty() {
             return Err("give --network or at least one --matmul/--conv2d".into());
         }
     }
-    if args.backend == BackendChoice::Cpu && args.fault_rate > 0.0 {
+    let backend = f.get("--backend", |v| match v {
+        "sim" => Ok(BackendChoice::Sim),
+        "cpu" => Ok(BackendChoice::Cpu),
+        _ => Err(format!("--backend expects sim|cpu, got `{v}`")),
+    })?;
+    let backend = backend.unwrap_or(BackendChoice::Sim);
+    let config = f.config(Some(800))?;
+    if backend == BackendChoice::Cpu && config.fault_rate > 0.0 {
         return Err("--fault-rate applies only to --backend sim (cpu faults are real)".into());
     }
-    let supervised =
-        args.deadline.is_some() || args.watchdog_secs.is_some() || args.max_restarts.is_some();
-    if supervised && args.resume.is_some() {
-        return Err(
-            "supervision flags do not combine with --resume; point --checkpoint at the \
-             file instead (the supervisor resumes from it automatically)"
-                .into(),
-        );
+    let supervised = ["--deadline", "--watchdog-secs", "--max-restarts"].iter().any(|n| f.has(n));
+    if supervised && resume.is_some() {
+        return Err("supervision flags do not combine with --resume; use --checkpoint".into());
     }
-    Ok(args)
-}
-
-/// Applies the resume-time flags (new checkpoint path, trace recorder,
-/// record store) and runs a restored campaign, for either backend.
-fn run_resumed<B: pruner::gpu::Backend>(
-    mut pruner: Pruner<B>,
-    args: &Args,
-    trace: &Option<pruner::trace::TraceHandle>,
-) -> Result<pruner::tuner::TuningResult, String> {
-    if let Some(path) = &args.checkpoint {
-        pruner.tuner_mut().set_checkpoint_path(path.clone());
-    }
-    if let Some(trace) = trace {
-        pruner.tuner_mut().set_recorder(Box::new(trace.clone()));
-    }
-    if let Some(path) = &args.store {
-        // Resumed campaigns never replay (they continue mid-search);
-        // the store keeps recording fresh verdicts.
-        let store = pruner::store::Store::open(path)
-            .map_err(|e| format!("error opening store {path}: {e}"))?;
-        pruner.tuner_mut().set_store(store, args.warm_start);
-    }
-    Ok(pruner.tune())
-}
-
-/// Builds the campaign from the parsed flags — shared by the plain and
-/// supervised paths (the supervisor calls it again on a restart that
-/// found no checkpoint on disk yet).
-fn make_builder(
-    args: &Args,
-    trace: &Option<pruner::trace::TraceHandle>,
-) -> pruner::PrunerBuilder {
-    let mut builder = Pruner::builder(args.platform.clone())
-        .config(TunerConfig::default())
-        .model(args.model)
-        .seed(args.seed)
-        .trials(args.trials)
-        .fault_rate(args.fault_rate);
-    if let Some(threads) = args.threads {
-        builder = builder.threads(threads);
-    }
-    if !args.use_psa {
-        builder = builder.without_psa();
-    }
-    if let Some(retries) = args.max_retries {
-        builder = builder.max_retries(retries);
-    }
-    if let Some(path) = &args.checkpoint {
-        builder = builder.checkpoint(path);
-    }
-    if let Some(every) = args.checkpoint_every {
-        builder = builder.checkpoint_every(every);
-    }
-    if let Some(halt) = args.halt_after {
-        builder = builder.halt_after(halt);
-    }
-    if let Some(path) = &args.store {
-        builder = builder.store(path).warm_start(args.warm_start);
-    }
-    if let Some(trace) = trace {
-        builder = builder.recorder(Box::new(trace.clone()));
-    }
-    if let Some(net) = &args.network {
-        builder = builder.network(net);
-    }
-    for wl in &args.workloads {
-        builder = builder.workload(wl.clone());
-    }
-    builder
-}
-
-/// Runs a campaign under the crash-safe supervisor (`--deadline` /
-/// `--watchdog-secs` / `--max-restarts`). Returns the result on
-/// completion, or the process exit code on a deadline park (3) or
-/// quarantine (4).
-fn run_supervised<B, F>(
-    args: &Args,
-    trace: &Option<pruner::trace::TraceHandle>,
-    make_fresh: F,
-) -> Result<pruner::tuner::TuningResult, ExitCode>
-where
-    B: pruner::gpu::Backend,
-    F: Fn(&Args, &Option<pruner::trace::TraceHandle>) -> Pruner<B>,
-{
-    use pruner::tuner::{CampaignOutcome, Supervisor, SupervisorConfig, Tuner};
-    let cfg = SupervisorConfig {
-        wall_deadline_s: args.deadline,
-        watchdog_timeout_s: args.watchdog_secs.unwrap_or(30.0),
-        max_restarts: args.max_restarts.unwrap_or(3),
-        seed: args.seed,
-        checkpoint: args.checkpoint.as_ref().map(std::path::PathBuf::from),
-        ..SupervisorConfig::default()
+    let checkpoint = f.string("--checkpoint");
+    let supervisor = SupervisorConfig {
+        seed: config.seed,
+        checkpoint: checkpoint.as_ref().map(Into::into),
+        ..f.supervisor()?
     };
-    let mut supervisor = Supervisor::new(cfg);
+    let model = f.get("--model", |v| match v {
+        "pacm" => Ok(ModelKind::Pacm),
+        "ansor" => Ok(ModelKind::Ansor),
+        "xgb" => Ok(ModelKind::AnsorXgb),
+        "tensetmlp" => Ok(ModelKind::TensetMlp),
+        "tlp" => Ok(ModelKind::Tlp),
+        "random" => Ok(ModelKind::Random),
+        _ => Err(format!("unknown model `{v}`")),
+    })?;
+    let warm_start = f.get("--warm-start", |v| match v {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        _ => Err(format!("--warm-start expects on|off, got `{v}`")),
+    })?;
+    let t = Tune {
+        spec: platform.unwrap_or_else(GpuSpec::t4),
+        backend,
+        network,
+        workloads,
+        config,
+        model: model.unwrap_or(ModelKind::Pacm),
+        checkpoint,
+        resume,
+        supervisor: supervised.then_some(supervisor),
+        show_schedules: f.num("--show-schedules")?.unwrap_or(1),
+        store: f.string("--store"),
+        warm_start: warm_start.unwrap_or(true),
+        out: Outputs::new(f),
+    };
+    Ok(Box::new(move || tune(t)))
+}
+
+/// Checks one `serve` verb's flags and builds its request, before any
+/// connection is made.
+fn plan_serve(verb: &str, f: &Flags) -> Result<Run, String> {
+    let socket = f.string("--socket").ok_or("serve needs --socket <path>")?;
+    let campaign =
+        || f.string("--campaign").ok_or_else(|| format!("serve {verb} needs --campaign <id>"));
+    let request = match verb {
+        "start" => {
+            let state_dir = f.string("--state-dir").ok_or("serve start needs --state-dir <dir>")?;
+            let d = ServeConfig::new(socket, state_dir);
+            let cfg = ServeConfig {
+                workers: f.num("--workers")?.unwrap_or(d.workers),
+                per_tenant_budget: f.num("--budget")?.unwrap_or(d.per_tenant_budget),
+                model_dir: f.string("--model-dir").map(Into::into),
+                predict_threads: f.num("--predict-threads")?.unwrap_or(d.predict_threads),
+                ..d
+            };
+            return Ok(Box::new(move || serve_start(cfg)));
+        }
+        "submit" => {
+            let tenant = f.string("--tenant").ok_or("serve submit needs --tenant <name>")?;
+            let spec = f.platform()?.ok_or("serve submit needs --platform <p>")?;
+            let config = f.config(None)?;
+            let mut workloads: Vec<(Workload, u64)> =
+                f.workloads()?.into_iter().map(|wl| (wl, 1)).collect();
+            if let Some(net) = f.network()? {
+                workloads.extend(net.subgraphs().iter().map(|sg| (sg.workload.clone(), sg.weight)));
+            }
+            if workloads.is_empty() {
+                return Err("serve submit needs --network or --matmul/--conv2d".into());
+            }
+            Request::SubmitCampaign { tenant, spec, workloads, config, model: f.string("--model") }
+        }
+        "status" => Request::Status { campaign: campaign()? },
+        "cancel" => Request::Cancel { campaign: campaign()? },
+        "predict" => {
+            let workloads = f.workloads()?;
+            if workloads.is_empty() {
+                return Err("serve predict needs at least one --matmul/--conv2d".into());
+            }
+            Request::PredictOnly {
+                model: f.string("--model").ok_or("serve predict needs --model <name>")?,
+                programs: workloads.iter().map(Program::fallback).collect(),
+            }
+        }
+        "shutdown" => Request::Shutdown,
+        other => return Err(format!("unknown serve verb `{other}`")),
+    };
+    let output = f.string("--output");
+    Ok(Box::new(move || serve_call(&socket, &request, output)))
+}
+
+fn plan_fleet(f: &Flags) -> Result<Run, String> {
+    let state_dir = f.string("--state-dir").ok_or("fleet needs --state-dir <dir>")?;
+    let roster = f.roster()?;
+    if roster.is_empty() {
+        return Err("fleet needs --roster and/or --roster-file".into());
+    }
+    let workloads = f.workloads()?;
+    if workloads.is_empty() {
+        return Err("fleet needs at least one --matmul/--conv2d".into());
+    }
+    let tuner = f.config(None)?;
+    let cfg = FleetConfig {
+        roster,
+        workloads: workloads.into_iter().map(|wl| (wl, 1)).collect(),
+        tuner,
+        momentum: f.ranged("--momentum", 0.0..=1.0, "in [0, 1]")?.unwrap_or(0.99),
+        pretrain_per_workload: f.num("--pretrain")?.unwrap_or(64),
+        probes_per_workload: f.ranged("--probes", 1.., "at least 1")?.unwrap_or(32),
+        pretrain_epochs: 3,
+        seed: tuner.seed,
+        state_dir: state_dir.into(),
+        store: f.string("--store").map(Into::into),
+        halt_after_stages: f.num("--halt-after-stage")?,
+        supervisor: f.supervisor()?,
+    };
+    let out = Outputs::new(f);
+    Ok(Box::new(move || fleet(cfg, out)))
+}
+
+fn open_store(path: &str) -> Result<Store, String> {
+    Store::open(path).map_err(|e| format!("error opening store {path}: {e}"))
+}
+
+/// Re-attaches what a checkpoint does not carry — the checkpoint path,
+/// the trace recorder and the record store — to any campaign: fresh,
+/// resumed or restarted. A resumed campaign records without replaying.
+fn attach<B: Backend>(
+    tuner: &mut Tuner<B>,
+    t: &Tune,
+    trace: Option<&TraceHandle>,
+) -> Result<(), String> {
+    if let Some(path) = &t.checkpoint {
+        tuner.set_checkpoint_path(path);
+    }
+    if let Some(trace) = trace {
+        tuner.set_recorder(Box::new(trace.clone()));
+    }
+    if let Some(path) = &t.store {
+        tuner.set_store(open_store(path)?, t.warm_start);
+    }
+    Ok(())
+}
+
+/// Runs one campaign on backend `B` — fresh, `--resume`d or supervised.
+/// `Ok(Err(code))` is a supervised park (3) or quarantine (4), already
+/// reported.
+fn campaign<B: Backend>(
+    t: &Tune,
+    trace: Option<&TraceHandle>,
+    backend: fn(GpuSpec) -> B,
+) -> Result<Result<TuningResult, ExitCode>, String> {
+    // One attempt: from the checkpoint the supervisor loaded, from one on
+    // disk (`--resume`, or the `--checkpoint` of a parked supervised run),
+    // or fresh.
+    let start = |ckpt: Option<Checkpoint>| -> Result<Tuner<B>, String> {
+        let on_disk = match t.supervisor {
+            None => t.resume.as_deref(),
+            Some(_) => t.checkpoint.as_deref().filter(|p| Path::new(p).exists()),
+        };
+        let mut tuner = match (ckpt, on_disk) {
+            (Some(ckpt), _) => Tuner::from_checkpoint_backend(ckpt).map_err(|e| e.to_string())?,
+            (None, Some(path)) => {
+                Tuner::resume(path).map_err(|e| format!("error resuming from {path}: {e}"))?
+            }
+            (None, None) => {
+                let mut builder = Pruner::builder(t.spec.clone()).config(t.config).model(t.model);
+                if let Some(net) = &t.network {
+                    builder = builder.network(net);
+                }
+                for wl in &t.workloads {
+                    builder = builder.workload(wl.clone());
+                }
+                builder.build_with(backend(t.spec.clone())).into_tuner()
+            }
+        };
+        attach(&mut tuner, t, trace)?;
+        Ok(tuner)
+    };
+    let Some(cfg) = &t.supervisor else { return Ok(Ok(start(None)?.run())) };
+
+    // A store that cannot be opened is an error to report, not a fault
+    // for the supervisor to retry.
+    if let Some(path) = &t.store {
+        open_store(path)?;
+    }
+    let mut supervisor = Supervisor::new(cfg.clone());
     if let Some(trace) = trace {
         supervisor.set_recorder(Box::new(trace.clone()));
     }
-    // Re-attach what a checkpoint does not carry — the checkpoint path,
-    // the trace recorder and the record store (a resumed campaign
-    // records without replaying).
-    let attach = |mut tuner: Tuner<B>| -> std::io::Result<Tuner<B>> {
-        if let Some(path) = &args.checkpoint {
-            tuner.set_checkpoint_path(path.clone());
-        }
-        if let Some(tr) = trace {
-            tuner.set_recorder(Box::new(tr.clone()));
-        }
-        if let Some(path) = &args.store {
-            let store = pruner::store::Store::open(path)
-                .map_err(|e| std::io::Error::new(e.kind(), format!("store {path}: {e}")))?;
-            tuner.set_store(store, args.warm_start);
-        }
-        Ok(tuner)
-    };
-    let run = supervisor.run(|ckpt| match ckpt {
-        // A restart: rebuild from the checkpoint the supervisor loaded.
-        Some(ckpt) => attach(Tuner::<B>::from_checkpoint_backend(ckpt)?),
-        // First attempt: pick up a previously parked campaign if the
-        // checkpoint file already exists (this is how a deadline-parked
-        // run is continued), otherwise start fresh.
-        None => match args.checkpoint.as_deref().filter(|p| std::path::Path::new(p).exists()) {
-            Some(path) => attach(Tuner::<B>::resume_backend(path)?),
-            None => Ok(make_fresh(args, trace).into_tuner()),
-        },
-    });
+    let run = supervisor.run(|ckpt| start(ckpt).map_err(std::io::Error::other));
     for fault in &run.faults {
         eprintln!("supervisor: fault: {fault}");
     }
     if run.restarts > 0 {
         eprintln!("supervisor: recovered through {} restart(s)", run.restarts);
     }
-    match run.outcome {
+    let resume = t.checkpoint.as_deref().map(|p| format!(" (resume from {p})")).unwrap_or_default();
+    Ok(match run.outcome {
         CampaignOutcome::Completed => Ok(run.result.expect("completed campaigns carry a result")),
         CampaignOutcome::WallDeadlineExceeded | CampaignOutcome::SimDeadlineExceeded => {
             match &run.result {
                 Some(result) => println!(
-                    "deadline exceeded: campaign parked at best {:.4} ms after {} trials{}",
+                    "deadline exceeded: campaign parked at best {:.4} ms after {} trials{resume}",
                     result.best_latency_s * 1e3,
                     result.stats.trials,
-                    args.checkpoint
-                        .as_deref()
-                        .map(|p| format!(" (resume from {p})"))
-                        .unwrap_or_default(),
                 ),
                 None => eprintln!("deadline exceeded: campaign could not be parked"),
             }
             Err(ExitCode::from(3))
         }
         CampaignOutcome::Quarantined => {
-            eprintln!(
-                "supervisor: campaign quarantined after {} fault(s)",
-                run.faults.len()
-            );
+            eprintln!("supervisor: campaign quarantined after {} fault(s)", run.faults.len());
             Err(ExitCode::from(4))
         }
         // The one-shot CLI installs no external stop signal, so a
@@ -498,58 +753,93 @@ where
             eprintln!("supervisor: campaign cancelled");
             Err(ExitCode::from(3))
         }
-    }
+    })
 }
 
-/// Writes `--trace-out` and prints `--report`; returns `false` when the
-/// trace write failed.
-fn finish_trace(args: &Args, trace: &Option<pruner::trace::TraceHandle>) -> bool {
-    let Some(trace) = trace else { return true };
-    if let Some(path) = &args.trace_out {
-        if let Err(e) = trace.write_atomic(std::path::Path::new(path)) {
-            eprintln!("error writing trace {path}: {e}");
-            return false;
+/// `pruner-tune [flags]` — one tuning campaign.
+fn tune(t: Tune) -> Result<ExitCode, String> {
+    let trace = t.out.trace();
+    if let Some(path) = &t.resume {
+        println!("resuming : {path}");
+    } else {
+        println!("platform : {}", t.spec);
+        if t.backend == BackendChoice::Cpu {
+            println!("backend  : cpu (executable; latencies are host wall time)");
         }
-        println!("trace written to {path} ({} events)", trace.len());
+        if let Some(path) = &t.store {
+            println!("store    : {path} (warm start {})", if t.warm_start { "on" } else { "off" });
+        }
+        if let Some(net) = &t.network {
+            println!("network  : {net}");
+        }
+        for wl in &t.workloads {
+            println!("workload : {wl}");
+        }
     }
-    if args.report {
-        eprint!("{}", trace.report().render());
-    }
-    true
-}
-
-/// `pruner-tune records <mode>` — inspect/compact/export a tuning-record
-/// store without running a campaign.
-fn records_main(argv: &[String]) -> Result<(), String> {
-    use pruner::store::Store;
-
-    let mode = argv.first().map(String::as_str).unwrap_or_default();
-    if !matches!(mode, "stats" | "compact" | "export") {
-        return Err(format!("records expects stats|compact|export, got `{mode}`"));
-    }
-    let mut store_path = None;
-    let mut platform: Option<GpuSpec> = None;
-    let mut output = None;
-    let mut it = argv[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--store" => store_path = Some(value("--store")?),
-            "--platform" => {
-                let v = value("--platform")?;
-                platform =
-                    Some(GpuSpec::by_name(&v).ok_or_else(|| format!("unknown platform `{v}`"))?);
+    // The one backend dispatch. A checkpoint embeds its backend tag, so
+    // resuming with the wrong --backend fails cleanly instead of silently
+    // switching meters.
+    let run = match t.backend {
+        BackendChoice::Sim => campaign(&t, trace.as_ref(), Simulator::new)?,
+        BackendChoice::Cpu => campaign(&t, trace.as_ref(), CpuExec::new)?,
+    };
+    let result = match run {
+        Ok(result) => result,
+        Err(code) => {
+            // Deadline parks and quarantines still flush the trace — the
+            // supervisor.* records are the evidence.
+            if let Err(e) = t.out.finish(trace.as_ref()) {
+                eprintln!("{e}");
             }
-            "--output" => output = Some(value("--output")?),
-            other => return Err(format!("unknown flag `{other}`")),
+            return Ok(code);
+        }
+    };
+    let stats = &result.stats;
+    println!(
+        "\nbest latency : {:.4} ms   ({} trials, {:.0} simulated search seconds)",
+        result.best_latency_s * 1e3,
+        stats.trials,
+        stats.total_s()
+    );
+    if stats.failures > 0 {
+        println!(
+            "faults       : {} failed attempts ({} compile, {} timeout, {} reset, {} outlier), {} retried, {} quarantined, {:.0}s lost",
+            stats.failures,
+            stats.compile_errors,
+            stats.timeouts,
+            stats.device_resets,
+            stats.outliers,
+            stats.retries,
+            stats.quarantined,
+            stats.fault_time_s + stats.retry_backoff_s
+        );
+    }
+    if let Some(path) = &t.store {
+        match Store::open(path) {
+            Ok(store) => println!("store        : {} records in {path}", store.len()),
+            Err(e) => eprintln!("warning: cannot re-read store {path}: {e}"),
         }
     }
-    let path = store_path.ok_or("records needs --store <file>")?;
-    let store = Store::open(&path).map_err(|e| format!("cannot open store {path}: {e}"))?;
-    let stats = store.replay_stats();
+    // Best schedules, slowest tasks first (they dominate the end-to-end).
+    let mut order: Vec<usize> = (0..result.per_task_best.len()).collect();
+    order.sort_by(|&a, &b| result.per_task_best[b].1.total_cmp(&result.per_task_best[a].1));
+    for &i in order.iter().take(t.show_schedules) {
+        let (wl, lat) = &result.per_task_best[i];
+        println!("\n--- {} @ {:.4} ms ---", wl, lat * 1e3);
+        if let Some(prog) = &result.best_programs[i] {
+            print!("{}", render::render(prog));
+        }
+    }
+    t.out.write(&result)?;
+    t.out.finish(trace.as_ref())?;
+    Ok(ExitCode::SUCCESS)
+}
 
+/// `pruner-tune records <mode>` — inspect, compact or export a
+/// tuning-record store without running a campaign.
+fn records(mode: &str, path: &str, platform: Option<GpuSpec>, out: Option<String>) -> Exit {
+    let store = open_store(path)?;
+    let stats = store.replay_stats();
     match mode {
         "stats" => {
             println!("store    : {path}");
@@ -564,36 +854,29 @@ fn records_main(argv: &[String]) -> Result<(), String> {
                 stats.fingerprint_mismatches
             );
             // Per (platform, workload) verdict counts, first-seen order.
-            let mut order: Vec<(String, String)> = Vec::new();
-            let mut counts: std::collections::HashMap<(String, String), (usize, usize)> =
-                std::collections::HashMap::new();
+            let mut counts: Vec<((&str, &str), usize, usize)> = Vec::new();
+            let mut index = std::collections::HashMap::new();
             for r in store.records() {
-                let key = (r.spec.clone(), r.workload_fp.clone());
-                let entry = counts.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    (0, 0)
+                let key = (r.spec.as_str(), r.workload_fp.as_str());
+                let i = *index.entry(key).or_insert_with(|| {
+                    counts.push((key, 0, 0));
+                    counts.len() - 1
                 });
-                if r.outcome.is_success() {
-                    entry.0 += 1;
-                } else {
-                    entry.1 += 1;
-                }
+                let ok = r.outcome.is_success();
+                counts[i].1 += usize::from(ok);
+                counts[i].2 += usize::from(!ok);
             }
-            for key in &order {
-                let (ok, failed) = counts[key];
-                println!("  {:<14} {:<40} {ok:>6} ok {failed:>6} failed", key.0, key.1);
+            for ((spec, workload), ok, failed) in counts {
+                println!("  {spec:<14} {workload:<40} {ok:>6} ok {failed:>6} failed");
             }
         }
         "compact" => {
-            store.flush().map_err(|e| format!("cannot rewrite {path}: {e}"))?;
-            println!(
-                "compacted {path}: kept {} records, dropped {} lines",
-                store.len(),
-                stats.skipped()
-            );
+            store.flush().map_err(|e| format!("error rewriting {path}: {e}"))?;
+            let (kept, dropped) = (store.len(), stats.skipped());
+            println!("compacted {path}: kept {kept} records, dropped {dropped} lines");
         }
-        "export" => {
-            let out = output.ok_or("export needs --output <dataset.json>")?;
+        _ => {
+            let out = out.expect("export is planned with --output");
             let wanted_fp = platform.as_ref().map(|spec| spec.fingerprint());
             let successes: Vec<_> = store
                 .records()
@@ -601,716 +884,149 @@ fn records_main(argv: &[String]) -> Result<(), String> {
                 .filter(|r| wanted_fp.as_deref().is_none_or(|fp| r.spec_fp == fp))
                 .filter_map(|r| r.outcome.latency_s().map(|l| (r, l)))
                 .collect();
-            let mut platforms: Vec<&str> =
-                successes.iter().map(|(r, _)| r.spec.as_str()).collect();
+            if successes.is_empty() {
+                return Err(format!("error exporting {path}: no successful records"));
+            }
+            let mut platforms: Vec<&str> = successes.iter().map(|(r, _)| r.spec.as_str()).collect();
             platforms.sort_unstable();
             platforms.dedup();
-            let name = match (platform.as_ref(), platforms.as_slice()) {
-                (Some(spec), _) => spec.name.clone(),
-                (None, [single]) => (*single).to_string(),
-                (None, []) => return Err("no successful records to export".into()),
+            let name = match (platform, platforms.as_slice()) {
+                (Some(spec), _) => spec.name,
+                (None, [single]) => single.to_string(),
                 (None, many) => {
+                    let many = many.join(", ");
                     return Err(format!(
-                        "store holds {} platforms ({}); pick one with --platform",
-                        many.len(),
-                        many.join(", ")
-                    ))
+                        "error exporting {path}: it mixes {many}; pick a --platform"
+                    ));
                 }
             };
-            let ds = pruner::dataset::Dataset::from_measurements(
-                name,
-                successes.into_iter().map(|(r, l)| (r.program.clone(), l)),
-            );
-            if ds.num_programs() == 0 {
-                return Err("no successful records to export".into());
-            }
-            ds.save_json(&out).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!(
-                "exported {} programs across {} workloads to {out}",
-                ds.num_programs(),
-                ds.entries.len()
-            );
+            let programs = successes.into_iter().map(|(r, l)| (r.program.clone(), l));
+            let ds = pruner::dataset::Dataset::from_measurements(name, programs);
+            ds.save_json(&out).map_err(|e| format!("error writing {out}: {e}"))?;
+            let (n, workloads) = (ds.num_programs(), ds.entries.len());
+            println!("exported {n} programs across {workloads} workloads to {out}");
         }
-        _ => unreachable!(),
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
-
-const SERVE_USAGE: &str = "\
-pruner-tune serve: resident multi-tenant tuning daemon (see docs/SERVING.md)
-
-USAGE:
-    pruner-tune serve start --socket <path> --state-dir <dir>
-                [--workers N] [--budget N] [--model-dir <dir>]
-                [--predict-threads N]
-    pruner-tune serve submit --socket <path> --tenant <name> --platform <p>
-                (--network <name> | --matmul B,M,N,K | --conv2d N,C,H,W,CO,K,S,P)...
-                [--trials N] [--seed N] [--threads N] [--no-psa]
-                [--checkpoint-every N] [--model <name>]
-    pruner-tune serve status --socket <path> --campaign <id> [--output file.json]
-    pruner-tune serve cancel --socket <path> --campaign <id>
-    pruner-tune serve predict --socket <path> --model <name> --matmul B,M,N,K...
-    pruner-tune serve shutdown --socket <path>
-
-OPTIONS:
-    --socket <path>       Unix domain socket the daemon answers on
-    --state-dir <dir>     daemon state root: shared store, per-tenant campaign
-                          directories (checkpoints, manifests, results)
-    --workers N           concurrent campaign workers [default: 2]
-    --budget N            max concurrent campaigns per tenant [default: 1]
-    --model-dir <dir>     directory of pre-trained ModelSnapshot JSON files;
-                          `--model <name>` resolves <dir>/<name>.json first,
-                          then the built-in model kinds
-    --predict-threads N   predict_batch parallelism of the shared-model
-                          batchers [default: 1]
-    --tenant <name>       tenant the campaign belongs to ([a-zA-Z0-9_-])
-    --model <name>        submit: share the named frozen daemon model across
-                          tenants (predictions are batched); omit to train a
-                          fresh per-campaign PaCM, byte-identical to the
-                          one-shot CLI. predict: the model to score against
-    --campaign <id>       campaign id returned by submit
-    --output <file>       status: write the finished campaign's result JSON
-
-EXIT CODES:
-    0  request served (status: campaign exists, any state)
-    1  usage error, connection failure, or daemon-side error reply
-
-A daemon restarted on the same --state-dir resumes every in-flight
-campaign from its checkpoint; results are byte-identical to uninterrupted
-runs.
-";
-
-/// Parses and checks the repeated workload flags every subcommand shares
-/// (`tune`, `serve submit`, `serve predict`, `fleet`). Returns whether
-/// `flag` was one of them. Shapes the IR would panic on — a zero extent,
-/// stride or kernel, a kernel wider than the padded input — are usage
-/// errors here.
-fn parse_workload_flag(
-    flag: &str,
-    value: &str,
-    workloads: &mut Vec<Workload>,
-) -> Result<bool, String> {
-    match flag {
-        "--matmul" => {
-            let v = parse_u64_list(value, 4, "--matmul")?;
-            if v.contains(&0) {
-                return Err(format!("--matmul extents must be at least 1, got `{value}`"));
-            }
-            workloads.push(Workload::matmul(v[0], v[1], v[2], v[3]));
-            Ok(true)
-        }
-        "--conv2d" => {
-            let v = parse_u64_list(value, 8, "--conv2d")?;
-            let padded = v[2].min(v[3]).saturating_add(v[7].saturating_mul(2));
-            if v[..7].contains(&0) || v[5] > padded {
-                return Err(format!(
-                    "--conv2d N,C,H,W,CO,K,S must be at least 1 and K fit the padded input, got `{value}`"
-                ));
-            }
-            workloads.push(Workload::conv2d(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]));
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
-}
-
-const FLEET_USAGE: &str = "\
-pruner-tune fleet: tune one workload suite across an ordered roster of
-devices with a shared continually-learning cost model (see docs/FLEET.md)
-
-USAGE:
-    pruner-tune fleet --state-dir <dir> --roster <p1,p2,...>
-                (--matmul B,M,N,K | --conv2d N,C,H,W,CO,K,S,P)...
-                [--roster-file specs.json]
-                [--trials N] [--seed N] [--threads N] [--momentum F]
-                [--pretrain N] [--probes N] [--store records.jsonl]
-                [--halt-after-stage N]
-                [--watchdog-secs S] [--max-restarts N]
-                [--output fleet.json] [--trace-out file.jsonl] [--report]
-
-OPTIONS:
-    --state-dir <dir>     fleet state: the resume manifest (fleet.json) and
-                          per-stage supervisor checkpoints. Rerunning with
-                          the same directory resumes mid-roster,
-                          byte-identically to an uninterrupted run
-    --roster <list>       comma-separated device presets, in tuning order:
-                          k80 | t4 | titanv | a100 | orin. A device may
-                          repeat (its scoring head is restored on revisit)
-    --roster-file <file>  JSON array of full GpuSpec objects appended after
-                          the --roster presets (synthetic devices)
-    --matmul B,M,N,K      add a matmul task to the suite (repeatable)
-    --conv2d N,C,H,W,CO,K,S,P  add a conv2d task (repeatable)
-    --trials N            measurement budget per stage [default: 800]
-    --seed N              RNG seed (campaigns, pre-training, probes) [default: 42]
-    --threads N           pipeline worker threads; fleet results are
-                          byte-identical at any value [default: all host cores]
-    --momentum F          MTL momentum folding each stage into the shared
-                          Siamese trunk [default: 0.99]
-    --pretrain N          pre-training samples per workload drawn on the
-                          first roster device [default: 64]
-    --probes N            probe programs per workload per device for the
-                          anti-forgetting evaluation [default: 32]
-    --store <file>        shared measurement store; stages warm-start from
-                          records of their own device fingerprint only
-    --halt-after-stage N  park the fleet after N completed stages (exit 3);
-                          rerun with the same --state-dir to resume
-    --watchdog-secs S     per-stage supervisor watchdog [default: 30]
-    --max-restarts N      per-stage restarts before quarantine [default: 3]
-    --output <file>       write the FleetResult (per-stage results plus the
-                          transfer/forgetting report) as JSON
-    --trace-out <file>    write fleet.* / supervisor.* / campaign trace
-                          events as JSONL
-    --report              print the end-of-run summary table (includes the
-                          fleet section) to stderr
-
-EXIT CODES:
-    0    roster completed
-    1    usage or I/O error
-    3    fleet parked mid-roster (--halt-after-stage or stage deadline)
-";
 
 /// `pruner-tune fleet` — run a cross-hardware continual-learning fleet.
-fn fleet_main(argv: &[String]) -> Result<ExitCode, String> {
-    use pruner::{Fleet, FleetConfig, FleetStatus};
-
-    if matches!(argv.first().map(String::as_str), Some("--help" | "-h" | "help")) {
-        print!("{FLEET_USAGE}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let mut state_dir: Option<String> = None;
-    let mut roster: Vec<GpuSpec> = Vec::new();
-    let mut roster_file: Option<String> = None;
-    let mut workloads: Vec<Workload> = Vec::new();
-    let mut config = TunerConfig::default();
-    let mut trials: Option<usize> = None;
-    let mut momentum: f32 = 0.99;
-    let mut pretrain: usize = 64;
-    let mut probes: usize = 32;
-    let mut store: Option<String> = None;
-    let mut halt_after_stage: Option<usize> = None;
-    let mut watchdog_secs: f64 = 30.0;
-    let mut max_restarts: u32 = 3;
-    let mut output: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut report = false;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--state-dir" => state_dir = Some(value("--state-dir")?),
-            "--roster" => {
-                for name in value("--roster")?.split(',') {
-                    let name = name.trim();
-                    roster.push(
-                        GpuSpec::by_name(name)
-                            .ok_or_else(|| format!("unknown roster platform `{name}`"))?,
-                    );
-                }
-            }
-            "--roster-file" => roster_file = Some(value("--roster-file")?),
-            "--trials" => {
-                trials = Some(value("--trials")?.parse().map_err(|e| format!("--trials: {e}"))?)
-            }
-            "--seed" => {
-                config.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
-            }
-            "--threads" => {
-                config.threads = value("--threads")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1)
-            }
-            "--momentum" => {
-                momentum = value("--momentum")?.parse().map_err(|e| format!("--momentum: {e}"))?
-            }
-            "--pretrain" => {
-                pretrain = value("--pretrain")?.parse().map_err(|e| format!("--pretrain: {e}"))?
-            }
-            "--probes" => {
-                probes = value("--probes")?.parse().map_err(|e| format!("--probes: {e}"))?
-            }
-            "--store" => store = Some(value("--store")?),
-            "--halt-after-stage" => {
-                halt_after_stage = Some(
-                    value("--halt-after-stage")?
-                        .parse()
-                        .map_err(|e| format!("--halt-after-stage: {e}"))?,
-                )
-            }
-            "--watchdog-secs" => {
-                watchdog_secs = value("--watchdog-secs")?
-                    .parse()
-                    .map_err(|e| format!("--watchdog-secs: {e}"))?
-            }
-            "--max-restarts" => {
-                max_restarts = value("--max-restarts")?
-                    .parse()
-                    .map_err(|e| format!("--max-restarts: {e}"))?
-            }
-            "--output" => output = Some(value("--output")?),
-            "--trace-out" => trace_out = Some(value("--trace-out")?),
-            "--report" => report = true,
-            other if parse_workload_flag(other, &value(other)?, &mut workloads)? => {}
-            other => return Err(format!("unknown fleet flag `{other}`")),
-        }
-    }
-    let state_dir = state_dir.ok_or("fleet needs --state-dir <dir>")?;
-    if let Some(path) = &roster_file {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
-        let extra: Vec<GpuSpec> =
-            serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-        roster.extend(extra);
-    }
-    if roster.is_empty() {
-        return Err("fleet needs --roster and/or --roster-file".into());
-    }
-    if workloads.is_empty() {
-        return Err("fleet needs at least one --matmul/--conv2d".into());
-    }
-    if let Some(trials) = trials {
-        if trials < config.measure_per_round {
-            return Err(format!("need at least {} trials", config.measure_per_round));
-        }
-        config.rounds = trials / config.measure_per_round;
-    }
-
-    let supervisor = pruner::tuner::SupervisorConfig {
-        watchdog_timeout_s: watchdog_secs,
-        max_restarts,
-        ..Default::default()
-    };
-    let cfg = FleetConfig {
-        roster,
-        workloads: workloads.into_iter().map(|wl| (wl, 1)).collect(),
-        tuner: config,
-        momentum,
-        pretrain_per_workload: pretrain,
-        probes_per_workload: probes,
-        pretrain_epochs: 3,
-        seed: config.seed,
-        state_dir: state_dir.clone().into(),
-        store: store.map(Into::into),
-        halt_after_stages: halt_after_stage,
-        supervisor,
-    };
-    println!("fleet    : {} device(s), state in {state_dir}", cfg.roster.len());
+fn fleet(cfg: FleetConfig, out: Outputs) -> Exit {
+    println!("fleet    : {} device(s), state in {}", cfg.roster.len(), cfg.state_dir.display());
     for (i, spec) in cfg.roster.iter().enumerate() {
         println!("stage {i}  : {}", spec.name);
     }
-
-    let trace = (trace_out.is_some() || report).then(pruner::trace::TraceHandle::new);
+    let trace = out.trace();
     let roster_len = cfg.roster.len();
     let mut fleet = Fleet::new(cfg);
     if let Some(t) = &trace {
         fleet.set_recorder(Box::new(t.clone()));
     }
-    let run = fleet.run().map_err(|e| format!("fleet error: {e}"))?;
-
-    let finish = |trace: &Option<pruner::trace::TraceHandle>| -> Result<(), String> {
-        if let (Some(trace), Some(path)) = (trace, &trace_out) {
-            trace
-                .write_atomic(std::path::Path::new(path))
-                .map_err(|e| format!("error writing trace {path}: {e}"))?;
-            println!("trace written to {path} ({} events)", trace.len());
-        }
-        if report {
-            if let Some(trace) = trace {
-                eprint!("{}", trace.report().render());
-            }
-        }
-        Ok(())
-    };
-
-    match run.status {
-        FleetStatus::Parked => {
-            println!(
-                "parked   : {} of {} stage(s) done; rerun with the same --state-dir to resume",
-                run.stages_done, roster_len
-            );
-            finish(&trace)?;
-            Ok(ExitCode::from(3))
-        }
-        FleetStatus::Completed => {
-            let result = run.result.expect("completed fleet has a result");
-            for d in &result.devices {
-                println!(
-                    "stage {}  : {} best {:.4} ms over {} trials",
-                    d.stage,
-                    d.name,
-                    d.best_latency_s * 1e3,
-                    d.trials
-                );
-            }
-            for f in &result.report.forgetting {
-                println!(
-                    "forget   : {} {:+.4} (after-training {:.4} -> final {:.4})",
-                    f.device, f.delta, f.score_after_training, f.final_score
-                );
-            }
-            if let Some(path) = &output {
-                std::fs::File::create(path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|f| {
-                        serde_json::to_writer_pretty(f, &result).map_err(|e| e.to_string())
-                    })
-                    .map_err(|e| format!("error writing {path}: {e}"))?;
-                println!("result written to {path}");
-            }
-            finish(&trace)?;
-            Ok(ExitCode::SUCCESS)
-        }
+    let run = fleet.run().map_err(|e| format!("error running fleet: {e}"))?;
+    if run.status == FleetStatus::Parked {
+        println!(
+            "parked   : {} of {} stage(s) done; rerun with the same --state-dir to resume",
+            run.stages_done, roster_len
+        );
+        out.finish(trace.as_ref())?;
+        return Ok(ExitCode::from(3));
     }
+    let result = run.result.expect("completed fleet has a result");
+    for d in &result.devices {
+        let best_ms = d.best_latency_s * 1e3;
+        println!("stage {}  : {} best {best_ms:.4} ms over {} trials", d.stage, d.name, d.trials);
+    }
+    for f in &result.report.forgetting {
+        println!(
+            "forget   : {} {:+.4} (after-training {:.4} -> final {:.4})",
+            f.device, f.delta, f.score_after_training, f.final_score
+        );
+    }
+    out.write(&result)?;
+    out.finish(trace.as_ref())?;
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `pruner-tune serve <verb>` — run or talk to the tuning daemon.
-fn serve_main(argv: &[String]) -> Result<ExitCode, String> {
-    use pruner::serve::{Client, Daemon, Request, Response, ServeConfig};
-    use std::time::Duration;
-
-    let verb = argv.first().map(String::as_str).unwrap_or_default();
-    if matches!(verb, "--help" | "-h" | "help" | "") {
-        print!("{SERVE_USAGE}");
-        return Ok(ExitCode::SUCCESS);
+/// `pruner-tune serve start` — run the daemon until a shutdown request.
+fn serve_start(cfg: ServeConfig) -> Exit {
+    let socket = cfg.socket.display().to_string();
+    let daemon = Daemon::start(cfg).map_err(|e| format!("error starting daemon: {e}"))?;
+    if daemon.resumed() > 0 {
+        println!("resumed  : {} in-flight campaign(s)", daemon.resumed());
     }
-    // Flag soup shared by all verbs; each verb checks what it needs.
-    let mut socket: Option<String> = None;
-    let mut state_dir: Option<String> = None;
-    let mut workers: usize = 2;
-    let mut budget: usize = 1;
-    let mut model_dir: Option<String> = None;
-    let mut predict_threads: usize = 1;
-    let mut tenant: Option<String> = None;
-    let mut campaign: Option<String> = None;
-    let mut model: Option<String> = None;
-    let mut output: Option<String> = None;
-    let mut platform: Option<GpuSpec> = None;
-    let mut network: Option<Network> = None;
-    let mut workloads: Vec<Workload> = Vec::new();
-    let mut config = TunerConfig::default();
-    let mut trials: Option<usize> = None;
-    let mut it = argv[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--socket" => socket = Some(value("--socket")?),
-            "--state-dir" => state_dir = Some(value("--state-dir")?),
-            "--workers" => {
-                workers = value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?
-            }
-            "--budget" => {
-                budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?
-            }
-            "--model-dir" => model_dir = Some(value("--model-dir")?),
-            "--predict-threads" => {
-                predict_threads = value("--predict-threads")?
-                    .parse()
-                    .map_err(|e| format!("--predict-threads: {e}"))?
-            }
-            "--tenant" => tenant = Some(value("--tenant")?),
-            "--campaign" => campaign = Some(value("--campaign")?),
-            "--model" => model = Some(value("--model")?),
-            "--output" => output = Some(value("--output")?),
-            "--platform" => {
-                let v = value("--platform")?;
-                platform =
-                    Some(GpuSpec::by_name(&v).ok_or_else(|| format!("unknown platform `{v}`"))?);
-            }
-            "--network" => {
-                let v = value("--network")?;
-                network = Some(
-                    zoo::by_short_name(&v, 1).ok_or_else(|| format!("unknown network `{v}`"))?,
-                );
-            }
-            "--trials" => {
-                trials = Some(value("--trials")?.parse().map_err(|e| format!("--trials: {e}"))?)
-            }
-            "--seed" => {
-                config.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
-            }
-            "--threads" => {
-                config.threads = value("--threads")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1)
-            }
-            "--no-psa" => config.use_psa = false,
-            "--checkpoint-every" => {
-                config.checkpoint_every = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
-            }
-            other if parse_workload_flag(other, &value(other)?, &mut workloads)? => {}
-            other => return Err(format!("unknown serve flag `{other}`")),
-        }
-    }
-    let socket = socket.ok_or("serve needs --socket <path>")?;
+    println!("serving  : {socket}");
+    daemon.wait_shutdown().map_err(|e| format!("error shutting down: {e}"))?;
+    println!("daemon stopped");
+    Ok(ExitCode::SUCCESS)
+}
 
-    if verb == "start" {
-        let state_dir = state_dir.ok_or("serve start needs --state-dir <dir>")?;
-        let cfg = ServeConfig {
-            socket: socket.clone().into(),
-            state_dir: state_dir.into(),
-            workers,
-            per_tenant_budget: budget,
-            model_dir: model_dir.map(Into::into),
-            predict_threads,
-        };
-        let daemon = Daemon::start(cfg).map_err(|e| format!("cannot start daemon: {e}"))?;
-        if daemon.resumed() > 0 {
-            println!("resumed  : {} in-flight campaign(s)", daemon.resumed());
-        }
-        println!("serving  : {socket}");
-        daemon.wait_shutdown().map_err(|e| format!("shutdown error: {e}"))?;
-        println!("daemon stopped");
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let mut client = Client::connect_with_retry(&socket, Duration::from_secs(5))
-        .map_err(|e| format!("cannot connect to {socket}: {e}"))?;
-    let request = match verb {
-        "submit" => {
-            let tenant = tenant.ok_or("serve submit needs --tenant <name>")?;
-            let platform = platform.ok_or("serve submit needs --platform <p>")?;
-            if let Some(trials) = trials {
-                if trials < config.measure_per_round {
-                    return Err(format!("need at least {} trials", config.measure_per_round));
-                }
-                config.rounds = trials / config.measure_per_round;
-            }
-            let mut pairs: Vec<(Workload, u64)> =
-                workloads.into_iter().map(|wl| (wl, 1)).collect();
-            if let Some(net) = &network {
-                for sg in net.subgraphs() {
-                    pairs.push((sg.workload.clone(), sg.weight));
-                }
-            }
-            if pairs.is_empty() {
-                return Err("serve submit needs --network or --matmul/--conv2d".into());
-            }
-            Request::SubmitCampaign { tenant, spec: platform, workloads: pairs, config, model }
-        }
-        "status" => Request::Status {
-            campaign: campaign.ok_or("serve status needs --campaign <id>")?,
-        },
-        "cancel" => Request::Cancel {
-            campaign: campaign.ok_or("serve cancel needs --campaign <id>")?,
-        },
-        "predict" => {
-            if workloads.is_empty() {
-                return Err("serve predict needs at least one --matmul/--conv2d".into());
-            }
-            Request::PredictOnly {
-                model: model.ok_or("serve predict needs --model <name>")?,
-                programs: workloads.iter().map(pruner::sketch::Program::fallback).collect(),
-            }
-        }
-        "shutdown" => Request::Shutdown,
-        other => return Err(format!("unknown serve verb `{other}`")),
-    };
-    let response = client.call(&request).map_err(|e| format!("request failed: {e}"))?;
-    match response {
-        Response::Submitted { campaign } => {
-            println!("submitted: {campaign}");
-            Ok(ExitCode::SUCCESS)
-        }
+/// `pruner-tune serve <verb>` — send one checked request to the daemon.
+fn serve_call(socket: &str, request: &Request, output: Option<String>) -> Exit {
+    let mut client = Client::connect_with_retry(socket, std::time::Duration::from_secs(5))
+        .map_err(|e| format!("error connecting to {socket}: {e}"))?;
+    match client.call(request).map_err(|e| format!("error sending request: {e}"))? {
+        Response::Submitted { campaign } => println!("submitted: {campaign}"),
         Response::Status { campaign, state, best_latency_s, result } => {
             match best_latency_s {
                 Some(best) => println!("{campaign}: {state} (best {:.4} ms)", best * 1e3),
                 None => println!("{campaign}: {state}"),
             }
             if let (Some(path), Some(json)) = (&output, &result) {
-                std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+                std::fs::write(path, json).map_err(|e| format!("error writing {path}: {e}"))?;
                 println!("result written to {path}");
             }
-            Ok(ExitCode::SUCCESS)
         }
-        Response::Cancelled { campaign } => {
-            println!("cancelled: {campaign}");
-            Ok(ExitCode::SUCCESS)
-        }
+        Response::Cancelled { campaign } => println!("cancelled: {campaign}"),
         Response::Scores { scores } => {
             for (i, score) in scores.iter().enumerate() {
                 println!("program {i}: {score}");
             }
-            Ok(ExitCode::SUCCESS)
         }
-        Response::ShuttingDown => {
-            println!("daemon shutting down");
-            Ok(ExitCode::SUCCESS)
-        }
-        Response::Error { message } => Err(format!("daemon error: {message}")),
+        Response::ShuttingDown => println!("daemon shutting down"),
+        Response::Error { message } => return Err(format!("error from daemon: {message}")),
     }
+    Ok(ExitCode::SUCCESS)
 }
+
+/// How a checked command ends: its exit code, or a self-describing
+/// run-time error ("error writing …", exit 1).
+type Exit = Result<ExitCode, String>;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("serve") {
-        return match serve_main(&argv[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{SERVE_USAGE}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("fleet") {
-        return match fleet_main(&argv[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{FLEET_USAGE}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("records") {
-        return match records_main(&argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
+    let cmd = subcommand(&argv).0;
+    match plan(&argv) {
+        Ok(Some(run)) => run().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }),
+        Ok(None) => {
+            print!("{}", help(cmd));
+            ExitCode::SUCCESS
+        }
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // One shared trace buffer serves --trace-out and --report; the tuner
-    // gets a clone, this clone stays behind to render the results.
-    let trace = (args.trace_out.is_some() || args.report).then(pruner::trace::TraceHandle::new);
-
-    let result = if let Some(ckpt) = &args.resume {
-        println!("resuming : {ckpt}");
-        // The checkpoint embeds its backend tag; resuming with the wrong
-        // --backend fails cleanly instead of silently switching meters.
-        let run = match args.backend {
-            BackendChoice::Sim => Pruner::resume(ckpt)
-                .map_err(|e| format!("error resuming from {ckpt}: {e}"))
-                .and_then(|p| run_resumed(p, &args, &trace)),
-            BackendChoice::Cpu => Pruner::resume_cpu(ckpt)
-                .map_err(|e| format!("error resuming from {ckpt}: {e}"))
-                .and_then(|p| run_resumed(p, &args, &trace)),
-        };
-        match run {
-            Ok(result) => result,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        println!("platform : {}", args.platform);
-        if args.backend == BackendChoice::Cpu {
-            println!("backend  : cpu (executable; latencies are host wall time)");
-        }
-        if let Some(path) = &args.store {
-            println!("store    : {path} (warm start {})", if args.warm_start { "on" } else { "off" });
-        }
-        if let Some(net) = &args.network {
-            println!("network  : {net}");
-        }
-        for wl in &args.workloads {
-            println!("workload : {wl}");
-        }
-        let supervised = args.deadline.is_some()
-            || args.watchdog_secs.is_some()
-            || args.max_restarts.is_some();
-        if supervised {
-            let run = match args.backend {
-                BackendChoice::Sim => {
-                    run_supervised(&args, &trace, |a, t| make_builder(a, t).build())
-                }
-                BackendChoice::Cpu => {
-                    run_supervised(&args, &trace, |a, t| make_builder(a, t).build_cpu())
-                }
-            };
-            match run {
-                Ok(result) => result,
-                Err(code) => {
-                    // Deadline parks and quarantines still flush the
-                    // trace — the supervisor.* records are the evidence.
-                    finish_trace(&args, &trace);
-                    return code;
-                }
-            }
-        } else {
-            let builder = make_builder(&args, &trace);
-            match args.backend {
-                BackendChoice::Sim => builder.build().tune(),
-                BackendChoice::Cpu => builder.build_cpu().tune(),
-            }
-        }
-    };
-    println!(
-        "\nbest latency : {:.4} ms   ({} trials, {:.0} simulated search seconds)",
-        result.best_latency_s * 1e3,
-        result.stats.trials,
-        result.stats.total_s()
-    );
-    if result.stats.failures > 0 {
-        println!(
-            "faults       : {} failed attempts ({} compile, {} timeout, {} reset, {} outlier), {} retried, {} quarantined, {:.0}s lost",
-            result.stats.failures,
-            result.stats.compile_errors,
-            result.stats.timeouts,
-            result.stats.device_resets,
-            result.stats.outliers,
-            result.stats.retries,
-            result.stats.quarantined,
-            result.stats.fault_time_s + result.stats.retry_backoff_s
-        );
-    }
-
-    if let Some(path) = &args.store {
-        match pruner::store::Store::open(path) {
-            Ok(store) => println!("store        : {} records in {path}", store.len()),
-            Err(e) => eprintln!("warning: cannot re-read store {path}: {e}"),
+            eprintln!("error: {e}\n\n{}", help(cmd));
+            ExitCode::FAILURE
         }
     }
-
-    // Best schedules, slowest tasks first (they dominate the end-to-end).
-    let mut order: Vec<usize> = (0..result.per_task_best.len()).collect();
-    order.sort_by(|&a, &b| {
-        result.per_task_best[b].1.partial_cmp(&result.per_task_best[a].1).unwrap()
-    });
-    for &i in order.iter().take(args.show_schedules) {
-        let (wl, lat) = &result.per_task_best[i];
-        println!("\n--- {} @ {:.4} ms ---", wl, lat * 1e3);
-        if let Some(prog) = &result.best_programs[i] {
-            print!("{}", render::render(prog));
-        }
-    }
-
-    if let Some(path) = &args.output {
-        match std::fs::File::create(path)
-            .map_err(|e| e.to_string())
-            .and_then(|f| serde_json::to_writer_pretty(f, &result).map_err(|e| e.to_string()))
-        {
-            Ok(()) => println!("\nresult written to {path}"),
-            Err(e) => {
-                eprintln!("error writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if !finish_trace(&args, &trace) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// The table accepts exactly `flags` for `cmd`, and the rendered help
+    /// lists each of them on an OPTIONS line of its own.
+    fn assert_help_lists(cmd: u8, flags: &str) {
+        let accepted = FLAGS.iter().filter(|f| f.cmds & cmd != 0).map(|f| f.name);
+        let expected: BTreeSet<&str> = flags.split_whitespace().collect();
+        assert_eq!(accepted.collect::<BTreeSet<_>>(), expected, "subcommand {cmd}");
+        let text = help(cmd);
+        let listed: BTreeSet<&str> =
+            text.lines().filter_map(|l| l.split_whitespace().next()).collect();
+        assert!(expected.is_subset(&listed), "help of subcommand {cmd} misses a flag");
+    }
 
     #[test]
     fn parses_shape_lists() {
@@ -1322,28 +1038,59 @@ mod tests {
 
     #[test]
     fn usage_mentions_every_flag() {
-        for flag in
-            ["--platform", "--backend", "--network", "--matmul", "--conv2d", "--trials", "--seed",
-             "--threads",
-             "--model", "--no-psa", "--fault-rate", "--max-retries", "--checkpoint",
-             "--checkpoint-every", "--halt-after", "--resume", "--deadline", "--watchdog-secs",
-             "--max-restarts", "--show-schedules", "--output",
-             "--trace-out", "--report", "--store", "--warm-start"]
-        {
-            assert!(USAGE.contains(flag), "USAGE missing {flag}");
-        }
+        assert_help_lists(
+            TUNE,
+            "--platform --backend --network --matmul --conv2d --trials --seed --threads --model \
+             --no-psa --fault-rate --max-retries --checkpoint --checkpoint-every --halt-after \
+             --resume --deadline --watchdog-secs --max-restarts --show-schedules --output \
+             --trace-out --report --store --warm-start",
+        );
+        assert_help_lists(RECORDS, "--store --platform --output");
+        assert_help_lists(
+            SERVE,
+            "--socket --state-dir --workers --budget --model-dir --predict-threads --tenant \
+             --campaign --model --output --platform --network --matmul --conv2d --trials --seed \
+             --threads --no-psa --checkpoint-every",
+        );
     }
 
     #[test]
     fn fleet_usage_mentions_every_flag() {
-        for flag in
-            ["--state-dir", "--roster", "--roster-file", "--matmul", "--conv2d", "--trials",
-             "--seed", "--threads", "--momentum", "--pretrain", "--probes", "--store",
-             "--halt-after-stage", "--watchdog-secs", "--max-restarts", "--output",
-             "--trace-out", "--report"]
-        {
-            assert!(FLEET_USAGE.contains(flag), "FLEET_USAGE missing {flag}");
+        assert_help_lists(
+            FLEET,
+            "--state-dir --roster --roster-file --matmul --conv2d --trials --seed --threads \
+             --momentum --pretrain --probes --store --halt-after-stage --watchdog-secs \
+             --max-restarts --output --trace-out --report",
+        );
+        assert!(help(TUNE).contains("fleet"), "top-level help must mention the fleet subcommand");
+    }
+
+    /// Every `pruner-tune` command in the fenced code blocks of README.md
+    /// and docs/*.md parses and checks (it is not run). Lines continued
+    /// with `\` are joined first, and `#` comments and a trailing `&` are
+    /// dropped. Synopsis lines — any containing `<…>` or `[…]` — are
+    /// skipped: they show the shape of a command, not one to run.
+    #[test]
+    fn documented_commands_parse() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let docs = std::fs::read_dir(root.join("docs")).unwrap().map(|e| e.unwrap().path());
+        let (readme, mut checked) = (root.join("README.md"), 0);
+        for doc in docs.chain([readme]).filter(|p| p.extension() == Some("md".as_ref())) {
+            let text = std::fs::read_to_string(&doc).unwrap().replace("\\\n", " ");
+            for block in text.split("```").skip(1).step_by(2) {
+                for line in block.lines().map(|l| l.split('#').next().unwrap()) {
+                    let words: Vec<&str> = line.split_whitespace().collect();
+                    let at = words.iter().position(|w| *w == "pruner-tune");
+                    let Some(at) = at.filter(|_| !line.contains(['<', '['])) else { continue };
+                    let args = words[at + 1..].iter().skip_while(|w| **w == "--");
+                    let argv: Vec<String> =
+                        args.filter(|w| **w != "&").map(|w| w.to_string()).collect();
+                    let planned = plan(&argv).map(|run| run.is_some());
+                    assert_eq!(planned, Ok(true), "{}: `{line}`", doc.display());
+                    checked += 1;
+                }
+            }
         }
-        assert!(USAGE.contains("fleet"), "top-level USAGE must mention the fleet subcommand");
+        assert!(checked >= 15, "only {checked} documented commands found");
     }
 }

@@ -63,7 +63,6 @@ pub use pruner_tuner as tuner;
 pub use pruner_tuner::fleet::{Fleet, FleetConfig, FleetResult, FleetRun, FleetStatus};
 
 use pruner_cost::{CostModel, ModelKind, PacmModel};
-use pruner_exec::CpuExec;
 use pruner_gpu::{Backend, GpuSpec, Simulator};
 use pruner_ir::{Network, Workload};
 use pruner_psa::PsaConfig;
@@ -73,9 +72,10 @@ use pruner_tuner::{ModelSetup, Tuner, TunerConfig, TuningResult};
 ///
 /// Wraps [`tuner::Tuner`] with the paper's defaults (PSA pruning on,
 /// PaCM trained online, 2,000 trials). Campaigns measure through the
-/// analytical simulator by default; [`PrunerBuilder::build_cpu`] swaps in
+/// analytical simulator by default;
+/// [`build_with(CpuExec::new(..))`](PrunerBuilder::build_with) swaps in
 /// the executable CPU backend ([`exec::CpuExec`]) with no other change to
-/// the pipeline.
+/// the pipeline, and `Tuner::<CpuExec>::resume` restores its checkpoints.
 pub struct Pruner<B: Backend = Simulator> {
     tuner: Tuner<B>,
 }
@@ -99,18 +99,10 @@ impl Pruner {
     /// Restores a simulator-backed campaign from a checkpoint file written
     /// during a previous (interrupted) run. The resumed campaign continues
     /// from the first unfinished round and produces a byte-identical result
-    /// to the uninterrupted run.
+    /// to the uninterrupted run. Other backends resume through
+    /// [`Tuner::resume`](tuner::Tuner::resume).
     pub fn resume<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Pruner> {
         Ok(Pruner { tuner: Tuner::resume(path)? })
-    }
-}
-
-impl Pruner<CpuExec> {
-    /// Restores a campaign checkpointed by the executable CPU backend.
-    /// Fails with `InvalidData` if the checkpoint was written by a
-    /// different backend.
-    pub fn resume_cpu<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Pruner<CpuExec>> {
-        Ok(Pruner { tuner: Tuner::resume_backend(path)? })
     }
 }
 
@@ -118,11 +110,6 @@ impl<B: Backend> Pruner<B> {
     /// Runs the campaign.
     pub fn tune(mut self) -> TuningResult {
         self.tuner.run()
-    }
-
-    /// Access to the underlying tuner (advanced instrumentation).
-    pub fn tuner_mut(&mut self) -> &mut Tuner<B> {
-        &mut self.tuner
     }
 
     /// Unwraps the underlying tuner — what a
@@ -318,29 +305,20 @@ impl PrunerBuilder {
         self.build_with(backend)
     }
 
-    /// Builds a tuner measuring on the executable CPU backend: candidate
-    /// programs are actually run (see [`exec::CpuExec`]) and latency is
-    /// wall-clock time, while sampling, PSA pruning, the cost model and
-    /// the store/checkpoint plumbing stay exactly as in [`build`].
+    /// Builds a tuner measuring through `backend` — e.g.
+    /// `build_with(CpuExec::new(spec))`, where candidate programs are
+    /// actually run (see [`exec::CpuExec`]) and latency is wall-clock
+    /// time, while sampling, PSA pruning, the cost model and the
+    /// store/checkpoint plumbing stay exactly as in [`build`].
     ///
     /// [`build`]: PrunerBuilder::build
     ///
     /// # Panics
-    /// Same conditions as [`build`](PrunerBuilder::build).
-    pub fn build_cpu(self) -> Pruner<CpuExec> {
-        let backend = CpuExec::new(self.spec.clone());
-        self.build_with(backend)
-    }
-
-    /// [`build_cpu`](PrunerBuilder::build_cpu) with explicit executor
-    /// configuration (thread cap, timer settings).
-    pub fn build_cpu_config(self, cfg: pruner_exec::CpuExecConfig) -> Pruner<CpuExec> {
-        let backend = CpuExec::with_config(self.spec.clone(), cfg);
-        self.build_with(backend)
-    }
-
-    fn build_with<B: Backend>(self, backend: B) -> Pruner<B> {
+    /// Same conditions as [`build`](PrunerBuilder::build), and if
+    /// `backend` measures a different platform than the builder's.
+    pub fn build_with<B: Backend>(self, backend: B) -> Pruner<B> {
         assert!(!self.tasks.is_empty(), "add a workload or network before building");
+        assert_eq!(backend.spec(), &self.spec, "the backend must measure the builder's platform");
         let setup = match self.setup {
             Setup::Fresh(kind) => ModelSetup::Fresh(kind),
             Setup::Offline(model) => ModelSetup::Offline(model),
@@ -369,6 +347,7 @@ impl PrunerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pruner_exec::CpuExec;
 
     #[test]
     fn builder_quick_campaign_improves() {
@@ -463,7 +442,7 @@ mod tests {
             .workload(Workload::matmul(1, 48, 48, 48))
             .config(TunerConfig { rounds: 2, ..TunerConfig::quick() })
             .seed(7)
-            .build_cpu_config(cfg)
+            .build_with(CpuExec::with_config(GpuSpec::t4(), cfg))
             .tune();
         assert!(result.best_latency_s > 0.0, "wall-clock latency must be positive");
         // 2 rounds x 4 measures, plus the per-task warm-up measurement.

@@ -22,7 +22,7 @@ use pruner::exec::{stats, CpuExec, CpuExecConfig, TimerConfig};
 use pruner::gpu::{Backend, GpuSpec, Simulator};
 use pruner::ir::Workload;
 use pruner::trace::{mask_host_fields, TraceHandle};
-use pruner::tuner::TunerConfig;
+use pruner::tuner::{Tuner, TunerConfig};
 use pruner::Pruner;
 use serde::Serialize;
 
@@ -44,6 +44,11 @@ fn smoke_exec_config() -> CpuExecConfig {
         threads: 2,
         timer: TimerConfig { samples: 2, min_window_s: 1e-5, ..TimerConfig::default() },
     }
+}
+
+/// The T4 executor every cpu campaign below measures on.
+fn smoke_exec() -> CpuExec {
+    CpuExec::with_config(GpuSpec::t4(), smoke_exec_config())
 }
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -111,7 +116,7 @@ fn cpu_smoke_campaign_completes_and_records_tagged_verdicts() {
         .config(TunerConfig { rounds: 2, ..TunerConfig::quick() })
         .seed(21)
         .store(&store_path)
-        .build_cpu_config(smoke_exec_config())
+        .build_with(smoke_exec())
         .tune();
 
     assert!(result.best_latency_s > 0.0);
@@ -135,8 +140,8 @@ fn cpu_smoke_campaign_completes_and_records_tagged_verdicts() {
 }
 
 /// Kill-and-resume on the cpu backend: a halted campaign's checkpoint
-/// restores through `Pruner::resume_cpu` and runs to completion, while
-/// the sim-typed `Pruner::resume` refuses the checkpoint.
+/// restores through `Tuner::<CpuExec>::resume` and runs to completion,
+/// while the sim-typed `Pruner::resume` refuses the checkpoint.
 #[test]
 fn cpu_checkpoint_resumes_on_cpu_and_is_rejected_by_sim() {
     let dir = tmp_dir("ckpt");
@@ -149,7 +154,7 @@ fn cpu_checkpoint_resumes_on_cpu_and_is_rejected_by_sim() {
             .checkpoint(&ckpt)
             .checkpoint_every(1)
     };
-    builder().halt_after(1).build_cpu_config(smoke_exec_config()).tune();
+    builder().halt_after(1).build_with(smoke_exec()).tune();
     assert!(ckpt.exists(), "halted campaign must leave a checkpoint");
 
     match Pruner::resume(&ckpt) {
@@ -157,7 +162,7 @@ fn cpu_checkpoint_resumes_on_cpu_and_is_rejected_by_sim() {
         Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData),
     }
 
-    let resumed = Pruner::resume_cpu(&ckpt).expect("cpu resume").tune();
+    let resumed = Tuner::<CpuExec>::resume(&ckpt).expect("cpu resume").run();
     assert!(resumed.best_latency_s > 0.0);
     assert!(resumed.curve.points().len() >= 3, "resumed campaign finishes all rounds");
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -187,7 +192,7 @@ fn one_store_keeps_sim_and_cpu_records_apart() {
         .seed(23)
         .store(&store_path)
         .warm_start(false)
-        .build_cpu_config(smoke_exec_config())
+        .build_with(smoke_exec())
         .tune();
 
     let store = pruner::store::Store::open(&store_path).expect("store re-opens");

@@ -139,7 +139,7 @@ fn seeded_kill_points_resume_byte_identical_with_zero_record_loss() {
         let run = sup.run(|loaded: Option<Checkpoint>| {
             let mut t = match loaded {
                 Some(c) => Tuner::from_checkpoint_backend(c)?,
-                None => Tuner::resume(&ckpt)?,
+                None => Tuner::<Simulator>::resume(&ckpt)?,
             };
             t.set_checkpoint_path(&ckpt);
             t.set_store(Store::open(&store_path)?, false);
@@ -392,7 +392,7 @@ fn sim_deadline_parks_and_parked_checkpoint_resumes_byte_identical() {
     assert!(parked.stats.total_s() < golden.stats.total_s(), "parked before the end");
     assert!(ckpt.exists(), "parking leaves a resumable checkpoint");
 
-    let resumed = Tuner::resume(&ckpt).expect("parked checkpoint loads").run();
+    let resumed = Tuner::<Simulator>::resume(&ckpt).expect("parked checkpoint loads").run();
     assert_eq!(
         as_json(&resumed),
         as_json(&golden),

@@ -87,7 +87,7 @@ fn resume_is_thread_count_invariant() {
     // Checkpoint written by a 4-thread run, resumed by a 1-thread run —
     // the checkpoint carries no trace of the pipeline width.
     builder(config(0.1), 4).checkpoint(&ckpt).halt_after(4).build().tune();
-    let mut resumed_tuner = pruner::tuner::Tuner::resume(&ckpt).expect("checkpoint loads");
+    let mut resumed_tuner = pruner::tuner::Tuner::<pruner::gpu::Simulator>::resume(&ckpt).expect("checkpoint loads");
     let resumed = resumed_tuner.run();
     assert_eq!(as_json(&full_serial), as_json(&resumed));
     std::fs::remove_dir_all(&dir).ok();

@@ -94,6 +94,82 @@ fn rejects_degenerate_workload_shapes() {
     }
 }
 
+/// Values the library would panic on, or that each subcommand used to
+/// treat differently, are usage errors (exit 1) naming the flag — in
+/// `tune`, `fleet` and `serve submit` alike, and before `serve` connects
+/// (the socket below does not exist).
+#[test]
+fn rejects_out_of_range_flag_values() {
+    let dir = std::env::temp_dir().join(format!("pruner-cli-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let store_dir = dir.to_str().unwrap();
+    let fleet_dir = dir.join("fleet");
+    let tune = ["--platform", "t4", "--matmul", "1,64,64,64"];
+    let fleet = ["fleet", "--state-dir", fleet_dir.to_str().unwrap(), "--roster", "t4", "--matmul",
+                 "1,64,64,64", "--trials", "10", "--pretrain", "2"];
+    let serve = ["serve", "submit", "--socket", "/nonexistent/pruner.sock", "--tenant", "t",
+                 "--platform", "t4", "--matmul", "1,64,64,64"];
+    let cases: [(&[&str], &[&str], &str); 13] = [
+        (&tune, &["--trials", "8"], "--trials"),
+        (&tune, &["--trials", "10", "--store", store_dir], "store"),
+        (&tune, &["--trials", "10", "--store", store_dir, "--max-restarts", "1"], "store"),
+        (&tune, &["--threads", "0"], "--threads"),
+        (&tune, &["--trials", "10", "--deadline", "nan"], "--deadline"),
+        (&tune, &["--trials", "10", "--watchdog-secs", "nan"], "--watchdog-secs"),
+        (&fleet, &["--momentum", "1.5"], "--momentum"),
+        (&fleet, &["--momentum", "nan"], "--momentum"),
+        (&fleet, &["--probes", "0"], "--probes"),
+        (&fleet, &["--threads", "0"], "--threads"),
+        (&fleet, &["--watchdog-secs", "-1"], "--watchdog-secs"),
+        (&serve, &["--trials", "8"], "--trials"),
+        (&serve, &["--threads", "0"], "--threads"),
+    ];
+    for (prefix, flags, message) in cases {
+        let output = Command::new(bin()).args(prefix).args(flags).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+    }
+    assert!(!fleet_dir.exists(), "a rejected fleet must not start");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--help`/`-h` anywhere prints that subcommand's help and exits 0.
+#[test]
+fn every_subcommand_has_help() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--platform", "t4", "-h"], "pruner-tune: tune"),
+        (&["records", "--help"], "pruner-tune records:"),
+        (&["serve", "submit", "--socket", "s", "--help"], "pruner-tune serve:"),
+        (&["fleet", "--state-dir", "d", "--help"], "pruner-tune fleet:"),
+    ];
+    for (args, title) in cases {
+        let output = Command::new(bin()).args(args).output().expect("binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(output.status.success(), "{args:?}: {}", String::from_utf8_lossy(&output.stderr));
+        assert!(stdout.starts_with(title) && stdout.contains("OPTIONS:"), "{args:?}: {stdout}");
+    }
+}
+
+/// An unknown flag is reported as one wherever it stands: trailing, it is
+/// not asked for a value; in the middle, it does not swallow the next
+/// argument.
+#[test]
+fn unknown_flags_are_named_wherever_they_stand() {
+    let cases: [&[&str]; 3] = [
+        &["fleet", "--state-dir", "d", "--bogus"],
+        &["serve", "submit", "--socket", "s", "--bogus", "--tenant", "t"],
+        &["records", "stats", "--bogus", "--store", "s.jsonl"],
+    ];
+    for args in cases {
+        let output = Command::new(bin()).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag `--bogus`"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn kill_and_resume_via_cli_matches_uninterrupted_run() {
     let dir = std::env::temp_dir().join(format!("pruner-cli-resume-{}", std::process::id()));
