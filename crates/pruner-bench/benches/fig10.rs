@@ -78,7 +78,7 @@ fn main() {
         // Offline side.
         let mk = |kind: ModelKind| {
             let mut m = kind.build(17);
-            m.fit(&corpus, epochs);
+            m.fit_batch(&corpus, epochs, 1);
             m
         };
         let tenset = run_offline(spec.clone(), &net, mk(ModelKind::TensetMlp), false, 37);

@@ -58,8 +58,8 @@ fn main() {
             let mut name = String::new();
             for &seed in seeds {
                 let mut model = kind.build(seed);
-                model.fit(&train, epochs);
-                let tasks = evaluate(&model.predict(&test), &test);
+                model.fit_batch(&train, epochs, 1);
+                let tasks = evaluate(&model.predict_batch(&test, 1), &test);
                 t1 += top_k(&tasks, 1) / seeds.len() as f64;
                 name = model.name().to_string();
             }

@@ -49,7 +49,7 @@ fn main() {
             let mut table = TextTable::new(&["method", "final (ms)", "search (s)"]);
             for (label, kind, use_psa) in &methods {
                 let mut model = kind.build(17);
-                model.fit(&corpus, epochs);
+                model.fit_batch(&corpus, epochs, 1);
                 let result = run_offline(spec.clone(), &net, model, *use_psa, 23);
                 table.row(vec![
                     label.to_string(),

@@ -57,7 +57,7 @@ fn bench_inference(c: &mut Criterion) {
         c.bench_function(&name, |b| {
             b.iter_batched(
                 || samples.clone(),
-                |s| model.predict(&s),
+                |s| model.predict_batch(&s, 1),
                 BatchSize::LargeInput,
             )
         });

@@ -58,8 +58,8 @@ fn main() {
             let mut name = "";
             for &seed in seeds {
                 let mut model = kind.build(seed);
-                model.fit(&train, epochs);
-                let scores = model.predict(&test);
+                model.fit_batch(&train, epochs, 1);
+                let scores = model.predict_batch(&test, 1);
                 let tasks = evaluate(&scores, &test);
                 t1 += top_k(&tasks, 1) / seeds.len() as f64;
                 t5 += top_k(&tasks, 5) / seeds.len() as f64;

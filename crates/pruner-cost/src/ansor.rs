@@ -66,10 +66,6 @@ impl CostModel for AnsorModel {
         "Ansor"
     }
 
-    fn predict(&self, samples: &[Sample]) -> Vec<f32> {
-        self.predict_with(&mut Graph::new(), samples)
-    }
-
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
         let picks: Vec<usize> = (0..samples.len()).collect();
         let mut out = Vec::with_capacity(samples.len());
@@ -79,10 +75,6 @@ impl CostModel for AnsorModel {
             out.extend_from_slice(g.value(scores).as_slice());
         }
         out
-    }
-
-    fn fit(&mut self, samples: &[Sample], epochs: usize) -> f64 {
-        self.fit_batch(samples, epochs, 1)
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
@@ -131,8 +123,8 @@ mod tests {
     fn training_reduces_loss_and_ranks() {
         let (samples, truth) = ranking_samples(48, 71);
         let mut m = AnsorModel::new(2);
-        let first = m.fit(&samples, 1);
-        let last = m.fit(&samples, 40);
+        let first = m.fit_batch(&samples, 1, 1);
+        let last = m.fit_batch(&samples, 40, 1);
         assert!(last < first, "MSE should drop: {first} -> {last}");
         let rho = spearman_to_truth(&mut m, &samples, &truth);
         assert!(rho > 0.3, "Ansor model failed to learn: ρ = {rho:.3}");
@@ -145,6 +137,6 @@ mod tests {
             s.latency = f64::NAN;
         }
         let mut m = AnsorModel::new(3);
-        assert_eq!(m.fit(&samples, 5), 0.0);
+        assert_eq!(m.fit_batch(&samples, 5, 1), 0.0);
     }
 }

@@ -5,11 +5,11 @@
 //! compact MLP for campaign speed; [`XgbModel`] is the tree-based variant
 //! for experiments that want the real architecture family: squared-error
 //! gradient boosting over pooled statement features, retrained from
-//! scratch at every `fit` exactly as Ansor retrains per round.
+//! scratch at every `fit_batch` exactly as Ansor retrains per round.
 
 use crate::model::{CostModel, ModelSnapshot};
-use crate::sample::{labeled_groups, stack_pooled, Sample};
-use pruner_nn::latencies_to_relevance;
+use crate::sample::{labeled_groups, stack_pooled_in, Sample};
+use pruner_nn::{latencies_to_relevance, Graph};
 use serde::{Deserialize, Serialize};
 
 /// One axis-aligned regression tree, stored as a flat node arena.
@@ -184,7 +184,7 @@ impl Gbdt {
 }
 
 /// The tree-based Ansor model: boosted trees over pooled statement
-/// features, retrained from scratch on every `fit` call (as the real
+/// features, retrained from scratch on every `fit_batch` call (as the real
 /// system retrains per tuning round).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct XgbModel {
@@ -203,8 +203,8 @@ impl XgbModel {
         XgbModel { gbdt: None, n_trees: 30, max_depth: 4, learning_rate: 0.3 }
     }
 
-    fn featurize(samples: &[Sample], picks: &[usize]) -> Vec<Vec<f32>> {
-        let pooled = stack_pooled(samples, picks);
+    fn featurize(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Vec<Vec<f32>> {
+        let pooled = stack_pooled_in(g, samples, picks);
         (0..picks.len()).map(|r| pooled.row(r).to_vec()).collect()
     }
 }
@@ -214,16 +214,13 @@ impl CostModel for XgbModel {
         "Ansor-XGB"
     }
 
-    fn predict(&self, samples: &[Sample]) -> Vec<f32> {
+    fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
+        let Some(gbdt) = &self.gbdt else { return vec![0.0; samples.len()] };
         let picks: Vec<usize> = (0..samples.len()).collect();
-        let x = Self::featurize(samples, &picks);
-        match &self.gbdt {
-            Some(g) => x.iter().map(|row| g.predict(row)).collect(),
-            None => vec![0.0; samples.len()],
-        }
+        Self::featurize(g, samples, &picks).iter().map(|row| gbdt.predict(row)).collect()
     }
 
-    fn fit(&mut self, samples: &[Sample], _epochs: usize) -> f64 {
+    fn fit_batch(&mut self, samples: &[Sample], _epochs: usize, _threads: usize) -> f64 {
         // Targets: per-task normalized throughput (same objective as the
         // MLP Ansor baseline); trees are retrained from scratch.
         let groups = labeled_groups(samples);
@@ -233,10 +230,11 @@ impl CostModel for XgbModel {
         }
         let mut x = Vec::with_capacity(labeled);
         let mut y = Vec::with_capacity(labeled);
+        let mut g = Graph::new();
         for group in groups {
             let lats: Vec<f64> = group.iter().map(|&i| samples[i].latency).collect();
             let rel = latencies_to_relevance(&lats);
-            x.extend(Self::featurize(samples, &group));
+            x.extend(Self::featurize(&mut g, samples, &group));
             y.extend(rel);
         }
         let gbdt = Gbdt::fit(&x, &y, self.n_trees, self.max_depth, self.learning_rate);
@@ -293,8 +291,8 @@ mod tests {
         let (samples, _) = ranking_samples(64, 81);
         let mut small = XgbModel { n_trees: 3, ..XgbModel::new() };
         let mut large = XgbModel { n_trees: 40, ..XgbModel::new() };
-        let e_small = small.fit(&samples, 1);
-        let e_large = large.fit(&samples, 1);
+        let e_small = small.fit_batch(&samples, 1, 1);
+        let e_large = large.fit_batch(&samples, 1, 1);
         assert!(e_large < e_small, "more trees must fit better: {e_small} vs {e_large}");
     }
 
@@ -302,7 +300,7 @@ mod tests {
     fn xgb_learns_ranking() {
         let (samples, truth) = ranking_samples(64, 82);
         let mut m = XgbModel::new();
-        m.fit(&samples, 1);
+        m.fit_batch(&samples, 1, 1);
         let rho = spearman_to_truth(&mut m, &samples, &truth);
         assert!(rho > 0.5, "Ansor-XGB failed to learn: ρ = {rho:.3}");
     }
@@ -311,7 +309,7 @@ mod tests {
     fn unfitted_model_returns_zeros() {
         let (samples, _) = ranking_samples(8, 83);
         let m = XgbModel::new();
-        assert!(m.predict(&samples).iter().all(|&v| v == 0.0));
+        assert!(m.predict_batch(&samples, 1).iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub use gbdt::{Gbdt, XgbModel};
 pub use model::{CostModel, ModelKind, ModelSnapshot, RandomModel};
 pub use pacm::{HeadSnapshot, PacmModel};
 pub use sample::{
-    attention_masks_in, labeled_groups, stack_flow_in, stack_pooled, stack_pooled_in,
-    stack_stmt_in, stack_tokens_in, Sample,
+    attention_masks_in, labeled_groups, stack_flow_in, stack_pooled_in, stack_stmt_in,
+    stack_tokens_in, Sample,
 };
 pub use tenset_mlp::TensetMlpModel;
 pub use tlp::TlpModel;

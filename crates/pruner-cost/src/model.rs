@@ -15,41 +15,38 @@ const PREDICT_CHUNK: usize = 256;
 
 /// A learned (or degenerate) predictor of tensor-program quality.
 ///
-/// `predict` returns one score per sample, **higher = predicted faster**;
-/// scores are only comparable within a task group. Prediction is a read-only
-/// operation (`&self`) so candidate scoring can fan out across threads;
-/// `fit` trains in place (`&mut self`) on labeled samples.
+/// Scores are one per sample, **higher = predicted faster**, and only
+/// comparable within a task group. Prediction is a read-only operation
+/// (`&self`) so candidate scoring can fan out across threads; training
+/// updates the model in place (`&mut self`) on labeled samples. Each
+/// model implements one scoring entry point ([`CostModel::predict_with`])
+/// and one training entry point ([`CostModel::fit_batch`]); a one-thread
+/// [`CostModel::predict_batch`] is the sequential oracle every fan-out is
+/// held to.
 pub trait CostModel: Send + Sync {
     /// Short display name (`"PaCM"`, `"TLP"`, …).
     fn name(&self) -> &'static str;
 
-    /// Scores a batch of samples (higher = better).
-    fn predict(&self, samples: &[Sample]) -> Vec<f32>;
-
     /// Scores a batch reusing a caller-owned [`Graph`] workspace.
     ///
-    /// Learned models override this to `reset` the graph between internal
-    /// chunks instead of allocating a fresh tape per chunk — the
-    /// allocation-free steady state `predict_batch` workers rely on.
-    /// Results are bit-identical to `predict`; the default ignores the
-    /// workspace and delegates.
-    fn predict_with(&self, _workspace: &mut Graph, samples: &[Sample]) -> Vec<f32> {
-        self.predict(samples)
-    }
+    /// Learned models `reset` the graph between internal chunks instead of
+    /// allocating a fresh tape per chunk — the allocation-free steady state
+    /// `predict_batch` workers rely on.
+    fn predict_with(&self, workspace: &mut Graph, samples: &[Sample]) -> Vec<f32>;
 
     /// Scores a batch of samples using up to `threads` worker threads.
     ///
     /// Samples are split into fixed-size chunks, workers score contiguous
     /// bands of chunks, and the per-chunk scores are concatenated in chunk
-    /// order — so the result is **bit-identical** to `predict` at any
-    /// thread count. Models whose prediction is stateful (e.g. the random
-    /// baseline advancing a counter) override this to a single `predict`
-    /// call.
+    /// order — so the result is **bit-identical** to `predict_batch(s, 1)`
+    /// at any thread count. Models whose prediction is stateful (e.g. the
+    /// random baseline advancing a counter) override this to a single
+    /// `predict_with` call.
     fn predict_batch(&self, samples: &[Sample], threads: usize) -> Vec<f32> {
         let n_chunks = samples.len().div_ceil(PREDICT_CHUNK);
         let workers = threads.max(1).min(n_chunks.max(1));
         if workers <= 1 {
-            return self.predict(samples);
+            return self.predict_with(&mut Graph::new(), samples);
         }
         let chunks: Vec<&[Sample]> = samples.chunks(PREDICT_CHUNK).collect();
         let mut scored: Vec<Vec<f32>> = vec![Vec::new(); chunks.len()];
@@ -71,78 +68,15 @@ pub trait CostModel: Send + Sync {
         scored.into_iter().flatten().collect()
     }
 
-    /// Trains on labeled samples for `epochs` passes; returns a final
-    /// training-objective value (lower = better fit, model-specific scale).
-    fn fit(&mut self, samples: &[Sample], epochs: usize) -> f64;
-
-    /// Trains like [`CostModel::fit`] but lets the model band its large
-    /// training-time GEMMs across up to `threads` scoped workers.
+    /// Trains on labeled samples for `epochs` passes, banding the large
+    /// training-time GEMMs across up to `threads` scoped workers; returns
+    /// a final training-objective value (lower = better fit,
+    /// model-specific scale).
     ///
     /// Banding preserves the per-element accumulation order (see
-    /// `pruner_nn::gemm`), so the trained weights are **bit-identical** to
-    /// a single-threaded `fit` at any thread count. The default ignores
-    /// the hint and trains serially.
-    fn fit_batch(&mut self, samples: &[Sample], epochs: usize, _threads: usize) -> f64 {
-        self.fit(samples, epochs)
-    }
-
-    /// [`CostModel::predict_batch`] with observability: wraps inference in
-    /// a `model.predict` span and counts the scored candidates. The
-    /// recorder only observes, so the scores are bit-identical to the
-    /// untraced call at any thread count.
-    fn predict_batch_traced(
-        &self,
-        samples: &[Sample],
-        threads: usize,
-        rec: &mut dyn pruner_trace::Recorder,
-    ) -> Vec<f32> {
-        rec.span_begin("model.predict");
-        let scores = self.predict_batch(samples, threads);
-        rec.counter("model.predicted", scores.len() as u64);
-        rec.span_end("model.predict");
-        scores
-    }
-
-    /// [`CostModel::fit_batch`] with observability: wraps training in a
-    /// `model.fit` span, counts `samples × epochs` training work and
-    /// gauges the final training objective. The returned loss and the
-    /// trained weights are bit-identical to the untraced call.
-    fn fit_batch_traced(
-        &mut self,
-        samples: &[Sample],
-        epochs: usize,
-        threads: usize,
-        rec: &mut dyn pruner_trace::Recorder,
-    ) -> f64 {
-        rec.span_begin("model.fit");
-        let loss = self.fit_batch(samples, epochs, threads);
-        rec.counter("model.fit_samples", (samples.len() * epochs) as u64);
-        rec.gauge("model.fit_loss", loss);
-        rec.span_end("model.fit");
-        loss
-    }
-
-    /// Warm-start pretraining from samples measured by *earlier* campaigns
-    /// (a persistent record store replay): trains exactly like
-    /// [`CostModel::fit_batch`] but reports under dedicated
-    /// `model.pretrain` span/counter names so traces can tell replayed
-    /// knowledge apart from this campaign's own training rounds. Callers
-    /// charge no simulated search time for it — the samples were paid for
-    /// when they were first measured.
-    fn pretrain(
-        &mut self,
-        samples: &[Sample],
-        epochs: usize,
-        threads: usize,
-        rec: &mut dyn pruner_trace::Recorder,
-    ) -> f64 {
-        rec.span_begin("model.pretrain");
-        let loss = self.fit_batch(samples, epochs, threads);
-        rec.counter("model.pretrain_samples", samples.len() as u64);
-        rec.gauge("model.pretrain_loss", loss);
-        rec.span_end("model.pretrain");
-        loss
-    }
+    /// `pruner_nn::gemm`), so the trained weights are **bit-identical** at
+    /// any thread count. Models without a banded kernel ignore `threads`.
+    fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64;
 
     /// Clones the model behind the trait object.
     fn clone_box(&self) -> Box<dyn CostModel>;
@@ -260,7 +194,7 @@ impl ModelKind {
 
 /// The no-model floor: deterministic pseudo-random scores.
 ///
-/// The call counter is atomic so `predict` can stay `&self` while still
+/// The call counter is atomic so prediction can stay `&self` while still
 /// producing fresh scores every round.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct RandomModel {
@@ -289,20 +223,20 @@ impl CostModel for RandomModel {
         "Random"
     }
 
-    fn predict(&self, samples: &[Sample]) -> Vec<f32> {
+    fn predict_with(&self, _workspace: &mut Graph, samples: &[Sample]) -> Vec<f32> {
         let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(call));
         samples.iter().map(|_| rng.gen::<f32>()).collect()
     }
 
-    /// One `predict` call, never chunked: each call advances the score
-    /// stream, so splitting a batch would make the result depend on the
-    /// chunking — the exact nondeterminism `predict_batch` must avoid.
+    /// One `predict_with` call, never chunked: each call advances the
+    /// score stream, so splitting a batch would make the result depend on
+    /// the chunking — the exact nondeterminism `predict_batch` must avoid.
     fn predict_batch(&self, samples: &[Sample], _threads: usize) -> Vec<f32> {
-        self.predict(samples)
+        self.predict_with(&mut Graph::new(), samples)
     }
 
-    fn fit(&mut self, _samples: &[Sample], _epochs: usize) -> f64 {
+    fn fit_batch(&mut self, _samples: &[Sample], _epochs: usize, _threads: usize) -> f64 {
         0.0
     }
 
@@ -385,10 +319,10 @@ mod tests {
         let samples = mini_samples();
         let a = RandomModel::new(7);
         let b = RandomModel::new(7);
-        assert_eq!(a.predict(&samples), b.predict(&samples));
+        assert_eq!(a.predict_batch(&samples, 1), b.predict_batch(&samples, 1));
         // Subsequent calls differ (fresh exploration each round).
-        let first = b.predict(&samples);
-        let second = b.predict(&samples);
+        let first = b.predict_batch(&samples, 1);
+        let second = b.predict_batch(&samples, 1);
         assert_ne!(first, second);
     }
 
@@ -397,7 +331,7 @@ mod tests {
         let samples = mini_samples();
         let a = RandomModel::new(7);
         let b = RandomModel::new(7);
-        assert_eq!(a.predict_batch(&samples, 8), b.predict(&samples));
+        assert_eq!(a.predict_batch(&samples, 8), b.predict_with(&mut Graph::new(), &samples));
     }
 
     #[test]
@@ -439,7 +373,7 @@ mod tests {
             ModelKind::Random,
         ] {
             let m = kind.build(1);
-            let scores = m.predict(&mini_samples());
+            let scores = m.predict_batch(&mini_samples(), 1);
             assert_eq!(scores.len(), 6, "{}", m.name());
         }
     }
@@ -449,7 +383,7 @@ mod tests {
         let samples = mini_samples();
         let m: Box<dyn CostModel> = Box::new(RandomModel::new(3));
         let c = m.clone();
-        assert_eq!(m.predict(&samples), c.predict(&samples));
+        assert_eq!(m.predict_batch(&samples, 1), c.predict_batch(&samples, 1));
     }
 
     /// A larger labeled pool for exercising the chunked parallel path
@@ -466,17 +400,28 @@ mod tests {
             .collect()
     }
 
+    /// Every model with trainable state (all but the random floor).
+    const LEARNED: [ModelKind; 7] = [
+        ModelKind::Pacm,
+        ModelKind::PacmNoStmt,
+        ModelKind::PacmNoFlow,
+        ModelKind::TensetMlp,
+        ModelKind::Tlp,
+        ModelKind::Ansor,
+        ModelKind::AnsorXgb,
+    ];
+
     #[test]
     fn predict_batch_matches_sequential_for_every_nn_model() {
-        // The four learned models must produce bit-identical scores whether
-        // they run sequentially or fanned out over worker threads.
+        // Every learned model, trained a little so the trees are not
+        // empty, must produce bit-identical scores whether it runs on one
+        // thread or fanned out over several.
         let samples = big_samples(600);
-        for kind in
-            [ModelKind::Pacm, ModelKind::TensetMlp, ModelKind::Tlp, ModelKind::Ansor]
-        {
-            let m = kind.build(5);
-            let sequential = m.predict(&samples);
-            for threads in [1, 2, 4, 8] {
+        for kind in LEARNED {
+            let mut m = kind.build(5);
+            m.fit_batch(&samples[..64], 1, 1);
+            let sequential = m.predict_batch(&samples, 1);
+            for threads in [2, 4, 8] {
                 assert_eq!(
                     m.predict_batch(&samples, threads),
                     sequential,
@@ -496,7 +441,31 @@ mod tests {
             let m = ModelKind::Ansor.build(9);
             let batch = m.predict_batch(&samples, 4);
             assert_eq!(batch.len(), n);
-            assert_eq!(batch, m.predict(&samples), "size {n} diverged");
+            assert_eq!(batch, m.predict_batch(&samples, 1), "size {n} diverged");
+        }
+    }
+
+    /// `fit_batch` is the one training entry point: its banded GEMMs must
+    /// train byte-equal state, and report the same loss, at any thread
+    /// count, for every learned model.
+    #[test]
+    fn fit_batch_trains_byte_equal_snapshots_at_any_thread_count() {
+        let samples = big_samples(96);
+        for kind in LEARNED {
+            let train = |threads: usize| {
+                let mut m = kind.build(5);
+                let loss = m.fit_batch(&samples, 2, threads);
+                let snapshot = m.snapshot().expect("built-in models snapshot");
+                (serde_json::to_string(&snapshot).unwrap(), loss.to_bits())
+            };
+            let serial = train(1);
+            for threads in [2, 4] {
+                // Not `assert_eq!`: a diff of two weight dumps is unreadable.
+                assert!(
+                    train(threads) == serial,
+                    "{kind:?} trained differently at {threads} threads"
+                );
+            }
         }
     }
 
@@ -526,7 +495,8 @@ mod tests {
         let snapshot = model.snapshot().unwrap();
         let samples = big_samples(300);
         let shared = snapshot.clone().into_shared();
-        assert_eq!(shared.predict_batch(&samples, 4), model.predict(&samples));
-        assert_eq!(snapshot.into_model().predict(&samples), model.predict(&samples));
+        let expected = model.predict_batch(&samples, 1);
+        assert_eq!(shared.predict_batch(&samples, 4), expected);
+        assert_eq!(snapshot.into_model().predict_batch(&samples, 1), expected);
     }
 }

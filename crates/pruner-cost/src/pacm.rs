@@ -217,10 +217,6 @@ impl CostModel for PacmModel {
         }
     }
 
-    fn predict(&self, samples: &[Sample]) -> Vec<f32> {
-        self.predict_with(&mut Graph::new(), samples)
-    }
-
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
         let picks: Vec<usize> = (0..samples.len()).collect();
         let mut out = Vec::with_capacity(samples.len());
@@ -230,10 +226,6 @@ impl CostModel for PacmModel {
             out.extend_from_slice(g.value(scores).as_slice());
         }
         out
-    }
-
-    fn fit(&mut self, samples: &[Sample], epochs: usize) -> f64 {
-        self.fit_batch(samples, epochs, 1)
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
@@ -279,7 +271,7 @@ mod tests {
     fn predict_shape() {
         let (samples, _) = ranking_samples(24, 40);
         let m = PacmModel::new(1);
-        assert_eq!(m.predict(&samples).len(), 24);
+        assert_eq!(m.predict_batch(&samples, 1).len(), 24);
     }
 
     #[test]
@@ -287,7 +279,7 @@ mod tests {
         let (samples, truth) = ranking_samples(48, 41);
         let mut m = PacmModel::new(2);
         let before = spearman_to_truth(&mut m, &samples, &truth);
-        m.fit(&samples, 30);
+        m.fit_batch(&samples, 30, 1);
         let after = spearman_to_truth(&mut m, &samples, &truth);
         assert!(
             after > before.max(0.5),
@@ -299,7 +291,7 @@ mod tests {
     fn ablated_branches_still_train() {
         let (samples, truth) = ranking_samples(32, 42);
         for mut m in [PacmModel::without_stmt_branch(3), PacmModel::without_flow_branch(3)] {
-            m.fit(&samples, 20);
+            m.fit_batch(&samples, 20, 1);
             let rho = spearman_to_truth(&mut m, &samples, &truth);
             assert!(rho > 0.3, "{} failed to learn: ρ = {rho:.3}", m.name());
         }
@@ -351,11 +343,11 @@ mod tests {
             PacmModel::without_stmt_branch(5),
             PacmModel::without_flow_branch(5),
         ] {
-            m.fit(&samples, 2);
+            m.fit_batch(&samples, 2, 1);
             let mut g = Graph::new();
             let dense = m.forward(&mut g, &samples, &picks);
             let dense = bits(g.value(dense).as_slice());
-            assert_eq!(bits(&m.predict(&samples)), dense, "{} predict", m.name());
+            assert_eq!(bits(&m.predict_batch(&samples, 1)), dense, "{} predict", m.name());
             for threads in 1..=3 {
                 assert_eq!(
                     bits(&m.predict_batch(&samples, threads)),
@@ -380,9 +372,9 @@ mod tests {
         let (samples, _) = ranking_samples(16, 43);
         let mut a = PacmModel::new(5);
         let mut b = PacmModel::new(5);
-        a.fit(&samples, 3);
-        b.fit(&samples, 3);
-        assert_eq!(a.predict(&samples), b.predict(&samples));
+        a.fit_batch(&samples, 3, 1);
+        b.fit_batch(&samples, 3, 1);
+        assert_eq!(a.predict_batch(&samples, 1), b.predict_batch(&samples, 1));
     }
 
     /// Snapshot → train → restore must bring the head weights back
@@ -393,18 +385,18 @@ mod tests {
     fn head_snapshot_restore_round_trips() {
         let (samples, _) = ranking_samples(24, 44);
         let mut m = PacmModel::new(9);
-        m.fit(&samples, 2);
+        m.fit_batch(&samples, 2, 1);
         let snap = m.head_snapshot();
-        let before = m.predict(&samples);
+        let before = m.predict_batch(&samples, 1);
 
         // Restore onto the unchanged model: predictions identical.
         m.restore_head(&snap);
-        assert_eq!(m.predict(&samples), before, "no-op restore must not drift");
+        assert_eq!(m.predict_batch(&samples, 1), before, "no-op restore must not drift");
 
         // Train on, then restore: the fresh snapshot must equal the old
         // one byte-for-byte even though the trunk moved.
-        m.fit(&samples, 3);
-        assert_ne!(m.predict(&samples), before, "training must move the model");
+        m.fit_batch(&samples, 3, 1);
+        assert_ne!(m.predict_batch(&samples, 1), before, "training must move the model");
         m.restore_head(&snap);
         assert_eq!(
             serde_json::to_string(&m.head_snapshot()).unwrap(),
@@ -419,7 +411,7 @@ mod tests {
     fn head_snapshot_serde_round_trips() {
         let (samples, _) = ranking_samples(16, 45);
         let mut m = PacmModel::new(11);
-        m.fit(&samples, 2);
+        m.fit_batch(&samples, 2, 1);
         let snap = m.head_snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: HeadSnapshot = serde_json::from_str(&json).unwrap();
@@ -429,7 +421,7 @@ mod tests {
         let mut b = PacmModel::new(12);
         a.restore_head(&snap);
         b.restore_head(&back);
-        assert_eq!(a.predict(&samples), b.predict(&samples));
+        assert_eq!(a.predict_batch(&samples, 1), b.predict_batch(&samples, 1));
     }
 
     /// Restoring a head across ablation boundaries is a hard error — the

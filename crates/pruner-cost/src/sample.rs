@@ -112,12 +112,8 @@ pub fn stack_tokens_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Te
     t
 }
 
-/// Stacks statement features summed over statements: `[n, STMT_DIM]`.
-pub fn stack_pooled(samples: &[Sample], picks: &[usize]) -> Tensor {
-    stack_pooled_in(&mut Graph::new(), samples, picks)
-}
-
-/// [`stack_pooled`] into `g`'s buffer pool — allocation-free once warm.
+/// Stacks statement features summed over statements: `[n, STMT_DIM]`,
+/// drawn from `g`'s buffer pool — allocation-free once warm.
 pub fn stack_pooled_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
     let mut t = g.scratch(picks.len(), STMT_DIM);
     for (row, &i) in t.as_mut_slice().chunks_mut(STMT_DIM).zip(picks) {
@@ -276,13 +272,13 @@ mod tests {
         assert_eq!(stack_stmt_in(g, &s, &picks).shape(), (4 * MAX_STMTS, STMT_DIM));
         assert_eq!(stack_flow_in(g, &s, &picks).shape(), (4 * MAX_FLOW, FLOW_DIM));
         assert_eq!(stack_tokens_in(g, &s, &picks).shape(), (4 * MAX_TOKENS, TLP_DIM));
-        assert_eq!(stack_pooled(&s, &picks).shape(), (4, STMT_DIM));
+        assert_eq!(stack_pooled_in(g, &s, &picks).shape(), (4, STMT_DIM));
     }
 
     #[test]
     fn pooled_equals_manual_sum() {
         let s = samples();
-        let pooled = stack_pooled(&s, &[0]);
+        let pooled = stack_pooled_in(&mut Graph::new(), &s, &[0]);
         let manual: f32 = s[0].stmt.iter().step_by(STMT_DIM).sum();
         assert!((pooled.at(0, 0) - manual).abs() < 1e-5);
     }

@@ -74,10 +74,6 @@ impl CostModel for TensetMlpModel {
         "TensetMLP"
     }
 
-    fn predict(&self, samples: &[Sample]) -> Vec<f32> {
-        self.predict_with(&mut Graph::new(), samples)
-    }
-
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
         let picks: Vec<usize> = (0..samples.len()).collect();
         let mut out = Vec::with_capacity(samples.len());
@@ -87,10 +83,6 @@ impl CostModel for TensetMlpModel {
             out.extend_from_slice(g.value(scores).as_slice());
         }
         out
-    }
-
-    fn fit(&mut self, samples: &[Sample], epochs: usize) -> f64 {
-        self.fit_batch(samples, epochs, 1)
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
@@ -133,7 +125,7 @@ mod tests {
     fn training_improves_ranking() {
         let (samples, truth) = ranking_samples(48, 51);
         let mut m = TensetMlpModel::new(2);
-        m.fit(&samples, 30);
+        m.fit_batch(&samples, 30, 1);
         let rho = spearman_to_truth(&mut m, &samples, &truth);
         assert!(rho > 0.4, "TensetMLP failed to learn: ρ = {rho:.3}");
     }
@@ -142,6 +134,6 @@ mod tests {
     fn predict_is_pure() {
         let (samples, _) = ranking_samples(16, 52);
         let m = TensetMlpModel::new(4);
-        assert_eq!(m.predict(&samples), m.predict(&samples));
+        assert_eq!(m.predict_batch(&samples, 1), m.predict_batch(&samples, 1));
     }
 }

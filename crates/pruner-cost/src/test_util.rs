@@ -36,7 +36,7 @@ pub fn spearman_to_truth(
     samples: &[Sample],
     truth: &[f64],
 ) -> f64 {
-    let scores: Vec<f64> = model.predict(samples).iter().map(|&s| s as f64).collect();
+    let scores: Vec<f64> = model.predict_batch(samples, 1).iter().map(|&s| s as f64).collect();
     let neg_lat: Vec<f64> = truth.iter().map(|&l| -l).collect();
     spearman(&scores, &neg_lat)
 }

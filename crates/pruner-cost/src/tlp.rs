@@ -97,10 +97,6 @@ impl CostModel for TlpModel {
         "TLP"
     }
 
-    fn predict(&self, samples: &[Sample]) -> Vec<f32> {
-        self.predict_with(&mut Graph::new(), samples)
-    }
-
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
         let picks: Vec<usize> = (0..samples.len()).collect();
         let mut out = Vec::with_capacity(samples.len());
@@ -110,10 +106,6 @@ impl CostModel for TlpModel {
             out.extend_from_slice(g.value(scores).as_slice());
         }
         out
-    }
-
-    fn fit(&mut self, samples: &[Sample], epochs: usize) -> f64 {
-        self.fit_batch(samples, epochs, 1)
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
@@ -156,7 +148,7 @@ mod tests {
     fn training_improves_ranking() {
         let (samples, truth) = ranking_samples(48, 61);
         let mut m = TlpModel::new(17);
-        m.fit(&samples, 40);
+        m.fit_batch(&samples, 40, 1);
         let rho = spearman_to_truth(&mut m, &samples, &truth);
         // TLP is the least stable model of the roster (the paper observes it
         // failing outright on some workloads); this checks it learns on a

@@ -330,25 +330,6 @@ impl Psa {
         order
     }
 
-    /// [`Self::prune_arena`] with observability: wraps the draft in a
-    /// `psa.prune` span and counts the pool in (`psa.pool_in`) and the
-    /// survivors out (`psa.survivors`). The recorder only observes, so the
-    /// kept indices are identical with any recorder.
-    pub fn prune_arena_traced(
-        &self,
-        arena: &CandidateArena,
-        size: usize,
-        threads: usize,
-        rec: &mut dyn pruner_trace::Recorder,
-    ) -> Vec<usize> {
-        rec.span_begin("psa.prune");
-        rec.counter("psa.pool_in", arena.len() as u64);
-        let out = self.prune_arena(arena, size, threads);
-        rec.counter("psa.survivors", out.len() as u64);
-        rec.span_end("psa.prune");
-        out
-    }
-
     /// Samples `pool_size` random candidates for `workload` and keeps the
     /// best `size` by estimated latency — the full Algorithm 1 round.
     pub fn sample_target_space(
@@ -668,21 +649,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prune_arena_traced_matches_untraced_and_counts_the_funnel() {
-        use pruner_trace::TraceHandle;
-        let psa = t4_psa();
-        let wl = Workload::conv2d(1, 64, 56, 56, 64, 3, 1, 1);
-        let arena = arena_of(&wl, 120, 7);
-        let mut trace = TraceHandle::new();
-        let traced = psa.prune_arena_traced(&arena, 32, 4, &mut trace);
-        assert_eq!(traced, psa.prune_arena(&arena, 32, 4));
-        let jsonl = trace.to_jsonl();
-        assert!(jsonl.contains("\"name\":\"psa.prune\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"psa.pool_in\",\"value\":120"), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"psa.survivors\",\"value\":32"), "{jsonl}");
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl Drop for Batcher {
 /// * `predict*` routes through the batcher queue, so concurrent
 ///   campaigns and `PredictOnly` requests merge into single
 ///   `predict_batch` calls;
-/// * `fit*` is a no-op — the shared model is frozen (fine-tuning one
+/// * `fit_batch` is a no-op — the shared model is frozen (fine-tuning one
 ///   tenant's copy would leak its measurements into every other
 ///   tenant's predictions);
 /// * `snapshot` delegates to the shared model, so a parked campaign's
@@ -206,10 +206,6 @@ impl CostModel for BatchedModel {
         "Batched"
     }
 
-    fn predict(&self, samples: &[Sample]) -> Vec<f32> {
-        self.predict_queued(samples)
-    }
-
     fn predict_with(&self, _workspace: &mut Graph, samples: &[Sample]) -> Vec<f32> {
         self.predict_queued(samples)
     }
@@ -220,7 +216,7 @@ impl CostModel for BatchedModel {
         self.predict_queued(samples)
     }
 
-    fn fit(&mut self, _samples: &[Sample], _epochs: usize) -> f64 {
+    fn fit_batch(&mut self, _samples: &[Sample], _epochs: usize, _threads: usize) -> f64 {
         // Frozen: shared daemon models are never fine-tuned by tenants.
         0.0
     }
@@ -306,7 +302,7 @@ mod tests {
             })
             .collect();
         let before = model.predict_batch(&samples, 1);
-        assert_eq!(campaign.fit(&samples, 3), 0.0);
+        assert_eq!(campaign.fit_batch(&samples, 3, 1), 0.0);
         assert_eq!(model.predict_batch(&samples, 1), before, "fit must not move the shared model");
         let snap = campaign.snapshot().expect("snapshot must delegate to the shared model");
         assert_eq!(snap.into_model().predict_batch(&samples, 1), before);

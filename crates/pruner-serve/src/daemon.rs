@@ -30,8 +30,7 @@ use pruner_ir::Workload;
 use pruner_store::{write_atomic_durable, SharedStore};
 use pruner_trace::{Record, Recorder, Report, TraceHandle};
 use pruner_tuner::{
-    CampaignFactory, ModelSetup, Supervisor, SupervisorConfig, Tuner, TunerConfig, STOP_KILL,
-    STOP_PARK,
+    ModelSetup, Supervisor, SupervisorConfig, Tuner, TunerConfig, STOP_KILL, STOP_PARK,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -169,7 +168,7 @@ impl DaemonInner {
             let factory_ckpt = ckpt_path.clone();
             let factory_store = store.clone();
             let factory_trace = trace.clone();
-            let factory: CampaignFactory<Simulator> = Box::new(move |ckpt| {
+            let factory = move |ckpt| -> io::Result<Tuner<Simulator>> {
                 let mut tuner = match ckpt {
                     Some(ckpt) => Tuner::from_checkpoint_backend(ckpt)?,
                     None if factory_ckpt.exists() => Tuner::resume(&factory_ckpt)?,
@@ -192,14 +191,10 @@ impl DaemonInner {
                 tuner.set_shared_store(factory_store.clone(), false);
                 tuner.set_recorder(Box::new(factory_trace.clone()));
                 Ok(tuner)
-            });
-            let mut supervisor = Supervisor::new(SupervisorConfig::default());
+            };
+            let mut supervisor = Supervisor::new(sup_cfg);
             supervisor.set_recorder(Box::new(trace.clone()));
-            let run = supervisor
-                .run_many::<Simulator>(vec![(sup_cfg, factory)])
-                .into_iter()
-                .next()
-                .expect("one campaign in, one run out");
+            let run = supervisor.run(factory);
             let outcome = run.outcome.label().to_string();
             let result = run.result.filter(|_| outcome == "completed");
             let best_latency_s = result.as_ref().map(|r| r.best_latency_s);

@@ -59,7 +59,7 @@ impl CampaignState {
 }
 
 /// The work a queued campaign will run: receives its stop signal, runs
-/// to an outcome. Built by the daemon around `Supervisor::run_many`.
+/// to an outcome. Built by the daemon around `Supervisor::run`.
 pub type CampaignJob = Box<dyn FnOnce(Arc<AtomicU8>) -> JobOutcome + Send>;
 
 /// One campaign's registry entry.

@@ -10,7 +10,6 @@ use crate::arena::{CandidateArena, FpSet, GeneBuf, WorkloadCtx};
 use crate::config::{Schedule, UNROLL_CANDIDATES, VECTORIZE_CANDIDATES};
 use crate::limits::HardwareLimits;
 use crate::program::{sample_reduce_split, sample_spatial_split, Program};
-use pruner_trace::NoopRecorder;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -266,10 +265,6 @@ pub mod reference {
 /// The new candidates are *raw*: stats rows are deferred so candidates
 /// rejected by dedup never pay for one. Call
 /// [`CandidateArena::ensure_stats`] before PSA or featurization.
-///
-/// Emits an `evolve.init` span and the `evolve.sampled` counter on `rec`,
-/// which only observes: the candidates are identical with any recorder.
-#[allow(clippy::too_many_arguments)]
 pub fn init_into(
     arena: &mut CandidateArena,
     size: usize,
@@ -277,9 +272,7 @@ pub fn init_into(
     seed: u64,
     round: u64,
     threads: usize,
-    rec: &mut dyn pruner_trace::Recorder,
 ) {
-    rec.span_begin("evolve.init");
     let ctx = Arc::clone(arena.ctx());
     let base = arena.len();
     let mut seen = FpSet::with_capacity_and_hasher(size, Default::default());
@@ -308,8 +301,6 @@ pub fn init_into(
             fresh
         });
     }
-    rec.counter("evolve.sampled", (arena.len() - base) as u64);
-    rec.span_end("evolve.init");
 }
 
 /// Breeds one round's `size` offspring (mutations, crossovers and fresh
@@ -323,11 +314,8 @@ pub fn init_into(
 /// thread count. The children are *raw* (stats deferred) — see
 /// [`CandidateArena::ensure_stats`].
 ///
-/// Emits an `evolve.next` span and the `evolve.offspring` counter on `rec`.
-///
 /// # Panics
 /// Panics if `elites` is empty.
-#[allow(clippy::too_many_arguments)]
 pub fn next_generation_into(
     arena: &mut CandidateArena,
     elites: &[GeneBuf],
@@ -336,10 +324,8 @@ pub fn next_generation_into(
     seed: u64,
     round: u64,
     threads: usize,
-    rec: &mut dyn pruner_trace::Recorder,
 ) {
     assert!(!elites.is_empty(), "need at least one elite");
-    rec.span_begin("evolve.next");
     let ctx = Arc::clone(arena.ctx());
     arena.extend_par(size, threads, |k| {
         let rng = &mut item_rng(seed, round, k);
@@ -355,11 +341,9 @@ pub fn next_generation_into(
             ctx.sample_genes(limits, rng)
         }
     });
-    rec.counter("evolve.offspring", size as u64);
-    rec.span_end("evolve.next");
 }
 
-/// [`init_into`] a fresh arena, untraced.
+/// [`init_into`] a fresh arena.
 pub fn init_arena_par(
     ctx: &Arc<WorkloadCtx>,
     size: usize,
@@ -369,11 +353,11 @@ pub fn init_arena_par(
     threads: usize,
 ) -> CandidateArena {
     let mut out = CandidateArena::with_capacity(Arc::clone(ctx), size);
-    init_into(&mut out, size, limits, seed, round, threads, &mut NoopRecorder);
+    init_into(&mut out, size, limits, seed, round, threads);
     out
 }
 
-/// [`next_generation_into`] a fresh arena, untraced.
+/// [`next_generation_into`] a fresh arena.
 ///
 /// # Panics
 /// Panics if `elites` is empty.
@@ -387,7 +371,7 @@ pub fn next_generation_arena_par(
     threads: usize,
 ) -> CandidateArena {
     let mut out = CandidateArena::with_capacity(Arc::clone(ctx), size);
-    next_generation_into(&mut out, elites, size, limits, seed, round, threads, &mut NoopRecorder);
+    next_generation_into(&mut out, elites, size, limits, seed, round, threads);
     out
 }
 
@@ -618,30 +602,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn arena_traced_generators_match_untraced_and_emit_same_trace() {
-        use pruner_trace::TraceHandle;
-        let limits = HardwareLimits::default();
-        let wl = Workload::matmul(1, 256, 256, 256);
-        let ctx = Arc::new(WorkloadCtx::new(&wl));
-        let mut trace = TraceHandle::new();
-        let mut init = CandidateArena::new(Arc::clone(&ctx));
-        init_into(&mut init, 48, &limits, 3, 1, 4, &mut trace);
-        assert_eq!(init.programs(), init_arena_par(&ctx, 48, &limits, 3, 1, 4).programs());
-        let elite_genes: Vec<GeneBuf> = (0..4).map(|i| init.genes(i)).collect();
-        let mut bred = CandidateArena::new(Arc::clone(&ctx));
-        next_generation_into(&mut bred, &elite_genes, 32, &limits, 3, 2, 2, &mut trace);
-        assert_eq!(
-            bred.programs(),
-            next_generation_arena_par(&ctx, &elite_genes, 32, &limits, 3, 2, 2).programs()
-        );
-        let jsonl = trace.to_jsonl();
-        assert!(jsonl.contains("\"name\":\"evolve.init\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"evolve.next\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"evolve.sampled\",\"value\":48"), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"evolve.offspring\",\"value\":32"), "{jsonl}");
-    }
-
     /// The tuner's pool shape: offspring first, then the fresh-blood
     /// quarter sampled onto the tail of the same arena. The tail's
     /// first-wins filter must neither move nor consult the offspring.
@@ -658,9 +618,8 @@ mod tests {
             let fresh = init_arena_par(&ctx, 40, &limits, 12, 5, 1);
             for threads in [1usize, 3, 8] {
                 let mut pool = CandidateArena::new(Arc::clone(&ctx));
-                let rec = &mut NoopRecorder;
-                next_generation_into(&mut pool, &elites, 96, &limits, 11, 5, threads, rec);
-                init_into(&mut pool, 40, &limits, 12, 5, threads, rec);
+                next_generation_into(&mut pool, &elites, 96, &limits, 11, 5, threads);
+                init_into(&mut pool, 40, &limits, 12, 5, threads);
                 let expected: Vec<u64> =
                     offspring.fingerprints().iter().chain(fresh.fingerprints()).copied().collect();
                 assert_eq!(pool.fingerprints(), expected, "{} at {threads} threads", wl.key());

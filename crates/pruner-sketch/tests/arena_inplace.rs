@@ -13,7 +13,6 @@
 use proptest::prelude::*;
 use pruner_ir::{EwKind, Workload};
 use pruner_sketch::{evolve, CandidateArena, GeneBuf, HardwareLimits, StatsRow, WorkloadCtx};
-use pruner_trace::NoopRecorder;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -53,10 +52,10 @@ fn fill_pool(
     seed: u64,
     threads: usize,
 ) {
-    let (limits, rec) = (HardwareLimits::default(), &mut NoopRecorder);
-    evolve::next_generation_into(arena, elites, pool * 3 / 4, &limits, seed, 1, threads, rec);
+    let limits = HardwareLimits::default();
+    evolve::next_generation_into(arena, elites, pool * 3 / 4, &limits, seed, 1, threads);
     let fresh = pool - arena.len();
-    evolve::init_into(arena, fresh, &limits, seed ^ FRESH, 1, threads, rec);
+    evolve::init_into(arena, fresh, &limits, seed ^ FRESH, 1, threads);
 }
 
 /// Everything observable about an arena, column for column (f64 as bits).
@@ -119,15 +118,13 @@ proptest! {
         let legacy_next = evolve::reference::next_generation(&parents, n, &limits, seed, 3);
         for threads in THREADS {
             let mut arena = CandidateArena::new(Arc::clone(&ctx));
-            evolve::init_into(&mut arena, n, &limits, seed, 2, threads, &mut NoopRecorder);
+            evolve::init_into(&mut arena, n, &limits, seed, 2, threads);
             prop_assert_eq!(&arena.programs(), &legacy_init, "init at {} threads", threads);
             for (i, p) in legacy_init.iter().enumerate() {
                 prop_assert_eq!(arena.fingerprint(i), p.fingerprint());
             }
             arena.reset(Arc::clone(&ctx));
-            evolve::next_generation_into(
-                &mut arena, &elites, n, &limits, seed, 3, threads, &mut NoopRecorder,
-            );
+            evolve::next_generation_into(&mut arena, &elites, n, &limits, seed, 3, threads);
             prop_assert_eq!(&arena.programs(), &legacy_next, "next at {} threads", threads);
             for (i, p) in legacy_next.iter().enumerate() {
                 prop_assert_eq!(arena.fingerprint(i), p.fingerprint());

@@ -50,7 +50,7 @@
 //! // Later campaign: replay every record matching its platform + tasks.
 //! let store = Store::open(&path).unwrap();
 //! let workloads = std::collections::HashSet::from([workload.key()]);
-//! let replay = store.replay(&spec.fingerprint(), &workloads);
+//! let replay = store.replay("sim", &spec.fingerprint(), &workloads);
 //! assert_eq!(replay.records.len(), 1);
 //! assert_eq!(replay.spec_mismatches, 0);
 //! std::fs::remove_dir_all(&dir).unwrap();
@@ -381,19 +381,14 @@ impl Store {
         true
     }
 
-    /// Filters the live records down to one simulator campaign: shorthand
-    /// for [`Store::replay_backend`] with the `"sim"` backend tag.
-    pub fn replay<'a>(&'a self, spec_fp: &str, workload_fps: &HashSet<String>) -> Replay<'a> {
-        self.replay_backend("sim", spec_fp, workload_fps)
-    }
-
     /// Filters the live records down to one campaign: records measured by
-    /// `backend` on the platform fingerprinted by `spec_fp` whose workload
-    /// is in `workload_fps`. Non-matching records are counted, not errors —
-    /// a store may interleave many backends, platforms and workloads.
+    /// `backend` (the backend tag, `"sim"` for the simulator) on the
+    /// platform fingerprinted by `spec_fp` whose workload is in
+    /// `workload_fps`. Non-matching records are counted, not errors — a
+    /// store may interleave many backends, platforms and workloads.
     /// Cross-backend latencies are never comparable (an analytical estimate
     /// vs. wall time on a different machine), so replay never mixes them.
-    pub fn replay_backend<'a>(
+    pub fn replay<'a>(
         &'a self,
         backend: &str,
         spec_fp: &str,
@@ -672,7 +667,7 @@ mod tests {
         store.append(success(&a100, &mm, 0.5e-3));
 
         let campaign: HashSet<String> = [mm.key()].into_iter().collect();
-        let replay = store.replay(&t4.fingerprint(), &campaign);
+        let replay = store.replay("sim", &t4.fingerprint(), &campaign);
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.records[0].spec_fp, t4.fingerprint());
         assert_eq!(replay.backend_mismatches, 0);
@@ -703,14 +698,14 @@ mod tests {
 
         let campaign: HashSet<String> = [mm.key()].into_iter().collect();
         for (own, own_latency) in [(&k80, 5.0e-3), (&t4, 1.0e-3)] {
-            let replay = store.replay(&own.fingerprint(), &campaign);
+            let replay = store.replay("sim", &own.fingerprint(), &campaign);
             assert_eq!(replay.records.len(), 1, "exactly the device's own record");
             assert_eq!(replay.records[0].spec_fp, own.fingerprint());
             assert_eq!(replay.records[0].outcome.latency_s(), Some(own_latency));
             assert_eq!(replay.spec_mismatches, 1, "the other device's record is filtered");
         }
         // A fingerprint the log has never seen gets nothing.
-        let foreign = store.replay(&GpuSpec::a100().fingerprint(), &campaign);
+        let foreign = store.replay("sim", &GpuSpec::a100().fingerprint(), &campaign);
         assert!(foreign.records.is_empty());
         assert_eq!(foreign.spec_mismatches, 2);
         cleanup(&path);
@@ -734,11 +729,11 @@ mod tests {
 
         // ...and replay only ever surfaces one backend's records.
         let campaign: HashSet<String> = [mm.key()].into_iter().collect();
-        let sim = store.replay(&spec.fingerprint(), &campaign);
+        let sim = store.replay("sim", &spec.fingerprint(), &campaign);
         assert_eq!(sim.records.len(), 1);
         assert_eq!(sim.records[0].backend, "sim");
         assert_eq!(sim.backend_mismatches, 1);
-        let cpu = store.replay_backend("cpu", &spec.fingerprint(), &campaign);
+        let cpu = store.replay("cpu", &spec.fingerprint(), &campaign);
         assert_eq!(cpu.records.len(), 1);
         assert_eq!(cpu.records[0].outcome.latency_s(), Some(4.0e-3));
         assert_eq!(cpu.backend_mismatches, 1);
@@ -949,7 +944,7 @@ mod tests {
         let campaign: HashSet<String> = [mm.key()].into_iter().collect();
         let latencies = shared.with(|store| {
             store
-                .replay(&spec.fingerprint(), &campaign)
+                .replay("sim", &spec.fingerprint(), &campaign)
                 .records
                 .iter()
                 .filter_map(|r| r.outcome.latency_s())

@@ -7,11 +7,12 @@
 //! funnel visible without touching the repo's bit-identical determinism
 //! guarantee:
 //!
-//! * [`Recorder`] — the instrumentation interface the tuner, measurer,
-//!   evolver, PSA and cost models talk to. Every method has an empty
-//!   default body, so the [`NoopRecorder`] (the default everywhere)
-//!   compiles the hot path down to nothing: no clock reads, no
-//!   allocation, no branch beyond the virtual call.
+//! * [`Recorder`] — the instrumentation interface the tuner and its
+//!   measurer talk to; the tuner times and counts the generator, PSA and
+//!   cost-model calls it makes, so those crates never link this one.
+//!   Every method has an empty default body, so the [`NoopRecorder`]
+//!   (the default everywhere) compiles the hot path down to nothing: no
+//!   clock reads, no allocation, no branch beyond the virtual call.
 //! * [`Record`] / [`Value`] — one structured event: a `type` tag plus an
 //!   ordered list of typed fields, serialized by hand so the JSON field
 //!   order is pinned byte-for-byte.

@@ -168,7 +168,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let prog = Program::sample(&wl, &HardwareLimits::default(), &mut rng);
         let mut measurer = Measurer::new(Simulator::new(GpuSpec::t4()));
-        let out = measurer.measure(&prog);
+        let out = measurer.measure(&prog, &mut pruner_trace::NoopRecorder);
         assert!(out.is_success());
         Checkpoint {
             version: Checkpoint::VERSION,

@@ -513,7 +513,7 @@ impl Fleet {
             self.cfg.seed,
         );
         let scores: Vec<f64> =
-            model.predict(&probes).into_iter().map(f64::from).collect();
+            model.predict_batch(&probes, 1).into_iter().map(f64::from).collect();
         let neg_latency: Vec<f64> = probes.iter().map(|s| -s.latency).collect();
         pruner_cost::metrics::spearman(&scores, &neg_latency)
     }

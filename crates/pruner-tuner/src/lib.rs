@@ -58,8 +58,8 @@ pub use measure::{
 pub use mtl::{pretrain_pacm, Mtl};
 pub use state::{CampaignPhase, CampaignStatus};
 pub use supervisor::{
-    CampaignFactory, CampaignFault, CampaignOutcome, SupervisedRun, Supervisor,
-    SupervisorConfig, STOP_KILL, STOP_NONE, STOP_PARK,
+    CampaignFault, CampaignOutcome, SupervisedRun, Supervisor, SupervisorConfig, STOP_KILL,
+    STOP_NONE, STOP_PARK,
 };
 pub use task::{FunnelCounts, ProposeParams, TaskTuner};
 pub use tuner::{ModelSetup, Tuner, TunerConfig, TuningResult};

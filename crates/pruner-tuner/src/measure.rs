@@ -2,7 +2,7 @@
 
 use pruner_gpu::{Backend, FaultKind, Simulator};
 use pruner_sketch::Program;
-use pruner_trace::{NoopRecorder, Record, Recorder};
+use pruner_trace::{Record, Recorder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -427,16 +427,13 @@ impl<B: Backend> Measurer<B> {
     /// policy bound. Previously measured programs return the cached
     /// outcome and charge nothing — real tuners skip re-measuring too,
     /// and a quarantined kernel is never put back on the device.
-    pub fn measure(&mut self, prog: &Program) -> MeasureOutcome {
-        self.measure_rec(prog, &mut NoopRecorder)
-    }
-
-    /// [`Measurer::measure`] with an explicit [`Recorder`]: identical
-    /// outcome, ledger and nonce stream, plus per-attempt `fault` records,
-    /// a `quarantine` record when the program exhausts its retries, and a
-    /// `measure.cache_hits` counter. With a [`NoopRecorder`] this *is*
-    /// `measure` — the recorder never influences the measurement.
-    pub fn measure_rec(&mut self, prog: &Program, rec: &mut dyn Recorder) -> MeasureOutcome {
+    ///
+    /// `rec` receives per-attempt `fault` records, a `quarantine` record
+    /// when the program exhausts its retries, and a `measure.cache_hits`
+    /// counter. It only observes: outcome, ledger and nonce stream are
+    /// identical with any recorder, a [`pruner_trace::NoopRecorder`]
+    /// included.
+    pub fn measure(&mut self, prog: &Program, rec: &mut dyn Recorder) -> MeasureOutcome {
         let key = prog.dedup_key();
         if let Some(&out) = self.cache.get(&key) {
             rec.counter("measure.cache_hits", 1);
@@ -619,6 +616,7 @@ mod tests {
     use pruner_gpu::{FaultModel, GpuSpec};
     use pruner_ir::Workload;
     use pruner_sketch::{HardwareLimits, Program};
+    use pruner_trace::NoopRecorder;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -641,9 +639,9 @@ mod tests {
     fn measurement_is_cached() {
         let mut m = measurer();
         let p = prog(1);
-        let a = m.measure(&p);
+        let a = m.measure(&p, &mut NoopRecorder);
         let t1 = m.stats().measure_time_s;
-        let b = m.measure(&p);
+        let b = m.measure(&p, &mut NoopRecorder);
         assert_eq!(a, b);
         assert!(a.is_success());
         assert_eq!(m.stats().trials, 1, "repeat measurement must not count");
@@ -661,7 +659,7 @@ mod tests {
         for s in 0..8 {
             let p = prog(s);
             let expect = sim.measure_avg(&p, m.stats().trials, m.time_model().repeats);
-            let got = m.measure(&p).latency().expect("fault-free");
+            let got = m.measure(&p, &mut NoopRecorder).latency().expect("fault-free");
             assert_eq!(got, expect, "nonce stream diverged at trial {s}");
         }
         assert_eq!(m.stats().failures, 0);
@@ -674,7 +672,7 @@ mod tests {
         let mut b = measurer();
         for s in 0..6 {
             let p = prog(s);
-            let la = a.measure(&p).latency().unwrap();
+            let la = a.measure(&p, &mut NoopRecorder).latency().unwrap();
             let lb = b.measure_trusted(&p);
             assert_eq!(la, lb);
         }
@@ -688,7 +686,8 @@ mod tests {
         m.set_retry_policy(RetryPolicy { max_retries: 2, ..RetryPolicy::default() });
         let mut quarantined = 0;
         for s in 0..24 {
-            if let MeasureOutcome::Failure { attempts, .. } = m.measure(&prog(s)) {
+            let outcome = m.measure(&prog(s), &mut NoopRecorder);
+            if let MeasureOutcome::Failure { attempts, .. } = outcome {
                 assert_eq!(attempts, 3);
                 quarantined += 1;
             }
@@ -712,7 +711,7 @@ mod tests {
         // Find a program that exhausts all 4 attempts.
         for s in 0..64 {
             let before = m.stats().retry_backoff_s;
-            if let MeasureOutcome::Failure { .. } = m.measure(&prog(s)) {
+            if let MeasureOutcome::Failure { .. } = m.measure(&prog(s), &mut NoopRecorder) {
                 let spent = m.stats().retry_backoff_s - before;
                 // 1 + 2 + 4 seconds of backoff across 3 retries.
                 assert_eq!(spent, 7.0);
@@ -727,10 +726,10 @@ mod tests {
         let mut m = faulty_measurer(0.9);
         for s in 0..64 {
             let p = prog(s);
-            let first = m.measure(&p);
+            let first = m.measure(&p, &mut NoopRecorder);
             if !first.is_success() {
                 let stats = m.stats();
-                let again = m.measure(&p);
+                let again = m.measure(&p, &mut NoopRecorder);
                 assert_eq!(first, again);
                 assert_eq!(m.stats(), stats, "cached failure must not re-charge");
                 return;
@@ -743,7 +742,7 @@ mod tests {
     fn fault_classes_are_counted_and_charged() {
         let mut m = faulty_measurer(0.5);
         for s in 0..200 {
-            m.measure(&prog(s));
+            m.measure(&prog(s), &mut NoopRecorder);
         }
         let st = m.stats();
         assert!(st.failures > 0);
@@ -760,7 +759,7 @@ mod tests {
     #[test]
     fn time_accounting_accumulates() {
         let mut m = measurer();
-        m.measure(&prog(2));
+        m.measure(&prog(2), &mut NoopRecorder);
         m.charge_model_evals(512);
         m.charge_psa_evals(2048);
         m.charge_training(100, 10);
@@ -775,7 +774,7 @@ mod tests {
     fn set_time_model_preserves_cache_and_stats() {
         let mut m = measurer();
         let p = prog(5);
-        m.measure(&p);
+        m.measure(&p, &mut NoopRecorder);
         let stats = m.stats();
         let time = TimeModel { compile_s: 10.0, ..TimeModel::default() };
         m.set_time_model(time);
@@ -788,8 +787,8 @@ mod tests {
     fn wall_clock_is_excluded_from_equality() {
         let mut a = measurer();
         let mut b = measurer();
-        a.measure(&prog(3));
-        b.measure(&prog(3));
+        a.measure(&prog(3), &mut NoopRecorder);
+        b.measure(&prog(3), &mut NoopRecorder);
         a.record_wall(PipelineStage::Generate, 0.25);
         a.record_wall(PipelineStage::Psa, 0.5);
         a.record_wall(PipelineStage::Predict, 1.0);
@@ -805,7 +804,8 @@ mod tests {
         m.set_retry_policy(RetryPolicy { max_retries: 0, ..RetryPolicy::default() });
         for s in 0..64 {
             let attempts_before = m.attempts();
-            if let MeasureOutcome::Failure { attempts, .. } = m.measure(&prog(s)) {
+            let outcome = m.measure(&prog(s), &mut NoopRecorder);
+            if let MeasureOutcome::Failure { attempts, .. } = outcome {
                 assert_eq!(attempts, 1, "max_retries = 0 means a single attempt");
                 assert_eq!(m.attempts() - attempts_before, 1, "no hidden extra attempts");
                 let st = m.stats();
@@ -833,7 +833,8 @@ mod tests {
         });
         for s in 0..64 {
             let before = m.stats().retry_backoff_s;
-            if let MeasureOutcome::Failure { attempts, .. } = m.measure(&prog(s)) {
+            let outcome = m.measure(&prog(s), &mut NoopRecorder);
+            if let MeasureOutcome::Failure { attempts, .. } = outcome {
                 assert_eq!(attempts, 3);
                 let spent = m.stats().retry_backoff_s - before;
                 assert_eq!(spent, 1.0 + 3.0, "expected base·(1 + mult), got {spent}");
@@ -848,7 +849,7 @@ mod tests {
     fn first_exhausted_backoff<B: Backend>(m: &mut Measurer<B>) -> f64 {
         for s in 0..64 {
             let before = m.stats().retry_backoff_s;
-            if let MeasureOutcome::Failure { .. } = m.measure(&prog(s)) {
+            if let MeasureOutcome::Failure { .. } = m.measure(&prog(s), &mut NoopRecorder) {
                 return m.stats().retry_backoff_s - before;
             }
         }
@@ -917,7 +918,7 @@ mod tests {
         // the first attempt (nonce 0), then replay it against thresholds
         // pinned exactly at and just below that value.
         let mut probe = measurer();
-        let (latency, variance) = match probe.measure(&prog(0)) {
+        let (latency, variance) = match probe.measure(&prog(0), &mut NoopRecorder) {
             MeasureOutcome::Success { latency_s, variance } => (latency_s, variance),
             MeasureOutcome::Failure { .. } => panic!("fault-free measurement failed"),
         };
@@ -928,7 +929,7 @@ mod tests {
         // so the timing is accepted.
         let mut at = measurer();
         at.set_retry_policy(RetryPolicy { outlier_rel_std: rel_std, ..RetryPolicy::default() });
-        let out = at.measure(&prog(0));
+        let out = at.measure(&prog(0), &mut NoopRecorder);
         assert!(out.is_success(), "rel_std equal to the threshold must pass");
         assert_eq!(out.latency(), Some(latency));
         assert_eq!(at.stats().outliers, 0);
@@ -942,7 +943,7 @@ mod tests {
             outlier_rel_std: rel_std * (1.0 - 1e-12),
             ..RetryPolicy::default()
         });
-        let out = below.measure(&prog(0));
+        let out = below.measure(&prog(0), &mut NoopRecorder);
         assert!(!out.is_success(), "rel_std above the threshold must be rejected");
         assert_eq!(
             out,
@@ -964,8 +965,8 @@ mod tests {
         let mut trace = TraceHandle::new();
         for s in 0..24 {
             let p = prog(s);
-            let a = plain.measure(&p);
-            let b = traced.measure_rec(&p, &mut trace);
+            let a = plain.measure(&p, &mut NoopRecorder);
+            let b = traced.measure(&p, &mut trace);
             assert_eq!(a, b, "recorder must not influence outcomes");
         }
         assert_eq!(plain.stats(), traced.stats());
@@ -989,9 +990,9 @@ mod tests {
         let mut m = measurer();
         let mut trace = TraceHandle::new();
         let p = prog(1);
-        m.measure_rec(&p, &mut trace);
-        m.measure_rec(&p, &mut trace);
-        m.measure_rec(&p, &mut trace);
+        m.measure(&p, &mut trace);
+        m.measure(&p, &mut trace);
+        m.measure(&p, &mut trace);
         let jsonl = trace.to_jsonl();
         assert!(
             jsonl.contains("\"name\":\"measure.cache_hits\",\"value\":2"),
@@ -1007,12 +1008,12 @@ mod tests {
         assert!(m.preseed(p.dedup_key(), seeded));
         // The seeded verdict is served from cache: no trial, no nonce, no
         // simulated time.
-        assert_eq!(m.measure(&p), seeded);
+        assert_eq!(m.measure(&p, &mut NoopRecorder), seeded);
         assert_eq!(m.stats().trials, 0);
         assert_eq!(m.attempts(), 0);
         assert_eq!(m.stats().measure_time_s, 0.0);
         // A live verdict wins over a later seed attempt.
-        let live = m.measure(&prog(8));
+        let live = m.measure(&prog(8), &mut NoopRecorder);
         assert!(!m.preseed(prog(8).dedup_key(), seeded));
         assert_eq!(m.cached_outcome(&prog(8)), Some(live));
     }
@@ -1029,7 +1030,7 @@ mod tests {
         let mut m = measurer();
         let mut total_progs = 0;
         for s in 0..50 {
-            m.measure(&prog(s));
+            m.measure(&prog(s), &mut NoopRecorder);
             total_progs += 1;
         }
         let per_trial = m.stats().measure_time_s / total_progs as f64;

@@ -14,8 +14,8 @@
 //! ## The transfer path, end to end
 //!
 //! 1. **Pre-train** a PaCM offline on a source platform's labeled
-//!    programs ([`pretrain_pacm`], or a store replay through
-//!    [`CostModel::pretrain`]).
+//!    programs ([`pretrain_pacm`], or a warm start replaying a record
+//!    store into the campaign's model before round 0).
 //! 2. **Configure** a campaign with
 //!    [`ModelSetup::Mtl`](crate::ModelSetup::Mtl) — the tuner builds an
 //!    [`Mtl`] around the pre-trained weights and runs [`Mtl::round`]
@@ -33,6 +33,7 @@
 
 use pruner_cost::{CostModel, PacmModel, Sample};
 use pruner_nn::Module;
+use pruner_trace::Recorder;
 use serde::{Deserialize, Serialize};
 
 /// The MTL state: a pre-trained Siamese copy of PaCM plus the momentum
@@ -92,20 +93,24 @@ impl Mtl {
     }
 
     /// [`Mtl::round`] with observability: the round runs inside an
-    /// `mtl.round` span and the target's fine-tuning goes through
-    /// [`CostModel::fit_batch_traced`] (so the training loss is gauged as
-    /// `model.fit_loss`). The returned target and the updated Siamese
-    /// weights are bit-identical to the untraced call.
+    /// `mtl.round` span, and the target's fine-tuning emits the same
+    /// `model.fit` span, `model.fit_samples` counter and `model.fit_loss`
+    /// gauge as a plain training round. The returned target and the
+    /// updated Siamese weights are bit-identical to the untraced call.
+    ///
+    /// This is the one stage that keeps a traced twin: `round` keeps its
+    /// three-argument form, which the `perf/` harness calls, and that form
+    /// has no way to hand the fit loss to a caller that would record it.
     pub fn round_traced(
         &mut self,
         samples: &[Sample],
         epochs: usize,
         threads: usize,
-        rec: &mut dyn pruner_trace::Recorder,
+        rec: &mut dyn Recorder,
     ) -> PacmModel {
         rec.span_begin("mtl.round");
         let mut target = self.siamese.clone();
-        target.fit_batch_traced(samples, epochs, threads, rec);
+        fit_recorded(&mut target, samples, epochs, threads, rec);
         self.siamese.momentum_update_from(&mut target, self.momentum);
         self.rounds += 1;
         rec.span_end("mtl.round");
@@ -113,11 +118,31 @@ impl Mtl {
     }
 }
 
+/// Trains `model` with [`CostModel::fit_batch`] inside a `model.fit` span,
+/// counts `samples × epochs` of training work (`model.fit_samples`) and
+/// gauges the final objective (`model.fit_loss`). Every training round of
+/// a campaign, plain or MTL, goes through here. The recorder only
+/// observes: the loss and the weights are those of the bare call.
+pub(crate) fn fit_recorded(
+    model: &mut dyn CostModel,
+    samples: &[Sample],
+    epochs: usize,
+    threads: usize,
+    rec: &mut dyn Recorder,
+) -> f64 {
+    rec.span_begin("model.fit");
+    let loss = model.fit_batch(samples, epochs, threads);
+    rec.counter("model.fit_samples", (samples.len() * epochs) as u64);
+    rec.gauge("model.fit_loss", loss);
+    rec.span_end("model.fit");
+    loss
+}
+
 /// Pre-trains a fresh PaCM on an offline dataset — the stand-in for the
 /// paper's "pre-trained on the NVIDIA K80-6M dataset of TensetGPUs".
 pub fn pretrain_pacm(samples: &[Sample], epochs: usize, seed: u64) -> PacmModel {
     let mut model = PacmModel::new(seed);
-    model.fit(samples, epochs);
+    model.fit_batch(samples, epochs, 1);
     model
 }
 
@@ -148,10 +173,11 @@ mod tests {
     fn round_returns_trained_target_and_moves_siamese() {
         let pre = pretrain_pacm(&samples_on(GpuSpec::k80(), 24, 1), 5, 7);
         let mut mtl = Mtl::with_paper_momentum(pre.clone());
-        let before = format!("{:?}", mtl.siamese().clone().predict(&samples_on(GpuSpec::t4(), 4, 9)));
+        let probe = samples_on(GpuSpec::t4(), 4, 9);
+        let before = format!("{:?}", mtl.siamese().predict_batch(&probe, 1));
         let _target = mtl.round(&samples_on(GpuSpec::t4(), 24, 2), 5, 1);
         assert_eq!(mtl.rounds(), 1);
-        let after = format!("{:?}", mtl.siamese().clone().predict(&samples_on(GpuSpec::t4(), 4, 9)));
+        let after = format!("{:?}", mtl.siamese().predict_batch(&probe, 1));
         assert_ne!(before, after, "siamese weights must drift");
     }
 
@@ -162,8 +188,8 @@ mod tests {
         mtl.round(&samples_on(GpuSpec::t4(), 16, 4), 5, 2);
         let probe = samples_on(GpuSpec::t4(), 4, 10);
         assert_eq!(
-            mtl.siamese().clone().predict(&probe),
-            pre.clone().predict(&probe),
+            mtl.siamese().predict_batch(&probe, 1),
+            pre.predict_batch(&probe, 1),
             "momentum 1.0 must leave the siamese untouched"
         );
     }

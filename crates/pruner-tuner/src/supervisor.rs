@@ -65,16 +65,6 @@ pub const STOP_PARK: u8 = 1;
 /// [`CampaignOutcome::Cancelled`] with no result.
 pub const STOP_KILL: u8 = 2;
 
-/// A boxed campaign builder, the element type of
-/// [`Supervisor::run_many`]'s batch: called with `None` for a fresh start
-/// and with the loaded [`Checkpoint`] after a fault, exactly like the
-/// generic factory of [`Supervisor::run`]. Boxing lets one batch mix
-/// closures of different shapes (fresh submissions next to restart-resumed
-/// campaigns), which is what a multi-tenant scheduler hands the
-/// supervisor.
-pub type CampaignFactory<B> =
-    Box<dyn FnMut(Option<Checkpoint>) -> std::io::Result<Tuner<B>> + Send>;
-
 /// Supervision policy for one campaign.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
@@ -111,10 +101,11 @@ pub struct SupervisorConfig {
     /// every supervisor poll tick: [`STOP_NONE`] runs normally,
     /// [`STOP_PARK`] cancels gracefully (park, then
     /// [`CampaignOutcome::Cancelled`]), [`STOP_KILL`] abandons without
-    /// persisting anything. A daemon shares one signal across a batch to
-    /// stop every campaign, or gives each campaign its own for per-tenant
-    /// cancellation. A set signal also suppresses restarts: a fault while
-    /// stopping ends the run as cancelled instead of backing off.
+    /// persisting anything. A daemon can share one signal across its
+    /// campaigns to stop them all, or give each campaign its own for
+    /// per-tenant cancellation. A set signal also suppresses restarts: a
+    /// fault while stopping ends the run as cancelled instead of backing
+    /// off.
     pub stop: Option<Arc<AtomicU8>>,
 }
 
@@ -422,26 +413,6 @@ impl Supervisor {
                 }
             }
         }
-    }
-
-    /// Runs several campaigns sequentially, one [`SupervisedRun`] each.
-    /// Each campaign brings its own policy (checkpoint path, deadlines,
-    /// stop signal) as a boxed [`CampaignFactory`], so one batch can mix
-    /// fresh submissions with restart-resumed campaigns; the supervisor's
-    /// recorder covers them all.
-    pub fn run_many<B: Backend>(
-        &mut self,
-        campaigns: Vec<(SupervisorConfig, CampaignFactory<B>)>,
-    ) -> Vec<SupervisedRun> {
-        campaigns
-            .into_iter()
-            .map(|(cfg, factory)| {
-                let saved = std::mem::replace(&mut self.cfg, cfg);
-                let run = self.run(factory);
-                self.cfg = saved;
-                run
-            })
-            .collect()
     }
 
     /// The current value of the external stop signal ([`STOP_NONE`] when
@@ -788,23 +759,6 @@ mod tests {
         assert_eq!(CampaignOutcome::Cancelled.label(), "cancelled");
         let f = CampaignFault::Io { message: "disk full".into() };
         assert_eq!(f.to_string(), "io: disk full");
-    }
-
-    #[test]
-    fn run_many_supervises_each_campaign_with_its_own_policy() {
-        let mut sup = Supervisor::new(SupervisorConfig::default());
-        let runs = sup.run_many::<Simulator>(vec![
-            (SupervisorConfig::default(), Box::new(build)),
-            (SupervisorConfig::default(), Box::new(build)),
-        ]);
-        assert_eq!(runs.len(), 2);
-        assert!(runs.iter().all(|r| r.outcome == CampaignOutcome::Completed));
-        let (a, b) = (runs[0].result.as_ref().unwrap(), runs[1].result.as_ref().unwrap());
-        assert_eq!(
-            serde_json::to_string(a).unwrap(),
-            serde_json::to_string(b).unwrap(),
-            "identical campaigns supervise identically"
-        );
     }
 
     #[test]

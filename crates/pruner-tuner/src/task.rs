@@ -205,10 +205,14 @@ impl TaskTuner {
     ///
     /// `rec` receives the stage spans (`propose.generate` /
     /// `propose.draft` / `propose.predict`, whose elapsed times also feed
-    /// the [`SearchStats`](crate::SearchStats) wall ledger) and the
-    /// per-stage counters of generation, PSA and inference. It only
-    /// observes; with a [`pruner_trace::NoopRecorder`] no clock is read
-    /// and no event is built.
+    /// the [`SearchStats`](crate::SearchStats) wall ledger) and, nested in
+    /// them, one span per stage call with that stage's counters:
+    /// `evolve.next` / `evolve.init` (`evolve.offspring` /
+    /// `evolve.sampled`), `psa.prune` (`psa.pool_in`, `psa.survivors`) and
+    /// `model.predict` (`model.predicted`). The generator, PSA and the cost
+    /// model know nothing of tracing; this method times and counts them.
+    /// The recorder only observes; with a [`pruner_trace::NoopRecorder`]
+    /// no clock is read and no event is built.
     #[allow(clippy::too_many_arguments)]
     pub fn propose<B: pruner_gpu::Backend>(
         &mut self,
@@ -233,33 +237,36 @@ impl TaskTuner {
         arena.reset(Arc::clone(&self.ctx));
         let elites = self.elites();
         let pool_size = params.pool_size.max(params.space_size);
+        // Fresh samples onto the arena's tail, counted as `evolve.sampled`.
+        let sample = |arena: &mut CandidateArena, rec: &mut dyn Recorder, size, seed| {
+            rec.span_begin("evolve.init");
+            let base = arena.len();
+            evolve::init_into(arena, size, limits, seed, params.round, threads);
+            rec.counter("evolve.sampled", (arena.len() - base) as u64);
+            rec.span_end("evolve.init");
+        };
         if elites.is_empty() {
-            evolve::init_into(arena, pool_size, limits, gen_seed, params.round, threads, rec);
+            sample(arena, rec, pool_size, gen_seed);
         } else {
             let elite_genes: Vec<GeneBuf> =
                 elites.iter().map(|p| self.ctx.genes_from_schedule(&p.schedule)).collect();
+            let offspring = pool_size * 3 / 4;
+            rec.span_begin("evolve.next");
             evolve::next_generation_into(
                 arena,
                 &elite_genes,
-                pool_size * 3 / 4,
+                offspring,
                 limits,
                 gen_seed,
                 params.round,
                 threads,
-                rec,
             );
+            rec.counter("evolve.offspring", offspring as u64);
+            rec.span_end("evolve.next");
             // The fresh-blood tail reuses the same derived-seed generator
             // with a disjoint round tag so its streams never collide with
             // the offspring streams.
-            evolve::init_into(
-                arena,
-                pool_size - arena.len(),
-                limits,
-                gen_seed ^ 0xA076_1D64_78BD_642F,
-                params.round,
-                threads,
-                rec,
-            );
+            sample(arena, rec, pool_size - arena.len(), gen_seed ^ 0xA076_1D64_78BD_642F);
         }
         funnel.generated = arena.len();
         measurer.charge_evolution(arena.len());
@@ -283,7 +290,11 @@ impl TaskTuner {
             measurer.charge_psa_evals(arena.len());
             let n_random = ((params.space_size as f64) * params.epsilon).round() as usize;
             let n_target = params.space_size.saturating_sub(n_random).min(arena.len());
-            let shortlist = psa.prune_arena_traced(arena, n_target, threads, rec);
+            rec.span_begin("psa.prune");
+            rec.counter("psa.pool_in", arena.len() as u64);
+            let shortlist = psa.prune_arena(arena, n_target, threads);
+            rec.counter("psa.survivors", shortlist.len() as u64);
+            rec.span_end("psa.prune");
             funnel.psa_survivors = Some(shortlist.len());
             let mut kept = vec![false; arena.len()];
             for &i in &shortlist {
@@ -307,7 +318,10 @@ impl TaskTuner {
         // --- Verify: cost-model ranking ----------------------------------
         rec.span_begin("propose.predict");
         let samples = featurize_arena_par(arena, &candidates, self.task_id, threads);
-        let scores = model.predict_batch_traced(&samples, threads, rec);
+        rec.span_begin("model.predict");
+        let scores = model.predict_batch(&samples, threads);
+        rec.counter("model.predicted", scores.len() as u64);
+        rec.span_end("model.predict");
         measurer.charge_model_evals(candidates.len());
         measurer.record_wall(PipelineStage::Predict, rec.span_end("propose.predict"));
         // NaN scores (a diverged model) rank last rather than poisoning the
@@ -476,7 +490,8 @@ mod tests {
                 let p = ProposeParams { threads, ..params(64, 256, 0.2, 6, round) };
                 let progs = propose(&mut task, &model, Some(&psa), &mut m, &limits, &p, &mut rng);
                 for prog in &progs {
-                    task.record(prog.clone(), m.measure(prog).latency().unwrap());
+                    let outcome = m.measure(prog, &mut NoopRecorder);
+                    task.record(prog.clone(), outcome.latency().unwrap());
                 }
                 all.extend(progs);
             }
@@ -508,7 +523,8 @@ mod tests {
                     &model, Some(&psa), &mut m, &limits, &p, &mut rng, &mut arena, rec,
                 );
                 for prog in &progs {
-                    task.record(prog.clone(), m.measure(prog).latency().unwrap());
+                    let outcome = m.measure(prog, &mut NoopRecorder);
+                    task.record(prog.clone(), outcome.latency().unwrap());
                 }
                 all.extend(progs);
                 funnels.push(funnel);
@@ -545,6 +561,23 @@ mod tests {
             .collect();
         assert!(spans.contains(&"generate") && spans.contains(&"draft"));
         assert!(spans.contains(&"predict") && spans.contains(&"inner"));
+        // The stage counters `propose` emits reconcile with the funnel it
+        // returns, summed over the rounds.
+        let counter = |name: &str| {
+            let named = |r: &&pruner_trace::Record| {
+                r.kind() == "counter"
+                    && r.get("name").and_then(pruner_trace::Value::as_str) == Some(name)
+            };
+            let record = records.iter().find(named).unwrap_or_else(|| panic!("no {name}"));
+            record.get("value").and_then(pruner_trace::Value::as_u64).unwrap()
+        };
+        let total = |stage: fn(&FunnelCounts) -> usize| {
+            traced_funnels.iter().map(stage).sum::<usize>() as u64
+        };
+        assert_eq!(counter("evolve.sampled") + counter("evolve.offspring"), total(|f| f.generated));
+        assert_eq!(counter("psa.pool_in"), total(|f| f.deduped));
+        assert_eq!(counter("psa.survivors"), total(|f| f.psa_survivors.unwrap()));
+        assert_eq!(counter("model.predicted"), total(|f| f.predicted));
     }
 
     #[test]
@@ -627,12 +660,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "half-nan"
             }
-            fn predict(&self, samples: &[Sample]) -> Vec<f32> {
+            fn predict_with(&self, _: &mut pruner_nn::Graph, samples: &[Sample]) -> Vec<f32> {
                 (0..samples.len())
                     .map(|i| if i % 2 == 0 { f32::NAN } else { i as f32 })
                     .collect()
             }
-            fn fit(&mut self, _: &[Sample], _: usize) -> f64 {
+            fn fit_batch(&mut self, _: &[Sample], _: usize, _: usize) -> f64 {
                 0.0
             }
             fn clone_box(&self) -> Box<dyn pruner_cost::CostModel> {

@@ -3,7 +3,7 @@
 use crate::checkpoint::{Checkpoint, MeasurerCheckpoint, TaskCheckpoint};
 use crate::curve::{CurvePoint, TuningCurve};
 use crate::measure::{MeasureOutcome, Measurer, RetryPolicy, SearchStats, TimeModel};
-use crate::mtl::Mtl;
+use crate::mtl::{fit_recorded, Mtl};
 use crate::state::{CampaignPhase, CampaignStatus};
 use crate::task::{ProposeParams, TaskTuner};
 use pruner_cost::{CostModel, ModelKind, PacmModel, Sample};
@@ -747,7 +747,7 @@ impl<B: Backend> Tuner<B> {
                 if next < pending.len() {
                     let p = &pending[next];
                     let before = self.tasks[task].best_latency();
-                    let outcome = self.measurer.measure_rec(p, self.recorder.as_mut());
+                    let outcome = self.measurer.measure(p, self.recorder.as_mut());
                     self.record_to_store(p);
                     match outcome {
                         MeasureOutcome::Success { latency_s, .. } => {
@@ -795,7 +795,8 @@ impl<B: Backend> Tuner<B> {
                             self.model = Box::new(target);
                         }
                         None => {
-                            self.model.fit_batch_traced(
+                            fit_recorded(
+                                self.model.as_mut(),
                                 &samples,
                                 self.cfg.train_epochs,
                                 self.cfg.threads,
@@ -1002,7 +1003,7 @@ impl<B: Backend> Tuner<B> {
         // pretraining).
         let Some((records, spec_mismatches, workload_mismatches, file)) =
             self.store.with(|store| {
-                let replay = store.replay_backend(B::TAG, &spec_fp, &workloads);
+                let replay = store.replay(B::TAG, &spec_fp, &workloads);
                 (
                     replay.records.into_iter().cloned().collect::<Vec<TuningRecord>>(),
                     replay.spec_mismatches,
@@ -1037,12 +1038,14 @@ impl<B: Backend> Tuner<B> {
         }
         let pretrained = samples.len() >= 2;
         if pretrained {
-            self.model.pretrain(
-                &samples,
-                self.cfg.train_epochs,
-                self.cfg.threads,
-                self.recorder.as_mut(),
-            );
+            // Trained like a round, but under its own names, so a trace
+            // tells replayed knowledge apart from this campaign's own
+            // training; the samples count once, not once per epoch.
+            self.recorder.span_begin("model.pretrain");
+            let loss = self.model.fit_batch(&samples, self.cfg.train_epochs, self.cfg.threads);
+            self.recorder.counter("model.pretrain_samples", samples.len() as u64);
+            self.recorder.gauge("model.pretrain_loss", loss);
+            self.recorder.span_end("model.pretrain");
         }
         if self.recorder.enabled() {
             self.recorder.emit(
@@ -1511,4 +1514,76 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// The masked trace lines of `trace` that carry one of `names`, or
+    /// whose record kind is `store_replay`, in trace order.
+    fn masked_lines(trace: &pruner_trace::TraceHandle, names: &[&str]) -> String {
+        pruner_trace::mask_host_fields(&trace.to_jsonl())
+            .lines()
+            .filter(|l| {
+                l.contains("\"type\":\"store_replay\"")
+                    || names.iter().any(|n| l.contains(&format!("\"name\":\"{n}\"")))
+            })
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    /// Model-update records the trace golden never reaches, pinned byte
+    /// for byte: an MTL campaign's per-round `model.fit_loss` gauge, then
+    /// its `model.fit` span nested in the `mtl.round` span, and the
+    /// `model.fit_samples` counter; a warm start's `model.pretrain` span,
+    /// `model.pretrain_loss` gauge and `model.pretrain_samples` counter,
+    /// which counts the replayed samples once, not once per epoch.
+    #[test]
+    fn mtl_and_warm_start_model_records_are_pinned() {
+        let cfg = TunerConfig { rounds: 2, ..TunerConfig::quick() };
+        let trace = pruner_trace::TraceHandle::new();
+        let mut mtl = Tuner::new(
+            GpuSpec::t4(),
+            cfg,
+            ModelSetup::Mtl { pretrained: PacmModel::new(1), momentum: 0.99 },
+        );
+        mtl.add_task(Workload::matmul(1, 256, 256, 256), 1);
+        mtl.set_recorder(Box::new(trace.clone()));
+        mtl.run();
+        let fit = ["model.fit_loss", "model.fit", "mtl.round", "model.fit_samples"];
+        assert_eq!(masked_lines(&trace, &fit), MTL_MODEL_RECORDS);
+
+        let dir = store_dir("pinned-pretrain");
+        let path = dir.join("records.jsonl");
+        let build = || {
+            let mut t = Tuner::new(GpuSpec::t4(), cfg, ModelSetup::Fresh(ModelKind::Pacm));
+            t.add_task(Workload::matmul(1, 256, 256, 256), 1);
+            t
+        };
+        let mut cold = build();
+        cold.set_store(Store::open(&path).unwrap(), false);
+        cold.run();
+        let trace = pruner_trace::TraceHandle::new();
+        let mut warm = build();
+        warm.set_store(Store::open(&path).unwrap(), true);
+        warm.set_recorder(Box::new(trace.clone()));
+        warm.run();
+        let pretrain = ["model.pretrain", "model.pretrain_loss", "model.pretrain_samples"];
+        assert_eq!(masked_lines(&trace, &pretrain), WARM_START_MODEL_RECORDS);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const MTL_MODEL_RECORDS: &str = "\
+{\"v\":1,\"type\":\"gauge\",\"name\":\"model.fit_loss\",\"value\":0.0677122600376606}
+{\"v\":1,\"type\":\"span\",\"name\":\"model.fit\",\"depth\":3,\"host_s\":\"***\"}
+{\"v\":1,\"type\":\"span\",\"name\":\"mtl.round\",\"depth\":2,\"host_s\":\"***\"}
+{\"v\":1,\"type\":\"gauge\",\"name\":\"model.fit_loss\",\"value\":0.14180335743973652}
+{\"v\":1,\"type\":\"span\",\"name\":\"model.fit\",\"depth\":3,\"host_s\":\"***\"}
+{\"v\":1,\"type\":\"span\",\"name\":\"mtl.round\",\"depth\":2,\"host_s\":\"***\"}
+{\"v\":1,\"type\":\"counter\",\"name\":\"model.fit_samples\",\"value\":42}
+";
+
+    const WARM_START_MODEL_RECORDS: &str = "\
+{\"v\":1,\"type\":\"gauge\",\"name\":\"model.pretrain_loss\",\"value\":0.20300960116502312}
+{\"v\":1,\"type\":\"span\",\"name\":\"model.pretrain\",\"depth\":1,\"host_s\":\"***\"}
+{\"v\":1,\"type\":\"store_replay\",\"loaded\":9,\"skipped_lines\":0,\"matched\":9,\
+\"spec_mismatches\":0,\"workload_mismatches\":0,\"preseeded\":9,\"pretrain_samples\":9}
+{\"v\":1,\"type\":\"counter\",\"name\":\"model.pretrain_samples\",\"value\":9}
+";
 }

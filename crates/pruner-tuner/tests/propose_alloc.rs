@@ -107,7 +107,8 @@ fn later_rounds_do_not_allocate_the_pool_again() {
         assert_eq!(funnel.generated, POOL);
         survivors.push(funnel.deduped);
         for p in programs {
-            let latency = measurer.measure(&p).latency().expect("the simulator does not fail");
+            let outcome = measurer.measure(&p, &mut NoopRecorder);
+            let latency = outcome.latency().expect("the simulator does not fail");
             task.record(p, latency);
         }
     }

@@ -79,11 +79,11 @@ mod tests {
     fn pacm_roundtrip_preserves_predictions() {
         let data = samples(24);
         let mut model = PacmModel::new(3);
-        model.fit(&data, 8);
+        model.fit_batch(&data, 8, 1);
         let path = tmp("pacm.json");
         save_json(&model, &path).unwrap();
         let restored: PacmModel = load_json(&path).unwrap();
-        assert_eq!(model.predict(&data), restored.predict(&data));
+        assert_eq!(model.predict_batch(&data, 1), restored.predict_batch(&data, 1));
         std::fs::remove_file(path).ok();
     }
 
@@ -91,18 +91,18 @@ mod tests {
     fn tenset_and_xgb_roundtrip() {
         let data = samples(24);
         let mut m1 = TensetMlpModel::new(3);
-        m1.fit(&data, 5);
+        m1.fit_batch(&data, 5, 1);
         let p1 = tmp("tenset.json");
         save_json(&m1, &p1).unwrap();
         let r1: TensetMlpModel = load_json(&p1).unwrap();
-        assert_eq!(m1.predict(&data), r1.predict(&data));
+        assert_eq!(m1.predict_batch(&data, 1), r1.predict_batch(&data, 1));
 
         let mut m2 = XgbModel::new();
-        m2.fit(&data, 1);
+        m2.fit_batch(&data, 1, 1);
         let p2 = tmp("xgb.json");
         save_json(&m2, &p2).unwrap();
         let r2: XgbModel = load_json(&p2).unwrap();
-        assert_eq!(m2.predict(&data), r2.predict(&data));
+        assert_eq!(m2.predict_batch(&data, 1), r2.predict_batch(&data, 1));
         std::fs::remove_file(p1).ok();
         std::fs::remove_file(p2).ok();
     }

@@ -202,7 +202,7 @@ fn one_store_keeps_sim_and_cpu_records_apart() {
 
     let spec_fp = GpuSpec::t4().fingerprint();
     let wl_fps: std::collections::HashSet<String> = std::iter::once(wl.key()).collect();
-    let replay = store.replay_backend("cpu", &spec_fp, &wl_fps);
+    let replay = store.replay("cpu", &spec_fp, &wl_fps);
     assert_eq!(replay.records.len(), cpu_count);
     assert_eq!(replay.backend_mismatches, sim_count);
     assert!(replay.records.iter().all(|r| r.backend == "cpu"));

@@ -44,8 +44,8 @@ fn model_training_reproduces() {
     let samples = ds.to_samples();
     let train = |seed: u64| {
         let mut m = ModelKind::Pacm.build(seed);
-        m.fit(&samples, 4);
-        m.predict(&samples)
+        m.fit_batch(&samples, 4, 1);
+        m.predict_batch(&samples, 1)
     };
     assert_eq!(train(9), train(9));
     assert_ne!(train(9), train(10), "different seeds must differ");

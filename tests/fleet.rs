@@ -146,7 +146,7 @@ fn store_records_never_cross_device_fingerprints() {
     let store = Store::open(&store_path).unwrap();
     let workload_fps: std::collections::HashSet<String> =
         std::iter::once(wl.key()).collect();
-    let replay = store.replay(&GpuSpec::t4().fingerprint(), &workload_fps);
+    let replay = store.replay("sim", &GpuSpec::t4().fingerprint(), &workload_fps);
     assert!(replay.records.is_empty(), "no record may match a foreign fingerprint");
     assert_eq!(replay.spec_mismatches, recorded, "every record must be spec-filtered");
 

@@ -66,7 +66,7 @@ fn claim_pacm_generalizes_to_unseen_task() {
     let (train, test) = ds.split(0.75, 1);
     assert!(!test.is_empty());
     let mut model = ModelKind::Pacm.build(2);
-    model.fit(&train, 12);
+    model.fit_batch(&train, 12, 1);
     // Spearman of score vs negative latency per held-out task, averaged.
     let mut rhos = Vec::new();
     let tasks: std::collections::BTreeSet<usize> = test.iter().map(|s| s.task_id).collect();
@@ -77,7 +77,7 @@ fn claim_pacm_generalizes_to_unseen_task() {
             continue;
         }
         let scores: Vec<f64> =
-            model.predict(&subset).iter().map(|&v| v as f64).collect();
+            model.predict_batch(&subset, 1).iter().map(|&v| v as f64).collect();
         let neg: Vec<f64> = subset.iter().map(|s| -s.latency).collect();
         rhos.push(spearman(&scores, &neg));
     }
@@ -142,7 +142,7 @@ fn claim_mtl_is_stable() {
     let pre = pretrain_pacm(&k80.to_samples(), 10, 1);
     let probe = k80.to_samples();
     let rho_of = |m: &mut dyn CostModel| {
-        let scores: Vec<f64> = m.predict(&probe).iter().map(|&v| v as f64).collect();
+        let scores: Vec<f64> = m.predict_batch(&probe, 1).iter().map(|&v| v as f64).collect();
         let neg: Vec<f64> = probe.iter().map(|s| -s.latency).collect();
         spearman(&scores, &neg)
     };

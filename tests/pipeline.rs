@@ -40,10 +40,10 @@ fn draft_then_verify_beats_random_search() {
         .take(12)
         .map(|p| Sample::labeled(p, sim.latency(p), 0))
         .collect();
-    model.fit(&train, 20);
+    model.fit_batch(&train, 20, 1);
     let rest: Vec<&pruner::sketch::Program> = target.iter().skip(12).collect();
     let samples: Vec<Sample> = rest.iter().map(|p| Sample::unlabeled(p, 0)).collect();
-    let scores = model.predict(&samples);
+    let scores = model.predict_batch(&samples, 1);
     let mut idx: Vec<usize> = (0..rest.len()).collect();
     idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
     let pipeline_best = idx
