@@ -205,18 +205,15 @@ impl TextTable {
     }
 }
 
-/// Writes a JSON result file under `results/` (created on demand), and
-/// returns its path.
+/// Writes a pretty JSON result file under `results/` (created on demand)
+/// through [`pruner::durable::write_atomic_durable`], and returns its path.
 ///
 /// # Panics
 /// Panics on I/O errors — a harness without its output is a failed run.
 pub fn write_result<T: Serialize>(name: &str, value: &T) -> PathBuf {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    let file = std::fs::File::create(&path).expect("create result file");
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), value)
-        .expect("serialize result");
+    let path = results_dir().join(format!("{name}.json"));
+    let json = serde_json::to_string_pretty(value).expect("serialize result");
+    pruner::durable::write_atomic_durable(&path, &json, None).expect("write result file");
     println!("\n[results written to {}]", path.display());
     path
 }

@@ -244,14 +244,16 @@ impl Dataset {
         Dataset { platform: self.platform.clone(), entries }
     }
 
-    /// Serializes to pretty JSON.
+    /// Serializes to compact JSON (datasets are large; nobody reads them
+    /// by eye), written atomically and durably
+    /// ([`pruner_durable::write_atomic_durable`]).
     ///
     /// # Errors
     /// Propagates filesystem and serialization errors.
     pub fn save_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        serde_json::to_writer(io::BufWriter::new(file), self)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let json = serde_json::to_string(self)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        pruner_durable::write_atomic_durable(path.as_ref(), &json, None)
     }
 
     /// Loads a dataset saved by [`Dataset::save_json`].

@@ -10,8 +10,9 @@
 //! `(seed, operation index)` — so a chaos test can replay the exact same
 //! failure schedule on every run.
 //!
-//! [`write_atomic_durable`] is the one write primitive both the campaign
-//! checkpointer and [`Store::flush`](crate::Store::flush) go through. It
+//! [`write_atomic_durable`] is the one write primitive every persisted
+//! artifact goes through: checkpoints, store flushes, traces, fleet and
+//! daemon manifests, `--output` results and saved models. It
 //! upgrades the historical tmp+rename discipline with the two fsyncs that
 //! make it actually crash-safe on a journaling filesystem: the temp file
 //! is synced before the rename (so the rename never publishes an empty
@@ -53,17 +54,6 @@ impl IoFaultKind {
             IoFaultKind::TornTail => "torn_tail",
             IoFaultKind::RenameFail => "rename_fail",
         }
-    }
-}
-
-impl std::fmt::Display for IoFaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            IoFaultKind::WriteFail => "write failure (out of space)",
-            IoFaultKind::TornTail => "torn write",
-            IoFaultKind::RenameFail => "rename failure",
-        };
-        f.write_str(s)
     }
 }
 
@@ -132,8 +122,8 @@ impl IoFaultModel {
 
 /// A stateful fault injector: an [`IoFaultModel`] plus the monotone
 /// operation counter it is drawn against. Interior-mutable (`Cell`) so
-/// write paths that only hold `&self` — [`Store::flush`](crate::Store::flush)
-/// — can still consume operations.
+/// write paths that only hold `&self` — `pruner_store::Store::flush` —
+/// can still consume operations.
 #[derive(Debug)]
 pub struct IoFaults {
     model: IoFaultModel,
@@ -144,11 +134,6 @@ impl IoFaults {
     /// Wraps a fault model with a fresh operation counter.
     pub fn new(model: IoFaultModel) -> IoFaults {
         IoFaults { model, ops: Cell::new(0) }
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &IoFaultModel {
-        &self.model
     }
 
     /// Write operations drawn so far.
@@ -216,35 +201,22 @@ pub fn write_atomic_durable(
     }
     let tmp = tmp_sibling(path);
     if let Some(injected) = faults.and_then(IoFaults::next_fault) {
-        match injected {
-            IoFaultKind::WriteFail => {
-                return Err(io::Error::other(format!(
-                    "injected I/O fault ({}): no space left on device writing {}",
-                    injected.label(),
-                    tmp.display()
-                )));
-            }
+        let what = match injected {
+            IoFaultKind::WriteFail => format!("no space left on device writing {}", tmp.display()),
+            // Half the bytes land in the temp file, then the "crash": the
+            // destination never sees the torn data.
             IoFaultKind::TornTail => {
-                // Half the bytes land in the temp file, then the "crash":
-                // the destination never sees the torn data.
                 let half = contents.len() / 2;
                 fs::write(&tmp, &contents.as_bytes()[..half])?;
-                return Err(io::Error::other(format!(
-                    "injected I/O fault ({}): write torn after {half} bytes of {}",
-                    injected.label(),
-                    tmp.display()
-                )));
+                format!("write torn after {half} bytes of {}", tmp.display())
             }
+            // The temp file is complete but never published.
             IoFaultKind::RenameFail => {
-                // The temp file is complete but never published.
                 fs::write(&tmp, contents)?;
-                return Err(io::Error::other(format!(
-                    "injected I/O fault ({}): rename of {} lost",
-                    injected.label(),
-                    tmp.display()
-                )));
+                format!("rename of {} lost", tmp.display())
             }
-        }
+        };
+        return Err(io::Error::other(format!("injected I/O fault ({}): {what}", injected.label())));
     }
     {
         use std::io::Write as _;

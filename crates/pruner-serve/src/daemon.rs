@@ -25,9 +25,10 @@ use crate::batcher::Batcher;
 use crate::scheduler::{CampaignJob, JobOutcome, Scheduler};
 use crate::wire::{Request, Response, WireError, SCHEMA_VERSION};
 use pruner_cost::{CostModel, ModelKind, ModelSnapshot, Sample};
+use pruner_durable::write_atomic_durable;
 use pruner_gpu::{GpuSpec, Simulator};
 use pruner_ir::Workload;
-use pruner_store::{write_atomic_durable, SharedStore};
+use pruner_store::SharedStore;
 use pruner_trace::{Record, Recorder, Report, TraceHandle};
 use pruner_tuner::{
     ModelSetup, Supervisor, SupervisorConfig, Tuner, TunerConfig, STOP_KILL, STOP_PARK,

@@ -12,9 +12,11 @@
 //! fields are ignored (readers only look up the keys they know), and a
 //! well-formed object with an unknown `"v"` is classified as
 //! [`WireError::Version`] — a *newer peer*, not corruption — by the same
-//! version-probe trick `pruner-store` uses. Truncated or non-JSON lines
+//! version gate (`pruner_durable::open_versioned`) every store line,
+//! checkpoint and manifest is opened through. Truncated or non-JSON lines
 //! are [`WireError::Malformed`].
 
+use pruner_durable::{open_versioned, DecodeError};
 use pruner_gpu::GpuSpec;
 use pruner_ir::Workload;
 use pruner_sketch::Program;
@@ -54,6 +56,16 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        match e {
+            DecodeError::Malformed(msg) => WireError::Malformed(msg),
+            DecodeError::Version { got } => WireError::Version { got },
+            DecodeError::Invalid(msg) => WireError::Invalid(msg),
+        }
+    }
+}
 
 /// A client→daemon request: one JSON line on the socket.
 // `SubmitCampaign` dwarfs the other variants (it carries a whole
@@ -163,17 +175,10 @@ fn envelope(ty: &str, fields: Vec<(String, Content)>) -> Content {
 /// An opened envelope: the message's field map and its `type` tag.
 type Envelope<'a> = (&'a [(String, Content)], &'a str);
 
-/// Opens an envelope: checks the version, returns the map and the tag.
+/// Opens a gated envelope (`open_versioned` has already checked that it
+/// is an object of this schema version): returns the map and the tag.
 fn open_envelope(c: &Content) -> Result<Envelope<'_>, WireError> {
-    let map = c
-        .as_map()
-        .ok_or_else(|| WireError::Invalid("wire message must be a JSON object".into()))?;
-    let v = content_get(map, "v")
-        .and_then(Content::as_u64)
-        .ok_or_else(|| WireError::Invalid("missing schema version field `v`".into()))?;
-    if v != u64::from(SCHEMA_VERSION) {
-        return Err(WireError::Version { got: v });
-    }
+    let map = c.as_map().unwrap_or_default();
     let ty = content_get(map, "type")
         .and_then(Content::as_str)
         .ok_or_else(|| WireError::Invalid("missing message tag field `type`".into()))?;
@@ -231,12 +236,6 @@ impl Serialize for Request {
     }
 }
 
-impl Deserialize for Request {
-    fn from_content(c: &Content) -> Result<Self, serde::Error> {
-        Request::from_wire_content(c).map_err(|e| serde::Error::custom(e.to_string()))
-    }
-}
-
 impl Serialize for Response {
     fn to_content(&self) -> Content {
         match self {
@@ -266,12 +265,6 @@ impl Serialize for Response {
     }
 }
 
-impl Deserialize for Response {
-    fn from_content(c: &Content) -> Result<Self, serde::Error> {
-        Response::from_wire_content(c).map_err(|e| serde::Error::custom(e.to_string()))
-    }
-}
-
 impl Request {
     /// Renders the request as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
@@ -280,13 +273,8 @@ impl Request {
 
     /// Parses one wire line, classifying failures per [`WireError`].
     pub fn parse_line(line: &str) -> Result<Request, WireError> {
-        let content = serde_json::parse_content(line.trim())
-            .map_err(|e| WireError::Malformed(e.to_string()))?;
-        Request::from_wire_content(&content)
-    }
-
-    fn from_wire_content(c: &Content) -> Result<Request, WireError> {
-        let (map, ty) = open_envelope(c)?;
+        let content = open_versioned(line.trim(), "v", u64::from(SCHEMA_VERSION))?;
+        let (map, ty) = open_envelope(&content)?;
         match ty {
             "submit_campaign" => Ok(Request::SubmitCampaign {
                 tenant: field(map, "tenant")?,
@@ -315,13 +303,8 @@ impl Response {
 
     /// Parses one wire line, classifying failures per [`WireError`].
     pub fn parse_line(line: &str) -> Result<Response, WireError> {
-        let content = serde_json::parse_content(line.trim())
-            .map_err(|e| WireError::Malformed(e.to_string()))?;
-        Response::from_wire_content(&content)
-    }
-
-    fn from_wire_content(c: &Content) -> Result<Response, WireError> {
-        let (map, ty) = open_envelope(c)?;
+        let content = open_versioned(line.trim(), "v", u64::from(SCHEMA_VERSION))?;
+        let (map, ty) = open_envelope(&content)?;
         match ty {
             "submitted" => Ok(Response::Submitted { campaign: field(map, "campaign")? }),
             "status" => Ok(Response::Status {

@@ -14,14 +14,14 @@
 //! in this crate parses the worked example from that document so the
 //! docs cannot drift from the shipped code.
 //!
-//! Writes go through the same atomicity discipline as the campaign
-//! checkpointer and the trace sink: [`Store::flush`] renders the whole
-//! deduplicated log to a `.tmp` sibling and renames it into place, so a
-//! crash leaves either the old file or the new file, never a torn one.
-//! Reads are tolerant: unparseable lines (e.g. a final line truncated by
-//! a crash mid-append), records with an unknown schema version, and
-//! records whose embedded fingerprint disagrees with their own payload
-//! are skipped and counted in [`ReplayStats`] — never a panic.
+//! Writes and reads go through `pruner-durable` like every other
+//! artifact: [`Store::flush`] writes the whole deduplicated log with
+//! `write_atomic_durable`, so a crash leaves either the old file or the
+//! new one, never a torn one. [`Store::open`] opens each line through the
+//! `open_versioned` gate and is tolerant: unparseable lines (e.g. a final
+//! line truncated by a crash mid-append), records with an unknown schema
+//! version, and records whose embedded fingerprint disagrees with their
+//! own payload are skipped and counted in [`ReplayStats`] — never a panic.
 //!
 //! # Example
 //!
@@ -59,10 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod iofault;
-
-pub use iofault::{write_atomic_durable, IoFaultKind, IoFaultModel, IoFaults};
-
+use pruner_durable::{open_versioned, write_atomic_durable, DecodeError, IoFaults};
 use pruner_gpu::{FaultKind, GpuSpec};
 use pruner_sketch::Program;
 use serde::{Deserialize, Serialize};
@@ -259,14 +256,6 @@ struct Rendered {
     records: usize,
 }
 
-/// Minimal probe used to classify lines that fail to parse as a full
-/// [`TuningRecord`]: if the version field alone is readable and unknown,
-/// the line is a version skip rather than corruption.
-#[derive(Deserialize)]
-struct VersionProbe {
-    v: u32,
-}
-
 impl Store {
     /// Opens the store at `path`, loading every valid record. A missing
     /// file yields an empty store (it is created on first [`Store::flush`]).
@@ -301,24 +290,17 @@ impl Store {
                 continue;
             }
             store.replay.total_lines += 1;
-            let record: TuningRecord = match serde_json::from_str(line) {
-                Ok(record) => record,
-                Err(_) => {
-                    // Distinguish "newer schema we don't know" from plain
-                    // damage: the version field alone may still parse.
-                    match serde_json::from_str::<VersionProbe>(line) {
-                        Ok(probe) if probe.v != SCHEMA_VERSION => {
-                            store.replay.version_skips += 1
-                        }
-                        _ => store.replay.corrupt_lines += 1,
-                    }
-                    continue;
-                }
-            };
-            if record.v != SCHEMA_VERSION {
+            // The gate reads `v` before the record's shape, so a newer
+            // schema is a version skip even when its layout changed too.
+            let opened = open_versioned(line, "v", u64::from(SCHEMA_VERSION));
+            if let Err(DecodeError::Version { .. }) = opened {
                 store.replay.version_skips += 1;
                 continue;
             }
+            let Some(record) = opened.ok().and_then(|c| TuningRecord::from_content(&c).ok()) else {
+                store.replay.corrupt_lines += 1;
+                continue;
+            };
             if record.workload_fp != record.program.workload.key() {
                 store.replay.fingerprint_mismatches += 1;
                 continue;
@@ -423,8 +405,8 @@ impl Store {
     }
 
     /// Persists the full deduplicated log atomically and durably via
-    /// [`write_atomic_durable`]: renders every live record as one JSON
-    /// line into a `.tmp` sibling, fsyncs it, renames it over `path`, and
+    /// `write_atomic_durable`: renders every live record as one JSON line
+    /// into a `.tmp` sibling, fsyncs it, renames it over `path`, and
     /// fsyncs the parent directory — the same discipline as campaign
     /// checkpoints. Re-flushing an opened store also *compacts* it:
     /// duplicates and damaged lines that were skipped on load are not
@@ -524,6 +506,7 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pruner_durable::IoFaultModel;
     use pruner_ir::Workload;
 
     fn tmp_path(tag: &str) -> PathBuf {
@@ -628,7 +611,7 @@ mod tests {
         record.v = SCHEMA_VERSION + 1;
         let line = serde_json::to_string(&record).unwrap();
         // A hypothetical future record whose *shape* changed too: only the
-        // version probe can classify it.
+        // version gate can classify it.
         let alien = format!("{{\"v\":{},\"payload\":\"opaque\"}}", SCHEMA_VERSION + 2);
         fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, format!("{line}\n{alien}\n")).unwrap();

@@ -14,14 +14,15 @@
 //!   (the default everywhere) compiles the hot path down to nothing: no
 //!   clock reads, no allocation, no branch beyond the virtual call.
 //! * [`Record`] / [`Value`] — one structured event: a `type` tag plus an
-//!   ordered list of typed fields, serialized by hand so the JSON field
-//!   order is pinned byte-for-byte.
+//!   ordered list of typed fields, assembled in insertion order (strings
+//!   escaped by the JSON codec's escaper) so the field order is pinned
+//!   byte-for-byte.
 //! * [`TraceHandle`] — the real recorder: a cheaply cloneable shared
 //!   buffer that collects span timings (monotonic clock), aggregated
 //!   counters, gauges and events, renders them as versioned JSONL
-//!   ([`SCHEMA_VERSION`]), writes the file atomically (tmp + rename, the
-//!   same pattern as campaign checkpoints) and can summarize itself as an
-//!   end-of-campaign [`Report`].
+//!   ([`SCHEMA_VERSION`]), writes the file through the same fsynced
+//!   atomic write as campaign checkpoints (`pruner_durable`) and can
+//!   summarize itself as an end-of-campaign [`Report`].
 //!
 //! # Determinism contract
 //!

@@ -1,6 +1,9 @@
-//! Structured records and their hand-rolled, field-order-pinned JSON form.
+//! Structured records and their field-order-pinned JSON form: assembled
+//! here in insertion order, with strings escaped by the JSON codec's own
+//! escaper.
 
 use crate::SCHEMA_VERSION;
+use serde_json::push_escaped;
 use std::fmt::Write as _;
 
 /// A typed field value. The JSON rendering is deterministic: integers
@@ -55,6 +58,8 @@ impl Value {
             Value::I64(v) => {
                 let _ = write!(out, "{v}");
             }
+            // `Display`, not the `{:?}` the JSON codec uses: the trace
+            // golden pins `"fault_rate":0`, which `{:?}` renders as `0.0`.
             Value::F64(v) if v.is_finite() => {
                 let _ = write!(out, "{v}");
             }
@@ -62,27 +67,9 @@ impl Value {
             Value::Bool(v) => {
                 let _ = write!(out, "{v}");
             }
-            Value::Str(s) => escape_json_string(s, out),
+            Value::Str(s) => push_escaped(out, s),
         }
     }
-}
-
-fn escape_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One structured trace event: a record kind plus an ordered list of
@@ -165,10 +152,10 @@ impl Record {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
         let _ = write!(out, "{{\"v\":{SCHEMA_VERSION},\"type\":");
-        escape_json_string(self.kind, &mut out);
+        push_escaped(&mut out, self.kind);
         for (key, value) in &self.fields {
             out.push(',');
-            escape_json_string(key, &mut out);
+            push_escaped(&mut out, key);
             out.push(':');
             value.render(&mut out);
         }
@@ -229,6 +216,20 @@ mod tests {
     fn strings_are_escaped() {
         let r = Record::new("e").str("s", "a\"b\\c\nd\u{1}");
         assert_eq!(r.to_json(), "{\"v\":1,\"type\":\"e\",\"s\":\"a\\\"b\\\\c\\nd\\u0001\"}");
+        // Every control byte, both JSON metacharacters, and a multi-byte
+        // char (copied through untouched).
+        let extra = ['"', '\\', 'é', '\u{1F600}'];
+        let raw: String = (0u8..0x20).map(char::from).chain(extra).collect();
+        let controls: String = (0u8..0x20)
+            .map(|b| match b {
+                b'\n' => "\\n".to_string(),
+                b'\r' => "\\r".to_string(),
+                b'\t' => "\\t".to_string(),
+                _ => format!("\\u{b:04x}"),
+            })
+            .collect();
+        let expected = format!("{{\"v\":1,\"type\":\"e\",\"s\":\"{controls}\\\"\\\\é\u{1F600}\"}}");
+        assert_eq!(Record::new("e").str("s", raw).to_json(), expected);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The collecting recorder and its atomic JSONL sink.
+//! The collecting recorder and its durable JSONL sink.
 
 use crate::record::Record;
 use crate::report::Report;
@@ -77,17 +77,12 @@ impl TraceHandle {
         out
     }
 
-    /// Writes the JSONL trace to `path` atomically: the bytes go to a
-    /// `.tmp` sibling first and are `rename`d over the destination — the
-    /// same crash-safety pattern campaign checkpoints use, so a killed
-    /// process leaves either the previous trace or the new one, never a
-    /// torn file.
+    /// Writes the JSONL trace to `path` atomically and durably through
+    /// [`pruner_durable::write_atomic_durable`] — the write every campaign
+    /// artifact uses — so a killed process leaves either the previous
+    /// trace or the new one, never a torn file.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_jsonl())?;
-        std::fs::rename(&tmp, path)
+        pruner_durable::write_atomic_durable(path, &self.to_jsonl(), None)
     }
 
     /// Aggregates the collected records into an end-of-campaign report.
@@ -216,20 +211,6 @@ mod tests {
         assert!(lines.iter().all(|l| l.starts_with("{\"v\":1,\"type\":\"")));
         assert!(lines[1].contains("\"name\":\"loss\""));
         assert!(lines[2].contains("\"value\":7"));
-    }
-
-    #[test]
-    fn write_atomic_leaves_no_tmp_file() {
-        let dir = std::env::temp_dir().join(format!("pruner-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        let mut t = TraceHandle::new();
-        t.emit(Record::new("e").u64("x", 42));
-        t.write_atomic(&path).unwrap();
-        assert!(!dir.join("trace.jsonl.tmp").exists(), "tmp must be renamed away");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, t.to_jsonl());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -10,22 +10,24 @@
 //! run — checked by the `checkpoint` integration suite.
 //!
 //! Writes are atomic *and durable*: the JSON goes through
-//! [`pruner_store::write_atomic_durable`] — write to a `.tmp` sibling,
+//! [`pruner_durable::write_atomic_durable`] — write to a `.tmp` sibling,
 //! fsync it, rename over the destination, fsync the parent directory —
 //! so a crash at any point leaves either the previous checkpoint or the
 //! new one, never a torn file, and the rename itself survives a power
-//! cut.
+//! cut. Loads go through [`pruner_durable::open_versioned`], which checks
+//! `version` before the layout: a checkpoint from a newer build is a
+//! version mismatch, whatever else changed in it.
 
 use crate::curve::TuningCurve;
 use crate::measure::{MeasureOutcome, RetryPolicy, SearchStats, TimeModel};
 use crate::mtl::Mtl;
 use crate::state::CampaignPhase;
 use pruner_cost::ModelSnapshot;
+use pruner_durable::{open_versioned, write_atomic_durable, DecodeError, IoFaults};
 use pruner_gpu::GpuSpec;
 use pruner_ir::Workload;
 use pruner_psa::PsaConfig;
 use pruner_sketch::Program;
-use pruner_store::{write_atomic_durable, IoFaults};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -137,21 +139,23 @@ impl Checkpoint {
 
     /// Loads and validates a checkpoint from `path`.
     pub fn load(path: &Path) -> io::Result<Checkpoint> {
-        let text = fs::read_to_string(path)?;
-        let ckpt: Checkpoint = serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if ckpt.version != Checkpoint::VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint version {} unsupported (expected {})",
-                    ckpt.version,
-                    Checkpoint::VERSION
-                ),
-            ));
-        }
-        Ok(ckpt)
+        load_versioned(path, "checkpoint", Checkpoint::VERSION)
     }
+}
+
+/// Reads the JSON document `what` at `path`, opens it through the
+/// [`open_versioned`] gate (key `version`, expected value `v`) and decodes
+/// it. Every failure but the read itself is `InvalidData`.
+pub(crate) fn load_versioned<T: Deserialize>(path: &Path, what: &str, v: u32) -> io::Result<T> {
+    let text = fs::read_to_string(path)?;
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let content = open_versioned(&text, "version", v.into()).map_err(|e| match e {
+        DecodeError::Version { got } => {
+            invalid(format!("{what} version {got} unsupported (expected {v})"))
+        }
+        other => invalid(other.to_string()),
+    })?;
+    T::from_content(&content).map_err(|e| invalid(e.to_string()))
 }
 
 #[cfg(test)]
@@ -282,6 +286,20 @@ mod tests {
         ckpt.save(&path).unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(err.to_string().contains("version"), "unexpected error: {err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A newer build's checkpoint whose layout changed too is reported as
+    /// what it is — a version mismatch — not as a missing field.
+    #[test]
+    fn future_version_with_unparseable_layout_is_a_version_mismatch() {
+        let dir = std::env::temp_dir().join("pruner-ckpt-future-layout-test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("campaign.json");
+        fs::write(&path, r#"{"version":4,"campaign":{"layout":"rewritten"}}"#).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "checkpoint version 4 unsupported (expected 3)");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -33,14 +33,16 @@
 //!
 //! See `docs/FLEET.md` for the on-disk layout and a worked example.
 
+use crate::checkpoint::load_versioned;
 use crate::mtl::pretrain_pacm;
 use crate::supervisor::{CampaignOutcome, Supervisor, SupervisorConfig};
 use crate::tuner::{ModelSetup, Tuner, TunerConfig, TuningResult};
 use pruner_cost::{CostModel, HeadSnapshot, PacmModel, Sample};
+use pruner_durable::write_atomic_durable;
 use pruner_gpu::{GpuSpec, Simulator};
 use pruner_ir::Workload;
 use pruner_sketch::Program;
-use pruner_store::{write_atomic_durable, Store};
+use pruner_store::Store;
 use pruner_trace::{NoopRecorder, Record, Recorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -322,26 +324,8 @@ impl Fleet {
     fn load_or_init_state(&mut self) -> io::Result<FleetManifest> {
         let path = self.manifest_path();
         if path.exists() {
-            let text = std::fs::read_to_string(&path)?;
-            // Version gate before the full parse: a future layout must be
-            // reported as a version mismatch, not as a field error.
-            let content = serde_json::parse_content(&text)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let version = content
-                .as_map()
-                .and_then(|m| m.iter().find(|(k, _)| k == "version"))
-                .and_then(|(_, v)| v.as_u64())
-                .unwrap_or(0);
-            if version != u64::from(FLEET_MANIFEST_VERSION) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "fleet manifest version {version} != supported {FLEET_MANIFEST_VERSION}"
-                    ),
-                ));
-            }
-            let manifest: FleetManifest = serde_json::from_str(&text)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let manifest: FleetManifest =
+                load_versioned(&path, "fleet manifest", FLEET_MANIFEST_VERSION)?;
             if self.recorder.enabled() {
                 self.recorder.emit(
                     Record::new("fleet.resume")

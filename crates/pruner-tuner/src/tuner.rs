@@ -7,11 +7,12 @@ use crate::mtl::{fit_recorded, Mtl};
 use crate::state::{CampaignPhase, CampaignStatus};
 use crate::task::{ProposeParams, TaskTuner};
 use pruner_cost::{CostModel, ModelKind, PacmModel, Sample};
+use pruner_durable::IoFaults;
 use pruner_gpu::{Backend, FaultModel, GpuSpec, Simulator};
 use pruner_ir::{Network, Workload};
 use pruner_psa::{Psa, PsaConfig};
 use pruner_sketch::CandidateArena;
-use pruner_store::{IoFaults, RecordOutcome, SharedStore, Store, TuningRecord};
+use pruner_store::{RecordOutcome, SharedStore, Store, TuningRecord};
 use pruner_trace::{NoopRecorder, Record, Recorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -9,6 +9,7 @@
 //! runs, so no value given on the command line reaches a library panic.
 
 use pruner::cost::ModelKind;
+use pruner::durable::write_atomic_durable;
 use pruner::exec::CpuExec;
 use pruner::gpu::{Backend, GpuSpec, Simulator};
 use pruner::ir::{zoo, Network, Workload};
@@ -413,12 +414,12 @@ impl Outputs {
         (self.trace_out.is_some() || self.report).then(TraceHandle::new)
     }
 
-    /// Writes `--output` as pretty JSON.
+    /// Writes `--output` as pretty JSON, atomically and durably.
     fn write(&self, result: &impl serde::Serialize) -> Result<(), String> {
         let Some(path) = &self.output else { return Ok(()) };
         let error = |e: &dyn Display| format!("error writing {path}: {e}");
-        let file = std::fs::File::create(path).map_err(|e| error(&e))?;
-        serde_json::to_writer_pretty(file, result).map_err(|e| error(&e))?;
+        let json = serde_json::to_string_pretty(result).map_err(|e| error(&e))?;
+        write_atomic_durable(Path::new(path), &json, None).map_err(|e| error(&e))?;
         println!("result written to {path}");
         Ok(())
     }
@@ -972,7 +973,8 @@ fn serve_call(socket: &str, request: &Request, output: Option<String>) -> Exit {
                 None => println!("{campaign}: {state}"),
             }
             if let (Some(path), Some(json)) = (&output, &result) {
-                std::fs::write(path, json).map_err(|e| format!("error writing {path}: {e}"))?;
+                write_atomic_durable(Path::new(path), json, None)
+                    .map_err(|e| format!("error writing {path}: {e}"))?;
                 println!("result written to {path}");
             }
         }

@@ -48,6 +48,7 @@ pub mod model_io;
 
 pub use pruner_cost as cost;
 pub use pruner_dataset as dataset;
+pub use pruner_durable as durable;
 pub use pruner_exec as exec;
 pub use pruner_features as features;
 pub use pruner_gpu as gpu;

@@ -25,14 +25,15 @@ use serde::Serialize;
 use std::io;
 use std::path::Path;
 
-/// Serializes a model (or any serializable artifact) to pretty JSON.
+/// Serializes a model (or any serializable artifact) to pretty JSON,
+/// written atomically and durably ([`crate::durable::write_atomic_durable`]).
 ///
 /// # Errors
 /// Propagates filesystem and serialization errors.
 pub fn save_json<T: Serialize>(value: &T, path: impl AsRef<Path>) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(io::BufWriter::new(file), value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    pruner_durable::write_atomic_durable(path.as_ref(), &json, None)
 }
 
 /// Loads a model saved by [`save_json`].

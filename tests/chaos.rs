@@ -13,10 +13,11 @@
 //! seed must pass.
 
 use pruner::cost::ModelKind;
+use pruner::durable::{IoFaultModel, IoFaults};
 use pruner::gpu::{GpuSpec, Simulator, StallBackend, StallControl};
 use pruner::ir::Workload;
 use pruner::psa::PsaConfig;
-use pruner::store::{IoFaultModel, IoFaults, Store};
+use pruner::store::Store;
 use pruner::trace::TraceHandle;
 use pruner::tuner::{
     CampaignFault, CampaignOutcome, CampaignStatus, Checkpoint, ModelSetup, Supervisor,

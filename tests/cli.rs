@@ -426,23 +426,27 @@ fn records_subcommand_reports_damage_compacts_and_exports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The durable write creates missing parent directories, so the only
+/// portable unwritable path (root included) is one whose parent is a
+/// regular file.
 #[test]
 fn trace_out_to_unwritable_path_fails() {
-    let output = Command::new(bin())
-        .args([
-            "--platform",
-            "t4",
-            "--matmul",
-            "1,64,64,64",
-            "--trials",
-            "10",
-            "--trace-out",
-            "/nonexistent/dir/trace.jsonl",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("error writing trace"));
+    let dir = std::env::temp_dir().join(format!("pruner-cli-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("plain-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let unwritable = file.join("out.json");
+    for (flag, expected) in [("--trace-out", "error writing trace"), ("--output", "error writing")] {
+        let output = Command::new(bin())
+            .args(["--platform", "t4", "--matmul", "1,64,64,64", "--trials", "10", flag])
+            .arg(&unwritable)
+            .output()
+            .expect("binary runs");
+        assert!(!output.status.success(), "{flag} to an unwritable path must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(expected), "{flag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
