@@ -218,9 +218,16 @@ impl CostModel for PacmModel {
     }
 
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
-        let picks: Vec<usize> = (0..samples.len()).collect();
+        const CHUNK: usize = 256;
+        // The picks live on the stack, so a warm tape allocates nothing but
+        // the returned scores.
+        let mut picks = [0usize; CHUNK];
         let mut out = Vec::with_capacity(samples.len());
-        for chunk in picks.chunks(256) {
+        for start in (0..samples.len()).step_by(CHUNK) {
+            let chunk = &mut picks[..CHUNK.min(samples.len() - start)];
+            for (i, p) in chunk.iter_mut().enumerate() {
+                *p = start + i;
+            }
             g.reset();
             let scores = self.forward_infer(g, samples, chunk);
             out.extend_from_slice(g.value(scores).as_slice());

@@ -159,20 +159,17 @@ pub fn attention_masks_in(
 
 fn fill_masks(stacked: &Tensor, group: usize, col: &mut Tensor, row: &mut Tensor) {
     let rows = stacked.rows();
-    let width = row.cols();
     assert!(group > 0 && rows.is_multiple_of(group), "rows must divide into groups");
-    let real: Vec<bool> =
-        (0..rows).map(|r| stacked.row(r).iter().any(|&v| v != 0.0)).collect();
-    for r in 0..rows {
-        let base = (r / group) * group;
+    // Each row is tested once: a real row lights its own `row_mask` row, a
+    // padded one masks its key column for every query row of its group.
+    for base in (0..rows).step_by(group) {
         for j in 0..group {
-            if !real[base + j] {
-                *col.at_mut(r, j) = -1e9;
-            }
-        }
-        if real[r] {
-            for c in 0..width {
-                *row.at_mut(r, c) = 1.0;
+            if stacked.row(base + j).iter().any(|&v| v != 0.0) {
+                row.row_mut(base + j).fill(1.0);
+            } else {
+                for r in base..base + group {
+                    *col.at_mut(r, j) = -1e9;
+                }
             }
         }
     }

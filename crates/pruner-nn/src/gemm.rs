@@ -18,7 +18,8 @@
 //! * `matmul_nt_into` — `C[m×p] = A[m×k] · B[p×k]ᵀ` (input gradients),
 //! * `matmul_tn_into` — `C[m×n] = A[k×m]ᵀ · B[k×n]` (weight gradients).
 //!
-//! There are two kernels behind the three:
+//! There are two kernels behind the three (shapes below are the portable
+//! bodies'; the AVX-512 tier doubles both):
 //!
 //! * **the NN band** (`nn_band`): `MR`×`NR` output tiles held in register
 //!   accumulators, `k` innermost, one broadcast of `A` against a
@@ -42,24 +43,42 @@
 //! unit tests and `tests/gemm_proptest.rs` hold every dispatch against them
 //! bit for bit.
 //!
-//! # SIMD width and bit-exactness
+//! # Kernel tiers and bit-exactness
 //!
-//! On `x86_64` hosts with AVX2 the two kernels run through
-//! `#[target_feature(enable = "avx2")]` clones of the *same* Rust code
-//! (selected once at runtime). This only widens the compiler's
-//! vectorization of the independent accumulator lanes; Rust forbids
-//! floating-point reassociation and mul/add contraction, so the AVX2 path
-//! produces exactly the same bits as the scalar build — the per-element
-//! sums are still evaluated in ascending-`k` order with separate rounding
-//! per multiply and add. The only `unsafe` in this crate is those two
-//! feature-gated calls, each guarded by `is_x86_feature_detected!`.
+//! Each product runs on the widest of three tiers the CPU supports, picked
+//! by CPUID (`is_x86_feature_detected!`) alone — there is no option:
+//!
+//! * **AVX-512** (`avx512f`): explicit intrinsics, 8-row × 32-column
+//!   tiles held as two zmm accumulators per row. Each step is one
+//!   `_mm512_mul_ps` then one `_mm512_add_ps`, `k` ascending, and the TN
+//!   kernel keeps its `KC` blocks and `out` round trip. A panel narrower
+//!   than 32 columns runs under lane masks; the fewer-than-8 rows at the
+//!   end of a band go to the AVX2 clone.
+//! * **AVX2**: `#[target_feature(enable = "avx2")]` clones of the portable
+//!   bodies, which only widen the compiler's vectorization of the
+//!   independent accumulator lanes.
+//! * **scalar**: the portable bodies compiled for the baseline target.
+//!
+//! All three produce the same bits. Rust forbids floating-point
+//! reassociation and mul/add contraction, and the explicit kernel issues
+//! no fused multiply-add, so on every tier each output element is the same
+//! ascending-`k` chain with one rounding per multiply and one per add. The
+//! unit test `every_host_tier_matches_reference_bitwise` runs every tier
+//! the host supports against [`mod@reference`], since dispatch alone would
+//! never reach the narrower ones.
+//!
+//! The `unsafe` in this crate is all here: the two dispatchers' calls into
+//! the `#[target_feature]` tiers, each after an assert that the tier's
+//! features are present, and the AVX-512 tiles' raw-pointer loads and
+//! stores, each bounded by a slice-length assert at the top of its tile.
 
-/// Column-panel width of both kernels (two 8-lane f32 vectors).
+/// Column-panel width of the portable kernels (two 8-lane f32 vectors).
 const NR: usize = 16;
-/// Row-block height of both kernels.
+/// Row-block height of the portable kernels.
 const MR: usize = 4;
-/// Reduction-block length of the TN kernel: `KC` rows of an `NR`-wide `B`
-/// panel (16 KiB) stay in L1 while the tiles of a panel column visit them.
+/// Reduction-block length of the TN kernels: `KC` rows of a `B` panel
+/// (16 KiB portable, 32 KiB AVX-512) stay in L1 while the tiles of a panel
+/// column visit them.
 const KC: usize = 256;
 
 /// Minimum multiply-add count before banding over threads pays for the
@@ -103,26 +122,276 @@ mod avx2 {
     }
 }
 
-/// Whether the AVX2 clones are usable on this machine (checked once;
-/// `is_x86_feature_detected!` caches internally).
+/// Explicit AVX-512 micro-kernels: 8-row × 32-column tiles, two zmm
+/// accumulators per row, one `_mm512_mul_ps` then one `_mm512_add_ps` per
+/// reduction step, `k` ascending — the per-element chain of the portable
+/// body at twice its lane width and tile height. A panel narrower than 32
+/// columns runs with lane masks on its last vector (one vector when it is
+/// at most 16 wide); the fewer-than-8 rows left at the end of a band go to
+/// the AVX2 clone. Each tile asserts the slice lengths that bound its raw
+/// pointer offsets before it touches memory.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
+#[allow(unsafe_code)]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m512, __mmask16, _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    use std::ops::Range;
 
-fn run_nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: the only requirement of a safe `#[target_feature]` fn is
-        // that the feature is present, which was just verified at runtime.
-        #[allow(unsafe_code)]
-        return unsafe { avx2::nn_band(a, b, out, rows, k, n) };
+    /// Tile height.
+    const MR: usize = 8;
+    /// Tile width: two 16-lane vectors.
+    const NR: usize = 32;
+    /// Lanes per vector.
+    const L: usize = 16;
+
+    /// Whether a `rows × cols` matrix fits in `len` floats, without
+    /// overflow.
+    fn fits(len: usize, rows: usize, cols: usize) -> bool {
+        rows.checked_mul(cols).is_some_and(|need| need <= len)
     }
-    nn_band(a, b, out, rows, k, n)
+
+    /// Lane masks for a panel with `w` columns left, held in `V` vectors:
+    /// vector `v` admits only the lanes below `w`, so no lane reaches past
+    /// the row.
+    fn panel_masks<const V: usize>(w: usize) -> [__mmask16; V] {
+        std::array::from_fn(|v| {
+            let lanes = w.saturating_sub(v * L).min(L);
+            ((1u32 << lanes) - 1) as __mmask16
+        })
+    }
+
+    /// `acc[r][v] += a[r] · b[v]` for the tile's rows, each a separate
+    /// multiply then add.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn step<const V: usize>(acc: &mut [[__m512; V]; MR], a: [f32; MR], b: &[__m512; V]) {
+        for (accr, &ar) in acc.iter_mut().zip(&a) {
+            let av = _mm512_set1_ps(ar);
+            for (accv, &bv) in accr.iter_mut().zip(b) {
+                *accv = _mm512_add_ps(*accv, _mm512_mul_ps(av, bv));
+            }
+        }
+    }
+
+    /// NN band: `out[rows×n] = A[rows×k] × B[k×n]`.
+    #[target_feature(enable = "avx512f")]
+    pub fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
+        let full = rows - rows % MR;
+        for i in (0..full).step_by(MR) {
+            for j in (0..n).step_by(NR) {
+                if n - j > L {
+                    nn_tile::<2>(a, b, out, i, j, k, n);
+                } else {
+                    nn_tile::<1>(a, b, out, i, j, k, n);
+                }
+            }
+        }
+        if full < rows {
+            super::avx2::nn_band(&a[full * k..], b, &mut out[full * n..], rows - full, k, n);
+        }
+    }
+
+    /// The NN tile at rows `i..i + MR`, columns `j..` (`16·V` of them, or
+    /// up to `n`): accumulated from zero over `k` ascending, then stored.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn nn_tile<const V: usize>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let end = i.saturating_add(MR);
+        assert!(
+            j + (V - 1) * L < n
+                && fits(a.len(), end, k)
+                && fits(b.len(), k, n)
+                && fits(out.len(), end, n),
+            "NN tile out of bounds"
+        );
+        let masks = panel_masks::<V>(n - j);
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut acc = [[_mm512_setzero_ps(); V]; MR];
+        for kk in 0..k {
+            // SAFETY: the assert above gives `(i + MR)·k <= a.len()`, and
+            // `kk < k`, so every A offset is in bounds. Each B vector
+            // starts inside row `kk < k` (column `j + v·L < n`), and its
+            // mask admits only lanes below column `n`; `k·n <= b.len()` by
+            // the same assert.
+            let (av, bv) = unsafe {
+                (
+                    std::array::from_fn(|r| *ap.add((i + r) * k + kk)),
+                    std::array::from_fn(|v| {
+                        _mm512_maskz_loadu_ps(masks[v], bp.add(kk * n + j + v * L))
+                    }),
+                )
+            };
+            step(&mut acc, av, &bv);
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            for (v, &accv) in accr.iter().enumerate() {
+                // SAFETY: the masks admit only lanes below column `n` of
+                // row `i + r < i + MR`, and `(i + MR)·n <= out.len()` by
+                // the assert above.
+                unsafe { _mm512_mask_storeu_ps(op.add((i + r) * n + j + v * L), masks[v], accv) };
+            }
+        }
+    }
+
+    /// TN range: rows `i0..i1` of `out[m×n] = A[k×m]ᵀ × B[k×n]`, with the
+    /// portable body's `KC` blocks and `out` round trip.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub fn tn_range(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        i0: usize,
+        i1: usize,
+        k: usize,
+        m: usize,
+        n: usize,
+    ) {
+        let full = i1 - (i1 - i0) % MR;
+        let (head, tail) = out.split_at_mut((full - i0) * n);
+        head.fill(0.0);
+        let mut r0 = 0;
+        while r0 < k {
+            let r1 = (r0 + super::KC).min(k);
+            for j in (0..n).step_by(NR) {
+                for i in (i0..full).step_by(MR) {
+                    if n - j > L {
+                        tn_tile::<2>(a, b, head, i, i - i0, j, r0..r1, m, n);
+                    } else {
+                        tn_tile::<1>(a, b, head, i, i - i0, j, r0..r1, m, n);
+                    }
+                }
+            }
+            r0 = r1;
+        }
+        if full < i1 {
+            super::avx2::tn_range(a, b, tail, full, i1, k, m, n);
+        }
+    }
+
+    /// The TN tile at out rows `o..o + MR` (A columns `i..i + MR`),
+    /// columns `j..` (`16·V` of them, or up to `n`): loaded from `out`,
+    /// advanced over reduction rows `rows` ascending, stored back.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn tn_tile<const V: usize>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        i: usize,
+        o: usize,
+        j: usize,
+        rows: Range<usize>,
+        m: usize,
+        n: usize,
+    ) {
+        assert!(
+            j + (V - 1) * L < n
+                && i.saturating_add(MR) <= m
+                && fits(a.len(), rows.end, m)
+                && fits(b.len(), rows.end, n)
+                && fits(out.len(), o.saturating_add(MR), n),
+            "TN tile out of bounds"
+        );
+        let masks = panel_masks::<V>(n - j);
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        // SAFETY: the masks admit only lanes below column `n` of out row
+        // `o + r < o + MR`, and `(o + MR)·n <= out.len()` by the assert
+        // above.
+        let mut acc: [[__m512; V]; MR] = unsafe {
+            std::array::from_fn(|r| {
+                std::array::from_fn(|v| {
+                    _mm512_maskz_loadu_ps(masks[v], op.add((o + r) * n + j + v * L))
+                })
+            })
+        };
+        for rr in rows {
+            // SAFETY: `rr < rows.end` and `i + MR <= m`, so every A offset
+            // is below `rows.end·m <= a.len()`. Each B vector starts inside
+            // row `rr` (column `j + v·L < n`) and its mask admits only lanes
+            // below column `n`, below `rows.end·n <= b.len()` — all by the
+            // assert above.
+            let (av, bv) = unsafe {
+                (
+                    std::array::from_fn(|r| *ap.add(rr * m + i + r)),
+                    std::array::from_fn(|v| {
+                        _mm512_maskz_loadu_ps(masks[v], bp.add(rr * n + j + v * L))
+                    }),
+                )
+            };
+            step(&mut acc, av, &bv);
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            for (v, &accv) in accr.iter().enumerate() {
+                // SAFETY: the lanes the load above read, in bounds by the
+                // same assert.
+                unsafe { _mm512_mask_storeu_ps(op.add((o + r) * n + j + v * L), masks[v], accv) };
+            }
+        }
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// A kernel tier: which build of the two kernels runs. Ordered by width,
+/// so every tier at or below [`Tier::host`] runs on this CPU.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Tier {
+    /// The portable body, compiled for the baseline target.
+    Scalar,
+    /// The portable body's `#[target_feature(enable = "avx2")]` clones.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The explicit AVX-512 micro-kernels.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier this CPU supports, by CPUID alone
+    /// (`is_x86_feature_detected!` caches internally). The AVX-512 tier
+    /// hands band remainders to the AVX2 clones, so it needs both.
+    fn host() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return if std::arch::is_x86_feature_detected!("avx512f") {
+                Tier::Avx512
+            } else {
+                Tier::Avx2
+            };
+        }
+        Tier::Scalar
+    }
+}
+
+#[allow(unsafe_code)]
+fn run_nn_band(tier: Tier, a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
+    assert!(tier <= Tier::host(), "{tier:?} kernels need a CPU feature this host lacks");
+    match tier {
+        Tier::Scalar => nn_band(a, b, out, rows, k, n),
+        // SAFETY: the only requirement of a safe `#[target_feature]` fn is
+        // that its features are present, which the assert above verified.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { avx2::nn_band(a, b, out, rows, k, n) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { avx512::nn_band(a, b, out, rows, k, n) },
+    }
+}
+
+#[allow(clippy::too_many_arguments, unsafe_code)]
 fn run_tn_range(
+    tier: Tier,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -132,13 +401,17 @@ fn run_tn_range(
     m: usize,
     n: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 presence verified at runtime.
-        #[allow(unsafe_code)]
-        return unsafe { avx2::tn_range(a, b, out, i0, i1, k, m, n) };
+    assert!(tier <= Tier::host(), "{tier:?} kernels need a CPU feature this host lacks");
+    match tier {
+        Tier::Scalar => tn_range(a, b, out, i0, i1, k, m, n),
+        // SAFETY: the only requirement of a safe `#[target_feature]` fn is
+        // that its features are present, which the assert above verified.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { avx2::tn_range(a, b, out, i0, i1, k, m, n) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { avx512::tn_range(a, b, out, i0, i1, k, m, n) },
     }
-    tn_range(a, b, out, i0, i1, k, m, n)
 }
 
 /// `out = A[m×k] × B[k×n]`, overwriting `out` entirely (dirty buffers are
@@ -165,22 +438,32 @@ pub fn matmul_into(
         out.fill(0.0);
         return;
     }
-    nn_banded(a, b, out, m, k, n, threads);
+    nn_banded(Tier::host(), a, b, out, m, k, n, threads);
 }
 
-/// Blocked `out = A[m×k] × B[k×n]` banded over contiguous output-row
-/// ranges — the one dispatch behind both the NN and the (packed) NT entry
-/// points. Shapes are non-degenerate here.
-fn nn_banded(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, threads: usize) {
+/// Blocked `out = A[m×k] × B[k×n]` on `tier`, banded over contiguous
+/// output-row ranges — the one dispatch behind both the NN and the
+/// (packed) NT entry points. Shapes are non-degenerate here.
+#[allow(clippy::too_many_arguments)]
+fn nn_banded(
+    tier: Tier,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) {
     let workers = band_workers(threads, m, m.saturating_mul(k).saturating_mul(n));
     if workers <= 1 {
-        run_nn_band(a, b, out, m, k, n);
+        run_nn_band(tier, a, b, out, m, k, n);
         return;
     }
     let band = m.div_ceil(workers);
     crossbeam::thread::scope(|scope| {
         for (ab, ob) in a.chunks(band * k).zip(out.chunks_mut(band * n)) {
-            scope.spawn(move |_| run_nn_band(ab, b, ob, ab.len() / k, k, n));
+            scope.spawn(move |_| run_nn_band(tier, ab, b, ob, ab.len() / k, k, n));
         }
     })
     .expect("gemm workers must not panic");
@@ -241,12 +524,18 @@ pub(crate) fn matmul_nt_scratch_into(
         return;
     }
     let bt = &mut bt[..k * p];
+    transpose_into(b, bt, k);
+    nn_banded(Tier::host(), a, bt, out, m, k, p, threads);
+}
+
+/// Packs `B[p×k]` into `bt = Bᵀ[k×p]`.
+fn transpose_into(b: &[f32], bt: &mut [f32], k: usize) {
+    let p = b.len() / k;
     for (j, brow) in b.chunks_exact(k).enumerate() {
         for (kk, &v) in brow.iter().enumerate() {
             bt[kk * p + j] = v;
         }
     }
-    nn_banded(a, bt, out, m, k, p, threads);
 }
 
 /// `out = A[k×m]ᵀ × B[k×n]`, overwriting `out` entirely.
@@ -272,9 +561,25 @@ pub fn matmul_tn_into(
         out.fill(0.0);
         return;
     }
+    tn_banded(Tier::host(), a, b, out, k, m, n, threads);
+}
+
+/// Blocked `out = A[k×m]ᵀ × B[k×n]` on `tier`, banded over contiguous
+/// output-row ranges. Shapes are non-degenerate here.
+#[allow(clippy::too_many_arguments)]
+fn tn_banded(
+    tier: Tier,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    threads: usize,
+) {
     let workers = band_workers(threads, m, m.saturating_mul(k).saturating_mul(n));
     if workers <= 1 {
-        run_tn_range(a, b, out, 0, m, k, m, n);
+        run_tn_range(tier, a, b, out, 0, m, k, m, n);
         return;
     }
     let band = m.div_ceil(workers);
@@ -282,7 +587,7 @@ pub fn matmul_tn_into(
         for (bi, ob) in out.chunks_mut(band * n).enumerate() {
             scope.spawn(move |_| {
                 let i0 = bi * band;
-                run_tn_range(a, b, ob, i0, i0 + ob.len() / n, k, m, n);
+                run_tn_range(tier, a, b, ob, i0, i0 + ob.len() / n, k, m, n);
             });
         }
     })
@@ -602,6 +907,76 @@ mod tests {
             let mut banded = vec![5.0f32; 64 * 160];
             matmul_tn_into(&at, &bt, &mut banded, 512, 64, 160, threads);
             assert_eq!(banded, serial_tn, "TN {threads} threads diverged");
+        }
+    }
+
+    /// Bit patterns with every NaN folded onto one (a NaN's sign and
+    /// payload are unspecified per operation; which elements are NaN is
+    /// not).
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    /// [`seeded`] with +∞, −∞ and NaN dropped in, so poisoned rows and
+    /// columns cross tile edges too.
+    fn poisoned(len: usize, seed: u64) -> Vec<f32> {
+        let mut v = seeded(len, seed);
+        for (n, special) in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN].into_iter().enumerate() {
+            if len > 2 {
+                v[(seed as usize * 7 + n * 13) % len] = special;
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn every_host_tier_matches_reference_bitwise() {
+        // Dispatch picks one tier per CPU, so the public entry points never
+        // run the narrower ones here; hold each tier against the reference
+        // directly, on both sides of the 4×16 and 8×32 tile edges and of a
+        // `KC` block, plus one shape banded over three workers.
+        let tiers = [
+            Tier::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512,
+        ];
+        let rows = [1, 3, 4, 7, 8, 9, 17];
+        let cols = [1, 15, 16, 17, 31, 32, 33, 48, 65];
+        let mut shapes: Vec<(usize, usize, usize, usize)> = Vec::new();
+        for &m in &rows {
+            for &n in &cols {
+                for k in [1, 5, KC + 3] {
+                    shapes.push((m, k, n, 1));
+                }
+            }
+        }
+        shapes.push((512, 64, 160, 3));
+        for tier in tiers.into_iter().filter(|&t| t <= Tier::host()) {
+            for &(m, k, n, threads) in &shapes {
+                let a = poisoned(m * k, 3 + m as u64);
+                let b = poisoned(k * n, 5 + n as u64);
+                let mut naive = vec![0.0f32; m * n];
+                let mut got = vec![f32::NAN; m * n];
+                reference::matmul(&a, &b, &mut naive, m, k, n);
+                nn_banded(tier, &a, &b, &mut got, m, k, n, threads);
+                assert_eq!(bits(&got), bits(&naive), "{tier:?} NN {m}x{k}x{n}");
+
+                // NT: `b` read as `B[n×k]`, packed as the entry point does.
+                let mut bt = vec![0.0f32; k * n];
+                transpose_into(&b, &mut bt, k);
+                reference::matmul_nt(&a, &b, &mut naive, m, k, n);
+                got.fill(f32::NAN);
+                nn_banded(tier, &a, &bt, &mut got, m, k, n, threads);
+                assert_eq!(bits(&got), bits(&naive), "{tier:?} NT {m}x{k}x{n}");
+
+                // TN: `a` read as `A[k×m]`.
+                reference::matmul_tn(&a, &b, &mut naive, k, m, n);
+                got.fill(f32::NAN);
+                tn_banded(tier, &a, &b, &mut got, k, m, n, threads);
+                assert_eq!(bits(&got), bits(&naive), "{tier:?} TN {k}x{m}x{n}");
+            }
         }
     }
 

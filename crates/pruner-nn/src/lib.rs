@@ -46,11 +46,15 @@
 //! }
 //! ```
 
-// `deny`, not `forbid`: the sole `unsafe` in this crate is the
-// runtime-feature-gated call into the AVX2 kernel clones in [`gemm`],
-// locally allowed there with a SAFETY argument. Everything else is safe
-// Rust, and new unsafe code is still rejected by default.
+// `deny`, not `forbid`: the sole `unsafe` in this crate is in [`gemm`] —
+// the CPUID-gated calls into the AVX2 clones and the AVX-512 kernels, and
+// the AVX-512 kernels' raw-pointer loads and stores, each bounded by a
+// slice-length assert in the same function and locally allowed with a
+// SAFETY comment naming it. Everything else is safe Rust, new unsafe code
+// is still rejected by default, and an unsafe block without a SAFETY
+// comment fails clippy.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod gemm;

@@ -31,11 +31,20 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
 }
 
-/// One dimension, biased toward tile edges: the blocked kernels use
-/// 4-row × 16-column tiles, so sizes just under/over 4 and 16 exercise
-/// every remainder path.
+/// One dimension, biased toward tile edges: the portable kernels use
+/// 4-row × 16-column tiles and the AVX-512 ones 8-row × 32-column tiles,
+/// so sizes just under/over 4, 8, 16, 32 and 64 exercise every remainder
+/// path of whichever tier the host dispatches to.
 fn edge() -> impl Strategy<Value = usize> {
-    prop_oneof![0usize..=5, 14usize..=18, Just(1usize), Just(32usize)]
+    prop_oneof![
+        0usize..=5,
+        7usize..=9,
+        14usize..=18,
+        31usize..=33,
+        63usize..=65,
+        Just(1usize),
+        Just(32usize)
+    ]
 }
 
 /// Deterministic matrix pair from a drawn seed — keeps contents
@@ -64,17 +73,33 @@ fn long_k() -> impl Strategy<Value = usize> {
     prop_oneof![Just(255usize), Just(256usize), Just(257usize), Just(515usize), Just(3200usize)]
 }
 
-/// A panel-side dimension (`p`/`n`) on both sides of the 16-wide panel,
-/// plus one wide enough (with [`long_k`] and [`tall`]) to cross the
-/// banding threshold.
+/// A panel-side dimension (`p`/`n`) on both sides of the 16- and 32-wide
+/// panels, a 32-wide panel plus a 16-wide one (48), two full 32-wide
+/// panels (64), and one wide enough (with [`long_k`] and [`tall`]) to
+/// cross the banding threshold.
 fn panel() -> impl Strategy<Value = usize> {
-    prop_oneof![1usize..=3, 15usize..=17, 31usize..=33, Just(130usize)]
+    prop_oneof![
+        1usize..=3,
+        15usize..=17,
+        31usize..=33,
+        Just(48usize),
+        Just(64usize),
+        Just(130usize)
+    ]
 }
 
-/// An output-row dimension that is mostly *not* a multiple of the 4-row
-/// block; the larger ones give `threads` 2–4 real bands to split.
+/// An output-row dimension, mostly *not* a multiple of the 4- or 8-row
+/// block, next to exact multiples of 8 (8, 64); the larger ones give
+/// `threads` 2–4 real bands to split.
 fn tall() -> impl Strategy<Value = usize> {
-    prop_oneof![1usize..=7, Just(66usize), Just(130usize), Just(259usize)]
+    prop_oneof![
+        1usize..=7,
+        Just(8usize),
+        Just(64usize),
+        Just(66usize),
+        Just(130usize),
+        Just(259usize)
+    ]
 }
 
 /// [`seeded_pair`] with a few ±∞ and NaN entries dropped into each matrix
