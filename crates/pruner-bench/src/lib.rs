@@ -1,25 +1,26 @@
-//! Shared infrastructure for the experiment harness.
-//!
-//! Every table and figure of the paper is regenerated by one bench target
-//! of this crate (`cargo bench -p pruner-bench --bench table1`, …;
-//! `cargo bench --workspace` runs them all). Each bench prints the
-//! paper-formatted table to stdout and writes machine-readable JSON under
-//! `results/`.
-//!
-//! Scale: by default the benches run a reduced but shape-preserving budget
-//! so the whole suite finishes in minutes; set `PRUNER_BENCH_FULL=1` for
-//! paper-scale budgets (2,000 trials, 512-candidate spaces, all ten
-//! networks).
+//! The experiment harness: every table and figure of the paper's
+//! evaluation as one entry of [`EXPERIMENTS`], run by one runner
+//! (`cargo bench -p pruner-bench --bench experiments -- <id>…`, every
+//! entry when no id is given) through four shared evaluators — space
+//! quality, ranking, campaign grid, memory — into `results/<file>.json`.
+//! The checker judges each of the paper's shape claims on that JSON;
+//! `cargo test` fails when EXPERIMENTS.md or a recorded verdict drifts
+//! from it. `PRUNER_BENCH_FULL=1` selects paper-scale budgets (2,000
+//! trials, 512-candidate spaces, all ten networks) over the reduced
+//! default, which runs the whole suite in about 11 minutes on two cores.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pruner::cost::{CostModel, ModelKind, PacmModel};
-use pruner::dataset::Dataset;
-use pruner::gpu::GpuSpec;
+mod check;
+mod eval;
+mod table;
+
+pub use check::{doc_mismatches, judge, Claim, Verdict};
+pub use eval::run;
+pub use table::{Experiment, EXPERIMENTS};
+
 use pruner::ir::{Network, Subgraph};
-use pruner::tuner::{pretrain_pacm, ModelSetup, Tuner, TunerConfig, TuningResult};
-use serde::Serialize;
 use std::path::PathBuf;
 
 /// Whether paper-scale budgets were requested via `PRUNER_BENCH_FULL=1`.
@@ -27,25 +28,19 @@ pub fn full_scale() -> bool {
     std::env::var("PRUNER_BENCH_FULL").map(|v| v == "1").unwrap_or(false)
 }
 
-/// The campaign budget: paper scale (200×10) or the reduced default.
-pub fn campaign_config(seed: u64) -> TunerConfig {
+/// Picks the quick-scale or the paper-scale half of a `(quick, full)` pair.
+fn scale<T>((quick, full): (T, T)) -> T {
     if full_scale() {
-        TunerConfig { seed, ..TunerConfig::default() }
+        full
     } else {
-        TunerConfig {
-            rounds: 80,
-            space_size: 256,
-            target_pool: 1024,
-            seed,
-            ..TunerConfig::default()
-        }
+        quick
     }
 }
 
 /// Keeps a network's `k` heaviest subgraphs (by weighted FLOPs) — the
 /// standard trick to bound harness runtime while preserving the tuning
 /// problem's character. At full scale all subgraphs are kept.
-pub fn top_tasks(net: &Network, k: usize) -> Network {
+pub(crate) fn top_tasks(net: &Network, k: usize) -> Network {
     if full_scale() {
         return net.clone();
     }
@@ -56,106 +51,6 @@ pub fn top_tasks(net: &Network, k: usize) -> Network {
         out.add(sg.workload, sg.weight);
     }
     out
-}
-
-/// The three online-mode methods of Figures 8/10/16.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OnlineMethod {
-    /// Ansor: no PSA, online MLP model.
-    Ansor,
-    /// Pruner without transfer: PSA + PaCM trained online.
-    PrunerNoMtl,
-    /// Full Pruner: PSA + PaCM + MTL from a K80-pretrained Siamese model.
-    Pruner,
-}
-
-impl OnlineMethod {
-    /// Display label matching the paper's legends.
-    pub fn label(self) -> &'static str {
-        match self {
-            OnlineMethod::Ansor => "Ansor",
-            OnlineMethod::PrunerNoMtl => "Pruner w/o MTL",
-            OnlineMethod::Pruner => "Pruner",
-        }
-    }
-}
-
-/// Runs one online-mode campaign.
-pub fn run_online(
-    spec: GpuSpec,
-    net: &Network,
-    method: OnlineMethod,
-    pretrained: &PacmModel,
-    seed: u64,
-) -> TuningResult {
-    let mut cfg = campaign_config(seed);
-    let setup = match method {
-        OnlineMethod::Ansor => {
-            cfg.use_psa = false;
-            ModelSetup::Fresh(ModelKind::Ansor)
-        }
-        OnlineMethod::PrunerNoMtl => ModelSetup::Fresh(ModelKind::Pacm),
-        OnlineMethod::Pruner => {
-            ModelSetup::Mtl { pretrained: pretrained.clone(), momentum: 0.99 }
-        }
-    };
-    let mut tuner = Tuner::new(spec, cfg, setup);
-    tuner.add_network(net);
-    tuner.run()
-}
-
-/// Runs one offline-mode campaign: a model pre-trained on the *target*
-/// platform's offline dataset, fine-tuned online.
-pub fn run_offline(
-    spec: GpuSpec,
-    net: &Network,
-    model: Box<dyn CostModel>,
-    use_psa: bool,
-    seed: u64,
-) -> TuningResult {
-    let mut cfg = campaign_config(seed);
-    cfg.use_psa = use_psa;
-    let mut tuner = Tuner::new(spec, cfg, ModelSetup::Offline(model));
-    tuner.add_network(net);
-    tuner.run()
-}
-
-/// Builds the cross-platform pre-training corpus (the "K80-6M TensetGPUs"
-/// stand-in) and pre-trains PaCM on it.
-pub fn k80_pretrained_pacm(seed: u64) -> PacmModel {
-    // The real pre-training corpus (TensetGPUs) spans >100 networks; this
-    // stand-in needs at least one representative of every operator family
-    // the target networks contain (wide GEMMs included), or the Siamese
-    // prior misleads on out-of-distribution tasks.
-    let (progs, epochs) = if full_scale() { (96, 16) } else { (48, 10) };
-    let data = Dataset::generate(
-        &GpuSpec::k80(),
-        &[
-            pruner::ir::zoo::resnet50(1),
-            pruner::ir::zoo::mobilenet_v2(1),
-            pruner::ir::zoo::bert_base(1, 128),
-            pruner::ir::zoo::bert_tiny(1, 128),
-        ],
-        progs,
-        seed,
-    );
-    pretrain_pacm(&data.to_samples(), epochs, seed)
-}
-
-/// Builds an offline dataset of the given platform for the offline-mode
-/// comparisons (the paper's per-platform 500k-program corpora).
-pub fn offline_dataset(spec: &GpuSpec, seed: u64) -> Dataset {
-    let progs = if full_scale() { 128 } else { 64 };
-    Dataset::generate(
-        spec,
-        &[
-            pruner::ir::zoo::resnet50(1),
-            pruner::ir::zoo::vit(1),
-            pruner::ir::zoo::bert_base(1, 128),
-        ],
-        progs,
-        seed,
-    )
 }
 
 /// A simple aligned text table.
@@ -186,7 +81,7 @@ impl TextTable {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
-                *w = (*w).max(c.len());
+                *w = (*w).max(c.chars().count());
             }
         }
         let fmt_row = |cells: &[String]| {
@@ -205,19 +100,6 @@ impl TextTable {
     }
 }
 
-/// Writes a pretty JSON result file under `results/` (created on demand)
-/// through [`pruner::durable::write_atomic_durable`], and returns its path.
-///
-/// # Panics
-/// Panics on I/O errors — a harness without its output is a failed run.
-pub fn write_result<T: Serialize>(name: &str, value: &T) -> PathBuf {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize result");
-    pruner::durable::write_atomic_durable(&path, &json, None).expect("write result file");
-    println!("\n[results written to {}]", path.display());
-    path
-}
-
 /// The `results/` directory at the workspace root.
 pub fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/pruner-bench → workspace root is two up.
@@ -226,16 +108,6 @@ pub fn results_dir() -> PathBuf {
         .nth(2)
         .expect("workspace root")
         .join("results")
-}
-
-/// Downsamples a tuning curve to at most `n` points for compact printing.
-pub fn sample_curve(result: &TuningResult, n: usize) -> Vec<(u64, f64, f64)> {
-    let pts = result.curve.points();
-    let step = (pts.len() / n.max(1)).max(1);
-    pts.iter()
-        .step_by(step)
-        .map(|p| (p.trials, p.search_time_s, p.best_latency_s))
-        .collect()
 }
 
 #[cfg(test)]
