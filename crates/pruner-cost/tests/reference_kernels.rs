@@ -7,10 +7,15 @@
 //! the length and FNV-1a-64 of the serialized weights and the bits of the
 //! final loss, as trained at commit `cb195a6` — the last one with a runtime
 //! naive-kernel mode — by this file's `train` with that mode switched on.
-//! It changes only when the model, its initialisation or the training
-//! samples change on purpose; then re-derive it from what the current
-//! kernels train, after `gemm_proptest` (blocked ≡ `gemm::reference`) and
-//! `graph::tests::fused_*_is_bit_identical_to_chain` pass:
+//! When tensors moved from decimal arrays to hex bit strings the digest was
+//! re-derived from the same weights: the decimal JSON trained before the
+//! switch, decoded and re-rendered, is byte-identical to what `train` now
+//! writes, and the loss bits did not move.
+//! It changes only when the model, its initialisation, the training
+//! samples or the tensor encoding change on purpose; then re-derive it
+//! from what the current kernels train, after `gemm_proptest` (blocked ≡
+//! `gemm::reference`) and `graph::tests::fused_*_is_bit_identical_to_chain`
+//! pass:
 //!
 //! ```text
 //! cargo test --release -p pruner-cost --test reference_kernels -- --ignored regenerate_fixture

@@ -8,11 +8,19 @@
 
 use crate::gemm;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{content_get, Content, Deserialize, Error, Serialize};
 use std::fmt;
 
 /// A row-major `rows × cols` matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as `{"rows":R,"cols":C,"data":"…"}`, where `data` is one
+/// lowercase hex string of the IEEE-754 bit patterns, eight digits per
+/// value, most significant nibble first (`1.0` is `"3f800000"`). Every
+/// bit survives, NaN payloads and infinities included, and nothing goes
+/// through float formatting. The decoder also reads the numeric `data`
+/// array written before that encoding, so unversioned model files from
+/// earlier builds still load.
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
@@ -254,6 +262,91 @@ impl Tensor {
     }
 }
 
+/// Lowercase hex digits, indexed by nibble.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// The value of each lowercase hex digit, indexed by byte; every other
+/// byte maps to `0xff`, so OR-ing a word's entries exposes any stray one.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// `data` as one hex string, eight digits per value.
+fn encode_bits(data: &[f32]) -> String {
+    let mut out = vec![0; data.len() * 8];
+    for (word, v) in out.chunks_exact_mut(8).zip(data) {
+        let bits = v.to_bits();
+        for (i, digit) in word.iter_mut().enumerate() {
+            *digit = HEX[(bits >> (28 - 4 * i) & 0xf) as usize];
+        }
+    }
+    String::from_utf8(out).expect("hex digits are ASCII")
+}
+
+/// The inverse of [`encode_bits`]: whole 8-digit words of lowercase hex.
+fn decode_bits(hex: &str) -> Result<Vec<f32>, Error> {
+    if !hex.len().is_multiple_of(8) {
+        return Err(Error::custom(format!(
+            "Tensor data is {} hex digits, not whole 8-digit words",
+            hex.len()
+        )));
+    }
+    let mut data = Vec::with_capacity(hex.len() / 8);
+    for (i, word) in hex.as_bytes().chunks_exact(8).enumerate() {
+        let (mut bits, mut stray) = (0u32, 0u8);
+        for &digit in word {
+            let nibble = NIBBLE[usize::from(digit)];
+            stray |= nibble;
+            bits = bits << 4 | u32::from(nibble & 0xf);
+        }
+        if stray > 0xf {
+            return Err(Error::custom(format!("Tensor data word {i} is not lowercase hex")));
+        }
+        data.push(f32::from_bits(bits));
+    }
+    Ok(data)
+}
+
+impl Serialize for Tensor {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("rows".to_string(), self.rows.to_content()),
+            ("cols".to_string(), self.cols.to_content()),
+            ("data".to_string(), Content::Str(encode_bits(&self.data))),
+        ])
+    }
+}
+
+impl Deserialize for Tensor {
+    fn from_content(c: &Content) -> Result<Tensor, Error> {
+        let map = c.as_map().ok_or_else(|| Error::invalid_type("Tensor", "map"))?;
+        let field =
+            |name| content_get(map, name).ok_or_else(|| Error::missing_field("Tensor", name));
+        let rows = usize::from_content(field("rows")?)?;
+        let cols = usize::from_content(field("cols")?)?;
+        let data = match field("data")? {
+            Content::Str(hex) => decode_bits(hex)?,
+            // Files from before the bit-string encoding (decimals, with
+            // non-finite values as `null`).
+            legacy @ Content::Seq(_) => Vec::<f32>::from_content(legacy)?,
+            _ => return Err(Error::invalid_type("Tensor", "hex string or number array as data")),
+        };
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(Error::custom(format!(
+                "Tensor data holds {} values, shape is {rows}x{cols}",
+                data.len()
+            )));
+        }
+        Ok(Tensor { rows, cols, data })
+    }
+}
+
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor[{}x{}]", self.rows, self.cols)?;
@@ -267,6 +360,7 @@ impl fmt::Debug for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -357,5 +451,86 @@ mod tests {
         assert_eq!(t.at(1, 0), 5.0);
         assert_eq!(t.row(1), &[5.0, 0.0]);
         assert_eq!(t.mean(), 1.25);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn data_serializes_as_one_big_endian_hex_string() {
+        let t = Tensor::from_vec(1, 3, vec![1.0, -0.0, f32::INFINITY]);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(json, r#"{"rows":1,"cols":3,"data":"3f800000800000007f800000"}"#);
+        let empty = serde_json::to_string(&Tensor::zeros(0, 4)).unwrap();
+        assert_eq!(empty, r#"{"rows":0,"cols":4,"data":""}"#);
+        assert_eq!(serde_json::from_str::<Tensor>(&empty).unwrap(), Tensor::zeros(0, 4));
+    }
+
+    #[test]
+    fn legacy_number_arrays_still_decode() {
+        let t: Tensor =
+            serde_json::from_str(r#"{"rows":2,"cols":2,"data":[1.0,-0.25,3,null]}"#).unwrap();
+        assert_eq!(t.shape(), (2, 2));
+        assert_eq!(&t.as_slice()[..3], &[1.0, -0.25, 3.0]);
+        assert!(t.at(1, 1).is_nan(), "legacy `null` reads back as NaN");
+    }
+
+    #[test]
+    fn malformed_data_is_a_typed_error() {
+        let cases = [
+            (r#"{"rows":2,"cols":2,"data":[1.0]}"#, "holds 1 values"),
+            (r#"{"rows":2,"cols":2,"data":"3f800000"}"#, "holds 1 values"),
+            (r#"{"rows":1,"cols":1,"data":"3f80000"}"#, "not whole 8-digit words"),
+            (r#"{"rows":1,"cols":1,"data":"3f80000g"}"#, "word 0 is not lowercase hex"),
+            (r#"{"rows":1,"cols":2,"data":"3f800000+f800000"}"#, "word 1 is not"),
+            (r#"{"rows":1,"cols":1,"data":"3F800000"}"#, "not lowercase hex"),
+            (r#"{"rows":1,"cols":1,"data":"3f8000é"}"#, "not lowercase hex"),
+            (r#"{"rows":1,"cols":1,"data":1.0}"#, "hex string or number array"),
+            (r#"{"rows":1,"cols":1}"#, "missing field `data`"),
+            (r#"{"rows":4294967296,"cols":4294967296,"data":""}"#, "shape is"),
+        ];
+        for (json, expected) in cases {
+            let err = serde_json::from_str::<Tensor>(json).expect_err(json).to_string();
+            assert!(err.contains(expected), "{json}: {err}");
+        }
+    }
+
+    /// IEEE-754 single bit patterns, weighted towards the ones decimal
+    /// printing loses or mangles.
+    fn f32_bits() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            0u32..=u32::MAX,
+            Just(0x0000_0000u32),
+            Just(0x8000_0000u32),
+            0x0000_0001u32..0x0080_0000,
+            0x8000_0001u32..0x8080_0000,
+            Just(0x7f80_0000u32),
+            Just(0xff80_0000u32),
+            0x7f80_0001u32..=0x7fff_ffff,
+            0xff80_0001u32..=0xffff_ffff,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn every_bit_pattern_round_trips(
+            words in prop::collection::vec(f32_bits(), 0..48),
+            split in 1usize..4,
+        ) {
+            let rows = if words.len() % split == 0 { split } else { 1 };
+            let t = Tensor::from_vec(
+                rows,
+                words.len() / rows,
+                words.iter().map(|&w| f32::from_bits(w)).collect(),
+            );
+            for text in [serde_json::to_string(&t).unwrap(), serde_json::to_string_pretty(&t).unwrap()] {
+                let back: Tensor = serde_json::from_str(&text).unwrap();
+                prop_assert_eq!(back.shape(), t.shape());
+                prop_assert_eq!(bits(&back), words.clone());
+            }
+        }
     }
 }

@@ -120,7 +120,9 @@ impl Checkpoint {
     /// configuration string, making checkpoints backend-generic.
     /// Version 3 embeds the [`CampaignPhase`], making mid-round
     /// checkpoints (and therefore park/resume at any step) possible.
-    pub const VERSION: u32 = 3;
+    /// Version 4 writes every tensor's data as a hex string of its
+    /// `f32` bit patterns ([`pruner_nn::Tensor`]) instead of decimals.
+    pub const VERSION: u32 = 4;
 
     /// Serializes and atomically, durably writes the checkpoint to
     /// `path` (tmp + fsync + rename + parent-directory fsync).
@@ -296,10 +298,15 @@ mod tests {
         let dir = std::env::temp_dir().join("pruner-ckpt-future-layout-test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.json");
-        fs::write(&path, r#"{"version":4,"campaign":{"layout":"rewritten"}}"#).unwrap();
+        let next = Checkpoint::VERSION + 1;
+        fs::write(&path, format!(r#"{{"version":{next},"campaign":{{"layout":"rewritten"}}}}"#))
+            .unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(err.to_string(), "checkpoint version 4 unsupported (expected 3)");
+        assert_eq!(
+            err.to_string(),
+            format!("checkpoint version {next} unsupported (expected {})", Checkpoint::VERSION)
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,7 +6,9 @@
 //! `TensetMlpModel`, `TlpModel`, `AnsorModel`, `XgbModel`) to JSON and
 //! back. Optimizer state (Adam moments and step count) rides along — the
 //! campaign checkpointer needs it for byte-identical resume — but files
-//! written without it still load, falling back to fresh moments.
+//! written without it still load, falling back to fresh moments. Tensors
+//! are written as hex strings of their `f32` bits ([`crate::nn::Tensor`]);
+//! files from earlier builds, whose tensors are decimal arrays, still load.
 //!
 //! # Example
 //!
@@ -52,6 +54,7 @@ mod tests {
     use crate::cost::{CostModel, PacmModel, Sample, TensetMlpModel, XgbModel};
     use crate::gpu::{GpuSpec, Simulator};
     use crate::ir::Workload;
+    use crate::nn::{Mlp, Module, Tensor};
     use crate::sketch::Program;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -106,6 +109,32 @@ mod tests {
         assert_eq!(m2.predict_batch(&data, 1), r2.predict_batch(&data, 1));
         std::fs::remove_file(p1).ok();
         std::fs::remove_file(p2).ok();
+    }
+
+    /// A model file as builds before the bit-string tensor encoding wrote
+    /// it: a one-layer `Mlp` after one Adam step, every tensor's data a
+    /// decimal array.
+    const LEGACY_MLP: &str = r#"{"layers":[{"w":{"value":{"rows":2,"cols":1,"data":[-1.4226480722427368,-0.5352320671081543]},"grad":{"rows":2,"cols":1,"data":[0.5,-0.25]},"m":{"rows":2,"cols":1,"data":[0.050000011920928955,-0.025000005960464478]},"v":{"rows":2,"cols":1,"data":[0.00024999678134918213,6.249919533729553e-5]}},"b":{"value":{"rows":1,"cols":1,"data":[-0.009999999776482582]},"grad":{"rows":1,"cols":1,"data":[0.5]},"m":{"rows":1,"cols":1,"data":[0.050000011920928955]},"v":{"rows":1,"cols":1,"data":[0.00024999678134918213]}}}]}"#;
+
+    #[test]
+    fn legacy_decimal_model_file_still_loads() {
+        let path = tmp("legacy-mlp.json");
+        std::fs::write(&path, LEGACY_MLP).unwrap();
+        let mut mlp: Mlp = load_json(&path).unwrap();
+        let params = mlp.params_mut();
+        let widened = |p: &Tensor| p.as_slice().iter().map(|&v| f64::from(v)).collect::<Vec<_>>();
+        assert_eq!(widened(&params[0].value), [-1.4226480722427368, -0.5352320671081543]);
+        assert_eq!(widened(&params[0].v), [0.00024999678134918213, 6.249919533729553e-5]);
+        assert_eq!(widened(&params[1].m), [0.050000011920928955]);
+
+        // Saved again, it takes the one current form and reads back bit-exact.
+        save_json(&mlp, &path).unwrap();
+        let resaved = std::fs::read_to_string(&path).unwrap();
+        assert!(resaved.contains(r#""data": "bfb61955"#), "{resaved}");
+        assert!(!resaved.contains(r#""data": ["#), "{resaved}");
+        let again: Mlp = load_json(&path).unwrap();
+        assert_eq!(serde_json::to_string(&again).unwrap(), serde_json::to_string(&mlp).unwrap());
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

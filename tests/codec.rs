@@ -8,7 +8,11 @@
 //!   pairs) decodes to the character it names;
 //! * **writer byte-identity** — real artifacts render to exactly the bytes
 //!   in `tests/fixtures/codec/`, which were generated by the codec as it
-//!   stood before it was made linear-time (commit `d42cf6b`);
+//!   stood before it was made linear-time (commit `d42cf6b`); the
+//!   checkpoint pair was re-derived when checkpoints went to version 4
+//!   (tensor data as hex bit strings), and decoding the version-3 fixture,
+//!   restamping it 4 and re-rendering it reproduced the new one byte for
+//!   byte;
 //! * **linear time** — a multi-megabyte document of short strings parses
 //!   in well under the bound even unoptimised (the old per-character
 //!   re-validation needed hours for it);
@@ -102,7 +106,7 @@ fn predict_only_line() -> String {
     .to_line()
 }
 
-/// 64-bit FNV-1a. The pretty checkpoint is 0.86 MB of mostly
+/// 64-bit FNV-1a. The pretty checkpoint is 0.25 MB of mostly
 /// indentation, so the repository carries its length and digest instead
 /// of its bytes; the compact rendering is kept whole.
 fn digest(text: &str) -> String {
