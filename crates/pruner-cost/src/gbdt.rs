@@ -176,11 +176,6 @@ impl Gbdt {
             + self.learning_rate
                 * self.trees.iter().map(|t| t.predict(x)).sum::<f32>()
     }
-
-    /// Number of fitted trees.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 /// The tree-based Ansor model: boosted trees over pooled statement
@@ -283,7 +278,6 @@ mod tests {
             .sum::<f32>()
             / x.len() as f32;
         assert!(mse < 0.01, "GBDT failed to fit a linear function: mse {mse}");
-        assert_eq!(g.num_trees(), 40);
     }
 
     #[test]

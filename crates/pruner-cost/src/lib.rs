@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod ansor;
 mod gbdt;
@@ -35,9 +36,6 @@ pub use ansor::AnsorModel;
 pub use gbdt::{Gbdt, XgbModel};
 pub use model::{CostModel, ModelKind, ModelSnapshot, RandomModel};
 pub use pacm::{HeadSnapshot, PacmModel};
-pub use sample::{
-    attention_masks_in, labeled_groups, stack_flow_in, stack_pooled_in, stack_stmt_in,
-    stack_tokens_in, Sample,
-};
+pub use sample::Sample;
 pub use tenset_mlp::TensetMlpModel;
 pub use tlp::TlpModel;

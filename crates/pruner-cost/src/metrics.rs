@@ -83,54 +83,6 @@ pub fn best_k(spaces: &[SpaceEval], k: usize) -> f64 {
     num / den
 }
 
-/// Monte-Carlo estimator of the paper's round expectation `E(S, M)`
-/// (§2.1, Eq. 2): the expected latency of the best program measured in one
-/// search round, when a sample space `S` of size `s` is drawn from the
-/// candidate pool and the cost model's top `m` candidates are measured.
-///
-/// `pool` holds `(true_latency, model_score)` pairs for the whole space Ω;
-/// each draw samples `s` candidates without replacement, keeps the `m`
-/// highest-scored, and records the best true latency among them. The
-/// returned value is the mean over `draws` — exactly the quantity the
-/// paper's optimization objective (Eq. 2) minimizes, which both a better
-/// sample space (PSA) and a better model (PaCM) push toward `L_1`.
-///
-/// # Panics
-/// Panics if the pool is empty or `s`, `m` or `draws` is zero.
-pub fn round_expectation(
-    pool: &[(f64, f32)],
-    s: usize,
-    m: usize,
-    draws: usize,
-    seed: u64,
-) -> f64 {
-    assert!(!pool.is_empty(), "empty candidate pool");
-    assert!(s > 0 && m > 0 && draws > 0, "s, m and draws must be positive");
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let mut total = 0.0;
-    let mut indices: Vec<usize> = (0..pool.len()).collect();
-    for _ in 0..draws {
-        indices.shuffle(&mut rng);
-        let sample = &indices[..s.min(pool.len())];
-        // When s <= m the round devolves to exhaustive measurement (the
-        // second case of Eq. 2).
-        let picked: Vec<usize> = if sample.len() <= m {
-            sample.to_vec()
-        } else {
-            let mut by_score = sample.to_vec();
-            by_score.sort_by(|&a, &b| {
-                pool[b].1.partial_cmp(&pool[a].1).expect("finite scores")
-            });
-            by_score.truncate(m);
-            by_score
-        };
-        total += picked.iter().map(|&i| pool[i].0).fold(f64::INFINITY, f64::min);
-    }
-    total / draws as f64
-}
-
 /// Spearman rank correlation between two slices (shared by tests and the
 /// feasibility benches).
 ///
@@ -228,55 +180,5 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
         top_k(&[], 0);
-    }
-
-    /// A pool with latencies 1..=100 and configurable score quality.
-    fn expectation_pool(perfect: bool) -> Vec<(f64, f32)> {
-        (1..=100)
-            .map(|i| {
-                let lat = i as f64;
-                // Perfect model scores fast programs highest; the broken
-                // model scores them by a value-irrelevant hash.
-                let score = if perfect {
-                    -(i as f32)
-                } else {
-                    ((i * 2654435761u64) % 97) as f32
-                };
-                (lat, score)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn round_expectation_better_model_is_lower() {
-        let good = round_expectation(&expectation_pool(true), 50, 5, 200, 1);
-        let bad = round_expectation(&expectation_pool(false), 50, 5, 200, 1);
-        assert!(good < bad, "perfect model {good} must beat random scores {bad}");
-    }
-
-    #[test]
-    fn round_expectation_grows_toward_optimum_with_s() {
-        let pool = expectation_pool(true);
-        let small = round_expectation(&pool, 10, 5, 300, 2);
-        let large = round_expectation(&pool, 80, 5, 300, 2);
-        assert!(large <= small, "bigger sample spaces cannot hurt a perfect model");
-        assert!(large < 2.0, "a perfect model over most of Ω should find ~L_1");
-    }
-
-    #[test]
-    fn round_expectation_devolves_to_enumeration_when_s_le_m() {
-        // With s <= m every sampled program is measured — score-independent.
-        let a = round_expectation(&expectation_pool(true), 5, 10, 300, 3);
-        let b = round_expectation(&expectation_pool(false), 5, 10, 300, 3);
-        assert!((a - b).abs() < 1e-9);
-    }
-
-    #[test]
-    fn round_expectation_is_deterministic() {
-        let pool = expectation_pool(false);
-        assert_eq!(
-            round_expectation(&pool, 30, 5, 50, 7),
-            round_expectation(&pool, 30, 5, 50, 7)
-        );
     }
 }

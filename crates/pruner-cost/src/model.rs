@@ -256,7 +256,7 @@ impl CostModel for RandomModel {
 /// model-specific forward/backward/update — and averages the returned
 /// per-group objective values. Groups of fewer than two samples carry no
 /// ranking signal and are skipped.
-pub fn lambdarank_epochs(
+pub(crate) fn lambdarank_epochs(
     samples: &[Sample],
     epochs: usize,
     seed: u64,
@@ -292,7 +292,7 @@ pub fn lambdarank_epochs(
 /// Magnitude of a list's LambdaRank forces (mean `|λ|` over the output of
 /// `pruner_nn::lambdarank_grad`) — the per-group objective value reported
 /// by the built-in models.
-pub fn lambda_magnitude(lambdas: &[f32]) -> f64 {
+pub(crate) fn lambda_magnitude(lambdas: &[f32]) -> f64 {
     lambdas.iter().map(|v| v.abs() as f64).sum::<f64>() / lambdas.len().max(1) as f64
 }
 

@@ -46,12 +46,12 @@ impl PacmModel {
     }
 
     /// Ablation: data-flow branch only (`w/o S.F.`).
-    pub fn without_stmt_branch(seed: u64) -> PacmModel {
+    pub(crate) fn without_stmt_branch(seed: u64) -> PacmModel {
         Self::build(seed, false, true)
     }
 
     /// Ablation: statement branch only (`w/o D.F.`).
-    pub fn without_flow_branch(seed: u64) -> PacmModel {
+    pub(crate) fn without_flow_branch(seed: u64) -> PacmModel {
         Self::build(seed, true, false)
     }
 

@@ -50,7 +50,7 @@ impl Sample {
     }
 
     /// Whether the sample carries a latency label.
-    pub fn is_labeled(&self) -> bool {
+    pub(crate) fn is_labeled(&self) -> bool {
         self.latency.is_finite()
     }
 
@@ -72,7 +72,7 @@ impl Sample {
 /// Groups the indices of the *labeled* samples by task id (groups sorted
 /// by task, indices ascending, for determinism) — the ranking groups every
 /// model's `fit` iterates. Unlabeled samples belong to no group.
-pub fn labeled_groups(samples: &[Sample]) -> Vec<Vec<usize>> {
+pub(crate) fn labeled_groups(samples: &[Sample]) -> Vec<Vec<usize>> {
     let mut map: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (i, s) in samples.iter().enumerate().filter(|(_, s)| s.is_labeled()) {
         map.entry(s.task_id).or_default().push(i);
@@ -90,7 +90,7 @@ fn fill_stack(dst: &mut [f32], samples: &[Sample], picks: &[usize], f: impl Fn(&
 
 /// Stacks statement features of the picked samples: `[n·MAX_STMTS, STMT_DIM]`,
 /// drawn from `g`'s buffer pool — allocation-free once warm.
-pub fn stack_stmt_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
+pub(crate) fn stack_stmt_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
     let mut t = g.scratch(picks.len() * MAX_STMTS, STMT_DIM);
     fill_stack(t.as_mut_slice(), samples, picks, |s| &s.stmt);
     t
@@ -98,7 +98,7 @@ pub fn stack_stmt_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tens
 
 /// Stacks data-flow features: `[n·MAX_FLOW, FLOW_DIM]`, drawn from `g`'s
 /// buffer pool — allocation-free once warm.
-pub fn stack_flow_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
+pub(crate) fn stack_flow_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
     let mut t = g.scratch(picks.len() * MAX_FLOW, FLOW_DIM);
     fill_stack(t.as_mut_slice(), samples, picks, |s| &s.flow);
     t
@@ -106,7 +106,7 @@ pub fn stack_flow_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tens
 
 /// Stacks TLP tokens: `[n·MAX_TOKENS, TLP_DIM]`, drawn from `g`'s buffer
 /// pool — allocation-free once warm.
-pub fn stack_tokens_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
+pub(crate) fn stack_tokens_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
     let mut t = g.scratch(picks.len() * MAX_TOKENS, TLP_DIM);
     fill_stack(t.as_mut_slice(), samples, picks, |s| &s.tokens);
     t
@@ -114,7 +114,7 @@ pub fn stack_tokens_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Te
 
 /// Stacks statement features summed over statements: `[n, STMT_DIM]`,
 /// drawn from `g`'s buffer pool — allocation-free once warm.
-pub fn stack_pooled_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
+pub(crate) fn stack_pooled_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Tensor {
     let mut t = g.scratch(picks.len(), STMT_DIM);
     for (row, &i) in t.as_mut_slice().chunks_mut(STMT_DIM).zip(picks) {
         let mut acc = [0.0f32; STMT_DIM];
@@ -141,7 +141,7 @@ pub fn stack_pooled_in(g: &mut Graph, samples: &[Sample], picks: &[usize]) -> Te
 ///
 /// # Panics
 /// Panics if the row count is not a multiple of `group`.
-pub fn attention_masks_in(
+pub(crate) fn attention_masks_in(
     g: &mut Graph,
     stacked: &Tensor,
     group: usize,

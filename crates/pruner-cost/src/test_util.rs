@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// Builds `n` labeled samples (two tasks, simulator-priced) plus the
 /// ground-truth latencies.
-pub fn ranking_samples(n: usize, seed: u64) -> (Vec<Sample>, Vec<f64>) {
+pub(crate) fn ranking_samples(n: usize, seed: u64) -> (Vec<Sample>, Vec<f64>) {
     let sim = Simulator::new(GpuSpec::t4());
     let limits = GpuSpec::t4().limits();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -31,7 +31,7 @@ pub fn ranking_samples(n: usize, seed: u64) -> (Vec<Sample>, Vec<f64>) {
 
 /// Spearman correlation between a model's scores and *negated* latency
 /// (so +1 means perfect ranking).
-pub fn spearman_to_truth(
+pub(crate) fn spearman_to_truth(
     model: &mut dyn CostModel,
     samples: &[Sample],
     truth: &[f64],

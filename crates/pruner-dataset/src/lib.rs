@@ -9,7 +9,6 @@
 //! with serde.
 //!
 //! Entry points: [`Dataset::generate`] (from networks),
-//! [`Dataset::generate_for_workloads`] (from explicit operator lists),
 //! [`Dataset::to_samples`] / [`Dataset::split`] (cost-model training), and
 //! [`Dataset::save_json`] / [`Dataset::load_json`].
 //!
@@ -28,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use pruner_cost::Sample;
 use pruner_gpu::{GpuSpec, Simulator};
@@ -94,18 +94,6 @@ impl Dataset {
             .iter()
             .map(|sg| (sg.workload.clone(), sg.weight))
             .collect();
-        Self::generate_entries(spec, &pairs, programs_per_subgraph, seed)
-    }
-
-    /// Labels explicit workloads (weight 1 each).
-    pub fn generate_for_workloads(
-        spec: &GpuSpec,
-        workloads: &[Workload],
-        programs_per_subgraph: usize,
-        seed: u64,
-    ) -> Dataset {
-        let pairs: Vec<(Workload, u64)> =
-            workloads.iter().map(|w| (w.clone(), 1)).collect();
         Self::generate_entries(spec, &pairs, programs_per_subgraph, seed)
     }
 
@@ -339,14 +327,6 @@ mod tests {
         assert_eq!(loaded.platform, ds.platform);
         assert_eq!(loaded.num_programs(), ds.num_programs());
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn workload_dataset_has_unit_weights() {
-        let wls = vec![Workload::matmul(1, 128, 128, 128), Workload::matmul(1, 64, 64, 64)];
-        let ds = Dataset::generate_for_workloads(&GpuSpec::t4(), &wls, 8, 1);
-        assert_eq!(ds.entries.len(), 2);
-        assert!(ds.entries.iter().all(|e| e.weight == 1));
     }
 
     #[test]

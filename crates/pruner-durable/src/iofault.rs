@@ -143,7 +143,7 @@ impl IoFaults {
 
     /// Draws the fate of the next write operation and advances the
     /// counter.
-    pub fn next_fault(&self) -> Option<IoFaultKind> {
+    pub(crate) fn next_fault(&self) -> Option<IoFaultKind> {
         let op = self.ops.get();
         self.ops.set(op + 1);
         self.model.draw(op)

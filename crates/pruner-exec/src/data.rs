@@ -25,7 +25,7 @@ pub fn synth_value(op: usize, i: u64) -> f32 {
 /// The input operand tensors of a workload, generated once per distinct
 /// workload and shared process-wide (measurement repeats and the
 /// differential tests all see the same bits).
-pub fn operand_data(workload: &Workload) -> Arc<Vec<Vec<f32>>> {
+pub(crate) fn operand_data(workload: &Workload) -> Arc<Vec<Vec<f32>>> {
     type Cache = Mutex<HashMap<String, Arc<Vec<Vec<f32>>>>>;
     static CACHE: OnceLock<Cache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));

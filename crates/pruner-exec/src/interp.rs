@@ -29,7 +29,7 @@ const PAR_MIN_FLOPS: f64 = (1 << 20) as f64;
 /// pointwise formula, and what the differential tests exercise is the
 /// traversal, banding and indexing around it. `y` is the second operand
 /// for binary kinds and ignored otherwise.
-pub fn ew_apply(kind: EwKind, x: f32, y: f32) -> f32 {
+pub(crate) fn ew_apply(kind: EwKind, x: f32, y: f32) -> f32 {
     match kind {
         EwKind::Add => x + y,
         EwKind::Mul => x * y,

@@ -46,7 +46,7 @@ pub struct WallEstimate {
 }
 
 /// Measures `run` per [`TimerConfig`] and returns the trimmed estimate.
-pub fn measure_wall<F: FnMut()>(cfg: &TimerConfig, mut run: F) -> WallEstimate {
+pub(crate) fn measure_wall<F: FnMut()>(cfg: &TimerConfig, mut run: F) -> WallEstimate {
     for _ in 0..cfg.warmup {
         run();
     }

@@ -224,17 +224,17 @@ mod avx2 {
     use super::*;
 
     #[target_feature(enable = "avx2")]
-    pub fn stmt_band(arena: &CandidateArena, start: usize, out: &mut [f32]) {
+    pub(crate) fn stmt_band(arena: &CandidateArena, start: usize, out: &mut [f32]) {
         stmt_band_body(arena, start, out);
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn flow_band(arena: &CandidateArena, start: usize, out: &mut [f32]) {
+    pub(crate) fn flow_band(arena: &CandidateArena, start: usize, out: &mut [f32]) {
         flow_band_body(arena, start, out);
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn tlp_band(
+    pub(crate) fn tlp_band(
         arena: &CandidateArena,
         start: usize,
         wl_token: &[f32; TLP_DIM],

@@ -24,6 +24,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod arena;
 
@@ -216,7 +217,7 @@ pub fn tlp_tokens(prog: &Program) -> Vec<[f32; TLP_DIM]> {
 
 /// The global-workload TLP token: pure shape information, independent of
 /// the schedule, so batch extractors compute it once per workload.
-pub fn workload_token(workload: &pruner_ir::Workload) -> [f32; TLP_DIM] {
+pub(crate) fn workload_token(workload: &pruner_ir::Workload) -> [f32; TLP_DIM] {
     let mut f = [0.0f32; TLP_DIM];
     f[9] = 1.0;
     f[10] = lg(workload.flops()) * 2.0;
@@ -231,18 +232,6 @@ pub fn workload_token(workload: &pruner_ir::Workload) -> [f32; TLP_DIM] {
         pruner_ir::OperatorClass::EwRed => 1.0,
     };
     f
-}
-
-/// Flattens per-program statement features into one row (for MLP models):
-/// the element-wise sum over real statements, `STMT_DIM` wide.
-pub fn stmt_features_pooled(stats: &ProgramStats) -> [f32; STMT_DIM] {
-    let mut acc = [0.0f32; STMT_DIM];
-    for f in stmt_features(stats) {
-        for (a, v) in acc.iter_mut().zip(f) {
-            *a += v;
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -289,8 +278,8 @@ mod tests {
     #[test]
     fn features_distinguish_schedules() {
         let wl = Workload::matmul(1, 512, 512, 512);
-        let a = stmt_features_pooled(&sample(&wl, 10).stats());
-        let b = stmt_features_pooled(&sample(&wl, 11).stats());
+        let a = stmt_features(&sample(&wl, 10).stats());
+        let b = stmt_features(&sample(&wl, 11).stats());
         assert_ne!(a, b, "different schedules must yield different features");
     }
 
@@ -431,15 +420,5 @@ mod tests {
             arena::tlp_band_body(&arena, 0, &workload_token(&wl), &mut scalar);
             assert_eq!(bits(&tlp_tokens_arena(&arena, 1)), bits(&scalar), "{}", wl.key());
         }
-    }
-
-    #[test]
-    fn pooled_features_sum_statements() {
-        let p = sample(&Workload::matmul(1, 256, 256, 256), 6);
-        let stats = p.stats();
-        let pooled = stmt_features_pooled(&stats);
-        let per_stmt = stmt_features(&stats);
-        let manual: f32 = per_stmt.iter().map(|f| f[8]).sum();
-        assert!((pooled[8] - manual).abs() < 1e-6);
     }
 }

@@ -136,7 +136,7 @@ impl FaultModel {
     }
 
     /// Whether any class can fire at all.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.total_rate() > 0.0
     }
 

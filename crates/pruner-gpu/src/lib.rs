@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod backend;
 mod fault;
@@ -46,6 +47,6 @@ pub mod vendor;
 
 pub use backend::Backend;
 pub use fault::{FaultDraw, FaultKind, FaultModel, Measurement};
-pub use sim::{quick_latency, SimConfig, Simulator};
+pub use sim::{SimConfig, Simulator};
 pub use spec::GpuSpec;
 pub use stall::{StallBackend, StallControl};

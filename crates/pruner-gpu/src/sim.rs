@@ -105,7 +105,7 @@ impl Simulator {
     }
 
     /// Noise-free latency from precomputed statistics, in seconds.
-    pub fn latency_of_stats(&self, stats: &ProgramStats) -> f64 {
+    pub(crate) fn latency_of_stats(&self, stats: &ProgramStats) -> f64 {
         let spec = &self.spec;
         let threads = stats.threads_per_block.max(1);
         let wpb = stats.warps_per_block(spec.warp_size);
@@ -328,11 +328,6 @@ impl Simulator {
         let memory = min_bytes / (self.spec.dram_gbps * 1e9);
         compute.max(memory) + self.spec.launch_overhead_us * 1e-6
     }
-}
-
-/// Convenience: simulate a program on a platform with default constants.
-pub fn quick_latency(spec: &GpuSpec, prog: &Program) -> f64 {
-    Simulator::new(spec.clone()).latency(prog)
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ fn efficiency(workload: &Workload) -> (f64, f64) {
 }
 
 /// Whether the vendor library would dispatch a Winograd kernel.
-pub fn winograd_applicable(workload: &Workload) -> bool {
+pub(crate) fn winograd_applicable(workload: &Workload) -> bool {
     match workload {
         Workload::Conv2d(s) => {
             s.kh == 3

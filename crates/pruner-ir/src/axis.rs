@@ -58,7 +58,7 @@ impl Axis {
     }
 
     /// Returns `true` for spatial axes.
-    pub fn is_spatial(&self) -> bool {
+    pub(crate) fn is_spatial(&self) -> bool {
         self.kind == AxisKind::Spatial
     }
 }

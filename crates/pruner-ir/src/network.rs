@@ -78,14 +78,6 @@ impl Network {
         self.subgraphs.iter().map(Subgraph::weighted_flops).sum()
     }
 
-    /// End-to-end latency given a per-subgraph latency lookup.
-    ///
-    /// `latency_of` receives each subgraph's workload and returns its tuned
-    /// latency in seconds; occurrences are summed with their weights.
-    pub fn end_to_end_latency(&self, mut latency_of: impl FnMut(&Workload) -> f64) -> f64 {
-        self.subgraphs.iter().map(|sg| sg.weight as f64 * latency_of(&sg.workload)).sum()
-    }
-
     /// Number of distinct subgraphs (tuning tasks).
     pub fn num_tasks(&self) -> usize {
         self.subgraphs.len()
@@ -109,7 +101,6 @@ impl Extend<Subgraph> for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::EwKind;
 
     #[test]
     fn duplicate_workloads_merge() {
@@ -119,18 +110,6 @@ mod tests {
         net.add(wl.clone(), 3);
         assert_eq!(net.num_tasks(), 1);
         assert_eq!(net.subgraphs()[0].weight, 5);
-    }
-
-    #[test]
-    fn end_to_end_latency_weights_subgraphs() {
-        let mut net = Network::new("test");
-        net.add(Workload::matmul(1, 64, 64, 64), 2);
-        net.add(Workload::elementwise(EwKind::Relu, 4096), 3);
-        let latency = net.end_to_end_latency(|wl| match wl {
-            Workload::MatMul(_) => 1.0,
-            _ => 0.5,
-        });
-        assert!((latency - (2.0 * 1.0 + 3.0 * 0.5)).abs() < 1e-12);
     }
 
     #[test]

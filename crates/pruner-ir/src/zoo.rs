@@ -60,7 +60,7 @@ fn resnet50_backbone(net: &mut Network, batch: u64, width_mult: u64, res: u64) {
 }
 
 /// Wide-ResNet-50-2 at 224×224 input.
-pub fn wide_resnet50(batch: u64) -> Network {
+pub(crate) fn wide_resnet50(batch: u64) -> Network {
     let mut net = Network::new(format!("wide_resnet50-b{batch}"));
     resnet50_backbone(&mut net, batch, 2, 224);
     net.add(Workload::reduction(batch * 2048, 7 * 7), 1);
@@ -69,7 +69,7 @@ pub fn wide_resnet50(batch: u64) -> Network {
 }
 
 /// Inception-V3 at 299×299 input (representative factorized convolutions).
-pub fn inception_v3(batch: u64) -> Network {
+pub(crate) fn inception_v3(batch: u64) -> Network {
     let mut net = Network::new(format!("inception_v3-b{batch}"));
     // Stem.
     net.add(Workload::conv2d(batch, 3, 299, 299, 32, 3, 2, 0), 1);
@@ -146,7 +146,7 @@ pub fn inception_v3(batch: u64) -> Network {
 ///
 /// Dense-layer input channels are quantized to multiples of 64 so the merged
 /// task count matches real task extraction instead of exploding.
-pub fn densenet121(batch: u64) -> Network {
+pub(crate) fn densenet121(batch: u64) -> Network {
     let mut net = Network::new(format!("densenet121-b{batch}"));
     net.add(Workload::conv2d(batch, 3, 224, 224, 64, 7, 2, 3), 1);
     let block_layers = [6u64, 12, 24, 16];
@@ -257,7 +257,7 @@ pub fn vit(batch: u64) -> Network {
 }
 
 /// DeepLab-V3 with ResNet-50 backbone at 224×224 input.
-pub fn deeplabv3_r50(batch: u64) -> Network {
+pub(crate) fn deeplabv3_r50(batch: u64) -> Network {
     let mut net = Network::new(format!("deeplabv3_r50-b{batch}"));
     resnet50_backbone(&mut net, batch, 1, 224);
     // ASPP at output stride 16 (14x14 feature map): 1x1 + three dilated 3x3.
@@ -277,7 +277,7 @@ pub fn deeplabv3_r50(batch: u64) -> Network {
 
 /// DeTR with ResNet-50 backbone at 224×224 input (49 memory tokens,
 /// 100 object queries).
-pub fn detr(batch: u64) -> Network {
+pub(crate) fn detr(batch: u64) -> Network {
     let mut net = Network::new(format!("detr-b{batch}"));
     resnet50_backbone(&mut net, batch, 1, 224);
     // Input projection 2048 -> 256.
@@ -316,7 +316,7 @@ pub fn bert_base(batch: u64, seq: u64) -> Network {
 
 /// BERT-large (24 layers, hidden 1024) at the given sequence length —
 /// the source of the Figure 13 MatMul scalability shapes.
-pub fn bert_large(batch: u64, seq: u64) -> Network {
+pub(crate) fn bert_large(batch: u64, seq: u64) -> Network {
     let mut net = Network::new(format!("bert_large-b{batch}s{seq}"));
     for _ in 0..24 {
         transformer_layer(&mut net, batch, seq, 1024, 16, 4096);
@@ -329,7 +329,7 @@ pub fn bert_large(batch: u64, seq: u64) -> Network {
 /// A GPT-2-small-like decoder (12 layers, hidden 768) with its large
 /// vocabulary projection — an autoregressive-inference workload mix that
 /// stresses skinny GEMMs.
-pub fn gpt2(batch: u64, seq: u64) -> Network {
+pub(crate) fn gpt2(batch: u64, seq: u64) -> Network {
     let mut net = Network::new(format!("gpt2-b{batch}s{seq}"));
     for _ in 0..12 {
         transformer_layer(&mut net, batch, seq, 768, 12, 3072);
@@ -383,7 +383,8 @@ pub fn r3d_18(batch: u64) -> Network {
 ///
 /// Order matches the paper's workload tables: R-50, WR-50, I-V3, D-121,
 /// MB-V2, ViT, DL-V3, DeTR, BERT-base, BERT-tiny, R3D-18.
-pub fn all_networks(batch: u64) -> Vec<Network> {
+#[cfg(test)]
+fn all_networks(batch: u64) -> Vec<Network> {
     vec![
         resnet50(batch),
         wide_resnet50(batch),

@@ -102,13 +102,13 @@ fn band_workers(threads: usize, out_rows: usize, work: usize) -> usize {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     #[target_feature(enable = "avx2")]
-    pub fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
+    pub(crate) fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
         super::nn_band(a, b, out, rows, k, n);
     }
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub fn tn_range(
+    pub(crate) fn tn_range(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
@@ -177,7 +177,7 @@ mod avx512 {
 
     /// NN band: `out[rows×n] = A[rows×k] × B[k×n]`.
     #[target_feature(enable = "avx512f")]
-    pub fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
+    pub(crate) fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
         let full = rows - rows % MR;
         for i in (0..full).step_by(MR) {
             for j in (0..n).step_by(NR) {
@@ -248,7 +248,7 @@ mod avx512 {
     /// portable body's `KC` blocks and `out` round trip.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
-    pub fn tn_range(
+    pub(crate) fn tn_range(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],

@@ -45,6 +45,9 @@ enum Op {
     Linear,
     /// Fused `relu(x·W + bias)` (one tape node instead of three).
     LinearRelu,
+    /// Unfused row-bias add: the reference the fused linear ops are
+    /// tested against.
+    #[cfg(test)]
     AddRowBias,
     Add,
     Mul,
@@ -58,7 +61,6 @@ enum Op {
     ConcatCols,
     GroupMatMulNT(usize),
     GroupMatMul(usize),
-    NormRows(f32),
 }
 
 struct Node {
@@ -269,8 +271,8 @@ impl Graph {
     }
 
     /// Fused `x·W + bias` — one tape node for the matmul and the row-bias
-    /// add, with a fused backward. Bit-identical to
-    /// `add_row_bias(matmul(x, w), bias)`.
+    /// add, with a fused backward. Bit-identical to the unfused
+    /// matmul-then-bias chain the unit tests compare it against.
     ///
     /// # Panics
     /// Panics on shape mismatches.
@@ -321,7 +323,8 @@ impl Graph {
     ///
     /// # Panics
     /// Panics if the bias is not a single row of matching width.
-    pub fn add_row_bias(&mut self, x: NodeId, bias: NodeId) -> NodeId {
+    #[cfg(test)]
+    fn add_row_bias(&mut self, x: NodeId, bias: NodeId) -> NodeId {
         let (rows, cols) = self.nodes[x.0].value.shape();
         let bv_shape = self.nodes[bias.0].value.shape();
         assert_eq!(bv_shape.0, 1, "bias must be a row vector");
@@ -392,7 +395,7 @@ impl Graph {
     }
 
     /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, x: NodeId) -> NodeId {
+    pub(crate) fn softmax_rows(&mut self, x: NodeId) -> NodeId {
         let mut out = copy_of(&mut self.ws, &self.nodes[x.0].value);
         let cols = out.cols();
         for r in 0..out.rows() {
@@ -408,24 +411,6 @@ impl Graph {
             }
         }
         self.push(Op::SoftmaxRows, &[x], out)
-    }
-
-    /// Row-wise standardization: each row is centered and divided by its
-    /// standard deviation (`eps`-stabilized) — the normalization core of
-    /// LayerNorm (affine scale/shift composes from `mul`/`add_row_bias`).
-    pub fn norm_rows(&mut self, x: NodeId, eps: f32) -> NodeId {
-        let mut out = copy_of(&mut self.ws, &self.nodes[x.0].value);
-        let cols = out.cols();
-        for r in 0..out.rows() {
-            let row = &mut out.as_mut_slice()[r * cols..(r + 1) * cols];
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
-            let inv = 1.0 / (var + eps).sqrt();
-            for v in row.iter_mut() {
-                *v = (*v - mean) * inv;
-            }
-        }
-        self.push(Op::NormRows(eps), &[x], out)
     }
 
     /// Sums every consecutive `group` rows: `[B·S, H] → [B, H]`.
@@ -480,7 +465,7 @@ impl Graph {
     ///
     /// # Panics
     /// Panics if shapes disagree or rows are not a multiple of `group`.
-    pub fn group_matmul_nt(&mut self, a: NodeId, b: NodeId, group: usize) -> NodeId {
+    pub(crate) fn group_matmul_nt(&mut self, a: NodeId, b: NodeId, group: usize) -> NodeId {
         let (rows, _d) = self.nodes[a.0].value.shape();
         assert_eq!(
             self.nodes[a.0].value.shape(),
@@ -513,7 +498,7 @@ impl Graph {
     ///
     /// # Panics
     /// Panics if shapes disagree or rows are not a multiple of `group`.
-    pub fn group_matmul(&mut self, s: NodeId, v: NodeId, group: usize) -> NodeId {
+    pub(crate) fn group_matmul(&mut self, s: NodeId, v: NodeId, group: usize) -> NodeId {
         let (rows, width) = self.nodes[s.0].value.shape();
         let (vrows, d) = self.nodes[v.0].value.shape();
         assert_eq!(rows, vrows, "group_matmul row mismatch");
@@ -599,7 +584,8 @@ fn add_grad(
 }
 
 /// Column sums of `gout` (rows ascending) into a pooled `1×cols` tensor —
-/// the bias gradient shared by `AddRowBias` and the fused linear ops.
+/// the bias gradient of the fused linear ops (and of the test-only
+/// `AddRowBias` reference).
 fn row_bias_grad(ws: &mut Workspace, gout: &Tensor) -> Tensor {
     let mut gb = alloc(ws, 1, gout.cols());
     gb.as_mut_slice().fill(0.0);
@@ -691,6 +677,7 @@ fn accumulate_inputs(
             add_grad(nodes, grads, ws, inputs[2], gb);
             ws.put(gm.into_vec());
         }
+        #[cfg(test)]
         Op::AddRowBias => {
             let gb = row_bias_grad(ws, gout);
             let gx = copy_of(ws, gout);
@@ -761,28 +748,6 @@ fn accumulate_inputs(
                 }
                 for ((o, &gv), &y) in g.row_mut(r).iter_mut().zip(grow).zip(yrow) {
                     *o = y * (gv - dot);
-                }
-            }
-            add_grad(nodes, grads, ws, inputs[0], g);
-        }
-        Op::NormRows(eps) => {
-            // y = (x - μ) / σ; dx = (dy - mean(dy) - y·mean(dy∘y)) / σ.
-            let xv = &nodes[inputs[0].0].value;
-            let yv = &nodes[idx].value;
-            let cols = xv.cols();
-            let mut g = alloc(ws, xv.rows(), cols);
-            for r in 0..xv.rows() {
-                let xrow = xv.row(r);
-                let yrow = yv.row(r);
-                let grow = gout.row(r);
-                let mean = xrow.iter().sum::<f32>() / cols as f32;
-                let var = xrow.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
-                let inv = 1.0 / (var + eps).sqrt();
-                let mean_dy = grow.iter().sum::<f32>() / cols as f32;
-                let mean_dyy =
-                    grow.iter().zip(yrow).map(|(&d, &y)| d * y).sum::<f32>() / cols as f32;
-                for ((o, &d), &y) in g.row_mut(r).iter_mut().zip(grow).zip(yrow) {
-                    *o = (d - mean_dy - y * mean_dyy) * inv;
                 }
             }
             add_grad(nodes, grads, ws, inputs[0], g);
@@ -1033,50 +998,6 @@ mod tests {
         let l = g.mean_all(sq);
         g.backward(l);
         assert_close(g.grad(xi).unwrap(), &numeric_grad(f, &x0), 2e-2);
-    }
-
-    #[test]
-    fn gradcheck_norm_rows() {
-        let x0 = seeded(3, 6, 41);
-        let f = |x: &Tensor| {
-            let mut g = Graph::new();
-            let xi = g.input(x.clone());
-            let n = g.norm_rows(xi, 1e-5);
-            let sq = g.mul(n, n);
-            let w = g.input(Tensor::from_vec(
-                3,
-                6,
-                (0..18).map(|i| (i as f32 * 0.37).cos()).collect(),
-            ));
-            let weighted = g.mul(sq, w);
-            let l = g.mean_all(weighted);
-            g.value(l).at(0, 0)
-        };
-        let mut g = Graph::new();
-        let xi = g.input(x0.clone());
-        let n = g.norm_rows(xi, 1e-5);
-        let sq = g.mul(n, n);
-        let w = g.input(Tensor::from_vec(
-            3,
-            6,
-            (0..18).map(|i| (i as f32 * 0.37).cos()).collect(),
-        ));
-        let weighted = g.mul(sq, w);
-        let l = g.mean_all(weighted);
-        g.backward(l);
-        assert_close(g.grad(xi).unwrap(), &numeric_grad(f, &x0), 3e-2);
-    }
-
-    #[test]
-    fn norm_rows_standardizes() {
-        let mut g = Graph::new();
-        let xi = g.input(Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
-        let n = g.norm_rows(xi, 1e-6);
-        let out = g.value(n);
-        let mean: f32 = out.as_slice().iter().sum::<f32>() / 4.0;
-        let var: f32 = out.as_slice().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 4.0;
-        assert!(mean.abs() < 1e-5);
-        assert!((var - 1.0).abs() < 1e-3);
     }
 
     #[test]

@@ -50,12 +50,12 @@ impl Param {
     /// The node is *not* remembered, so no gradient can be absorbed from
     /// this pass — which is exactly what allows forward passes through
     /// `&self` and therefore concurrent prediction from multiple threads.
-    pub fn bind_infer(&self, g: &mut Graph) -> NodeId {
+    pub(crate) fn bind_infer(&self, g: &mut Graph) -> NodeId {
         g.input_ref(&self.value)
     }
 
     /// Adds the tape gradient (if this param participated) into `grad`.
-    pub fn absorb_grad(&mut self, g: &Graph) {
+    pub(crate) fn absorb_grad(&mut self, g: &Graph) {
         if let Some(id) = self.node.take() {
             if let Some(gr) = g.grad(id) {
                 self.grad.axpy(1.0, gr);
@@ -182,16 +182,6 @@ impl Linear {
         let b = self.b.bind_infer(g);
         g.linear_relu(x, w, b)
     }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.w.value.rows()
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.w.value.cols()
-    }
 }
 
 impl Module for Linear {
@@ -241,11 +231,6 @@ impl Mlp {
             };
         }
         h
-    }
-
-    /// Output width of the final layer.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim()
     }
 }
 
@@ -457,11 +442,6 @@ impl MultiHeadAttention {
         let out = self.proj.forward_infer(g, joined.expect("at least one head"));
         g.add(x, out)
     }
-
-    /// Number of heads.
-    pub fn num_heads(&self) -> usize {
-        self.heads.len()
-    }
 }
 
 impl Module for MultiHeadAttention {
@@ -552,7 +532,6 @@ mod tests {
         // Two heads over groups of 3; gradients must reach every head.
         let mut r = rng();
         let mut mha = MultiHeadAttention::new(6, 4, 2, 3, &mut r);
-        assert_eq!(mha.num_heads(), 2);
         let mut g = Graph::new();
         // Non-uniform input so attention logits (and their grads) vary.
         let data: Vec<f32> = (0..36).map(|i| (i as f32 * 0.7).sin()).collect();

@@ -6,9 +6,8 @@
 //!
 //! * [`Tensor`] — row-major 2-D `f32` matrices (batches × features).
 //! * [`Graph`] — an eager tape with reverse-mode autodiff, including the
-//!   per-group sequence operations attention needs
-//!   ([`Graph::group_matmul_nt`], [`Graph::group_matmul`],
-//!   [`Graph::sum_groups`]).
+//!   per-group sequence operations attention needs (the grouped
+//!   products behind [`MultiHeadAttention`], and [`Graph::sum_groups`]).
 //! * [`Linear`], [`Mlp`], [`SelfAttention`] — the layers the cost models are
 //!   assembled from; [`Module`] provides weight copying and the momentum
 //!   blend Momentum Transfer Learning uses.
@@ -56,6 +55,7 @@
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod gemm;
 mod graph;

@@ -53,7 +53,7 @@ impl Tensor {
     }
 
     /// Kaiming-uniform initialization for a `fan_in → fan_out` weight.
-    pub fn kaiming(rows: usize, cols: usize, rng: &mut impl Rng) -> Tensor {
+    pub(crate) fn kaiming(rows: usize, cols: usize, rng: &mut impl Rng) -> Tensor {
         let bound = (6.0 / rows as f32).sqrt();
         let data = (0..rows * cols).map(|_| rng.gen_range(-bound..bound)).collect();
         Tensor { rows, cols, data }
@@ -124,7 +124,7 @@ impl Tensor {
 
     /// Consumes the tensor, returning its backing buffer (used by the
     /// [`crate::Workspace`] arena to recycle allocations across tape runs).
-    pub fn into_vec(self) -> Vec<f32> {
+    pub(crate) fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -133,14 +133,14 @@ impl Tensor {
     /// Existing contents are unspecified afterwards — callers are expected
     /// to overwrite every element (the `*_into` kernels do). This is how
     /// pooled workspace buffers get retargeted without reallocating.
-    pub fn reshape_for(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn reshape_for(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
     }
 
     /// Sets every element to zero in place.
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
@@ -148,7 +148,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;

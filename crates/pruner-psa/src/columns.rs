@@ -154,7 +154,7 @@ pub(crate) fn stmt_accumulate_body(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     #[target_feature(enable = "avx2")]
-    pub fn stmt_accumulate(
+    pub(crate) fn stmt_accumulate(
         acc: &mut [f64],
         n_ops: &[f64],
         thread: &[f64],

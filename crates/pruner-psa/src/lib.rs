@@ -43,8 +43,9 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod columns;
+mod columns;
 
 use pruner_gpu::GpuSpec;
 use pruner_ir::Workload;
@@ -178,7 +179,7 @@ impl Psa {
     }
 
     /// Memory penalty `P_mem` for one statement's innermost run length.
-    pub fn mem_penalty(&self, innermost_len: u64) -> f64 {
+    pub(crate) fn mem_penalty(&self, innermost_len: u64) -> f64 {
         if !self.cfg.enable_mem {
             return 1.0;
         }
@@ -193,7 +194,7 @@ impl Psa {
     }
 
     /// Approximate latency from precomputed statistics, in seconds.
-    pub fn estimate_stats(&self, stats: &ProgramStats) -> f64 {
+    pub(crate) fn estimate_stats(&self, stats: &ProgramStats) -> f64 {
         let p = self.penalties(stats);
         let t_p = self.spec.peak_gflops * 1e9;
         let t_m = self.spec.dram_gbps * 1e9;
@@ -229,10 +230,10 @@ impl Psa {
     /// program's schedule on every call, the arena already holds every
     /// stat column (computed once at insertion and reused by PSA and the
     /// feature extractors alike). The estimate is assembled in three column
-    /// passes (see [`columns`]) whose hot loop runs through a runtime-
-    /// dispatched AVX2 clone; accumulation stays in ascending statement
-    /// order, so the result is bit-identical to mapping [`Self::estimate`]
-    /// over the materialized programs — at any thread count.
+    /// passes whose hot loop runs through a runtime-dispatched AVX2 clone;
+    /// accumulation stays in ascending statement order, so the result is
+    /// bit-identical to mapping [`Self::estimate`] over the materialized
+    /// programs — at any thread count.
     /// # Panics
     /// Panics if the arena has raw (stats-deferred) candidates — call
     /// [`CandidateArena::ensure_stats`] after generation and dedup.

@@ -126,7 +126,7 @@ impl Batcher {
     /// A [`CostModel`] view of this batcher for campaign use: predictions
     /// coalesce with every other client of the same model, training is a
     /// frozen no-op.
-    pub fn campaign_model(&self) -> BatchedModel {
+    pub(crate) fn campaign_model(&self) -> BatchedModel {
         BatchedModel {
             shared: Arc::clone(&self.shared),
             tx: self.tx.as_ref().expect("batcher queue is live").clone(),
@@ -166,7 +166,7 @@ impl Drop for Batcher {
 /// * `snapshot` delegates to the shared model, so a parked campaign's
 ///   checkpoint embeds the frozen weights and resumes with bit-identical
 ///   predictions even without a daemon batcher around.
-pub struct BatchedModel {
+pub(crate) struct BatchedModel {
     shared: Arc<dyn CostModel>,
     tx: Sender<BatchJob>,
 }

@@ -17,7 +17,7 @@ pub struct Client {
 
 impl Client {
     /// Connects to the daemon socket at `path`.
-    pub fn connect(path: impl AsRef<Path>) -> io::Result<Client> {
+    pub(crate) fn connect(path: impl AsRef<Path>) -> io::Result<Client> {
         let writer = UnixStream::connect(path)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { reader, writer })

@@ -11,17 +11,17 @@
 //!   B's campaign replays tenant A's overlapping measurements for free;
 //! * **one model** (an `Arc<dyn CostModel>`): concurrent `PredictOnly`
 //!   requests and campaign-side predictions against a named frozen model
-//!   are coalesced by the [`batcher`] into single `predict_batch` calls.
+//!   are coalesced by the [`Batcher`] into single `predict_batch` calls.
 //!
-//! The module map mirrors the request path:
+//! The exported types mirror the request path:
 //!
-//! * [`wire`] — the versioned newline-delimited JSON protocol
-//!   ([`wire::SCHEMA_VERSION`], [`wire::Request`], [`wire::Response`]);
-//! * [`client`] — a minimal blocking client used by the CLI and tests;
-//! * [`batcher`] — the cross-tenant inference coalescer;
-//! * [`scheduler`] — per-tenant budgets, round-robin admission, campaign
-//!   lifecycle state;
-//! * [`daemon`] — the socket accept loop, per-tenant checkpoint
+//! * the wire protocol — versioned newline-delimited JSON
+//!   ([`SCHEMA_VERSION`], [`Request`], [`Response`], [`WireError`]);
+//! * [`Client`] — a minimal blocking client used by the CLI and tests;
+//! * [`Batcher`] — the cross-tenant inference coalescer;
+//! * [`Scheduler`] — per-tenant budgets, round-robin admission, campaign
+//!   lifecycle state ([`CampaignState`]);
+//! * [`Daemon`] — the socket accept loop, per-tenant checkpoint
 //!   directories, and the restart scan that resumes every in-flight
 //!   campaign after a crash.
 //!
@@ -36,12 +36,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod batcher;
-pub mod client;
-pub mod daemon;
-pub mod scheduler;
-pub mod wire;
+mod batcher;
+mod client;
+mod daemon;
+mod scheduler;
+mod wire;
 
 pub use batcher::Batcher;
 pub use client::Client;

@@ -60,7 +60,7 @@ impl CampaignState {
 
 /// The work a queued campaign will run: receives its stop signal, runs
 /// to an outcome. Built by the daemon around `Supervisor::run`.
-pub type CampaignJob = Box<dyn FnOnce(Arc<AtomicU8>) -> JobOutcome + Send>;
+pub(crate) type CampaignJob = Box<dyn FnOnce(Arc<AtomicU8>) -> JobOutcome + Send>;
 
 /// One campaign's registry entry.
 struct Entry {

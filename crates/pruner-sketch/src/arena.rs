@@ -31,12 +31,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Maximum spatial axes of any supported workload (conv3d has 5).
-pub const MAX_SPATIAL_AXES: usize = 5;
+pub(crate) const MAX_SPATIAL_AXES: usize = 5;
 /// Maximum reduction axes of any supported workload (conv3d has 4).
-pub const MAX_REDUCE_AXES: usize = 4;
+pub(crate) const MAX_REDUCE_AXES: usize = 4;
 /// Maximum buffer statements per candidate (2 operands: 2×G2S + 2×S2R +
 /// compute + writeback).
-pub const MAX_ARENA_STMTS: usize = 6;
+pub(crate) const MAX_ARENA_STMTS: usize = 6;
 
 /// Which schedule sketch a workload instantiates. Fixed per workload, so
 /// one arena never mixes sketch kinds.
@@ -444,11 +444,6 @@ impl WorkloadCtx {
         self.stmt_dsts[j]
     }
 
-    /// The deterministic fallback genes ([`Program::fallback`]).
-    pub fn fallback_genes(&self) -> GeneBuf {
-        self.fallback
-    }
-
     /// Packs a schedule into genes.
     ///
     /// # Panics
@@ -480,7 +475,7 @@ impl WorkloadCtx {
     }
 
     /// Unpacks genes into a schedule (allocates — measure boundary only).
-    pub fn schedule_from_genes(&self, genes: &GeneBuf) -> Schedule {
+    pub(crate) fn schedule_from_genes(&self, genes: &GeneBuf) -> Schedule {
         match self.kind {
             SketchKind::MultiTile => Schedule::MultiTile(TileConfig {
                 spatial: genes.spatial[..self.n_s].to_vec(),
@@ -502,13 +497,13 @@ impl WorkloadCtx {
     }
 
     /// Materializes genes into a full [`Program`].
-    pub fn program_from_genes(&self, genes: &GeneBuf) -> Program {
+    pub(crate) fn program_from_genes(&self, genes: &GeneBuf) -> Program {
         Program::new(self.workload.clone(), self.schedule_from_genes(genes))
     }
 
     /// FNV-1a fingerprint of the genes — bit-identical to
     /// [`Program::fingerprint`] of the materialized program.
-    pub fn fingerprint_genes(&self, genes: &GeneBuf) -> u64 {
+    pub(crate) fn fingerprint_genes(&self, genes: &GeneBuf) -> u64 {
         let mut h = self.key_fnv;
         match self.kind {
             SketchKind::MultiTile => {
@@ -617,7 +612,7 @@ impl WorkloadCtx {
 
     /// Mutates one gene, mirroring [`crate::evolve::mutate`] draw-for-draw
     /// (16 rejection tries, then the unchanged parent).
-    pub fn mutate_genes(
+    pub(crate) fn mutate_genes(
         &self,
         parent: &GeneBuf,
         limits: &HardwareLimits,
@@ -676,7 +671,7 @@ impl WorkloadCtx {
     /// Recombines two parents, mirroring [`crate::evolve::crossover`]
     /// draw-for-draw. Both parents share this context, so the mismatched-
     /// sketch arm of the legacy operator cannot occur.
-    pub fn crossover_genes(
+    pub(crate) fn crossover_genes(
         &self,
         a: &GeneBuf,
         b: &GeneBuf,
@@ -725,7 +720,7 @@ impl WorkloadCtx {
 
     /// Allocation-free validity check, same verdicts in the same order as
     /// [`Program::is_valid`].
-    pub fn genes_valid(&self, genes: &GeneBuf, limits: &HardwareLimits) -> bool {
+    pub(crate) fn genes_valid(&self, genes: &GeneBuf, limits: &HardwareLimits) -> bool {
         let (threads, shared, regs, vthreads, blocks, ept) = match self.kind {
             SketchKind::MultiTile => {
                 let mut blocks = 1u64;
@@ -1560,14 +1555,15 @@ impl CandidateArena {
         }
     }
 
-    /// Appends one candidate with its fingerprint and stats row (eager:
-    /// tests and single-candidate callers; pools go through the
-    /// generators in [`crate::evolve`]).
+    /// Appends one candidate with its fingerprint and stats row, eagerly
+    /// (a test fixture; pools go through the generators in
+    /// [`crate::evolve`]).
     ///
     /// # Panics
     /// Panics if this arena has a raw (stats-deferred) tail — an eager push
     /// behind it would break the stats prefix.
-    pub fn push_genes(&mut self, genes: &GeneBuf) {
+    #[cfg(test)]
+    fn push_genes(&mut self, genes: &GeneBuf) {
         assert!(self.has_stats(), "eager push onto a raw-tail arena");
         self.extend_par(1, 1, |_| *genes);
         self.ensure_stats();
@@ -2121,7 +2117,7 @@ mod tests {
         for wl in zoo() {
             let ctx = WorkloadCtx::new(&wl);
             assert_eq!(
-                ctx.schedule_from_genes(&ctx.fallback_genes()),
+                ctx.schedule_from_genes(&ctx.fallback),
                 Program::fallback(&wl).schedule,
                 "{wl}"
             );

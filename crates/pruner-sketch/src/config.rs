@@ -3,10 +3,10 @@
 use serde::{Deserialize, Serialize};
 
 /// Allowed `#pragma unroll` depths, mirroring Ansor's candidate set.
-pub const UNROLL_CANDIDATES: [u64; 4] = [0, 16, 64, 512];
+pub(crate) const UNROLL_CANDIDATES: [u64; 4] = [0, 16, 64, 512];
 
 /// Allowed vector widths for cooperative shared-memory loads.
-pub const VECTORIZE_CANDIDATES: [u64; 3] = [1, 2, 4];
+pub(crate) const VECTORIZE_CANDIDATES: [u64; 3] = [1, 2, 4];
 
 /// Multi-level tiling configuration — the GPU "SSSRRSRS" sketch.
 ///
@@ -48,7 +48,7 @@ impl TileConfig {
 
     /// Output elements computed by one thread
     /// (`vthreads × Π serial0_i·serial1_i`).
-    pub fn elems_per_thread(&self) -> u64 {
+    pub(crate) fn elems_per_thread(&self) -> u64 {
         self.vthreads() * self.spatial.iter().map(|s| s[3] * s[4]).product::<u64>()
     }
 
@@ -59,27 +59,27 @@ impl TileConfig {
     }
 
     /// Per-axis spatial tile owned by one thread (`serial0 × serial1`).
-    pub fn thread_tile(&self) -> Vec<u64> {
+    pub(crate) fn thread_tile(&self) -> Vec<u64> {
         self.spatial.iter().map(|s| s[3] * s[4]).collect()
     }
 
     /// Per-axis padded spatial extents (`Π` of all five factors).
-    pub fn padded_spatial(&self) -> Vec<u64> {
+    pub(crate) fn padded_spatial(&self) -> Vec<u64> {
         self.spatial.iter().map(|s| s.iter().product()).collect()
     }
 
     /// Per-axis padded reduction extents.
-    pub fn padded_reduce(&self) -> Vec<u64> {
+    pub(crate) fn padded_reduce(&self) -> Vec<u64> {
         self.reduce.iter().map(|r| r.iter().product()).collect()
     }
 
     /// Per-axis reduction chunk staged into shared memory (`mid × inner`).
-    pub fn reduce_chunk(&self) -> Vec<u64> {
+    pub(crate) fn reduce_chunk(&self) -> Vec<u64> {
         self.reduce.iter().map(|r| r[1] * r[2]).collect()
     }
 
     /// Per-axis innermost reduction tile.
-    pub fn reduce_inner(&self) -> Vec<u64> {
+    pub(crate) fn reduce_inner(&self) -> Vec<u64> {
         self.reduce.iter().map(|r| r[2]).collect()
     }
 

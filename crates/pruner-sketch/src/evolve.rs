@@ -73,7 +73,7 @@ pub fn mutate(prog: &Program, limits: &HardwareLimits, rng: &mut impl Rng) -> Pr
 ///
 /// # Panics
 /// Panics if the parents schedule different workloads.
-pub fn crossover(
+pub(crate) fn crossover(
     a: &Program,
     b: &Program,
     limits: &HardwareLimits,
@@ -183,7 +183,7 @@ fn item_rng(seed: u64, round: u64, item: usize) -> ChaCha8Rng {
 
 /// The executable definition of the arena generators: serial, one
 /// [`Program`] per item, built from [`Program::sample`], [`mutate`] and
-/// [`crossover`]. Tests hold [`init_into`] and [`next_generation_into`] to
+/// the crate's program crossover. Tests hold [`init_into`] and [`next_generation_into`] to
 /// these programs at any thread count; no campaign calls this module.
 pub mod reference {
     use super::{crossover, item_rng, mutate, HardwareLimits, Program};

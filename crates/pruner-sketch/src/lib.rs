@@ -38,8 +38,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod arena;
+mod arena;
 mod config;
 pub mod evolve;
 mod limits;

@@ -44,7 +44,7 @@ impl Default for HardwareLimits {
 
 impl HardwareLimits {
     /// Absolute register bound used for sampling rejection.
-    pub fn register_reject_bound(&self) -> u64 {
+    pub(crate) fn register_reject_bound(&self) -> u64 {
         self.max_registers_per_thread * self.register_slack
     }
 }

@@ -11,7 +11,7 @@ use rand::Rng;
 ///
 /// # Panics
 /// Panics if `n` is zero.
-pub fn divisors(n: u64) -> Vec<u64> {
+pub(crate) fn divisors(n: u64) -> Vec<u64> {
     assert!(n > 0, "divisors of zero are undefined");
     let mut small = Vec::new();
     let mut large = Vec::new();
@@ -62,7 +62,7 @@ pub fn sample_split(rng: &mut impl Rng, extent: u64, parts: usize) -> Vec<u64> {
 ///
 /// Useful for reporting search-space sizes; computed by dynamic programming
 /// over the divisor lattice.
-pub fn count_splits(extent: u64, parts: usize) -> u128 {
+pub(crate) fn count_splits(extent: u64, parts: usize) -> u128 {
     if parts == 0 {
         return 0;
     }
@@ -89,7 +89,7 @@ pub fn count_splits(extent: u64, parts: usize) -> u128 {
 ///
 /// Returns the padded extent (`>= extent`), the smallest multiple of
 /// `quantum` at or above `extent`. `quantum` must be non-zero.
-pub fn pad_to_quantum(extent: u64, quantum: u64) -> u64 {
+pub(crate) fn pad_to_quantum(extent: u64, quantum: u64) -> u64 {
     assert!(quantum > 0, "quantum must be positive");
     extent.div_ceil(quantum) * quantum
 }

@@ -9,7 +9,7 @@ use pruner_ir::Workload;
 use serde::{Deserialize, Serialize};
 
 /// Bytes per element; the whole stack models fp32 tensors.
-pub const ELEM_BYTES: u64 = 4;
+pub(crate) const ELEM_BYTES: u64 = 4;
 
 /// Memory hierarchy level a statement or data-flow step touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

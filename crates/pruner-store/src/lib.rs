@@ -58,6 +58,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use pruner_durable::{open_versioned, write_atomic_durable, DecodeError, IoFaults};
 use pruner_gpu::{FaultKind, GpuSpec};

@@ -149,7 +149,7 @@ impl Record {
 
     /// Renders the record as one JSON object:
     /// `{"v":<schema>,"type":"<kind>",<fields…>}`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
         let _ = write!(out, "{{\"v\":{SCHEMA_VERSION},\"type\":");
         push_escaped(&mut out, self.kind);

@@ -6,9 +6,8 @@ use std::fmt::Write as _;
 
 /// Aggregated view of one campaign's trace: the draft→verify funnel, the
 /// simulated-time ledger, host wall-clock per span, fault counts and the
-/// campaign counters. Built with [`Report::from_records`] (or
-/// [`crate::TraceHandle::report`]) and rendered as a summary table with
-/// [`Report::render`].
+/// campaign counters. Built with [`crate::TraceHandle::report`] and
+/// rendered as a summary table with [`Report::render`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// Tuning rounds observed (one `round` funnel record each).
@@ -153,7 +152,7 @@ const LEDGER_KEYS: [&str; 7] = [
 
 impl Report {
     /// Aggregates a record stream (see the crate docs for the schema).
-    pub fn from_records(records: &[Record]) -> Report {
+    pub(crate) fn from_records(records: &[Record]) -> Report {
         let mut report = Report::default();
         let get_u64 =
             |r: &Record, key: &str| r.get(key).and_then(Value::as_u64).unwrap_or(0);

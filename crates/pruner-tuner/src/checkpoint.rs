@@ -133,7 +133,7 @@ impl Checkpoint {
     /// [`Checkpoint::save`] with an optional seeded I/O fault injector —
     /// the hook the chaos harness uses to prove a failed checkpoint
     /// write never corrupts the previous checkpoint.
-    pub fn save_with(&self, path: &Path, faults: Option<&IoFaults>) -> io::Result<()> {
+    pub(crate) fn save_with(&self, path: &Path, faults: Option<&IoFaults>) -> io::Result<()> {
         let json = serde_json::to_string(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         write_atomic_durable(path, &json, faults)

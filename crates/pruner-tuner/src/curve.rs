@@ -47,20 +47,6 @@ impl TuningCurve {
         self.points.last().map(|p| p.best_latency_s).unwrap_or(f64::INFINITY)
     }
 
-    /// Total search time.
-    pub fn total_time_s(&self) -> f64 {
-        self.points.last().map(|p| p.search_time_s).unwrap_or(0.0)
-    }
-
-    /// Best latency achieved within the first `trials` measurements.
-    pub fn best_at_trials(&self, trials: u64) -> f64 {
-        self.points
-            .iter()
-            .take_while(|p| p.trials <= trials)
-            .map(|p| p.best_latency_s)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// First search time at which the curve reaches `target` latency
     /// (`None` if it never does) — the "search time required to reach the
     /// performance of X" of Figures 10, 14 and 15.
@@ -97,8 +83,6 @@ mod tests {
     fn accessors() {
         let c = demo();
         assert_eq!(c.final_latency(), 2.5e-3);
-        assert_eq!(c.total_time_s(), 100.0);
-        assert_eq!(c.best_at_trials(20), 3e-3);
     }
 
     #[test]

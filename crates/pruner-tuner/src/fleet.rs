@@ -238,6 +238,61 @@ struct FleetManifest {
     results: Vec<TuningResult>,
 }
 
+impl FleetManifest {
+    /// Checks that this manifest was written for `roster`: a state
+    /// directory is bound to the roster it was started with, so resuming
+    /// it under another roster (shorter, longer or reordered) is refused
+    /// instead of indexing past the ledger or crediting completed stages
+    /// to the wrong devices.
+    fn check_roster(&self, roster: &[GpuSpec]) -> io::Result<()> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        let n = roster.len();
+        if self.stages_done > n {
+            return invalid(format!(
+                "fleet manifest has {} stages done but the roster lists only {n}",
+                self.stages_done
+            ));
+        }
+        if self.devices.len() != self.stages_done {
+            return invalid(format!(
+                "fleet manifest lists {} stage devices for {} stages done",
+                self.devices.len(),
+                self.stages_done
+            ));
+        }
+        for (i, (done, spec)) in self.devices.iter().zip(roster).enumerate() {
+            if done.fingerprint != spec.fingerprint() {
+                return invalid(format!(
+                    "fleet manifest stage {i} ran on {} but roster device {i} is {} \
+                     (fingerprints differ)",
+                    done.name,
+                    spec_name(spec)
+                ));
+            }
+        }
+        if self.baseline.len() != n {
+            return invalid(format!(
+                "fleet manifest scores {} baseline devices but the roster has {n}",
+                self.baseline.len()
+            ));
+        }
+        if self.probe_scores.len() != self.stages_done {
+            return invalid(format!(
+                "fleet manifest has {} probe-score rows for {} stages done",
+                self.probe_scores.len(),
+                self.stages_done
+            ));
+        }
+        if let Some(row) = self.probe_scores.iter().find(|row| row.len() != n) {
+            return invalid(format!(
+                "fleet manifest scores {} devices per stage but the roster has {n}",
+                row.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The fleet orchestrator; see the module docs.
 pub struct Fleet {
     cfg: FleetConfig,
@@ -268,12 +323,12 @@ impl Fleet {
     }
 
     /// The manifest path inside the state directory.
-    pub fn manifest_path(&self) -> PathBuf {
+    pub(crate) fn manifest_path(&self) -> PathBuf {
         self.cfg.state_dir.join("fleet.json")
     }
 
     /// The supervisor checkpoint path for stage `stage`.
-    pub fn stage_checkpoint_path(&self, stage: usize) -> PathBuf {
+    pub(crate) fn stage_checkpoint_path(&self, stage: usize) -> PathBuf {
         self.cfg.state_dir.join(format!("stage-{stage}.ckpt.json"))
     }
 
@@ -326,6 +381,7 @@ impl Fleet {
         if path.exists() {
             let manifest: FleetManifest =
                 load_versioned(&path, "fleet manifest", FLEET_MANIFEST_VERSION)?;
+            manifest.check_roster(&self.cfg.roster)?;
             if self.recorder.enabled() {
                 self.recorder.emit(
                     Record::new("fleet.resume")
@@ -603,7 +659,7 @@ pub fn pretrain_samples(
 /// per workload, labeled with noiseless simulator latencies. The stream
 /// is keyed by the device fingerprint, so each device gets its own fixed
 /// probes — regenerated on demand, never stored.
-pub fn probe_samples(
+pub(crate) fn probe_samples(
     spec: &GpuSpec,
     workloads: &[(Workload, u64)],
     per_workload: usize,

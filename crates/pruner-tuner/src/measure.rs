@@ -315,11 +315,6 @@ impl SearchStats {
             + self.retry_backoff_s
             + self.fault_time_s
     }
-
-    /// Total host wall-clock time spent in the parallel pipeline stages.
-    pub fn pipeline_wall_s(&self) -> f64 {
-        self.wall.total_s()
-    }
 }
 
 /// Measures programs on a [`Backend`] (the analytical simulator by
@@ -353,7 +348,7 @@ impl<B: Backend> Measurer<B> {
     }
 
     /// Wraps a measurement backend with an explicit time model.
-    pub fn with_time_model(backend: B, time: TimeModel) -> Measurer<B> {
+    pub(crate) fn with_time_model(backend: B, time: TimeModel) -> Measurer<B> {
         Measurer {
             backend,
             time,
@@ -386,20 +381,13 @@ impl<B: Backend> Measurer<B> {
         &self.time
     }
 
-    /// Replaces the time-cost constants **without** touching the
-    /// measurement cache, ledger, or attempt counter — swapping cost
-    /// constants mid-campaign must not forget what was already measured.
-    pub fn set_time_model(&mut self, time: TimeModel) {
-        self.time = time;
-    }
-
     /// The retry policy in use.
-    pub fn retry_policy(&self) -> &RetryPolicy {
+    pub(crate) fn retry_policy(&self) -> &RetryPolicy {
         &self.policy
     }
 
     /// Replaces the retry policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
+    pub(crate) fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.policy = policy;
     }
 
@@ -551,14 +539,9 @@ impl<B: Backend> Measurer<B> {
         charged
     }
 
-    /// Whether a program has already been measured (or quarantined).
-    pub fn is_measured(&self, prog: &Program) -> bool {
-        self.cache.contains_key(&prog.dedup_key())
-    }
-
     /// The cached verdict for a program, if it has one — measured this
     /// run, restored from a checkpoint, or pre-seeded from a record store.
-    pub fn cached_outcome(&self, prog: &Program) -> Option<MeasureOutcome> {
+    pub(crate) fn cached_outcome(&self, prog: &Program) -> Option<MeasureOutcome> {
         self.cache.get(&prog.dedup_key()).copied()
     }
 
@@ -577,22 +560,22 @@ impl<B: Backend> Measurer<B> {
     }
 
     /// Charges cost-model inference time for `n` candidates.
-    pub fn charge_model_evals(&mut self, n: usize) {
+    pub(crate) fn charge_model_evals(&mut self, n: usize) {
         self.stats.model_time_s += n as f64 * self.time.model_eval_s;
     }
 
     /// Charges PSA estimation time for `n` candidates.
-    pub fn charge_psa_evals(&mut self, n: usize) {
+    pub(crate) fn charge_psa_evals(&mut self, n: usize) {
         self.stats.psa_time_s += n as f64 * self.time.psa_eval_s;
     }
 
     /// Charges fine-tuning time for `samples × epochs` training work.
-    pub fn charge_training(&mut self, samples: usize, epochs: usize) {
+    pub(crate) fn charge_training(&mut self, samples: usize, epochs: usize) {
         self.stats.train_time_s += (samples * epochs) as f64 * self.time.train_sample_s;
     }
 
     /// Charges candidate-generation time for `n` evolved candidates.
-    pub fn charge_evolution(&mut self, n: usize) {
+    pub(crate) fn charge_evolution(&mut self, n: usize) {
         self.stats.evolve_time_s += n as f64 * self.time.evolve_s;
     }
 
@@ -601,7 +584,7 @@ impl<B: Backend> Measurer<B> {
     /// [`pruner_trace::Recorder::span_end`] so the stats ledger and the
     /// trace share one clock read; with tracing disabled `span_end`
     /// returns 0.0 and the wall ledger stays empty.
-    pub fn record_wall(&mut self, stage: PipelineStage, seconds: f64) {
+    pub(crate) fn record_wall(&mut self, stage: PipelineStage, seconds: f64) {
         match stage {
             PipelineStage::Generate => self.stats.wall.generate_s += seconds,
             PipelineStage::Psa => self.stats.wall.psa_s += seconds,
@@ -646,7 +629,7 @@ mod tests {
         assert!(a.is_success());
         assert_eq!(m.stats().trials, 1, "repeat measurement must not count");
         assert_eq!(m.stats().measure_time_s, t1);
-        assert!(m.is_measured(&p));
+        assert!(m.cached_outcome(&p).is_some());
     }
 
     #[test]
@@ -771,19 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn set_time_model_preserves_cache_and_stats() {
-        let mut m = measurer();
-        let p = prog(5);
-        m.measure(&p, &mut NoopRecorder);
-        let stats = m.stats();
-        let time = TimeModel { compile_s: 10.0, ..TimeModel::default() };
-        m.set_time_model(time);
-        assert!(m.is_measured(&p), "swapping cost constants must not drop the cache");
-        assert_eq!(m.stats(), stats, "swapping cost constants must not reset the ledger");
-        assert_eq!(m.time_model().compile_s, 10.0);
-    }
-
-    #[test]
     fn wall_clock_is_excluded_from_equality() {
         let mut a = measurer();
         let mut b = measurer();
@@ -794,8 +764,8 @@ mod tests {
         a.record_wall(PipelineStage::Predict, 1.0);
         assert_eq!(a.stats(), b.stats(), "wall clock must not break determinism checks");
         assert_eq!(a.stats().wall, WallTimings { generate_s: 0.25, psa_s: 0.5, predict_s: 1.0 });
-        assert_eq!(a.stats().pipeline_wall_s(), 1.75);
-        assert_eq!(b.stats().pipeline_wall_s(), 0.0);
+        assert_eq!(a.stats().wall.total_s(), 1.75);
+        assert_eq!(b.stats().wall.total_s(), 0.0);
     }
 
     #[test]

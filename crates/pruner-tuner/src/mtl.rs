@@ -101,7 +101,7 @@ impl Mtl {
     /// This is the one stage that keeps a traced twin: `round` keeps its
     /// three-argument form, which the `perf/` harness calls, and that form
     /// has no way to hand the fit loss to a caller that would record it.
-    pub fn round_traced(
+    pub(crate) fn round_traced(
         &mut self,
         samples: &[Sample],
         epochs: usize,

@@ -126,11 +126,6 @@ impl CampaignPhase {
             CampaignPhase::Failed { .. } => "failed",
         }
     }
-
-    /// `true` once the campaign can no longer advance.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, CampaignPhase::Done | CampaignPhase::Failed { .. })
-    }
 }
 
 /// What one [`Tuner::step`](crate::Tuner::step) reports back.
@@ -178,8 +173,5 @@ mod tests {
         assert_eq!(CampaignPhase::Init.round(), 0);
         assert_eq!(CampaignPhase::Proposing { round: 7 }.round(), 7);
         assert_eq!(CampaignPhase::CheckpointDue { round: 3 }.label(), "checkpoint_due");
-        assert!(CampaignPhase::Done.is_terminal());
-        assert!(CampaignPhase::Failed { reason: String::new() }.is_terminal());
-        assert!(!CampaignPhase::Proposing { round: 0 }.is_terminal());
     }
 }

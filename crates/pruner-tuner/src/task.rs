@@ -151,28 +151,29 @@ impl TaskTuner {
     }
 
     /// Best measured latency so far (∞ before the first round).
-    pub fn best_latency(&self) -> f64 {
+    pub(crate) fn best_latency(&self) -> f64 {
         self.best.as_ref().map(|(_, l)| *l).unwrap_or(f64::INFINITY)
     }
 
     /// Best measured program so far.
-    pub fn best_program(&self) -> Option<&Program> {
+    pub(crate) fn best_program(&self) -> Option<&Program> {
         self.best.as_ref().map(|(p, _)| p)
     }
 
     /// Number of measurements taken on this task.
-    pub fn num_measured(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_measured(&self) -> usize {
         self.measured.len()
     }
 
     /// Rounds elapsed since the task last improved (scheduler signal).
-    pub fn rounds_since_improvement(&self) -> usize {
+    pub(crate) fn rounds_since_improvement(&self) -> usize {
         self.rounds_since_improvement
     }
 
     /// All labeled samples of this task, in measurement order (for
     /// cost-model training).
-    pub fn labeled_samples(&self) -> &[Sample] {
+    pub(crate) fn labeled_samples(&self) -> &[Sample] {
         &self.samples
     }
 
@@ -357,7 +358,7 @@ impl TaskTuner {
     /// measurement (live or replayed from a record store) or quarantined.
     /// Known programs are never re-proposed; the warm-up also consults
     /// this so a fallback replayed from a store is not double-recorded.
-    pub fn knows(&self, prog: &Program) -> bool {
+    pub(crate) fn knows(&self, prog: &Program) -> bool {
         self.measured_fps.contains(&prog.fingerprint())
     }
 
@@ -373,12 +374,13 @@ impl TaskTuner {
     }
 
     /// Number of programs quarantined on this task.
-    pub fn num_quarantined(&self) -> usize {
+    #[cfg(test)]
+    fn num_quarantined(&self) -> usize {
         self.quarantined.len()
     }
 
     /// Marks the end of one tuning round for scheduler bookkeeping.
-    pub fn finish_round(&mut self, improved: bool) {
+    pub(crate) fn finish_round(&mut self, improved: bool) {
         if improved {
             self.rounds_since_improvement = 0;
         } else {
@@ -545,8 +547,8 @@ mod tests {
         }
         // Wall timings came from trace spans: traced runs have them, the
         // NoopRecorder run performed no clock reads at all.
-        assert!(traced_stats.pipeline_wall_s() >= 0.0);
-        assert_eq!(plain_stats.pipeline_wall_s(), 0.0);
+        assert!(traced_stats.wall.total_s() >= 0.0);
+        assert_eq!(plain_stats.wall.total_s(), 0.0);
         let records = trace.records();
         let spans: Vec<&str> = records
             .iter()

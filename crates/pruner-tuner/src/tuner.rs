@@ -2,7 +2,7 @@
 
 use crate::checkpoint::{Checkpoint, MeasurerCheckpoint, TaskCheckpoint};
 use crate::curve::{CurvePoint, TuningCurve};
-use crate::measure::{MeasureOutcome, Measurer, RetryPolicy, SearchStats, TimeModel};
+use crate::measure::{MeasureOutcome, Measurer, RetryPolicy, SearchStats};
 use crate::mtl::{fit_recorded, Mtl};
 use crate::state::{CampaignPhase, CampaignStatus};
 use crate::task::{ProposeParams, TaskTuner};
@@ -343,12 +343,6 @@ impl<B: Backend> Tuner<B> {
             io_faults: None,
             arena: CandidateArena::default(),
         }
-    }
-
-    /// Overrides the time-cost constants (calibration experiments),
-    /// preserving the measurement cache and the simulated-time ledger.
-    pub fn set_time_model(&mut self, time: TimeModel) {
-        self.measurer.set_time_model(time);
     }
 
     /// Enables periodic checkpointing to `path` (every
@@ -1085,7 +1079,7 @@ impl<B: Backend> Tuner<B> {
     }
 
     /// Weighted end-to-end latency of the incumbents.
-    pub fn weighted_best(&self) -> f64 {
+    pub(crate) fn weighted_best(&self) -> f64 {
         self.tasks.iter().map(|t| t.weight as f64 * t.best_latency()).sum()
     }
 
@@ -1327,8 +1321,8 @@ mod tests {
             "the campaign_end ledger must reconcile with SearchStats"
         );
         // Wall timings exist only because spans measured them.
-        assert!(traced.stats.pipeline_wall_s() > 0.0);
-        assert_eq!(plain.stats.pipeline_wall_s(), 0.0);
+        assert!(traced.stats.wall.total_s() > 0.0);
+        assert_eq!(plain.stats.wall.total_s(), 0.0);
     }
 
     fn store_dir(tag: &str) -> PathBuf {

@@ -113,6 +113,37 @@ fn fleet_with_shared_store_resumes_byte_identically() {
     );
 }
 
+/// A state directory is bound to the roster it was started with: resuming
+/// a parked fleet under a shorter or a reordered roster is refused with
+/// `InvalidData`, and the manifest on disk is left untouched.
+#[test]
+fn fleet_resume_under_a_different_roster_is_refused() {
+    let roster = vec![GpuSpec::k80(), GpuSpec::t4(), GpuSpec::a100()];
+    let mut cfg = fleet_config("roster-mismatch", roster, 1);
+    cfg.halt_after_stages = Some(2);
+    let parked = Fleet::new(cfg.clone()).run().expect("halted fleet run");
+    assert_eq!(parked.status, FleetStatus::Parked);
+    let manifest = cfg.state_dir.join("fleet.json");
+    let before = std::fs::read(&manifest).expect("parked manifest");
+
+    cfg.halt_after_stages = None;
+    for (what, other) in [
+        ("shorter", vec![GpuSpec::k80()]),
+        ("reordered", vec![GpuSpec::a100(), GpuSpec::k80(), GpuSpec::t4()]),
+    ] {
+        let mut resume = cfg.clone();
+        resume.roster = other;
+        let err = Fleet::new(resume).run().expect_err("a foreign roster must not resume");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what} roster: {err}");
+        assert!(err.to_string().contains("fleet manifest"), "{what} roster: {err}");
+        assert_eq!(
+            std::fs::read(&manifest).expect("manifest after refusal"),
+            before,
+            "{what} roster: a refused resume must not rewrite the manifest"
+        );
+    }
+}
+
 /// Device A's store records must never preseed device B's measurement
 /// cache: the fingerprints differ, so replay must filter every record.
 #[test]
