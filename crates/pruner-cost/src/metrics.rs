@@ -83,31 +83,54 @@ pub fn best_k(spaces: &[SpaceEval], k: usize) -> f64 {
     num / den
 }
 
-/// Spearman rank correlation between two slices (shared by tests and the
-/// feasibility benches).
+/// Spearman rank correlation between two slices (shared by tests, the
+/// feasibility benches and the fleet's probe score): the Pearson
+/// correlation of their average ranks, so tied values share one rank.
+/// Values are ordered by `total_cmp`, so NaN scores rank instead of
+/// panicking. Returns 0 for fewer than two points or a constant side,
+/// where rank order is undefined.
 ///
 /// # Panics
-/// Panics if the slices have different or zero lengths.
+/// Panics if the slices have different lengths.
 pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
-    assert!(!a.is_empty(), "empty input");
-    fn ranks(v: &[f64]) -> Vec<f64> {
-        let mut idx: Vec<usize> = (0..v.len()).collect();
-        idx.sort_by(|&i, &j| v[i].partial_cmp(&v[j]).expect("finite values"));
-        let mut r = vec![0.0; v.len()];
-        for (rank, &i) in idx.iter().enumerate() {
-            r[i] = rank as f64;
-        }
-        r
+    if a.len() < 2 {
+        return 0.0;
     }
-    let (ra, rb) = (ranks(a), ranks(b));
+    let (ra, rb) = (average_ranks(a), average_ranks(b));
     let n = a.len() as f64;
     let ma = ra.iter().sum::<f64>() / n;
     let mb = rb.iter().sum::<f64>() / n;
-    let cov: f64 = ra.iter().zip(&rb).map(|(x, y)| (x - ma) * (y - mb)).sum();
-    let va: f64 = ra.iter().map(|x| (x - ma).powi(2)).sum();
-    let vb: f64 = rb.iter().map(|y| (y - mb).powi(2)).sum();
-    cov / (va.sqrt() * vb.sqrt()).max(1e-12)
+    let (mut cov, mut va, mut vb) = (0.0, 0.0, 0.0);
+    for (x, y) in ra.iter().zip(&rb) {
+        cov += (x - ma) * (y - mb);
+        va += (x - ma) * (x - ma);
+        vb += (y - mb) * (y - mb);
+    }
+    if va == 0.0 || vb == 0.0 {
+        return 0.0;
+    }
+    cov / (va * vb).sqrt()
+}
+
+/// 1-based ranks of `v`, each run of equal values sharing the average of
+/// its positions.
+fn average_ranks(v: &[f64]) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..v.len()).collect();
+    order.sort_by(|&i, &j| v[i].total_cmp(&v[j]));
+    let mut ranks = vec![0.0; v.len()];
+    let mut i = 0;
+    while i < order.len() {
+        let mut j = i;
+        while j + 1 < order.len() && v[order[j + 1]] == v[order[i]] {
+            j += 1;
+        }
+        for &k in &order[i..=j] {
+            ranks[k] = (i + j) as f64 / 2.0 + 1.0;
+        }
+        i = j + 1;
+    }
+    ranks
 }
 
 #[cfg(test)]

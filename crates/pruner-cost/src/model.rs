@@ -3,6 +3,7 @@
 use crate::sample::{labeled_groups, Sample};
 use pruner_nn::Graph;
 use pruner_nn::latencies_to_relevance;
+use pruner_par::fan_out_mut;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -43,28 +44,20 @@ pub trait CostModel: Send + Sync {
     /// random baseline advancing a counter) override this to a single
     /// `predict_with` call.
     fn predict_batch(&self, samples: &[Sample], threads: usize) -> Vec<f32> {
-        let n_chunks = samples.len().div_ceil(PREDICT_CHUNK);
-        let workers = threads.max(1).min(n_chunks.max(1));
-        if workers <= 1 {
+        if threads <= 1 || samples.len() <= PREDICT_CHUNK {
             return self.predict_with(&mut Graph::new(), samples);
         }
-        let chunks: Vec<&[Sample]> = samples.chunks(PREDICT_CHUNK).collect();
-        let mut scored: Vec<Vec<f32>> = vec![Vec::new(); chunks.len()];
-        let band = chunks.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            for (out_band, chunk_band) in scored.chunks_mut(band).zip(chunks.chunks(band)) {
-                scope.spawn(move |_| {
-                    // One tape per worker, reset between chunks: after the
-                    // first chunk warms the buffer pool, the remaining
-                    // chunks in the band run allocation-free.
-                    let mut g = Graph::new();
-                    for (slot, chunk) in out_band.iter_mut().zip(chunk_band) {
-                        *slot = self.predict_with(&mut g, chunk);
-                    }
-                });
+        let mut scored = vec![Vec::new(); samples.len().div_ceil(PREDICT_CHUNK)];
+        fan_out_mut(&mut scored, 1, threads, |first, out_band| {
+            // One tape per band, reset between chunks: after the first
+            // chunk warms the buffer pool, the remaining chunks in the
+            // band run allocation-free.
+            let mut g = Graph::new();
+            let chunks = samples[first * PREDICT_CHUNK..].chunks(PREDICT_CHUNK);
+            for (slot, chunk) in out_band.iter_mut().zip(chunks) {
+                *slot = self.predict_with(&mut g, chunk);
             }
-        })
-        .expect("prediction workers must not panic");
+        });
         scored.into_iter().flatten().collect()
     }
 
@@ -421,7 +414,7 @@ mod tests {
             let mut m = kind.build(5);
             m.fit_batch(&samples[..64], 1, 1);
             let sequential = m.predict_batch(&samples, 1);
-            for threads in [2, 4, 8] {
+            for threads in [2, 3, 4, 8] {
                 assert_eq!(
                     m.predict_batch(&samples, threads),
                     sequential,
@@ -459,7 +452,7 @@ mod tests {
                 (serde_json::to_string(&snapshot).unwrap(), loss.to_bits())
             };
             let serial = train(1);
-            for threads in [2, 4] {
+            for threads in [2, 3, 4] {
                 // Not `assert_eq!`: a diff of two weight dumps is unreadable.
                 assert!(
                     train(threads) == serial,

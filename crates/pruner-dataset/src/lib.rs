@@ -5,7 +5,7 @@
 //! programs each, on NVIDIA K80 and T4. This crate generates the scaled
 //! equivalent: it harvests the de-duplicated subgraphs of the model zoo,
 //! samples schedules for each, labels them with the platform simulator
-//! (in parallel, via crossbeam scoped threads), and serializes the result
+//! (in parallel, via `pruner_par`), and serializes the result
 //! with serde.
 //!
 //! Entry points: [`Dataset::generate`] (from networks),
@@ -32,6 +32,7 @@
 use pruner_cost::Sample;
 use pruner_gpu::{GpuSpec, Simulator};
 use pruner_ir::{Network, Workload};
+use pruner_par::fan_out_mut;
 use pruner_sketch::{evolve, Program};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -106,38 +107,27 @@ impl Dataset {
         let sim = Simulator::new(spec.clone());
         let limits = spec.limits();
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        let chunk = pairs.len().div_ceil(threads).max(1);
         let mut entries: Vec<Option<DatasetEntry>> = vec![None; pairs.len()];
-        crossbeam::thread::scope(|scope| {
-            for (slot_chunk, pair_chunk) in
-                entries.chunks_mut(chunk).zip(pairs.chunks(chunk))
-            {
-                let sim = &sim;
-                let limits = &limits;
-                scope.spawn(move |_| {
-                    for (slot, (wl, weight)) in slot_chunk.iter_mut().zip(pair_chunk) {
-                        let mut hasher = DefaultHasher::new();
-                        seed.hash(&mut hasher);
-                        wl.key().hash(&mut hasher);
-                        let mut rng = ChaCha8Rng::seed_from_u64(hasher.finish());
-                        let programs =
-                            evolve::init_population(wl, programs_per_subgraph, limits, &mut rng);
-                        if programs.len() < 4 {
-                            continue;
-                        }
-                        let latencies: Vec<f64> =
-                            programs.iter().map(|p| sim.latency(p)).collect();
-                        *slot = Some(DatasetEntry {
-                            workload: wl.clone(),
-                            weight: *weight,
-                            programs,
-                            latencies,
-                        });
-                    }
+        fan_out_mut(&mut entries, 1, threads, |first, slots| {
+            for (slot, (wl, weight)) in slots.iter_mut().zip(&pairs[first..]) {
+                let mut hasher = DefaultHasher::new();
+                seed.hash(&mut hasher);
+                wl.key().hash(&mut hasher);
+                let mut rng = ChaCha8Rng::seed_from_u64(hasher.finish());
+                let programs =
+                    evolve::init_population(wl, programs_per_subgraph, &limits, &mut rng);
+                if programs.len() < 4 {
+                    continue;
+                }
+                let latencies: Vec<f64> = programs.iter().map(|p| sim.latency(p)).collect();
+                *slot = Some(DatasetEntry {
+                    workload: wl.clone(),
+                    weight: *weight,
+                    programs,
+                    latencies,
                 });
             }
-        })
-        .expect("dataset generation threads must not panic");
+        });
         Dataset {
             platform: spec.name.clone(),
             entries: entries.into_iter().flatten().collect(),

@@ -2,7 +2,7 @@
 //!
 //! [`execute`] runs a scheduled [`Program`] the way its schedule says to:
 //! the block grid of a `MultiTile` schedule becomes the unit of
-//! parallelism (bands of blocks on scoped `std::thread`s), tile extents
+//! parallelism (bands of blocks fanned out by `pruner_par`), tile extents
 //! decide the traversal and the GEMM packing shapes, and `Simple` /
 //! `RowReduce` schedules band their contiguous output ranges. What the
 //! schedule can **never** change is the numeric result: every output
@@ -18,6 +18,7 @@
 
 use crate::data::operand_data;
 use pruner_ir::{Conv2dShape, Conv3dShape, EwKind, MatMulShape, Workload};
+use pruner_par::{fan_out, fan_out_mut};
 use pruner_sketch::{Program, ReduceConfig, Schedule, SimpleConfig, TileConfig};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -283,27 +284,9 @@ fn pick_workers(threads: usize, flops: f64) -> usize {
 /// over `workers` scoped threads. Each output element is written by
 /// exactly one block, so results are independent of the banding.
 fn run_blocks<F: Fn(u64) + Sync>(num_blocks: u64, workers: usize, run: F) {
-    let workers = workers.min(num_blocks.max(1) as usize);
-    if workers <= 1 {
-        for bid in 0..num_blocks {
-            run(bid);
-        }
-        return;
-    }
-    let band = num_blocks.div_ceil(workers as u64);
-    std::thread::scope(|scope| {
-        for w in 0..workers as u64 {
-            let start = w * band;
-            let end = (start + band).min(num_blocks);
-            if start >= end {
-                break;
-            }
-            let run = &run;
-            scope.spawn(move || {
-                for bid in start..end {
-                    run(bid);
-                }
-            });
+    fan_out(num_blocks as usize, workers, (), |(), _| ((), ()), |first, len, ()| {
+        for bid in first..first + len {
+            run(bid as u64);
         }
     });
 }
@@ -614,26 +597,13 @@ fn exec_elementwise(
     let two = kind.num_inputs() == 2;
     let blen = if two { inputs[1].len().max(1) } else { 1 };
     let per_block = (c.threads * c.serial * c.vectorize).max(1) as usize;
-    let num_blocks = c.num_blocks(len) as usize;
-    let workers =
-        pick_workers(threads, (kind.ops_per_elem() * len) as f64).min(num_blocks.max(1));
+    let workers = pick_workers(threads, (kind.ops_per_elem() * len) as f64);
     let mut out = vec![0.0f32; len_us];
-    let fill = |base: usize, chunk: &mut [f32]| {
+    fan_out_mut(&mut out, per_block, workers, |block, chunk| {
         for (i, slot) in chunk.iter_mut().enumerate() {
-            let g = base + i;
+            let g = block * per_block + i;
             let y = if two { inputs[1][g % blen] } else { 0.0 };
             *slot = ew_apply(kind, a[g], y);
-        }
-    };
-    if workers <= 1 {
-        fill(0, &mut out);
-        return out;
-    }
-    let band_elems = num_blocks.div_ceil(workers) * per_block;
-    std::thread::scope(|scope| {
-        for (wi, chunk) in out.chunks_mut(band_elems).enumerate() {
-            let fill = &fill;
-            scope.spawn(move || fill(wi * band_elems, chunk));
         }
     });
     out
@@ -649,14 +619,14 @@ fn exec_reduction(
     let inp = &inputs[0];
     let r = reduce as usize;
     let step = (c.serial as usize).max(1);
-    let num_blocks = c.num_blocks(outer) as usize;
-    let workers = pick_workers(threads, (outer * reduce) as f64).min(num_blocks.max(1));
+    let rows_per_block = c.rows_per_block.max(1) as usize;
+    let workers = pick_workers(threads, (outer * reduce) as f64);
     let mut out = vec![0.0f32; outer as usize];
     // Serial chunks of `step` elements keep the ascending order while the
     // loop structure (and so the wall time) tracks the schedule.
-    let fill = |base: usize, chunk: &mut [f32]| {
+    fan_out_mut(&mut out, rows_per_block, workers, |block, chunk| {
         for (i, slot) in chunk.iter_mut().enumerate() {
-            let row = (base + i) * r;
+            let row = (block * rows_per_block + i) * r;
             let mut acc = 0.0f32;
             let mut ks = 0usize;
             while ks < r {
@@ -666,17 +636,6 @@ fn exec_reduction(
                 ks += step;
             }
             *slot = acc;
-        }
-    };
-    if workers <= 1 {
-        fill(0, &mut out);
-        return out;
-    }
-    let band_rows = num_blocks.div_ceil(workers) * c.rows_per_block.max(1) as usize;
-    std::thread::scope(|scope| {
-        for (wi, chunk) in out.chunks_mut(band_rows).enumerate() {
-            let fill = &fill;
-            scope.spawn(move || fill(wi * band_rows, chunk));
         }
     });
     out

@@ -29,7 +29,7 @@ fn check_bit_identity(wl: &Workload, seed: u64) {
     let prog = Program::sample(wl, &HardwareLimits::default(), &mut rng);
     let inputs = fresh_inputs(wl);
     let want = reference_output_with(wl, &inputs);
-    for threads in [1, 4] {
+    for threads in [1, 3, 4] {
         let got = execute_with(&prog, &inputs, threads);
         assert_eq!(
             got, want,

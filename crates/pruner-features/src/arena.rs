@@ -23,6 +23,7 @@
 use crate::{
     level_idx, lg, workload_token, FLOW_DIM, MAX_FLOW, MAX_STMTS, MAX_TOKENS, STMT_DIM, TLP_DIM,
 };
+use pruner_par::fan_out_mut;
 use pruner_sketch::{CandidateArena, FlowRow, SketchKind, StmtKind};
 
 /// Statement features of candidates `start..start + n` into `out`
@@ -296,22 +297,7 @@ fn banded(
     fill: impl Fn(usize, &mut [f32]) + Sync,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; n * width];
-    if n == 0 {
-        return out;
-    }
-    let workers = threads.max(1).min(n);
-    if workers <= 1 {
-        fill(0, &mut out);
-        return out;
-    }
-    let band = n.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        for (b, chunk) in out.chunks_mut(band * width).enumerate() {
-            let fill = &fill;
-            scope.spawn(move |_| fill(b * band, chunk));
-        }
-    })
-    .expect("feature workers must not panic");
+    fan_out_mut(&mut out, width, threads, fill);
     out
 }
 

@@ -359,7 +359,7 @@ mod tests {
                 legacy_flow.extend(flow_features(&stats).into_iter().flatten());
                 legacy_tok.extend(tlp_tokens(p).into_iter().flatten());
             }
-            for threads in [1usize, 2, 4] {
+            for threads in [1usize, 2, 3, 4] {
                 assert_eq!(
                     bits(&stmt_features_arena(&arena, threads)),
                     bits(&legacy_stmt),

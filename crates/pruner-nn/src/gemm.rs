@@ -35,8 +35,8 @@
 //!   them, instead of each tile streaming the whole reduction.
 //!
 //! Each dispatching entry point takes a `threads` argument: large products
-//! are banded over contiguous output-row ranges and fanned out on scoped
-//! threads. An output element is always computed in full by exactly one
+//! are banded over contiguous output-row ranges and fanned out by
+//! `pruner_par`. An output element is always computed in full by exactly one
 //! worker, so results are independent of the band split.
 //!
 //! The naive loops stay as [`mod@reference`], called only by tests: the
@@ -71,6 +71,8 @@
 //! the `#[target_feature]` tiers, each after an assert that the tier's
 //! features are present, and the AVX-512 tiles' raw-pointer loads and
 //! stores, each bounded by a slice-length assert at the top of its tile.
+
+use pruner_par::fan_out_mut;
 
 /// Column-panel width of the portable kernels (two 8-lane f32 vectors).
 const NR: usize = 16;
@@ -456,17 +458,10 @@ fn nn_banded(
     threads: usize,
 ) {
     let workers = band_workers(threads, m, m.saturating_mul(k).saturating_mul(n));
-    if workers <= 1 {
-        run_nn_band(tier, a, b, out, m, k, n);
-        return;
-    }
-    let band = m.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        for (ab, ob) in a.chunks(band * k).zip(out.chunks_mut(band * n)) {
-            scope.spawn(move |_| run_nn_band(tier, ab, b, ob, ab.len() / k, k, n));
-        }
-    })
-    .expect("gemm workers must not panic");
+    fan_out_mut(out, n, workers, |i0, ob| {
+        let rows = ob.len() / n;
+        run_nn_band(tier, &a[i0 * k..(i0 + rows) * k], b, ob, rows, k, n);
+    });
 }
 
 /// `out = A[m×k] × B[p×k]ᵀ`, overwriting `out` entirely.
@@ -578,20 +573,9 @@ fn tn_banded(
     threads: usize,
 ) {
     let workers = band_workers(threads, m, m.saturating_mul(k).saturating_mul(n));
-    if workers <= 1 {
-        run_tn_range(tier, a, b, out, 0, m, k, m, n);
-        return;
-    }
-    let band = m.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        for (bi, ob) in out.chunks_mut(band * n).enumerate() {
-            scope.spawn(move |_| {
-                let i0 = bi * band;
-                run_tn_range(tier, a, b, ob, i0, i0 + ob.len() / n, k, m, n);
-            });
-        }
-    })
-    .expect("gemm workers must not panic");
+    fan_out_mut(out, n, workers, |i0, ob| {
+        run_tn_range(tier, a, b, ob, i0, i0 + ob.len() / n, k, m, n);
+    });
 }
 
 /// NN band: `out[rows×n] = A[rows×k] × B[k×n]`.

@@ -49,6 +49,7 @@ mod columns;
 
 use pruner_gpu::GpuSpec;
 use pruner_ir::Workload;
+use pruner_par::fan_out_mut;
 use pruner_sketch::{evolve, CandidateArena, Program, ProgramStats};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -241,21 +242,9 @@ impl Psa {
         let n = arena.len();
         assert!(arena.has_stats(), "estimate_arena needs stats: call ensure_stats() first");
         let mut scores = vec![0.0f64; n];
-        if n == 0 {
-            return scores;
-        }
-        let workers = threads.max(1).min(n);
-        if workers <= 1 {
-            self.estimate_arena_band(arena, 0, &mut scores);
-            return scores;
-        }
-        let band = n.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            for (b, out_band) in scores.chunks_mut(band).enumerate() {
-                scope.spawn(move |_| self.estimate_arena_band(arena, b * band, out_band));
-            }
-        })
-        .expect("PSA workers must not panic");
+        fan_out_mut(&mut scores, 1, threads, |start, out| {
+            self.estimate_arena_band(arena, start, out)
+        });
         scores
     }
 

@@ -25,6 +25,7 @@ use crate::program::{fnv1a_u64, workload_fnv, Program};
 use crate::split::{divisors, pad_to_quantum};
 use crate::stats::{MemLevel, StmtKind, ELEM_BYTES};
 use pruner_ir::{EwKind, Workload};
+use pruner_par::fan_out;
 use rand::Rng;
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -1340,35 +1341,6 @@ fn compact_rows<T: Copy>(col: &mut [T], stride: usize, start: usize, mask: &[boo
     }
 }
 
-/// Runs `work(first_row, rows, band)` over contiguous bands of `n` rows on
-/// up to `workers` scoped threads (on the calling thread when `workers ≤
-/// 1`). `split(views, rows)` cuts the leading `rows` rows off a set of
-/// column views, so every worker writes a disjoint range in place.
-fn fan_out<B: Send>(
-    n: usize,
-    workers: usize,
-    mut rest: B,
-    split: impl Fn(B, usize) -> (B, B),
-    work: impl Fn(usize, usize, B) + Sync,
-) {
-    if workers <= 1 {
-        return work(0, n, rest);
-    }
-    let band = n.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        let mut first = 0;
-        while first < n {
-            let rows = band.min(n - first);
-            let (head, tail) = split(rest, rows);
-            rest = tail;
-            let work = &work;
-            scope.spawn(move |_| work(first, rows, head));
-            first += rows;
-        }
-    })
-    .expect("arena workers must not panic");
-}
-
 /// Reconstructs candidate `i`'s genes from the gene columns.
 fn read_genes(cols: &[Vec<u64>; 4], ctx: &WorkloadCtx, i: usize) -> GeneBuf {
     let (n_s, n_r) = (ctx.n_s, ctx.n_r);
@@ -1586,7 +1558,7 @@ impl CandidateArena {
         let ctx = &*self.ctx;
         fan_out(
             n,
-            threads.min(n),
+            threads,
             rows_mut(&mut self.genes, strides, start, start + n),
             |views, rows| split_rows(views, strides, rows),
             |first, rows, mut band| {
@@ -1622,7 +1594,7 @@ impl CandidateArena {
         let (ctx, genes) = (&*self.ctx, &self.genes);
         fan_out(
             n,
-            if n < PAR_MIN_ROWS { 1 } else { threads.min(n) },
+            if n < PAR_MIN_ROWS { 1 } else { threads },
             (rows_mut(&mut self.stat_u, su, lo, hi), rows_mut(&mut self.stat_f, sf, lo, hi)),
             |(u, f), rows| {
                 let (u_head, u_tail) = split_rows(u, su, rows);

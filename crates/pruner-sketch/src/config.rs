@@ -103,7 +103,7 @@ pub struct SimpleConfig {
 
 impl SimpleConfig {
     /// Blocks needed to cover `len` elements.
-    pub fn num_blocks(&self, len: u64) -> u64 {
+    pub(crate) fn num_blocks(&self, len: u64) -> u64 {
         let per_block = self.threads * self.serial * self.vectorize;
         len.div_ceil(per_block).max(1)
     }
@@ -129,7 +129,7 @@ impl ReduceConfig {
     }
 
     /// Blocks needed to cover `rows` rows.
-    pub fn num_blocks(&self, rows: u64) -> u64 {
+    pub(crate) fn num_blocks(&self, rows: u64) -> u64 {
         rows.div_ceil(self.rows_per_block).max(1)
     }
 }

@@ -3,6 +3,7 @@
 use crate::measure::{Measurer, PipelineStage};
 use pruner_cost::{CostModel, Sample};
 use pruner_ir::Workload;
+use pruner_par::fan_out_mut;
 use pruner_psa::Psa;
 use pruner_sketch::{evolve, CandidateArena, GeneBuf, HardwareLimits, Program, WorkloadCtx};
 use pruner_trace::Recorder;
@@ -404,22 +405,15 @@ fn featurize_arena_par(
     task_id: usize,
     threads: usize,
 ) -> Vec<Sample> {
-    let workers = threads.max(1).min(picks.len().max(1));
-    if workers <= 1 {
+    if threads <= 1 || picks.len() <= 1 {
         return picks.iter().map(|&i| Sample::from_arena(arena, i, task_id)).collect();
     }
     let mut slots: Vec<Option<Sample>> = (0..picks.len()).map(|_| None).collect();
-    let band = picks.len().div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        for (out_band, pick_band) in slots.chunks_mut(band).zip(picks.chunks(band)) {
-            scope.spawn(move |_| {
-                for (slot, &i) in out_band.iter_mut().zip(pick_band) {
-                    *slot = Some(Sample::from_arena(arena, i, task_id));
-                }
-            });
+    fan_out_mut(&mut slots, 1, threads, |first, out_band| {
+        for (slot, &i) in out_band.iter_mut().zip(&picks[first..]) {
+            *slot = Some(Sample::from_arena(arena, i, task_id));
         }
-    })
-    .expect("featurization workers must not panic");
+    });
     slots.into_iter().map(|s| s.expect("every slot is filled")).collect()
 }
 
@@ -500,7 +494,7 @@ mod tests {
             (all, m.stats())
         };
         let (serial, serial_stats) = run(1);
-        for threads in [2, 4, 8] {
+        for threads in [2, 3, 4, 8] {
             let (progs, stats) = run(threads);
             assert_eq!(progs, serial, "proposals diverged at {threads} threads");
             assert_eq!(stats, serial_stats, "stats diverged at {threads} threads");

@@ -242,3 +242,26 @@ fn simulator_orders_gemm_sizes_like_real_execution() {
     );
     assert!(tau > 0.0, "Kendall τ must at least be positive, got {tau:.2}");
 }
+
+/// The cost crate's Spearman (the fleet's probe score) is the same
+/// statistic as the fidelity study's: average ranks for ties, 0 for a
+/// constant side, and NaN scores rank instead of panicking.
+#[test]
+fn cost_spearman_matches_the_fidelity_statistic() {
+    use pruner::cost::metrics::spearman;
+    let neg_latency = [-1.0, -3.0, -2.0, -3.0, -1.0, -2.0, -4.0];
+    let cases: [&[f64]; 6] = [
+        &[0.5; 7],
+        &[1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0],
+        &[3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 0.0],
+        &[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        &[f64::NAN, 1.0, 1.0, 2.0, f64::NAN, 0.0, 2.0],
+        &neg_latency,
+    ];
+    for scores in cases {
+        let (got, want) = (spearman(scores, &neg_latency), stats::spearman(scores, &neg_latency));
+        assert_eq!(got.to_bits(), want.to_bits(), "scores {scores:?}: {got} vs {want}");
+    }
+    assert_eq!(spearman(&[0.5; 3], &[-1.0, -3.0, -2.0]), 0.0, "constant scores rank nothing");
+    assert!(spearman(&[f64::NAN; 3], &[-1.0, -3.0, -2.0]).is_finite());
+}
