@@ -1,23 +1,30 @@
-//! The four shared evaluators behind [`EXPERIMENTS`](crate::EXPERIMENTS):
-//! space quality, ranking, campaign grid and memory. Each turns an entry's
-//! declared campaigns into the rows of its result files.
+//! The shared evaluators behind [`EXPERIMENTS`](crate::EXPERIMENTS):
+//! space quality, ranking, campaign grid, memory, simulator fidelity and
+//! fleet. Each turns an entry's declared campaigns into the rows of its
+//! result files.
 
-use crate::table::{Col, Grid, Group, Method, Model, PoolSeed, Ranking, Run, Space, Targets};
+use crate::table::{
+    Col, Fidelity, Grid, Group, Method, Model, PoolSeed, Ranking, Run, Space, Targets,
+};
 use crate::{results_dir, scale, top_tasks, Experiment};
-use pruner::cost::metrics::{best_k, top_k, SpaceEval, TaskEval};
+use pruner::cost::metrics::{
+    best_k, kendall_tau, spearman, top_k, top_k_overlap, SpaceEval, TaskEval,
+};
 use pruner::cost::{AnsorModel, PacmModel, Sample, TensetMlpModel, TlpModel};
 use pruner::dataset::Dataset;
+use pruner::exec::{CpuExec, CpuExecConfig, TimerConfig};
 use pruner::features::{FLOW_DIM, MAX_FLOW, MAX_STMTS, MAX_TOKENS, STMT_DIM, TLP_DIM};
-use pruner::gpu::{vendor, GpuSpec, Simulator};
+use pruner::gpu::{vendor, Backend, GpuSpec, Simulator};
 use pruner::ir::{zoo, Network, Workload};
 use pruner::psa::Psa;
 use pruner::sketch::{evolve, Program};
+use pruner::tuner::fleet::FleetConfig;
 use pruner::tuner::{pretrain_pacm, TunerConfig, TuningResult};
-use pruner::Pruner;
+use pruner::{Fleet, Pruner};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Content, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// One result-file row: named fields in schema order.
 type Row = Vec<(&'static str, Content)>;
@@ -33,6 +40,8 @@ pub fn run(e: &Experiment) {
         Run::Ranking(r) => vec![ranking(r)],
         Run::Grid(g) => grid(g),
         Run::Memory => vec![memory()],
+        Run::Fidelity(f) => vec![fidelity(f)],
+        Run::Fleet { roster } => fleet(scale(*roster)),
     };
     assert_eq!(files.len(), e.files.len(), "{}: one row set per declared file", e.id);
     for (file, rows) in e.files.iter().zip(files) {
@@ -434,4 +443,111 @@ fn memory() -> Vec<Row> {
         vec![("method", c(method)), ("weights", c(weights)), ("activation_mb", c(act)), total]
     };
     models.into_iter().map(row).collect()
+}
+
+// --- simulator fidelity (docs/FIDELITY.md) ---------------------------------
+
+/// Rank agreement of simulated latency with measured wall time: one row
+/// for the GEMM size sweep, then one per operator over its sampled
+/// schedules. Wall time is host-dependent, so the rows are not
+/// reproducible byte for byte.
+///
+/// # Panics
+/// Panics when the size sweep's Spearman ρ falls below the entry's floor.
+fn fidelity(f: &Fidelity) -> Vec<Row> {
+    let spec = spec(f.platform);
+    let sim = Simulator::new(spec.clone());
+    // Two threads and long timing windows: fidelity wants quiet timings,
+    // not throughput.
+    let timer = TimerConfig { samples: 5, min_window_s: 2e-4, ..TimerConfig::default() };
+    let cpu = CpuExec::with_config(spec.clone(), CpuExecConfig { threads: 2, timer });
+    let priced = |progs: &[Program]| -> (Vec<f64>, Vec<f64>) {
+        progs.iter().map(|p| (sim.latency(p), cpu.latency(p))).unzip()
+    };
+    let row = |workload: String, (sim_lat, cpu_lat): (Vec<f64>, Vec<f64>)| -> Row {
+        let k = (sim_lat.len() / 4).max(3).min(sim_lat.len());
+        vec![
+            ("workload", c(workload)),
+            ("candidates", c(sim_lat.len())),
+            ("spearman", c(spearman(&sim_lat, &cpu_lat))),
+            ("kendall", c(kendall_tau(&sim_lat, &cpu_lat))),
+            ("top_k", c(k)),
+            ("top_k_overlap", c(top_k_overlap(&sim_lat, &cpu_lat, k))),
+        ]
+    };
+    // One fixed schedule per size, the fallback program, so the sizes
+    // compare like for like.
+    let sweep: Vec<Program> =
+        f.sizes.iter().map(|&n| Program::fallback(&Workload::matmul(1, n, n, n))).collect();
+    let (sim_lat, cpu_lat) = priced(&sweep);
+    let rho = spearman(&sim_lat, &cpu_lat);
+    assert!(rho >= f.floor, "size-sweep fidelity collapsed: ρ = {rho:.2} < {}", f.floor);
+    let mut rows = vec![row("size sweep".into(), (sim_lat, cpu_lat))];
+    let (candidates, limits) = (scale(f.candidates), spec.limits());
+    for wl in (f.operators)() {
+        println!("  {} on {} ...", wl.key(), spec.name);
+        // Distinct schedules only: duplicates would inflate agreement
+        // through tied ranks. The draw budget bounds a workload that has
+        // fewer distinct schedules than the pool asks for.
+        let (mut rng, mut seen) = (ChaCha8Rng::seed_from_u64(6), HashSet::new());
+        let progs: Vec<Program> = (0..candidates * 64)
+            .map(|_| Program::sample(&wl, &limits, &mut rng))
+            .filter(|p| seen.insert(p.dedup_key()))
+            .take(candidates)
+            .collect();
+        rows.push(row(wl.key(), priced(&progs)));
+    }
+    rows
+}
+
+// --- fleet (docs/FLEET.md) -------------------------------------------------
+
+/// One fleet over the roster's platforms, in order, tuning a GEMM and a
+/// convolution: per device its best latency, pre-trained baseline and
+/// forgetting ledger; then every (stage, trained-on, evaluated) transfer
+/// cell.
+/// The fleet's state lives in a per-process scratch directory that is
+/// removed when the run ends.
+fn fleet(roster: &[&str]) -> Vec<Vec<Row>> {
+    let dir = std::env::temp_dir().join(format!("pruner-fleet-experiment-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = FleetConfig::quick(roster.iter().map(|p| spec(p)).collect(), dir.clone());
+    cfg.workloads = vec![
+        (Workload::matmul(1, 128, 128, 128), 2),
+        (Workload::conv2d(1, 16, 14, 14, 32, 3, 1, 1), 1),
+    ];
+    cfg.tuner = TunerConfig {
+        rounds: 10,
+        measure_per_round: 8,
+        space_size: 64,
+        target_pool: 128,
+        train_epochs: 1,
+        mtl_epochs: 2,
+        ..TunerConfig::quick()
+    };
+    (cfg.pretrain_per_workload, cfg.pretrain_epochs, cfg.probes_per_workload) = (48, 4, 32);
+    let run = Fleet::new(cfg).run();
+    let _ = std::fs::remove_dir_all(&dir);
+    let result = run.expect("fleet run").result.expect("roster completed");
+    let report = &result.report;
+    let devices = result.devices.iter().zip(&report.forgetting).map(|(d, f)| {
+        vec![
+            ("device", c(&d.name)),
+            ("best_ms", c(d.best_latency_s * 1e3)),
+            ("baseline", c(report.baseline[d.stage])),
+            ("score_after_training", c(f.score_after_training)),
+            ("final_score", c(f.final_score)),
+            ("delta", c(f.delta)),
+        ]
+    });
+    let transfer = report.transfer.iter().map(|t| {
+        vec![
+            ("stage", c(t.stage)),
+            ("trained_on", c(&t.trained_on)),
+            ("evaluated", c(&t.evaluated)),
+            ("score", c(t.score)),
+            ("delta_vs_baseline", c(t.delta_vs_baseline)),
+        ]
+    });
+    vec![devices.collect(), transfer.collect()]
 }

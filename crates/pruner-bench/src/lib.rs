@@ -1,8 +1,10 @@
 //! The experiment harness: every table and figure of the paper's
-//! evaluation as one entry of [`EXPERIMENTS`], run by one runner
+//! evaluation, plus the simulator-fidelity study and the cross-hardware
+//! fleet, as one entry of [`EXPERIMENTS`], run by one runner
 //! (`cargo bench -p pruner-bench --bench experiments -- <id>…`, every
-//! entry when no id is given) through four shared evaluators — space
-//! quality, ranking, campaign grid, memory — into `results/<file>.json`.
+//! entry when no id is given) through six shared evaluators — space
+//! quality, ranking, campaign grid, memory, fidelity, fleet — into
+//! `results/<file>.json`.
 //! The checker judges each of the paper's shape claims on that JSON;
 //! `cargo test` fails when EXPERIMENTS.md or a recorded verdict drifts
 //! from it. `PRUNER_BENCH_FULL=1` selects paper-scale budgets (2,000
@@ -25,7 +27,7 @@ use pruner::ir::{Network, Subgraph};
 use std::path::PathBuf;
 
 /// Whether paper-scale budgets were requested via `PRUNER_BENCH_FULL=1`.
-pub fn full_scale() -> bool {
+fn full_scale() -> bool {
     std::env::var("PRUNER_BENCH_FULL").map(|v| v == "1").unwrap_or(false)
 }
 

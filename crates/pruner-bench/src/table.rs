@@ -45,13 +45,30 @@ const fn file(name: &'static str, keys: usize) -> File {
 }
 
 /// An entry's campaigns, by evaluator; `Memory` is the cost models'
-/// memory at inference batch 4096.
+/// memory at inference batch 4096, and `Fleet` tunes the roster's
+/// platforms in order as one cross-hardware fleet (docs/FLEET.md).
 #[derive(Debug)]
 pub(crate) enum Run {
     Space(Space),
     Ranking(Ranking),
     Grid(Grid),
     Memory,
+    Fidelity(Fidelity),
+    Fleet { roster: (&'static [&'static str], &'static [&'static str]) },
+}
+
+/// Simulator fidelity (docs/FIDELITY.md): rank agreement between the
+/// simulated latency on `platform` and the host wall time of running the
+/// program — across the fallback schedules of the GEMM `sizes` (Spearman
+/// ρ asserted to be at least `floor`), and within each of the `operators`
+/// over up to `candidates` distinct sampled schedules.
+#[derive(Debug)]
+pub(crate) struct Fidelity {
+    pub(crate) platform: &'static str,
+    pub(crate) sizes: &'static [u64],
+    pub(crate) floor: f64,
+    pub(crate) operators: Suite,
+    pub(crate) candidates: (usize, usize),
 }
 
 /// Search-space quality (Tables 1, 4, 6): Best-1 of the target space of
@@ -284,6 +301,21 @@ fn fig7_operators() -> Vec<Workload> {
         W::elementwise(EwKind::Gelu, 1 << 20), W::reduction(4096, 1024),
     ]
 }
+
+/// The fidelity study's operators: one per kind the interpreter runs
+/// (GEMM, convolution, depthwise, element-wise, reduction).
+fn fidelity_operators() -> Vec<Workload> {
+    vec![
+        Workload::matmul(1, 192, 192, 192),
+        Workload::conv2d(1, 16, 28, 28, 32, 3, 1, 1),
+        Workload::dwconv2d(1, 32, 28, 28, 3, 1, 1),
+        Workload::elementwise(EwKind::Gelu, 1 << 18),
+        Workload::reduction(1024, 256),
+    ]
+}
+
+/// The size sweep's Spearman floor, asserted on every run.
+const SWEEP_FLOOR: f64 = 0.5;
 
 type Only = &'static [(&'static str, &'static str)];
 
@@ -601,6 +633,34 @@ pub const EXPERIMENTS: &[Experiment] = &[
             claim("Some retention (ε = 0.2) beats none",
                 &[("knob", "epsilon"), ("value", "0"), ("value", "0.2")],
                 leads("value", "0.2", Lower), Flipped),
+        ],
+    },
+    Experiment {
+        id: "fidelity", metric: "rank agreement of simulated T4 latency with measured CPU time",
+        run: Run::Fidelity(Fidelity {
+            platform: "t4", sizes: &[32, 48, 64, 96, 128, 160, 192], floor: SWEEP_FLOOR,
+            operators: fidelity_operators, candidates: (24, 64),
+        }),
+        files: &[file("fidelity", 1)],
+        claims: &[
+            claim("The simulator orders GEMM sizes like real execution (ρ ≥ 0.5)",
+                &[("workload", "size sweep")], band("field", "spearman", "", SWEEP_FLOOR, 1.0),
+                Holds),
+            claim("The simulator ranks GEMM schedules like real execution (ρ ≥ 0.3)",
+                &[("workload", "matmul_b1m192n192k192")], band("field", "spearman", "", 0.3, 1.0),
+                Holds),
+        ],
+    },
+    Experiment {
+        id: "fleet", metric: "probe-rank transfer and forgetting across a cross-hardware fleet",
+        run: Run::Fleet { roster: (&["k80", "t4", "a100"],
+            &["k80", "t4", "titanv", "a100", "orin"]) },
+        files: &[file("fleet", 1), file("fleet_transfer", 3)],
+        claims: &[
+            claim("The pre-trained model ranks the probes before any transfer (mean ρ ≥ 0.5)",
+                &[], band("field", "baseline", "", 0.5, 1.0), Holds),
+            claim("No device forgets: its final probe ρ is at least its ρ after its own stage",
+                &[], dominates("field", "final_score", "score_after_training", Higher), Holds),
         ],
     },
 ];

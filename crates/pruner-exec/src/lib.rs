@@ -8,14 +8,13 @@
 //! are bit-identical to a naive reference interpretation regardless of
 //! schedule or thread count — only the *time* depends on the schedule —
 //! which is what makes the simulator-vs-reality differential harness in
-//! `tests/backend_differential.rs` and the `bench6` fidelity study
-//! possible.
+//! `tests/backend_differential.rs` and the `fidelity` experiment entry
+//! possible (their rank statistics live in `pruner_cost::metrics`).
 //!
 //! The crate has three layers:
 //! - [`data`]: deterministic synthetic operand tensors per workload;
 //! - [`interp`]: the schedule-driven interpreter and its naive reference;
-//! - [`timer`] / [`stats`]: robust wall-clock estimation and the rank
-//!   statistics (Spearman, Kendall, top-k overlap) of the fidelity study.
+//! - [`timer`]: robust wall-clock estimation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +22,6 @@
 
 pub mod data;
 pub mod interp;
-pub mod stats;
 pub mod timer;
 
 pub use interp::{execute, reference_output};

@@ -338,6 +338,7 @@ impl Psa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pruner_cost::metrics::spearman;
     use pruner_gpu::Simulator;
     use pruner_sketch::HardwareLimits;
     use rand::SeedableRng;
@@ -648,26 +649,5 @@ mod tests {
         let space =
             psa.sample_target_space(&Workload::matmul(1, 256, 256, 256), 512, 64, &mut r);
         assert_eq!(space.len(), 64);
-    }
-
-    /// Spearman rank correlation.
-    fn spearman(a: &[f64], b: &[f64]) -> f64 {
-        fn ranks(v: &[f64]) -> Vec<f64> {
-            let mut idx: Vec<usize> = (0..v.len()).collect();
-            idx.sort_by(|&i, &j| v[i].partial_cmp(&v[j]).unwrap());
-            let mut r = vec![0.0; v.len()];
-            for (rank, &i) in idx.iter().enumerate() {
-                r[i] = rank as f64;
-            }
-            r
-        }
-        let (ra, rb) = (ranks(a), ranks(b));
-        let n = a.len() as f64;
-        let ma = ra.iter().sum::<f64>() / n;
-        let mb = rb.iter().sum::<f64>() / n;
-        let cov: f64 = ra.iter().zip(&rb).map(|(x, y)| (x - ma) * (y - mb)).sum();
-        let va: f64 = ra.iter().map(|x| (x - ma).powi(2)).sum();
-        let vb: f64 = rb.iter().map(|y| (y - mb).powi(2)).sum();
-        cov / (va.sqrt() * vb.sqrt()).max(1e-12)
     }
 }

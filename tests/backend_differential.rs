@@ -12,13 +12,14 @@
 //!   GEMM size sweep (rank correlation floor).
 //!
 //! The deep schedule-level fidelity study (per-workload Spearman/Kendall/
-//! top-k over sampled candidates) lives in `benches/bench6.rs`; see
-//! `docs/FIDELITY.md`.
+//! top-k over sampled candidates) is the `fidelity` entry of the
+//! experiment table; see `docs/FIDELITY.md`.
 
 mod common;
 
 use common::best_of;
-use pruner::exec::{stats, CpuExec, CpuExecConfig, TimerConfig};
+use pruner::cost::metrics::{kendall_tau, spearman};
+use pruner::exec::{CpuExec, CpuExecConfig, TimerConfig};
 use pruner::gpu::{Backend, GpuSpec, Simulator};
 use pruner::ir::Workload;
 use pruner::trace::{mask_host_fields, TraceHandle};
@@ -233,35 +234,12 @@ fn simulator_orders_gemm_sizes_like_real_execution() {
         // order across sizes is what is under test.
         cpu_lat.push(cpu.latency(&pruner::sketch::Program::fallback(&wl)));
     }
-    let rho = stats::spearman(&sim_lat, &cpu_lat);
-    let tau = stats::kendall_tau(&sim_lat, &cpu_lat);
+    let rho = spearman(&sim_lat, &cpu_lat);
+    let tau = kendall_tau(&sim_lat, &cpu_lat);
     assert!(
         rho >= 0.5,
         "simulator and wall clock disagree on GEMM size ordering: ρ = {rho:.2} \
          (sim {sim_lat:?}, cpu {cpu_lat:?})"
     );
     assert!(tau > 0.0, "Kendall τ must at least be positive, got {tau:.2}");
-}
-
-/// The cost crate's Spearman (the fleet's probe score) is the same
-/// statistic as the fidelity study's: average ranks for ties, 0 for a
-/// constant side, and NaN scores rank instead of panicking.
-#[test]
-fn cost_spearman_matches_the_fidelity_statistic() {
-    use pruner::cost::metrics::spearman;
-    let neg_latency = [-1.0, -3.0, -2.0, -3.0, -1.0, -2.0, -4.0];
-    let cases: [&[f64]; 6] = [
-        &[0.5; 7],
-        &[1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0],
-        &[3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 0.0],
-        &[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-        &[f64::NAN, 1.0, 1.0, 2.0, f64::NAN, 0.0, 2.0],
-        &neg_latency,
-    ];
-    for scores in cases {
-        let (got, want) = (spearman(scores, &neg_latency), stats::spearman(scores, &neg_latency));
-        assert_eq!(got.to_bits(), want.to_bits(), "scores {scores:?}: {got} vs {want}");
-    }
-    assert_eq!(spearman(&[0.5; 3], &[-1.0, -3.0, -2.0]), 0.0, "constant scores rank nothing");
-    assert!(spearman(&[f64::NAN; 3], &[-1.0, -3.0, -2.0]).is_finite());
 }

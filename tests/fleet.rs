@@ -244,6 +244,39 @@ fn fleet_doc_examples_parse_and_roundtrip() {
     assert_eq!(report, report2);
 }
 
+/// The transfer and forgetting ledger is internally consistent over a
+/// 3-device roster: n × n transfer cells and n forgetting entries, each
+/// delta the difference it names, every probe score a rank correlation.
+#[test]
+fn fleet_ledger_is_consistent() {
+    let roster = vec![GpuSpec::k80(), GpuSpec::t4(), GpuSpec::a100()];
+    let result = Fleet::new(fleet_config("ledger", roster.clone(), 1))
+        .run()
+        .expect("fleet run")
+        .result
+        .expect("roster completed");
+    let (n, report) = (roster.len(), &result.report);
+    assert_eq!(report.baseline.len(), n);
+    assert_eq!(report.probe_scores.len(), n);
+    assert!(report.probe_scores.iter().all(|row| row.len() == n));
+    let scores = report.baseline.iter().chain(report.probe_scores.iter().flatten());
+    for &score in scores {
+        assert!((-1.0..=1.0).contains(&score), "probe score {score} is not a ρ");
+    }
+    assert_eq!(report.transfer.len(), n * n, "one cell per (stage, device) pair");
+    for cell in &report.transfer {
+        let j = roster.iter().position(|s| s.name == cell.evaluated).expect("a roster device");
+        assert_eq!(cell.score, report.probe_scores[cell.stage][j]);
+        assert_eq!(cell.delta_vs_baseline, report.probe_scores[cell.stage][j] - report.baseline[j]);
+    }
+    assert_eq!(report.forgetting.len(), n, "one entry per roster stage");
+    for (j, entry) in report.forgetting.iter().enumerate() {
+        assert_eq!(entry.score_after_training, report.probe_scores[entry.trained_stage][j]);
+        assert_eq!(entry.final_score, report.probe_scores[n - 1][j]);
+        assert_eq!(entry.delta, entry.final_score - entry.score_after_training, "{entry:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

@@ -1,7 +1,9 @@
 //! Property-based tests over the core data structures and invariants.
 
 use proptest::prelude::*;
-use pruner::cost::metrics::{best_k, top_k, SpaceEval, TaskEval};
+use pruner::cost::metrics::{
+    best_k, kendall_tau, spearman, top_k, top_k_overlap, SpaceEval, TaskEval,
+};
 use pruner::gpu::{GpuSpec, Simulator};
 use pruner::ir::{EwKind, Workload};
 use pruner::psa::Psa;
@@ -111,6 +113,31 @@ proptest! {
             let v = best_k(std::slice::from_ref(&space), k);
             prop_assert!(v <= prev + 1e-12, "best_k must not grow with k");
             prev = v;
+        }
+    }
+
+    /// ρ and τ lie in [−1, 1] and the overlap in [0, 1], and each is the
+    /// same number with its two sides swapped — over tie-heavy integer
+    /// samples (ties on one side or both) and continuous ones.
+    #[test]
+    fn rank_statistics_are_bounded_and_symmetric(
+        rows in prop::collection::vec((-4i32..4, -4i32..4, -1e3f64..1e3), 0..40),
+        k in 0usize..48,
+    ) {
+        let tied = |pick: fn(&(i32, i32, f64)) -> i32| -> Vec<f64> {
+            rows.iter().map(|r| f64::from(pick(r))).collect()
+        };
+        let (a, b) = (tied(|r| r.0), tied(|r| r.1));
+        let c: Vec<f64> = rows.iter().map(|r| r.2).collect();
+        for (x, y) in [(&a, &b), (&a, &c), (&c, &c)] {
+            let (rho, tau) = (spearman(x, y), kendall_tau(x, y));
+            let overlap = top_k_overlap(x, y, k);
+            prop_assert!((-1.0..=1.0).contains(&rho), "ρ = {}", rho);
+            prop_assert!((-1.0..=1.0).contains(&tau), "τ = {}", tau);
+            prop_assert!((0.0..=1.0).contains(&overlap), "overlap = {}", overlap);
+            prop_assert_eq!(rho.to_bits(), spearman(y, x).to_bits());
+            prop_assert_eq!(tau.to_bits(), kendall_tau(y, x).to_bits());
+            prop_assert_eq!(overlap.to_bits(), top_k_overlap(y, x, k).to_bits());
         }
     }
 
