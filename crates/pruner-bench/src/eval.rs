@@ -16,6 +16,7 @@ use pruner::exec::{CpuExec, CpuExecConfig, TimerConfig};
 use pruner::features::{FLOW_DIM, MAX_FLOW, MAX_STMTS, MAX_TOKENS, STMT_DIM, TLP_DIM};
 use pruner::gpu::{vendor, Backend, GpuSpec, Simulator};
 use pruner::ir::{zoo, Network, Workload};
+use pruner::nn::Module;
 use pruner::psa::Psa;
 use pruner::sketch::{evolve, Program};
 use pruner::tuner::fleet::FleetConfig;
@@ -431,10 +432,10 @@ fn memory() -> Vec<Row> {
     let flow = MAX_FLOW * (FLOW_DIM + 32 * 4 + MAX_FLOW + 16) + 32;
     let tlp = MAX_TOKENS * (TLP_DIM + 32) + 2 * MAX_TOKENS * (32 * 4 + MAX_TOKENS + 32);
     let models = [
-        ("TensetMLP", TensetMlpModel::new(0).weight_count(), stmt + 64 + 1),
-        ("TLP", TlpModel::new(0).weight_count(), tlp + 32 + 64 + 1),
-        ("PaCM", PacmModel::new(0).weight_count(), stmt + flow + 160 + 64 + 1),
-        ("Ansor", AnsorModel::new(0).weight_count(), STMT_DIM + 64 + 64 + 1),
+        ("TensetMLP", TensetMlpModel::new(0).num_weights(), stmt + 64 + 1),
+        ("TLP", TlpModel::new(0).num_weights(), tlp + 32 + 64 + 1),
+        ("PaCM", PacmModel::new(0).num_weights(), stmt + flow + 160 + 64 + 1),
+        ("Ansor", AnsorModel::new(0).num_weights(), STMT_DIM + 64 + 64 + 1),
     ];
     let mb = |floats: usize| (floats * 4) as f64 / (1024.0 * 1024.0);
     let row = |(method, weights, floats): (&str, usize, usize)| -> Row {

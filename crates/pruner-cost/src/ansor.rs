@@ -1,6 +1,6 @@
 //! Ansor's online cost model, approximated by a compact MLP regressor.
 
-use crate::model::{CostModel, ModelSnapshot};
+use crate::model::{adam_step, predict_chunked, CostModel, ModelSnapshot};
 use crate::sample::{labeled_groups, stack_pooled_in, Sample};
 use pruner_features::STMT_DIM;
 use pruner_nn::{latencies_to_relevance, mse_loss, Adam, Graph, Mlp, Module, NodeId};
@@ -35,23 +35,11 @@ impl AnsorModel {
         AnsorModel { net: Mlp::new(&[STMT_DIM, 64, 64, 1], &mut rng), adam: default_adam(), seed }
     }
 
-    fn forward(&mut self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
+    /// Forward pass over the picked samples; returns the `[n,1]` score node.
+    fn forward(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_pooled_in(g, samples, picks);
         let x = g.constant(stacked);
         self.net.forward(g, x)
-    }
-
-    /// Inference-only forward pass: same math as [`Self::forward`] but
-    /// gradient-free, so it works through `&self` across threads.
-    fn forward_infer(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
-        let stacked = stack_pooled_in(g, samples, picks);
-        let x = g.constant(stacked);
-        self.net.forward_infer(g, x)
-    }
-
-    /// Total scalar weight count.
-    pub fn weight_count(&mut self) -> usize {
-        self.num_weights()
     }
 }
 
@@ -67,14 +55,7 @@ impl CostModel for AnsorModel {
     }
 
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
-        let picks: Vec<usize> = (0..samples.len()).collect();
-        let mut out = Vec::with_capacity(samples.len());
-        for chunk in picks.chunks(512) {
-            g.reset();
-            let scores = self.forward_infer(g, samples, chunk);
-            out.extend_from_slice(g.value(scores).as_slice());
-        }
-        out
+        predict_chunked::<_, 512>(self, Self::forward, g, samples)
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
@@ -96,9 +77,7 @@ impl CostModel for AnsorModel {
                 total += g.value(loss).at(0, 0) as f64;
                 g.backward(loss);
                 self.absorb_grads(&g);
-                let mut adam = std::mem::replace(&mut self.adam, default_adam());
-                adam.step(self.params_mut());
-                self.adam = adam;
+                adam_step(self, |m| &mut m.adam);
             }
             last = total / groups.len().max(1) as f64;
         }

@@ -1,8 +1,7 @@
 //! The cost-model interface and shared training helpers.
 
 use crate::sample::{labeled_groups, Sample};
-use pruner_nn::Graph;
-use pruner_nn::latencies_to_relevance;
+use pruner_nn::{lambdarank_grad, latencies_to_relevance, Adam, Graph, Module, NodeId, Tensor};
 use pruner_par::fan_out_mut;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -285,8 +284,73 @@ pub(crate) fn lambdarank_epochs(
 /// Magnitude of a list's LambdaRank forces (mean `|λ|` over the output of
 /// `pruner_nn::lambdarank_grad`) — the per-group objective value reported
 /// by the built-in models.
-pub(crate) fn lambda_magnitude(lambdas: &[f32]) -> f64 {
+fn lambda_magnitude(lambdas: &[f32]) -> f64 {
     lambdas.iter().map(|v| v.abs() as f64).sum::<f64>() / lambdas.len().max(1) as f64
+}
+
+/// A neural model's one forward pass: scores the picked samples on the
+/// tape and returns the `[picks, 1]` score node. Scoring and training both
+/// run it.
+pub(crate) type Forward<M> = fn(&M, &mut Graph, &[Sample], &[usize]) -> NodeId;
+
+/// Scores `samples` on one reused tape, `CHUNK` consecutive samples per
+/// forward pass, resetting the tape between chunks. The picks live on the
+/// stack, so a warm tape allocates nothing but the returned scores.
+pub(crate) fn predict_chunked<M, const CHUNK: usize>(
+    model: &M,
+    forward: Forward<M>,
+    g: &mut Graph,
+    samples: &[Sample],
+) -> Vec<f32> {
+    let mut picks = [0usize; CHUNK];
+    let mut out = Vec::with_capacity(samples.len());
+    for start in (0..samples.len()).step_by(CHUNK) {
+        let chunk = &mut picks[..CHUNK.min(samples.len() - start)];
+        for (i, p) in chunk.iter_mut().enumerate() {
+            *p = start + i;
+        }
+        g.reset();
+        let scores = forward(model, g, samples, chunk);
+        out.extend_from_slice(g.value(scores).as_slice());
+    }
+    out
+}
+
+/// One Adam update of every parameter of `model` from its absorbed
+/// gradients. The optimizer lives inside the model (`adam` reaches it), so
+/// it is swapped out while it borrows the parameters.
+pub(crate) fn adam_step<M: Module>(model: &mut M, adam: fn(&mut M) -> &mut Adam) {
+    let mut opt = std::mem::replace(adam(model), Adam::new(0.0));
+    opt.step(model.params_mut());
+    *adam(model) = opt;
+}
+
+/// Trains `model` with LambdaRank over [`lambdarank_epochs`]: per group,
+/// one forward pass on a shared tape, the λ's seeded at the score node, one
+/// backward sweep and one Adam step. The tape bands its large GEMMs across
+/// up to `threads` workers, bit-exactly; returns the last epoch's mean
+/// [`lambda_magnitude`].
+pub(crate) fn fit_lambdarank<M: Module>(
+    model: &mut M,
+    forward: Forward<M>,
+    adam: fn(&mut M) -> &mut Adam,
+    samples: &[Sample],
+    epochs: usize,
+    seed: u64,
+    threads: usize,
+) -> f64 {
+    let mut g = Graph::with_threads(threads);
+    lambdarank_epochs(samples, epochs, seed, |group, rel| {
+        model.zero_grad();
+        g.reset();
+        let scores = forward(model, &mut g, samples, group);
+        let lambdas = lambdarank_grad(g.value(scores).as_slice(), rel);
+        let objective = lambda_magnitude(&lambdas);
+        g.backward_from(scores, Tensor::from_vec(group.len(), 1, lambdas));
+        model.absorb_grads(&g);
+        adam_step(model, adam);
+        objective
+    })
 }
 
 #[cfg(test)]

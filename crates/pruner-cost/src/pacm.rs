@@ -1,11 +1,9 @@
 //! PaCM — the Pattern-aware Cost Model (paper §2.4, Figure 3).
 
-use crate::model::{lambda_magnitude, lambdarank_epochs, CostModel, ModelSnapshot};
+use crate::model::{fit_lambdarank, predict_chunked, CostModel, ModelSnapshot};
 use crate::sample::{attention_masks_in, stack_flow_in, stack_stmt_in, Sample};
 use pruner_features::{FLOW_DIM, MAX_FLOW, MAX_STMTS, STMT_DIM};
-use pruner_nn::{
-    lambdarank_grad, Adam, Graph, Linear, Mlp, Module, NodeId, SelfAttention, Tensor,
-};
+use pruner_nn::{Adam, Graph, Linear, Mlp, Module, NodeId, SelfAttention};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -73,7 +71,7 @@ impl PacmModel {
     }
 
     /// Forward pass over the picked samples; returns the `[n,1]` score node.
-    fn forward(&mut self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
+    fn forward(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let mut joined: Option<NodeId> = None;
         if self.use_stmt {
             let stacked = stack_stmt_in(g, samples, picks);
@@ -99,42 +97,6 @@ impl PacmModel {
         }
         let h = joined.expect("at least one branch");
         self.head.forward(g, h)
-    }
-
-    /// Inference-only forward pass: identical math to [`Self::forward`]
-    /// but binds weights without recording gradient nodes, so it works
-    /// through `&self` and is safe to run from several threads at once.
-    fn forward_infer(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
-        let mut joined: Option<NodeId> = None;
-        if self.use_stmt {
-            let stacked = stack_stmt_in(g, samples, picks);
-            let x = g.constant(stacked);
-            let enc = self.stmt_enc.forward_infer(g, x);
-            let pooled = g.sum_groups(enc, MAX_STMTS);
-            joined = Some(pooled);
-        }
-        if self.use_flow {
-            let stacked = stack_flow_in(g, samples, picks);
-            let (col_mask, row_mask) = attention_masks_in(g, &stacked, MAX_FLOW, FLOW_HIDDEN);
-            let x = g.constant(stacked);
-            let emb = self.flow_embed.forward_relu_infer(g, x);
-            let col = g.constant(col_mask);
-            let ctx = self.flow_attn.forward_masked_infer(g, emb, Some(col));
-            let row = g.constant(row_mask);
-            let ctx = g.mul(ctx, row);
-            let pooled = g.sum_groups(ctx, MAX_FLOW);
-            joined = Some(match joined {
-                Some(j) => g.concat_cols(j, pooled),
-                None => pooled,
-            });
-        }
-        let h = joined.expect("at least one branch");
-        self.head.forward_infer(g, h)
-    }
-
-    /// Total scalar weight count (for the memory-footprint bench).
-    pub fn weight_count(&mut self) -> usize {
-        self.num_weights()
     }
 
     /// Captures the final scoring head as a detached [`HeadSnapshot`].
@@ -218,46 +180,12 @@ impl CostModel for PacmModel {
     }
 
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
-        const CHUNK: usize = 256;
-        // The picks live on the stack, so a warm tape allocates nothing but
-        // the returned scores.
-        let mut picks = [0usize; CHUNK];
-        let mut out = Vec::with_capacity(samples.len());
-        for start in (0..samples.len()).step_by(CHUNK) {
-            let chunk = &mut picks[..CHUNK.min(samples.len() - start)];
-            for (i, p) in chunk.iter_mut().enumerate() {
-                *p = start + i;
-            }
-            g.reset();
-            let scores = self.forward_infer(g, samples, chunk);
-            out.extend_from_slice(g.value(scores).as_slice());
-        }
-        out
+        predict_chunked::<_, 256>(self, Self::forward, g, samples)
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
         let seed = self.seed;
-        let mut this = std::mem::replace(self, PacmModel::new(0));
-        // One tape for the whole run: reset per step recycles every buffer,
-        // and the thread budget bands the large batch GEMMs bit-exactly.
-        let mut g = Graph::with_threads(threads);
-        let loss = lambdarank_epochs(samples, epochs, seed, |group, rel| {
-            this.zero_grad();
-            g.reset();
-            let scores = this.forward(&mut g, samples, group);
-            let sv: Vec<f32> = g.value(scores).as_slice().to_vec();
-            let lambdas = lambdarank_grad(&sv, rel);
-            let objective = lambda_magnitude(&lambdas);
-            let seed_grad = Tensor::from_vec(group.len(), 1, lambdas);
-            g.backward_from(scores, seed_grad);
-            this.absorb_grads(&g);
-            let mut adam = std::mem::replace(&mut this.adam, default_adam());
-            adam.step(this.params_mut());
-            this.adam = adam;
-            objective
-        });
-        *self = this;
-        loss
+        fit_lambdarank(self, Self::forward, |m| &mut m.adam, samples, epochs, seed, threads)
     }
 
     fn clone_box(&self) -> Box<dyn CostModel> {
@@ -304,12 +232,13 @@ mod tests {
         }
     }
 
-    /// Inference binds the weights without gradient nodes and fans out over
-    /// chunks; its scores must equal the training-path forward bit for bit
-    /// — on every sketch kind (2, 4 and 5 all-zero padding slots of 8), on
-    /// a sample with no padding at all, on an all-zero sample, with trained
-    /// weights (non-zero biases make a mishandled padded slot visible), for
-    /// both ablations and at every `predict_batch` fan-out.
+    /// Scoring runs the forward pass chunk by chunk and fans chunks out
+    /// over threads; its scores must equal one dense forward over every
+    /// sample, the shape training runs it in, bit for bit — on every
+    /// sketch kind (2, 4 and 5 all-zero padding slots of 8), on a sample
+    /// with no padding at all, on an all-zero sample, with trained weights
+    /// (non-zero biases make a mishandled padded slot visible), for both
+    /// ablations and at every `predict_batch` fan-out.
     #[test]
     fn inference_matches_the_training_forward_bitwise() {
         use pruner_ir::{EwKind, Workload};
@@ -370,8 +299,8 @@ mod tests {
     fn weight_count_is_stable() {
         let mut a = PacmModel::new(7);
         let mut b = PacmModel::new(8);
-        assert_eq!(a.weight_count(), b.weight_count());
-        assert!(a.weight_count() > 1000);
+        assert_eq!(a.num_weights(), b.num_weights());
+        assert!(a.num_weights() > 1000);
     }
 
     #[test]

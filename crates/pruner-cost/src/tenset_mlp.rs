@@ -1,9 +1,9 @@
 //! TensetMLP — the statement-feature MLP baseline (Zheng et al., Tenset).
 
-use crate::model::{lambda_magnitude, lambdarank_epochs, CostModel, ModelSnapshot};
+use crate::model::{fit_lambdarank, predict_chunked, CostModel, ModelSnapshot};
 use crate::sample::{stack_stmt_in, Sample};
 use pruner_features::{MAX_STMTS, STMT_DIM};
-use pruner_nn::{lambdarank_grad, Adam, Graph, Mlp, Module, NodeId, Tensor};
+use pruner_nn::{Adam, Graph, Mlp, Module, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -37,27 +37,13 @@ impl TensetMlpModel {
         }
     }
 
-    fn forward(&mut self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
+    /// Forward pass over the picked samples; returns the `[n,1]` score node.
+    fn forward(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_stmt_in(g, samples, picks);
         let x = g.constant(stacked);
         let enc = self.encoder.forward(g, x);
         let pooled = g.sum_groups(enc, MAX_STMTS);
         self.head.forward(g, pooled)
-    }
-
-    /// Inference-only forward pass: same math as [`Self::forward`] but
-    /// gradient-free, so it works through `&self` across threads.
-    fn forward_infer(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
-        let stacked = stack_stmt_in(g, samples, picks);
-        let x = g.constant(stacked);
-        let enc = self.encoder.forward_infer(g, x);
-        let pooled = g.sum_groups(enc, MAX_STMTS);
-        self.head.forward_infer(g, pooled)
-    }
-
-    /// Total scalar weight count.
-    pub fn weight_count(&mut self) -> usize {
-        self.num_weights()
     }
 }
 
@@ -75,36 +61,12 @@ impl CostModel for TensetMlpModel {
     }
 
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
-        let picks: Vec<usize> = (0..samples.len()).collect();
-        let mut out = Vec::with_capacity(samples.len());
-        for chunk in picks.chunks(256) {
-            g.reset();
-            let scores = self.forward_infer(g, samples, chunk);
-            out.extend_from_slice(g.value(scores).as_slice());
-        }
-        out
+        predict_chunked::<_, 256>(self, Self::forward, g, samples)
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
         let seed = self.seed;
-        let mut this = std::mem::replace(self, TensetMlpModel::new(0));
-        let mut g = Graph::with_threads(threads);
-        let loss = lambdarank_epochs(samples, epochs, seed, |group, rel| {
-            this.zero_grad();
-            g.reset();
-            let scores = this.forward(&mut g, samples, group);
-            let sv: Vec<f32> = g.value(scores).as_slice().to_vec();
-            let lambdas = lambdarank_grad(&sv, rel);
-            let objective = lambda_magnitude(&lambdas);
-            g.backward_from(scores, Tensor::from_vec(group.len(), 1, lambdas));
-            this.absorb_grads(&g);
-            let mut adam = std::mem::replace(&mut this.adam, default_adam());
-            adam.step(this.params_mut());
-            this.adam = adam;
-            objective
-        });
-        *self = this;
-        loss
+        fit_lambdarank(self, Self::forward, |m| &mut m.adam, samples, epochs, seed, threads)
     }
 
     fn clone_box(&self) -> Box<dyn CostModel> {

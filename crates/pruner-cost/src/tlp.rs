@@ -1,11 +1,9 @@
 //! TLP — the schedule-primitive transformer baseline (Zhai et al.).
 
-use crate::model::{lambda_magnitude, lambdarank_epochs, CostModel, ModelSnapshot};
+use crate::model::{fit_lambdarank, predict_chunked, CostModel, ModelSnapshot};
 use crate::sample::{attention_masks_in, stack_tokens_in, Sample};
 use pruner_features::{MAX_TOKENS, TLP_DIM};
-use pruner_nn::{
-    lambdarank_grad, Adam, Graph, Linear, Mlp, Module, NodeId, SelfAttention, Tensor,
-};
+use pruner_nn::{Adam, Graph, Linear, Mlp, Module, NodeId, SelfAttention};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -46,7 +44,8 @@ impl TlpModel {
         }
     }
 
-    fn forward(&mut self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
+    /// Forward pass over the picked samples; returns the `[n,1]` score node.
+    fn forward(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_tokens_in(g, samples, picks);
         let (col_mask, row_mask) = attention_masks_in(g, &stacked, MAX_TOKENS, D_MODEL);
         let x = g.constant(stacked);
@@ -58,27 +57,6 @@ impl TlpModel {
         let h = g.mul(h, row);
         let pooled = g.sum_groups(h, MAX_TOKENS);
         self.head.forward(g, pooled)
-    }
-
-    /// Inference-only forward pass: same math as [`Self::forward`] but
-    /// gradient-free, so it works through `&self` across threads.
-    fn forward_infer(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
-        let stacked = stack_tokens_in(g, samples, picks);
-        let (col_mask, row_mask) = attention_masks_in(g, &stacked, MAX_TOKENS, D_MODEL);
-        let x = g.constant(stacked);
-        let emb = self.embed.forward_relu_infer(g, x);
-        let col = g.constant(col_mask);
-        let h = self.attn1.forward_masked_infer(g, emb, Some(col));
-        let h = self.attn2.forward_masked_infer(g, h, Some(col));
-        let row = g.constant(row_mask);
-        let h = g.mul(h, row);
-        let pooled = g.sum_groups(h, MAX_TOKENS);
-        self.head.forward_infer(g, pooled)
-    }
-
-    /// Total scalar weight count.
-    pub fn weight_count(&mut self) -> usize {
-        self.num_weights()
     }
 }
 
@@ -98,36 +76,12 @@ impl CostModel for TlpModel {
     }
 
     fn predict_with(&self, g: &mut Graph, samples: &[Sample]) -> Vec<f32> {
-        let picks: Vec<usize> = (0..samples.len()).collect();
-        let mut out = Vec::with_capacity(samples.len());
-        for chunk in picks.chunks(256) {
-            g.reset();
-            let scores = self.forward_infer(g, samples, chunk);
-            out.extend_from_slice(g.value(scores).as_slice());
-        }
-        out
+        predict_chunked::<_, 256>(self, Self::forward, g, samples)
     }
 
     fn fit_batch(&mut self, samples: &[Sample], epochs: usize, threads: usize) -> f64 {
         let seed = self.seed;
-        let mut this = std::mem::replace(self, TlpModel::new(0));
-        let mut g = Graph::with_threads(threads);
-        let loss = lambdarank_epochs(samples, epochs, seed, |group, rel| {
-            this.zero_grad();
-            g.reset();
-            let scores = this.forward(&mut g, samples, group);
-            let sv: Vec<f32> = g.value(scores).as_slice().to_vec();
-            let lambdas = lambdarank_grad(&sv, rel);
-            let objective = lambda_magnitude(&lambdas);
-            g.backward_from(scores, Tensor::from_vec(group.len(), 1, lambdas));
-            this.absorb_grads(&g);
-            let mut adam = std::mem::replace(&mut this.adam, default_adam());
-            adam.step(this.params_mut());
-            this.adam = adam;
-            objective
-        });
-        *self = this;
-        loss
+        fit_lambdarank(self, Self::forward, |m| &mut m.adam, samples, epochs, seed, threads)
     }
 
     fn clone_box(&self) -> Box<dyn CostModel> {
@@ -160,8 +114,8 @@ mod tests {
     fn tlp_is_heaviest_model() {
         // §3.3 reports TLP using ~3x the memory of the MLP models; weight
         // count is our proxy.
-        let tlp = TlpModel::new(1).weight_count();
-        let pacm = crate::PacmModel::new(1).weight_count();
+        let tlp = TlpModel::new(1).num_weights();
+        let pacm = crate::PacmModel::new(1).num_weights();
         assert!(tlp > 0 && pacm > 0);
     }
 }

@@ -1,7 +1,8 @@
-//! A warm PaCM forward must not touch the heap beyond its result.
+//! A warm scoring pass of any neural cost model must not touch the heap
+//! beyond its result.
 //!
-//! `PacmModel::predict_with` scores every drafted shortlist, so it runs on
-//! every round; its tape recycles buffers through the `Graph` workspace.
+//! `predict_with` scores every drafted shortlist, so it runs on every
+//! round; its tape recycles buffers through the `Graph` workspace.
 //! The counting global allocator lives out here in an integration test,
 //! and a single `#[test]` keeps the measurement single-threaded: the
 //! libtest harness would otherwise run tests on worker threads whose
@@ -10,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use pruner_cost::{CostModel, PacmModel, Sample};
+use pruner_cost::{AnsorModel, CostModel, PacmModel, Sample, TensetMlpModel, TlpModel};
 use pruner_gpu::{GpuSpec, Simulator};
 use pruner_ir::Workload;
 use pruner_nn::Graph;
@@ -68,19 +69,27 @@ fn samples() -> Vec<Sample> {
 #[test]
 fn warm_pacm_predict_allocates_only_its_scores() {
     let samples = samples();
-    let model = PacmModel::new(3);
-    let mut g = Graph::new();
-    // Two warm-up passes grow the workspace pool to its fixed point.
-    let warm1 = model.predict_with(&mut g, &samples);
-    let warm2 = model.predict_with(&mut g, &samples);
-    assert_eq!(warm1, warm2, "warm-up passes must agree");
+    let models: [Box<dyn CostModel>; 4] = [
+        Box::new(PacmModel::new(3)),
+        Box::new(TlpModel::new(3)),
+        Box::new(TensetMlpModel::new(3)),
+        Box::new(AnsorModel::new(3)),
+    ];
+    for model in models {
+        let name = model.name();
+        let mut g = Graph::new();
+        // Two warm-up passes grow the workspace pool to its fixed point.
+        let warm1 = model.predict_with(&mut g, &samples);
+        let warm2 = model.predict_with(&mut g, &samples);
+        assert_eq!(warm1, warm2, "{name}: warm-up passes must agree");
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let measured = model.predict_with(&mut g, &samples);
-    COUNTING.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        let measured = model.predict_with(&mut g, &samples);
+        COUNTING.store(false, Ordering::SeqCst);
+        let n = ALLOCS.load(Ordering::SeqCst);
 
-    assert_eq!(measured, warm1, "steady-state scores must match warm-up");
-    assert_eq!(n, 1, "warm predict_with made {n} heap allocations, not just its score Vec");
+        assert_eq!(measured, warm1, "{name}: steady-state scores must match warm-up");
+        assert_eq!(n, 1, "{name}: warm predict_with made {n} heap allocations, not just its scores");
+    }
 }

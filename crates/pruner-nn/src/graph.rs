@@ -53,8 +53,6 @@ enum Op {
     Mul,
     Scale(f32),
     Relu,
-    Tanh,
-    Sigmoid,
     SoftmaxRows,
     SumGroups(usize),
     MeanAll,
@@ -138,22 +136,31 @@ fn copy_of(ws: &mut Workspace, src: &Tensor) -> Tensor {
 
 /// The autodiff tape.
 ///
-/// A graph is built per forward pass (the usual define-by-run pattern);
-/// parameters enter through [`Graph::input`] / [`Graph::input_ref`] and
-/// their node ids are remembered by the layers that own them, data enters
-/// through [`Graph::constant`] and takes no gradient. Call
-/// [`Graph::reset`] between passes to recycle every buffer the previous
-/// pass used.
+/// A graph is built per forward pass (the usual define-by-run pattern).
+/// A layer binds each of its parameters as a leaf that the tape records in
+/// bind order, so `Module::absorb_grads` can pair the recorded leaves with
+/// the module's parameters after the backward sweep; other leaves enter
+/// through [`Graph::input`] / [`Graph::input_ref`], and data enters through
+/// [`Graph::constant`] and takes no gradient. Call [`Graph::reset`] between
+/// passes to recycle every buffer the previous pass used.
 pub struct Graph {
     nodes: Vec<Node>,
     grads: Vec<Option<Tensor>>,
+    /// The parameter leaves bound since the last reset, in bind order.
+    params: Vec<NodeId>,
     ws: Workspace,
     threads: usize,
 }
 
 impl Default for Graph {
     fn default() -> Graph {
-        Graph { nodes: Vec::new(), grads: Vec::new(), ws: Workspace::default(), threads: 1 }
+        Graph {
+            nodes: Vec::new(),
+            grads: Vec::new(),
+            params: Vec::new(),
+            ws: Workspace::default(),
+            threads: 1,
+        }
     }
 }
 
@@ -178,6 +185,7 @@ impl Graph {
     /// workspace pool. After one warm-up pass, re-running the same op
     /// sequence performs no heap allocations.
     pub fn reset(&mut self) {
+        self.params.clear();
         let ws = &mut self.ws;
         for n in self.nodes.drain(..) {
             ws.put(n.value.into_vec());
@@ -230,6 +238,19 @@ impl Graph {
     pub fn input_ref(&mut self, t: &Tensor) -> NodeId {
         let v = copy_of(&mut self.ws, t);
         self.push(Op::Input, &[], v)
+    }
+
+    /// Registers a parameter leaf by copying `t` into a pooled buffer and
+    /// records it in bind order (see [`Graph::bound_params`]).
+    pub(crate) fn param(&mut self, t: &Tensor) -> NodeId {
+        let id = self.input_ref(t);
+        self.params.push(id);
+        id
+    }
+
+    /// The parameter leaves bound since the last reset, in bind order.
+    pub(crate) fn bound_params(&self) -> &[NodeId] {
+        &self.params
     }
 
     /// Registers a leaf that takes **no gradient**, taking ownership — the
@@ -378,20 +399,6 @@ impl Graph {
         let mut out = copy_of(&mut self.ws, &self.nodes[x.0].value);
         out.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
         self.push(Op::Relu, &[x], out)
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, x: NodeId) -> NodeId {
-        let mut out = copy_of(&mut self.ws, &self.nodes[x.0].value);
-        out.as_mut_slice().iter_mut().for_each(|v| *v = v.tanh());
-        self.push(Op::Tanh, &[x], out)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        let mut out = copy_of(&mut self.ws, &self.nodes[x.0].value);
-        out.as_mut_slice().iter_mut().for_each(|v| *v = 1.0 / (1.0 + (-*v).exp()));
-        self.push(Op::Sigmoid, &[x], out)
     }
 
     /// Row-wise softmax.
@@ -554,7 +561,7 @@ impl Graph {
         self.grads[root.0] = Some(seed);
         for idx in (0..=root.0).rev() {
             let Some(gout) = self.grads[idx].take() else { continue };
-            let Graph { ref nodes, ref mut grads, ref mut ws, threads } = *self;
+            let Graph { ref nodes, ref mut grads, ref mut ws, threads, .. } = *self;
             accumulate_inputs(nodes, grads, ws, threads, idx, &gout);
             self.grads[idx] = Some(gout);
         }
@@ -718,20 +725,6 @@ fn accumulate_inputs(
                 if y <= 0.0 {
                     *gv = 0.0;
                 }
-            }
-            add_grad(nodes, grads, ws, inputs[0], g);
-        }
-        Op::Tanh => {
-            let mut g = copy_of(ws, gout);
-            for (gv, &y) in g.as_mut_slice().iter_mut().zip(nodes[idx].value.as_slice()) {
-                *gv *= 1.0 - y * y;
-            }
-            add_grad(nodes, grads, ws, inputs[0], g);
-        }
-        Op::Sigmoid => {
-            let mut g = copy_of(ws, gout);
-            for (gv, &y) in g.as_mut_slice().iter_mut().zip(nodes[idx].value.as_slice()) {
-                *gv *= y * (1.0 - y);
             }
             add_grad(nodes, grads, ws, inputs[0], g);
         }
@@ -954,30 +947,29 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_bias_concat_sigmoid_tanh() {
+    fn gradcheck_bias_concat() {
         let x0 = seeded(4, 3, 23);
         let b0 = seeded(1, 3, 29);
-        let run = |x: &Tensor, g: &mut Graph| {
+        let run = |x: &Tensor, b: &Tensor, g: &mut Graph| {
             let xi = g.input(x.clone());
-            let bi = g.input(b0.clone());
+            let bi = g.input(b.clone());
             let y = g.add_row_bias(xi, bi);
-            let s = g.sigmoid(y);
-            let t = g.tanh(y);
+            let s = g.mul(y, y);
+            let t = g.scale(y, -0.5);
             let c = g.concat_cols(s, t);
             let l = g.mean_all(c);
             (xi, bi, l)
         };
-        let f = |x: &Tensor| {
+        let loss = |x: &Tensor, b: &Tensor| {
             let mut g = Graph::new();
-            let (_, _, l) = run(x, &mut g);
+            let (_, _, l) = run(x, b, &mut g);
             g.value(l).at(0, 0)
         };
         let mut g = Graph::new();
-        let (xi, bi, l) = run(&x0, &mut g);
+        let (xi, bi, l) = run(&x0, &b0, &mut g);
         g.backward(l);
-        assert_close(g.grad(xi).unwrap(), &numeric_grad(f, &x0), 2e-2);
-        // Bias gradient: column sums of the x gradient path.
-        assert!(g.grad(bi).is_some());
+        assert_close(g.grad(xi).unwrap(), &numeric_grad(|x| loss(x, &b0), &x0), 2e-2);
+        assert_close(g.grad(bi).unwrap(), &numeric_grad(|b| loss(&x0, b), &b0), 2e-2);
     }
 
     #[test]

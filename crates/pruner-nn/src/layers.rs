@@ -1,8 +1,9 @@
 //! Trainable layers.
 //!
-//! Layers own their [`Param`]s. A forward pass takes `&mut self` so each
-//! parameter can remember the tape node it was bound to; after
-//! `Graph::backward*`, [`Param::absorb_grad`] (via the [`Module`] helpers)
+//! Layers own their [`Param`]s and define one forward pass, through
+//! `&self`, that scores and trains alike. Binding a parameter records its
+//! leaf on the tape; after `Graph::backward*`, [`Module::absorb_grads`]
+//! pairs the recorded leaves with [`Module::params_mut`], in order, and
 //! pulls the gradients back out of the tape.
 
 use crate::graph::{Graph, NodeId};
@@ -21,8 +22,6 @@ pub struct Param {
     pub m: Tensor,
     /// Adam second moment.
     pub v: Tensor,
-    #[serde(skip)]
-    node: Option<NodeId>,
 }
 
 impl Param {
@@ -34,33 +33,12 @@ impl Param {
             grad: Tensor::zeros(r, c),
             m: Tensor::zeros(r, c),
             v: Tensor::zeros(r, c),
-            node: None,
         }
     }
 
-    /// Binds the parameter onto the tape and remembers its node.
-    pub fn bind(&mut self, g: &mut Graph) -> NodeId {
-        let id = g.input_ref(&self.value);
-        self.node = Some(id);
-        id
-    }
-
-    /// Binds the parameter onto the tape for inference only.
-    ///
-    /// The node is *not* remembered, so no gradient can be absorbed from
-    /// this pass — which is exactly what allows forward passes through
-    /// `&self` and therefore concurrent prediction from multiple threads.
-    pub(crate) fn bind_infer(&self, g: &mut Graph) -> NodeId {
-        g.input_ref(&self.value)
-    }
-
-    /// Adds the tape gradient (if this param participated) into `grad`.
-    pub(crate) fn absorb_grad(&mut self, g: &Graph) {
-        if let Some(id) = self.node.take() {
-            if let Some(gr) = g.grad(id) {
-                self.grad.axpy(1.0, gr);
-            }
-        }
+    /// Binds the parameter onto the tape as a recorded parameter leaf.
+    fn bind(&self, g: &mut Graph) -> NodeId {
+        g.param(&self.value)
     }
 
     /// Clears the accumulated gradient.
@@ -91,10 +69,30 @@ pub trait Module {
         }
     }
 
-    /// Absorbs tape gradients into every parameter.
+    /// Absorbs tape gradients into every parameter: the `k`-th parameter
+    /// leaf the forward pass bound feeds the `k`-th entry of
+    /// [`Module::params_mut`].
+    ///
+    /// # Panics
+    /// Panics if the tape bound a different number of parameters than the
+    /// module has, or a bound leaf's shape differs from its parameter's — a
+    /// forward that skips or repeats a parameter would otherwise lose its
+    /// gradient silently.
     fn absorb_grads(&mut self, g: &Graph) {
-        for p in self.params_mut() {
-            p.absorb_grad(g);
+        let bound = g.bound_params();
+        let params = self.params_mut();
+        assert_eq!(
+            params.len(),
+            bound.len(),
+            "the tape bound {} parameters, the module has {}",
+            bound.len(),
+            params.len()
+        );
+        for (p, &id) in params.into_iter().zip(bound) {
+            assert_eq!(p.value.shape(), g.value(id).shape(), "bound parameter shape mismatch");
+            if let Some(gr) = g.grad(id) {
+                p.grad.axpy(1.0, gr);
+            }
         }
     }
 
@@ -155,7 +153,7 @@ impl Linear {
 
     /// Applies the layer to `[n, in_dim]` activations as one fused
     /// [`Graph::linear`] node.
-    pub fn forward(&mut self, g: &mut Graph, x: NodeId) -> NodeId {
+    pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
         let w = self.w.bind(g);
         let b = self.b.bind(g);
         g.linear(x, w, b)
@@ -163,23 +161,9 @@ impl Linear {
 
     /// Applies the layer followed by a ReLU as one fused
     /// [`Graph::linear_relu`] node (bit-identical to `forward` + `relu`).
-    pub fn forward_relu(&mut self, g: &mut Graph, x: NodeId) -> NodeId {
+    pub fn forward_relu(&self, g: &mut Graph, x: NodeId) -> NodeId {
         let w = self.w.bind(g);
         let b = self.b.bind(g);
-        g.linear_relu(x, w, b)
-    }
-
-    /// Inference-only forward pass (`&self`; no gradients afterwards).
-    pub fn forward_infer(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        let w = self.w.bind_infer(g);
-        let b = self.b.bind_infer(g);
-        g.linear(x, w, b)
-    }
-
-    /// Inference-only fused linear + ReLU (`&self`).
-    pub fn forward_relu_infer(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        let w = self.w.bind_infer(g);
-        let b = self.b.bind_infer(g);
         g.linear_relu(x, w, b)
     }
 }
@@ -210,25 +194,11 @@ impl Mlp {
 
     /// Applies the MLP (ReLU after every layer but the last); hidden layers
     /// run as fused `linear_relu` tape nodes.
-    pub fn forward(&mut self, g: &mut Graph, x: NodeId) -> NodeId {
-        let n = self.layers.len();
-        let mut h = x;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            h = if i + 1 < n { layer.forward_relu(g, h) } else { layer.forward(g, h) };
-        }
-        h
-    }
-
-    /// Inference-only forward pass (`&self`; no gradients afterwards).
-    pub fn forward_infer(&self, g: &mut Graph, x: NodeId) -> NodeId {
+    pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
         let n = self.layers.len();
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = if i + 1 < n {
-                layer.forward_relu_infer(g, h)
-            } else {
-                layer.forward_infer(g, h)
-            };
+            h = if i + 1 < n { layer.forward_relu(g, h) } else { layer.forward(g, h) };
         }
         h
     }
@@ -268,18 +238,14 @@ impl SelfAttention {
         }
     }
 
-    /// Applies attention with a residual connection.
-    pub fn forward(&mut self, g: &mut Graph, x: NodeId) -> NodeId {
-        self.forward_masked(g, x, None)
-    }
-
-    /// Applies attention with an optional additive logit mask.
+    /// Applies attention with an optional additive logit mask and a
+    /// residual connection.
     ///
     /// `col_mask` is `[B·S, S]`: `0.0` for real key positions and a large
     /// negative value for padding positions, added to the scaled scores so
     /// padded sequence slots receive ~zero attention weight.
     pub fn forward_masked(
-        &mut self,
+        &self,
         g: &mut Graph,
         x: NodeId,
         col_mask: Option<NodeId>,
@@ -297,32 +263,6 @@ impl SelfAttention {
         let out = self.proj.forward(g, ctx);
         g.add(x, out)
     }
-
-    /// Inference-only masked attention (`&self`; no gradients afterwards).
-    pub fn forward_masked_infer(
-        &self,
-        g: &mut Graph,
-        x: NodeId,
-        col_mask: Option<NodeId>,
-    ) -> NodeId {
-        let q = self.wq.forward_infer(g, x);
-        let k = self.wk.forward_infer(g, x);
-        let v = self.wv.forward_infer(g, x);
-        let scores = g.group_matmul_nt(q, k, self.group);
-        let mut scaled = g.scale(scores, 1.0 / (self.head_dim as f32).sqrt());
-        if let Some(mask) = col_mask {
-            scaled = g.add(scaled, mask);
-        }
-        let attn = g.softmax_rows(scaled);
-        let ctx = g.group_matmul(attn, v, self.group);
-        let out = self.proj.forward_infer(g, ctx);
-        g.add(x, out)
-    }
-
-    /// Group (sequence) length this block was built for.
-    pub fn group(&self) -> usize {
-        self.group
-    }
 }
 
 impl Module for SelfAttention {
@@ -330,128 +270,6 @@ impl Module for SelfAttention {
         let mut v = self.wq.params_mut();
         v.extend(self.wk.params_mut());
         v.extend(self.wv.params_mut());
-        v.extend(self.proj.params_mut());
-        v
-    }
-}
-
-/// Multi-head self-attention: `h` independent heads whose contexts are
-/// concatenated and projected back to the model width, with a residual
-/// connection.
-///
-/// The paper's PaCM uses plain self-attention (one head suffices for the
-/// short data-flow sequences); this block is provided for extensions that
-/// need more expressive sequence encoders (longer schedules, fused
-/// subgraph pipelines).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MultiHeadAttention {
-    heads: Vec<(Linear, Linear, Linear)>, // (wq, wk, wv) per head
-    proj: Linear,
-    head_dim: usize,
-    group: usize,
-}
-
-impl MultiHeadAttention {
-    /// Builds `n_heads` heads of width `head_dim` over sequences of length
-    /// `group`.
-    ///
-    /// # Panics
-    /// Panics if `n_heads` is zero.
-    pub fn new(
-        d_model: usize,
-        head_dim: usize,
-        n_heads: usize,
-        group: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert!(n_heads > 0, "need at least one head");
-        let heads = (0..n_heads)
-            .map(|_| {
-                (
-                    Linear::new(d_model, head_dim, rng),
-                    Linear::new(d_model, head_dim, rng),
-                    Linear::new(d_model, head_dim, rng),
-                )
-            })
-            .collect();
-        MultiHeadAttention {
-            heads,
-            proj: Linear::new(head_dim * n_heads, d_model, rng),
-            head_dim,
-            group,
-        }
-    }
-
-    /// Applies all heads with an optional shared logit mask and a residual
-    /// connection.
-    pub fn forward_masked(
-        &mut self,
-        g: &mut Graph,
-        x: NodeId,
-        col_mask: Option<NodeId>,
-    ) -> NodeId {
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let group = self.group;
-        let mut joined: Option<NodeId> = None;
-        for (wq, wk, wv) in &mut self.heads {
-            let q = wq.forward(g, x);
-            let k = wk.forward(g, x);
-            let v = wv.forward(g, x);
-            let scores = g.group_matmul_nt(q, k, group);
-            let mut scaled = g.scale(scores, scale);
-            if let Some(mask) = col_mask {
-                scaled = g.add(scaled, mask);
-            }
-            let attn = g.softmax_rows(scaled);
-            let ctx = g.group_matmul(attn, v, group);
-            joined = Some(match joined {
-                Some(j) => g.concat_cols(j, ctx),
-                None => ctx,
-            });
-        }
-        let out = self.proj.forward(g, joined.expect("at least one head"));
-        g.add(x, out)
-    }
-
-    /// Inference-only masked attention (`&self`; no gradients afterwards).
-    pub fn forward_masked_infer(
-        &self,
-        g: &mut Graph,
-        x: NodeId,
-        col_mask: Option<NodeId>,
-    ) -> NodeId {
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let group = self.group;
-        let mut joined: Option<NodeId> = None;
-        for (wq, wk, wv) in &self.heads {
-            let q = wq.forward_infer(g, x);
-            let k = wk.forward_infer(g, x);
-            let v = wv.forward_infer(g, x);
-            let scores = g.group_matmul_nt(q, k, group);
-            let mut scaled = g.scale(scores, scale);
-            if let Some(mask) = col_mask {
-                scaled = g.add(scaled, mask);
-            }
-            let attn = g.softmax_rows(scaled);
-            let ctx = g.group_matmul(attn, v, group);
-            joined = Some(match joined {
-                Some(j) => g.concat_cols(j, ctx),
-                None => ctx,
-            });
-        }
-        let out = self.proj.forward_infer(g, joined.expect("at least one head"));
-        g.add(x, out)
-    }
-}
-
-impl Module for MultiHeadAttention {
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = Vec::new();
-        for (wq, wk, wv) in &mut self.heads {
-            v.extend(wq.params_mut());
-            v.extend(wk.params_mut());
-            v.extend(wv.params_mut());
-        }
         v.extend(self.proj.params_mut());
         v
     }
@@ -519,30 +337,21 @@ mod tests {
 
     #[test]
     fn attention_preserves_shape() {
+        // Two groups of 3; gradients must reach every one of the block's
+        // eight parameters.
         let mut r = rng();
         let mut attn = SelfAttention::new(6, 4, 3, &mut r);
-        let mut g = Graph::new();
-        let x = g.input(Tensor::full(6, 6, 0.5)); // 2 groups of 3
-        let y = attn.forward(&mut g, x);
-        assert_eq!(g.value(y).shape(), (6, 6));
-    }
-
-    #[test]
-    fn multi_head_attention_trains() {
-        // Two heads over groups of 3; gradients must reach every head.
-        let mut r = rng();
-        let mut mha = MultiHeadAttention::new(6, 4, 2, 3, &mut r);
         let mut g = Graph::new();
         // Non-uniform input so attention logits (and their grads) vary.
         let data: Vec<f32> = (0..36).map(|i| (i as f32 * 0.7).sin()).collect();
         let x = g.input(Tensor::from_vec(6, 6, data));
-        let y = mha.forward_masked(&mut g, x, None);
+        let y = attn.forward_masked(&mut g, x, None);
         assert_eq!(g.value(y).shape(), (6, 6));
         let l = g.mean_all(y);
         g.backward(l);
-        mha.absorb_grads(&g);
-        let live = mha.params_mut().iter().filter(|p| p.grad.norm() > 0.0).count();
-        assert!(live >= 10, "only {live} params received gradient");
+        attn.absorb_grads(&g);
+        let live = attn.params_mut().iter().filter(|p| p.grad.norm() > 0.0).count();
+        assert_eq!(live, 8, "only {live} params received gradient");
     }
 
     #[test]
@@ -550,7 +359,7 @@ mod tests {
         // One group of 3 rows; mask out key 2 for all queries. The output
         // must equal attention computed over rows 0..2 only.
         let mut r = rng();
-        let mut attn = SelfAttention::new(4, 4, 3, &mut r);
+        let attn = SelfAttention::new(4, 4, 3, &mut r);
         let x = Tensor::from_vec(
             3,
             4,
@@ -599,66 +408,29 @@ mod tests {
         let mut b = Mlp::new(&[3, 4, 1], &mut r);
         b.copy_weights_from(&mut a);
         let x = Tensor::full(1, 3, 0.3);
-        let run = |m: &mut Mlp| {
+        let run = |m: &Mlp| {
             let mut g = Graph::new();
             let xi = g.input(x.clone());
             let y = m.forward(&mut g, xi);
             g.value(y).at(0, 0)
         };
-        assert_eq!(run(&mut a), run(&mut b));
+        assert_eq!(run(&a), run(&b));
     }
 
     #[test]
-    fn infer_forward_matches_training_forward() {
+    #[should_panic(expected = "the tape bound 4 parameters, the module has 2")]
+    fn absorb_grads_rejects_a_tape_that_bound_another_param_count() {
+        // A forward that binds the layer twice on one tape repeats both of
+        // its parameters; pairing leaves with parameters must refuse it.
         let mut r = rng();
-        let mut mlp = Mlp::new(&[3, 8, 1], &mut r);
-        let mut attn = SelfAttention::new(4, 4, 3, &mut r);
-        let x = Tensor::from_vec(6, 3, (0..18).map(|i| (i as f32 * 0.3).cos()).collect());
-        let train_out = {
-            let mut g = Graph::new();
-            let xi = g.input(x.clone());
-            let y = mlp.forward(&mut g, xi);
-            g.value(y).clone()
-        };
-        let infer_out = {
-            let mut g = Graph::new();
-            let xi = g.input(x.clone());
-            let y = mlp.forward_infer(&mut g, xi);
-            g.value(y).clone()
-        };
-        assert_eq!(train_out.as_slice(), infer_out.as_slice());
-
-        let xa = Tensor::from_vec(6, 4, (0..24).map(|i| (i as f32 * 0.7).sin()).collect());
-        let a_train = {
-            let mut g = Graph::new();
-            let xi = g.input(xa.clone());
-            let y = attn.forward_masked(&mut g, xi, None);
-            g.value(y).clone()
-        };
-        let a_infer = {
-            let mut g = Graph::new();
-            let xi = g.input(xa.clone());
-            let y = attn.forward_masked_infer(&mut g, xi, None);
-            g.value(y).clone()
-        };
-        assert_eq!(a_train.as_slice(), a_infer.as_slice());
-    }
-
-    #[test]
-    fn bind_infer_leaves_no_grad_path() {
-        let mut r = rng();
-        let lin = Linear::new(2, 2, &mut r);
+        let mut lin = Linear::new(2, 2, &mut r);
         let mut g = Graph::new();
         let x = g.input(Tensor::full(1, 2, 1.0));
-        let y = lin.forward_infer(&mut g, x);
+        let h = lin.forward(&mut g, x);
+        let y = lin.forward(&mut g, h);
         let l = g.mean_all(y);
         g.backward(l);
-        let mut lin = lin;
         lin.absorb_grads(&g);
-        assert!(
-            lin.params_mut().iter().all(|p| p.grad.norm() == 0.0),
-            "inference binds must not feed gradients back"
-        );
     }
 
     #[test]

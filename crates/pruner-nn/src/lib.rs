@@ -7,11 +7,13 @@
 //! * [`Tensor`] — row-major 2-D `f32` matrices (batches × features).
 //! * [`Graph`] — an eager tape with reverse-mode autodiff, including the
 //!   per-group sequence operations attention needs (the grouped
-//!   products behind [`MultiHeadAttention`], and [`Graph::sum_groups`]).
+//!   products behind [`SelfAttention`], and [`Graph::sum_groups`]).
 //! * [`Linear`], [`Mlp`], [`SelfAttention`] — the layers the cost models are
-//!   assembled from; [`Module`] provides weight copying and the momentum
-//!   blend Momentum Transfer Learning uses.
-//! * [`Adam`], [`Sgd`] — optimizers.
+//!   assembled from. Each defines one forward pass through `&self` that
+//!   scores and trains alike; [`Module`] pairs the parameters that pass
+//!   bound on the tape with their gradients, and provides weight copying
+//!   and the momentum blend Momentum Transfer Learning uses.
+//! * [`Adam`] — the optimizer.
 //! * [`mse_loss`], [`lambdarank_grad`] — the training objectives; LambdaRank
 //!   is injected as a custom seed gradient via [`Graph::backward_from`].
 //!
@@ -65,7 +67,7 @@ mod optim;
 mod tensor;
 
 pub use graph::{Graph, NodeId, Workspace};
-pub use layers::{Linear, Mlp, Module, MultiHeadAttention, Param, SelfAttention};
+pub use layers::{Linear, Mlp, Module, Param, SelfAttention};
 pub use loss::{lambdarank_grad, latencies_to_relevance, mse_loss};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use tensor::Tensor;

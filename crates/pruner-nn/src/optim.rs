@@ -55,34 +55,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD with optional momentum (kept for ablations).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Heavy-ball momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no momentum.
-    pub fn new(lr: f32) -> Sgd {
-        Sgd { lr, momentum: 0.0 }
-    }
-
-    /// Applies one update (the `m` Adam buffer doubles as velocity).
-    pub fn step(&mut self, params: Vec<&mut Param>) {
-        for p in params {
-            for i in 0..p.value.len() {
-                let g = p.grad.as_slice()[i];
-                let vel = &mut p.m.as_mut_slice()[i];
-                *vel = self.momentum * *vel + g;
-                p.value.as_mut_slice()[i] -= self.lr * *vel;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +64,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn loss_of(lin: &mut Linear, xs: &Tensor, ys: &Tensor) -> (f32, Graph) {
+    fn loss_of(lin: &Linear, xs: &Tensor, ys: &Tensor) -> (f32, Graph) {
         let mut g = Graph::new();
         let x = g.input(xs.clone());
         let pred = lin.forward(&mut g, x);
@@ -116,32 +88,13 @@ mod tests {
         let mut final_loss = f32::MAX;
         for _ in 0..500 {
             lin.zero_grad();
-            let (lv, g) = loss_of(&mut lin, &xs, &ys);
+            let (lv, g) = loss_of(&lin, &xs, &ys);
             final_loss = lv;
             lin.absorb_grads(&g);
             adam.step(lin.params_mut());
         }
         assert!(final_loss < 1e-3, "adam failed to fit: {final_loss}");
         assert_eq!(adam.steps(), 500);
-    }
-
-    #[test]
-    fn sgd_reduces_loss() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut lin = Linear::new(1, 1, &mut rng);
-        let xs = Tensor::from_vec(2, 1, vec![1.0, 2.0]);
-        let ys = Tensor::from_vec(2, 1, vec![2.0, 4.0]);
-        let (first, _) = loss_of(&mut lin, &xs, &ys);
-        let mut sgd = Sgd { lr: 0.05, momentum: 0.9 };
-        let mut last = first;
-        for _ in 0..200 {
-            lin.zero_grad();
-            let (lv, g) = loss_of(&mut lin, &xs, &ys);
-            last = lv;
-            lin.absorb_grads(&g);
-            sgd.step(lin.params_mut());
-        }
-        assert!(last < first * 0.1, "sgd failed: {first} -> {last}");
     }
 
     #[test]
