@@ -1,7 +1,7 @@
 //! The cost-model interface and shared training helpers.
 
 use crate::sample::{labeled_groups, Sample};
-use pruner_nn::{lambdarank_grad, latencies_to_relevance, Adam, Graph, Module, NodeId, Tensor};
+use pruner_nn::{lambdarank_grad, latencies_to_relevance, Adam, Graph, Module, NodeId};
 use pruner_par::fan_out_mut;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -346,7 +346,9 @@ pub(crate) fn fit_lambdarank<M: Module>(
         let scores = forward(model, &mut g, samples, group);
         let lambdas = lambdarank_grad(g.value(scores).as_slice(), rel);
         let objective = lambda_magnitude(&lambdas);
-        g.backward_from(scores, Tensor::from_vec(group.len(), 1, lambdas));
+        let mut seed = g.scratch(group.len(), 1);
+        seed.as_mut_slice().copy_from_slice(&lambdas);
+        g.backward_from(scores, seed);
         model.absorb_grads(&g);
         adam_step(model, adam);
         objective

@@ -1,8 +1,8 @@
 //! Training/prediction samples: featurized programs with optional labels.
 
 use pruner_features::{
-    flow_features, stmt_features, tlp_tokens, FLOW_DIM, MAX_FLOW, MAX_STMTS, MAX_TOKENS,
-    STMT_DIM, TLP_DIM,
+    features_arena_row, program_features, FLOW_DIM, MAX_FLOW, MAX_STMTS, MAX_TOKENS, STMT_DIM,
+    TLP_DIM,
 };
 use pruner_nn::{Graph, Tensor};
 use pruner_sketch::Program;
@@ -39,14 +39,8 @@ impl Sample {
 
     /// Featurizes a program without a label (prediction-time candidates).
     pub fn unlabeled(prog: &Program, task_id: usize) -> Sample {
-        let stats = prog.stats();
-        Sample {
-            stmt: stmt_features(&stats).into_iter().flatten().collect(),
-            flow: flow_features(&stats).into_iter().flatten().collect(),
-            tokens: tlp_tokens(prog).into_iter().flatten().collect(),
-            latency: f64::NAN,
-            task_id,
-        }
+        let (stmt, flow, tokens) = program_features(prog);
+        Sample { stmt, flow, tokens, latency: f64::NAN, task_id }
     }
 
     /// Whether the sample carries a latency label.
@@ -54,17 +48,20 @@ impl Sample {
         self.latency.is_finite()
     }
 
-    /// Featurizes arena candidate `i` without materializing a [`Program`] —
-    /// bit-identical to [`Sample::unlabeled`] on the materialized program.
+    /// Featurizes arena candidate `i` without materializing a [`Program`]:
+    /// the same feature writers as [`Sample::unlabeled`], fed from the
+    /// arena's stats row, data-flow row and genes, so the bits equal those
+    /// of the materialized program.
     ///
     /// # Panics
-    /// Panics if `i` is out of range.
+    /// Panics if `i` is out of range or the arena's stats are still
+    /// deferred (see [`pruner_features::features_arena_row`]).
     pub fn from_arena(
         arena: &pruner_sketch::CandidateArena,
         i: usize,
         task_id: usize,
     ) -> Sample {
-        let (stmt, flow, tokens) = pruner_features::features_arena_row(arena, i);
+        let (stmt, flow, tokens) = features_arena_row(arena, i);
         Sample { stmt, flow, tokens, latency: f64::NAN, task_id }
     }
 }

@@ -109,13 +109,4 @@ mod tests {
         // dataset where schedule tokens do carry signal.
         assert!(rho > 0.3, "TLP failed to learn: ρ = {rho:.3}");
     }
-
-    #[test]
-    fn tlp_is_heaviest_model() {
-        // §3.3 reports TLP using ~3x the memory of the MLP models; weight
-        // count is our proxy.
-        let tlp = TlpModel::new(1).num_weights();
-        let pacm = crate::PacmModel::new(1).num_weights();
-        assert!(tlp > 0 && pacm > 0);
-    }
 }

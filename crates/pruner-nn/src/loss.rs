@@ -2,7 +2,6 @@
 //! gradient.
 
 use crate::graph::{Graph, NodeId};
-use crate::tensor::Tensor;
 
 /// Builds the mean-squared-error loss node between `pred` (`[n,1]`) and the
 /// target vector.
@@ -12,7 +11,9 @@ use crate::tensor::Tensor;
 pub fn mse_loss(g: &mut Graph, pred: NodeId, targets: &[f32]) -> NodeId {
     let shape = g.value(pred).shape();
     assert_eq!(shape, (targets.len(), 1), "mse target length mismatch");
-    let t = g.constant(Tensor::from_vec(targets.len(), 1, targets.to_vec()));
+    let mut t = g.scratch(targets.len(), 1);
+    t.as_mut_slice().copy_from_slice(targets);
+    let t = g.constant(t);
     let neg = g.scale(t, -1.0);
     let diff = g.add(pred, neg);
     let sq = g.mul(diff, diff);
@@ -98,6 +99,7 @@ pub fn latencies_to_relevance(latencies: &[f64]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
 
     #[test]
     fn mse_zero_for_perfect_fit() {
@@ -116,6 +118,35 @@ mod tests {
         let grad = g.grad(pred).unwrap();
         assert!(grad.at(0, 0) < 0.0, "should push the low prediction up");
         assert!(grad.at(1, 0) > 0.0, "should push the high prediction down");
+    }
+
+    /// A training step returns to the pool every buffer it drew: the MSE
+    /// targets and a LambdaRank seed come from `Graph::scratch`, so the pool
+    /// stops growing once warm.
+    #[test]
+    fn training_steps_keep_the_buffer_pool_flat() {
+        use crate::layers::Mlp;
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+
+        let mlp = Mlp::new(&[1, 8, 1], &mut ChaCha8Rng::seed_from_u64(5));
+        let xs = Tensor::from_vec(4, 1, vec![0.1, 0.9, 0.3, 0.7]);
+        let targets = [0.2f32, 1.0, 0.4, 0.8];
+        let mut g = Graph::new();
+        let mut pooled = Vec::new();
+        for _ in 0..300 {
+            g.reset();
+            let x = g.input_ref(&xs);
+            let pred = mlp.forward(&mut g, x);
+            let loss = mse_loss(&mut g, pred, &targets);
+            g.backward(loss);
+            let lambdas = lambdarank_grad(g.value(pred).as_slice(), &targets);
+            let mut seed = g.scratch(4, 1);
+            seed.as_mut_slice().copy_from_slice(&lambdas);
+            g.backward_from(pred, seed);
+            pooled.push(g.workspace().pooled());
+        }
+        assert!(pooled[2..].iter().all(|&n| n == pooled[2]), "pool grew: {:?}", &pooled[..8]);
     }
 
     #[test]

@@ -96,6 +96,35 @@ impl Default for GeneBuf {
     }
 }
 
+impl GeneBuf {
+    /// Packs `schedule` into genes; axes beyond its rank stay 1.
+    ///
+    /// # Panics
+    /// Panics if the schedule has more axes than any supported workload.
+    pub fn from_schedule(schedule: &Schedule) -> GeneBuf {
+        let mut g = GeneBuf::default();
+        match schedule {
+            Schedule::MultiTile(t) => {
+                g.spatial[..t.spatial.len()].copy_from_slice(&t.spatial);
+                g.reduce[..t.reduce.len()].copy_from_slice(&t.reduce);
+                g.a0 = t.unroll;
+                g.a1 = t.vectorize;
+            }
+            Schedule::Simple(c) => {
+                g.a0 = c.threads;
+                g.a1 = c.serial;
+                g.a2 = c.vectorize;
+            }
+            Schedule::RowReduce(c) => {
+                g.a0 = c.rows_per_block;
+                g.a1 = c.reduce_threads;
+                g.a2 = c.serial;
+            }
+        }
+        g
+    }
+}
+
 /// Cached divisor lists for every padded-extent value sampling can reach.
 ///
 /// `sample_split` draws one divisor of the remaining quotient per tile
@@ -450,29 +479,16 @@ impl WorkloadCtx {
     /// # Panics
     /// Panics if the schedule's sketch kind does not match the context.
     pub fn genes_from_schedule(&self, schedule: &Schedule) -> GeneBuf {
-        let mut g = GeneBuf::default();
         match (self.kind, schedule) {
             (SketchKind::MultiTile, Schedule::MultiTile(t)) => {
                 assert_eq!(t.spatial.len(), self.n_s, "spatial rank mismatch");
                 assert_eq!(t.reduce.len(), self.n_r, "reduce rank mismatch");
-                g.spatial[..self.n_s].copy_from_slice(&t.spatial);
-                g.reduce[..self.n_r].copy_from_slice(&t.reduce);
-                g.a0 = t.unroll;
-                g.a1 = t.vectorize;
             }
-            (SketchKind::Simple, Schedule::Simple(c)) => {
-                g.a0 = c.threads;
-                g.a1 = c.serial;
-                g.a2 = c.vectorize;
-            }
-            (SketchKind::RowReduce, Schedule::RowReduce(c)) => {
-                g.a0 = c.rows_per_block;
-                g.a1 = c.reduce_threads;
-                g.a2 = c.serial;
-            }
+            (SketchKind::Simple, Schedule::Simple(_))
+            | (SketchKind::RowReduce, Schedule::RowReduce(_)) => {}
             _ => panic!("schedule kind does not match arena context"),
         }
-        g
+        GeneBuf::from_schedule(schedule)
     }
 
     /// Unpacks genes into a schedule (allocates — measure boundary only).
@@ -1741,11 +1757,6 @@ impl CandidateArena {
         (0..self.len).map(|i| self.program(i)).collect()
     }
 
-    /// Fills candidate `i`'s data-flow row.
-    pub fn flow_row(&self, i: usize, row: &mut FlowRow) {
-        self.ctx.flow_row(&self.genes(i), row);
-    }
-
     fn u_col(&self, c: usize) -> &[u64] {
         &self.stat_u[c][..self.stats_len]
     }
@@ -1764,39 +1775,9 @@ impl CandidateArena {
         self.u_col(NUM_BLOCKS)
     }
 
-    /// Vthreads column.
-    pub fn vthreads_col(&self) -> &[u64] {
-        self.u_col(VTHREADS)
-    }
-
     /// Registers-per-thread column.
     pub fn regs_col(&self) -> &[u64] {
         self.u_col(REGS)
-    }
-
-    /// Shared-bytes-per-block column.
-    pub fn shared_bytes_col(&self) -> &[u64] {
-        self.u_col(SHARED_BYTES)
-    }
-
-    /// Total-FLOPs column.
-    pub fn flops_total_col(&self) -> &[f64] {
-        self.f_col(FLOPS_TOTAL)
-    }
-
-    /// Global-traffic column.
-    pub fn global_bytes_col(&self) -> &[f64] {
-        self.f_col(GLOBAL_BYTES)
-    }
-
-    /// Shared-traffic column.
-    pub fn shared_traffic_col(&self) -> &[f64] {
-        self.f_col(SHARED_TRAFFIC)
-    }
-
-    /// Padding-waste column.
-    pub fn padding_waste_col(&self) -> &[f64] {
-        self.f_col(PADDING_WASTE)
     }
 
     /// Per-thread-FLOPs column.
@@ -1807,16 +1788,6 @@ impl CandidateArena {
     /// Per-thread-register-accesses column.
     pub fn per_thread_reg_accesses_col(&self) -> &[f64] {
         self.f_col(PTRA)
-    }
-
-    /// Unroll-annotation column.
-    pub fn unroll_col(&self) -> &[u64] {
-        self.u_col(UNROLL)
-    }
-
-    /// Vectorize-annotation column.
-    pub fn vectorize_col(&self) -> &[u64] {
-        self.u_col(VECTORIZE)
     }
 
     /// Column `base` of statement slot `j` in the f64 block.
@@ -1835,39 +1806,40 @@ impl CandidateArena {
         self.stmt_f_col(STMT_GLOBAL, j)
     }
 
-    /// Statement slot `j`'s shared-bytes column.
-    pub fn stmt_shared_col(&self, j: usize) -> &[f64] {
-        self.stmt_f_col(STMT_SHARED, j)
-    }
-
     /// Statement slot `j`'s innermost-run column.
     pub fn stmt_innermost_col(&self, j: usize) -> &[u64] {
         assert!(j < self.ctx.n_stmts, "statement slot out of range");
         self.u_col(STMT_INNERMOST + j)
     }
 
-    /// Reads candidate `i` back into a [`StatsRow`] (tests / single-row
-    /// consumers).
+    /// Reads candidate `i`'s stats back into a [`StatsRow`] — the row
+    /// [`WorkloadCtx::compute_row`] wrote. Featurization reads candidates
+    /// this way, one at a time.
+    ///
+    /// # Panics
+    /// Panics if candidate `i` has no stats row yet.
     pub fn stats_row(&self, i: usize, row: &mut StatsRow) {
-        row.threads_per_block = self.threads_col()[i];
-        row.num_blocks = self.num_blocks_col()[i];
-        row.vthreads = self.vthreads_col()[i];
-        row.regs_per_thread = self.regs_col()[i];
-        row.shared_bytes_per_block = self.shared_bytes_col()[i];
-        row.flops_total = self.flops_total_col()[i];
-        row.global_bytes = self.global_bytes_col()[i];
-        row.shared_traffic_bytes = self.shared_traffic_col()[i];
-        row.padding_waste = self.padding_waste_col()[i];
-        row.per_thread_flops = self.per_thread_flops_col()[i];
-        row.per_thread_reg_accesses = self.per_thread_reg_accesses_col()[i];
-        row.unroll = self.unroll_col()[i];
-        row.vectorize = self.vectorize_col()[i];
+        let u = |c: usize| self.u_col(c)[i];
+        let f = |c: usize| self.f_col(c)[i];
+        row.threads_per_block = u(THREADS);
+        row.num_blocks = u(NUM_BLOCKS);
+        row.vthreads = u(VTHREADS);
+        row.regs_per_thread = u(REGS);
+        row.shared_bytes_per_block = u(SHARED_BYTES);
+        row.flops_total = f(FLOPS_TOTAL);
+        row.global_bytes = f(GLOBAL_BYTES);
+        row.shared_traffic_bytes = f(SHARED_TRAFFIC);
+        row.padding_waste = f(PADDING_WASTE);
+        row.per_thread_flops = f(PTF);
+        row.per_thread_reg_accesses = f(PTRA);
+        row.unroll = u(UNROLL);
+        row.vectorize = u(VECTORIZE);
         row.n_stmts = self.ctx.n_stmts;
         for j in 0..self.ctx.n_stmts {
-            row.stmt_n_ops[j] = self.stmt_n_ops_col(j)[i];
-            row.stmt_global[j] = self.stmt_global_col(j)[i];
-            row.stmt_shared[j] = self.stmt_shared_col(j)[i];
-            row.stmt_innermost[j] = self.stmt_innermost_col(j)[i];
+            row.stmt_n_ops[j] = f(STMT_N_OPS + 3 * j);
+            row.stmt_global[j] = f(STMT_GLOBAL + 3 * j);
+            row.stmt_shared[j] = f(STMT_SHARED + 3 * j);
+            row.stmt_innermost[j] = u(STMT_INNERMOST + j);
         }
     }
 }

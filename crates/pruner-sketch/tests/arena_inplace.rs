@@ -58,45 +58,27 @@ fn fill_pool(
     evolve::init_into(arena, fresh, &limits, seed ^ FRESH, 1, threads);
 }
 
-/// Everything observable about an arena, column for column (f64 as bits).
+/// Everything observable about an arena, row for row. `Debug` prints
+/// every `f64` of a stats row round-trip exact, so equal strings mean equal
+/// bits.
 #[derive(Debug, PartialEq)]
 struct Columns {
     fingerprints: Vec<u64>,
     genes: Vec<GeneBuf>,
-    stats_u: Vec<Vec<u64>>,
-    stats_f: Vec<Vec<u64>>,
+    stats: Vec<String>,
 }
 
 fn columns(arena: &CandidateArena) -> Columns {
-    let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let mut stats_u = vec![
-        arena.threads_col().to_vec(),
-        arena.num_blocks_col().to_vec(),
-        arena.vthreads_col().to_vec(),
-        arena.regs_col().to_vec(),
-        arena.shared_bytes_col().to_vec(),
-        arena.unroll_col().to_vec(),
-        arena.vectorize_col().to_vec(),
-    ];
-    let mut stats_f = vec![
-        bits(arena.flops_total_col()),
-        bits(arena.global_bytes_col()),
-        bits(arena.shared_traffic_col()),
-        bits(arena.padding_waste_col()),
-        bits(arena.per_thread_flops_col()),
-        bits(arena.per_thread_reg_accesses_col()),
-    ];
-    for j in 0..arena.n_stmts() {
-        stats_u.push(arena.stmt_innermost_col(j).to_vec());
-        stats_f.push(bits(arena.stmt_n_ops_col(j)));
-        stats_f.push(bits(arena.stmt_global_col(j)));
-        stats_f.push(bits(arena.stmt_shared_col(j)));
-    }
+    let stats_row = |i| {
+        let mut row = StatsRow::default();
+        arena.stats_row(i, &mut row);
+        format!("{row:?}")
+    };
     Columns {
         fingerprints: arena.fingerprints().to_vec(),
         genes: (0..arena.len()).map(|i| arena.genes(i)).collect(),
-        stats_u,
-        stats_f,
+        // Every stats column is as long as the prefix that has stats.
+        stats: (0..arena.threads_col().len()).map(stats_row).collect(),
     }
 }
 

@@ -5,19 +5,15 @@
 //! penalty estimation, pruning, and featurization — runs through
 //! [`pruner::sketch::CandidateArena`] columns. The oracle is the serial,
 //! scalar, one-[`Program`]-at-a-time code (`evolve::reference`,
-//! `Psa::estimate` / `Psa::prune`, `stmt_features` / `flow_features` /
-//! `tlp_tokens`). These tests drive the arena over a zoo of workloads × pool
-//! sizes × thread counts and demand `to_bits`-level equality with it.
+//! `Psa::estimate` / `Psa::prune`, `Sample::unlabeled`). These tests drive
+//! the arena over a zoo of workloads × pool sizes × thread counts and
+//! demand `to_bits`-level equality with it.
 //!
 //! CI's arena-smoke step reruns this suite with `THREADS=1` and `THREADS=4`
 //! to pin thread-count invariance of the arena path specifically.
 
 use proptest::prelude::*;
 use pruner::cost::Sample;
-use pruner::features::{
-    flow_features, flow_features_arena, stmt_features, stmt_features_arena, tlp_tokens,
-    tlp_tokens_arena,
-};
 use pruner::gpu::GpuSpec;
 use pruner::ir::{EwKind, Workload};
 use pruner::psa::{Psa, PsaConfig};
@@ -114,9 +110,8 @@ proptest! {
         }
     }
 
-    /// Featurization: the arena column stacks equal the per-program
-    /// extractors bit for bit, and `Sample::from_arena` equals
-    /// `Sample::unlabeled` on the materialized program.
+    /// Featurization: `Sample::from_arena`, fed from the arena's stats
+    /// columns, equals `Sample::unlabeled` on the materialized program.
     #[test]
     fn features_are_bit_identical(
         wl_idx in 0usize..4,
@@ -126,21 +121,9 @@ proptest! {
         let wl = &zoo()[wl_idx];
         for threads in thread_counts() {
             let arena = arena_pool(wl, n, seed, threads);
-            let stmt = stmt_features_arena(&arena, threads);
-            let flow = flow_features_arena(&arena, threads);
-            let tlp = tlp_tokens_arena(&arena, threads);
-            let per = (stmt.len() / arena.len(), flow.len() / arena.len(), tlp.len() / arena.len());
             for i in 0..arena.len() {
-                let p = arena.program(i);
-                let stats = p.stats();
-                let l_stmt: Vec<f32> = stmt_features(&stats).into_iter().flatten().collect();
-                let l_flow: Vec<f32> = flow_features(&stats).into_iter().flatten().collect();
-                let l_tlp: Vec<f32> = tlp_tokens(&p).into_iter().flatten().collect();
-                prop_assert_eq!(bits(&stmt[i * per.0..(i + 1) * per.0]), bits(&l_stmt));
-                prop_assert_eq!(bits(&flow[i * per.1..(i + 1) * per.1]), bits(&l_flow));
-                prop_assert_eq!(bits(&tlp[i * per.2..(i + 1) * per.2]), bits(&l_tlp));
                 let s = Sample::from_arena(&arena, i, 0);
-                let l = Sample::unlabeled(&p, 0);
+                let l = Sample::unlabeled(&arena.program(i), 0);
                 prop_assert_eq!(bits(&s.stmt), bits(&l.stmt));
                 prop_assert_eq!(bits(&s.flow), bits(&l.flow));
                 prop_assert_eq!(bits(&s.tokens), bits(&l.tokens));
@@ -149,25 +132,18 @@ proptest! {
     }
 }
 
-/// The dispatched (AVX2 where available) column kernels produce the same
-/// bits as the per-program scalar code (`Psa::estimate`, `stmt_features`,
-/// `flow_features`, `tlp_tokens`) on fixed cases of every sketch kind.
+/// The dispatched (AVX2 where available) PSA column kernels produce the
+/// same bits as the per-program scalar `Psa::estimate` on fixed cases of
+/// every sketch kind.
 #[test]
 fn simd_kernels_match_scalar_reference_bitwise() {
     let psa = Psa::new(GpuSpec::t4());
     for wl in zoo() {
         let arena = arena_pool(&wl, 48, 11, 2);
-        let progs = arena.programs();
-        let scalar_psa: Vec<u64> = progs.iter().map(|p| psa.estimate(p).to_bits()).collect();
+        let scalar_psa: Vec<u64> =
+            arena.programs().iter().map(|p| psa.estimate(p).to_bits()).collect();
         let dispatched: Vec<u64> =
             psa.estimate_arena(&arena, 2).iter().map(|x| x.to_bits()).collect();
         assert_eq!(dispatched, scalar_psa, "PSA columns diverge from scalar reference");
-        let stats: Vec<_> = progs.iter().map(Program::stats).collect();
-        let scalar_stmt: Vec<f32> = stats.iter().flat_map(stmt_features).flatten().collect();
-        let scalar_flow: Vec<f32> = stats.iter().flat_map(flow_features).flatten().collect();
-        let scalar_tlp: Vec<f32> = progs.iter().flat_map(tlp_tokens).flatten().collect();
-        assert_eq!(bits(&stmt_features_arena(&arena, 2)), bits(&scalar_stmt));
-        assert_eq!(bits(&flow_features_arena(&arena, 2)), bits(&scalar_flow));
-        assert_eq!(bits(&tlp_tokens_arena(&arena, 2)), bits(&scalar_tlp));
     }
 }
