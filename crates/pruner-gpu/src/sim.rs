@@ -6,6 +6,7 @@ use pruner_sketch::{Program, ProgramStats};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rand_distr::{Distribution, LogNormal};
+use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Tunable constants of the latency model.
@@ -247,42 +248,57 @@ impl Simulator {
     ///
     /// Noise is log-normal with σ = `measure_noise_sigma`, seeded by the
     /// program identity, the simulator seed and `nonce`, so repeated calls
-    /// with the same arguments return the same value.
+    /// with the same arguments return the same value. This is the
+    /// definition of one repeat: [`Simulator::measure_dist`] returns the
+    /// moments of exactly these values.
     pub fn measure(&self, prog: &Program, nonce: u64) -> f64 {
-        let base = self.latency(prog);
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        prog.dedup_key().hash(&mut hasher);
-        self.cfg.seed.hash(&mut hasher);
-        nonce.hash(&mut hasher);
-        let mut rng = ChaCha8Rng::seed_from_u64(hasher.finish());
-        let noise = LogNormal::new(0.0, self.cfg.measure_noise_sigma)
-            .expect("valid lognormal")
-            .sample(&mut rng);
-        base * noise
-    }
-
-    /// Averages `repeats` noisy measurements (the usual measuring practice).
-    pub fn measure_avg(&self, prog: &Program, nonce: u64, repeats: u32) -> f64 {
-        self.measure_dist(prog, nonce, repeats).mean_s
+        self.noise(prog, &prog.dedup_key()).draw(nonce)
     }
 
     /// Mean **and** per-repeat dispersion of `repeats` noisy measurements.
     ///
-    /// The mean is bit-identical to [`Simulator::measure_avg`] (same
-    /// per-repeat sequence, same summation order); the variance is the
-    /// population variance of the repeats, which outlier detection keys on.
+    /// Repeat `i` is `measure(prog, salt + i)`, with `salt` a hash of the
+    /// program key and `nonce`; the mean sums them in that order, and the
+    /// variance is the population variance of the repeats, which outlier
+    /// detection keys on. The analytic latency and the noise distribution
+    /// are derived once per call, so each repeat costs one noise draw.
     pub fn measure_dist(&self, prog: &Program, nonce: u64, repeats: u32) -> Measurement {
+        self.measure_dist_keyed(prog, &prog.dedup_key(), nonce, repeats)
+    }
+
+    /// [`Simulator::measure_dist`] for a caller that already holds
+    /// `prog.dedup_key()`.
+    fn measure_dist_keyed(
+        &self,
+        prog: &Program,
+        key: &str,
+        nonce: u64,
+        repeats: u32,
+    ) -> Measurement {
         assert!(repeats > 0, "need at least one repeat");
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        prog.dedup_key().hash(&mut hasher);
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
         nonce.hash(&mut hasher);
         let salt = hasher.finish();
+        let noise = self.noise(prog, key);
         let vals: Vec<f64> =
-            (0..repeats as u64).map(|i| self.measure(prog, salt.wrapping_add(i))).collect();
+            (0..repeats as u64).map(|i| noise.draw(salt.wrapping_add(i))).collect();
         let mean = vals.iter().sum::<f64>() / repeats as f64;
         let variance =
             vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / repeats as f64;
         Measurement { mean_s: mean, variance }
+    }
+
+    /// The per-program half of a measurement; `key` is `prog.dedup_key()`.
+    fn noise(&self, prog: &Program, key: &str) -> Noise {
+        let mut prefix = DefaultHasher::new();
+        key.hash(&mut prefix);
+        self.cfg.seed.hash(&mut prefix);
+        Noise {
+            base: self.latency(prog),
+            prefix,
+            dist: LogNormal::new(0.0, self.cfg.measure_noise_sigma).expect("valid lognormal"),
+        }
     }
 
     /// One measurement attempt through the fault model.
@@ -291,22 +307,25 @@ impl Simulator {
     /// [`Simulator::measure_dist`]. A faulting draw returns the typed
     /// failure instead; an outlier draw corrupts the returned timing as if
     /// one of the repeats had spiked by the drawn multiplier, inflating
-    /// both the mean and the variance so the harness can detect it.
+    /// both the mean and the variance so the harness can detect it. The
+    /// program key is formatted once per attempt and shared by the fault
+    /// draw and the measurement.
     pub fn try_measure(
         &self,
         prog: &Program,
         nonce: u64,
         repeats: u32,
     ) -> Result<Measurement, FaultKind> {
+        let key = prog.dedup_key();
         let draw = match &self.fault {
-            Some(fault) => fault.draw(&prog.dedup_key(), nonce),
+            Some(fault) => fault.draw(&key, nonce),
             None => FaultDraw::Clean,
         };
         match draw {
-            FaultDraw::Clean => Ok(self.measure_dist(prog, nonce, repeats)),
+            FaultDraw::Clean => Ok(self.measure_dist_keyed(prog, &key, nonce, repeats)),
             FaultDraw::Fault(kind) => Err(kind),
             FaultDraw::Outlier(mult) => {
-                let clean = self.measure_dist(prog, nonce, repeats);
+                let clean = self.measure_dist_keyed(prog, &key, nonce, repeats);
                 let n = repeats as f64;
                 let spike = clean.mean_s * (mult - 1.0);
                 Ok(Measurement {
@@ -327,6 +346,26 @@ impl Simulator {
         let compute = flops / (self.spec.peak_gflops * 1e9);
         let memory = min_bytes / (self.spec.dram_gbps * 1e9);
         compute.max(memory) + self.spec.launch_overhead_us * 1e-6
+    }
+}
+
+/// What every repeat of one program's measurement shares: the noise-free
+/// latency, a hasher already fed the program key and the simulator seed,
+/// and the noise distribution.
+struct Noise {
+    base: f64,
+    prefix: DefaultHasher,
+    dist: LogNormal,
+}
+
+impl Noise {
+    /// One repeat: the base latency times the log-normal draw seeded by the
+    /// prefix and `nonce`.
+    fn draw(&self, nonce: u64) -> f64 {
+        let mut hasher = self.prefix.clone();
+        nonce.hash(&mut hasher);
+        let mut rng = ChaCha8Rng::seed_from_u64(hasher.finish());
+        self.base * self.dist.sample(&mut rng)
     }
 }
 
@@ -443,16 +482,45 @@ mod tests {
         let sim = t4();
         let prog = sample_prog(&Workload::matmul(1, 256, 256, 256), 2);
         let base = sim.latency(&prog);
-        let avg = sim.measure_avg(&prog, 0, 64);
+        let avg = sim.measure_dist(&prog, 0, 64).mean_s;
         assert!((avg / base - 1.0).abs() < 0.02);
     }
 
     #[test]
     fn measure_dist_mean_matches_avg_and_variance_is_tight() {
+        // `measure` is the oracle: the distribution must be the explicit
+        // fold of `measure(prog, salt + i)`, summed in repeat order. And
+        // `measure` itself is the latency times a log-normal draw seeded by
+        // the program key, the simulator seed and the nonce.
         let sim = t4();
+        let dist = LogNormal::new(0.0, sim.cfg.measure_noise_sigma).unwrap();
+        for seed in 0..6 {
+            let prog = sample_prog(&Workload::matmul(1, 256, 256, 256), seed);
+            let mut hasher = DefaultHasher::new();
+            prog.dedup_key().hash(&mut hasher);
+            sim.cfg.seed.hash(&mut hasher);
+            seed.hash(&mut hasher);
+            let mut rng = ChaCha8Rng::seed_from_u64(hasher.finish());
+            let one = sim.latency(&prog) * dist.sample(&mut rng);
+            assert_eq!(sim.measure(&prog, seed).to_bits(), one.to_bits());
+            for repeats in [1, 3, 64] {
+                let nonce = 3 + seed;
+                let mut hasher = DefaultHasher::new();
+                prog.dedup_key().hash(&mut hasher);
+                nonce.hash(&mut hasher);
+                let salt = hasher.finish();
+                let vals: Vec<f64> =
+                    (0..repeats).map(|i| sim.measure(&prog, salt.wrapping_add(i))).collect();
+                let n = repeats as f64;
+                let mean = vals.iter().sum::<f64>() / n;
+                let variance = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+                let m = sim.measure_dist(&prog, nonce, repeats as u32);
+                assert_eq!(m.mean_s.to_bits(), mean.to_bits(), "mean must be bit-identical");
+                assert_eq!(m.variance.to_bits(), variance.to_bits(), "variance must be bit-exact");
+            }
+        }
         let prog = sample_prog(&Workload::matmul(1, 256, 256, 256), 4);
         let m = sim.measure_dist(&prog, 3, 64);
-        assert_eq!(m.mean_s, sim.measure_avg(&prog, 3, 64), "mean must be bit-identical");
         assert!(m.variance > 0.0);
         assert!(m.rel_std() < 0.1, "clean rel std {} should track σ=0.02", m.rel_std());
     }

@@ -636,12 +636,12 @@ mod tests {
     fn zero_fault_path_matches_legacy_nonce_stream() {
         // Without faults the attempt nonce must equal the trial count at
         // every cache miss, so measure() reproduces the historical
-        // measure_avg(prog, trials, repeats) stream bit for bit.
+        // measure_dist(prog, trials, repeats) mean stream bit for bit.
         let mut m = measurer();
         let sim = Simulator::new(GpuSpec::t4());
         for s in 0..8 {
             let p = prog(s);
-            let expect = sim.measure_avg(&p, m.stats().trials, m.time_model().repeats);
+            let expect = sim.measure_dist(&p, m.stats().trials, m.time_model().repeats).mean_s;
             let got = m.measure(&p, &mut NoopRecorder).latency().expect("fault-free");
             assert_eq!(got, expect, "nonce stream diverged at trial {s}");
         }
