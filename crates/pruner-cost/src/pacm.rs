@@ -76,9 +76,7 @@ impl PacmModel {
         if self.use_stmt {
             let stacked = stack_stmt_in(g, samples, picks);
             let x = g.constant(stacked);
-            let enc = self.stmt_enc.forward(g, x);
-            let pooled = g.sum_groups(enc, MAX_STMTS);
-            joined = Some(pooled);
+            joined = Some(self.stmt_enc.forward_sum_groups(g, x, MAX_STMTS));
         }
         if self.use_flow {
             let stacked = stack_flow_in(g, samples, picks);

@@ -41,8 +41,7 @@ impl TensetMlpModel {
     fn forward(&self, g: &mut Graph, samples: &[Sample], picks: &[usize]) -> NodeId {
         let stacked = stack_stmt_in(g, samples, picks);
         let x = g.constant(stacked);
-        let enc = self.encoder.forward(g, x);
-        let pooled = g.sum_groups(enc, MAX_STMTS);
+        let pooled = self.encoder.forward_sum_groups(g, x, MAX_STMTS);
         self.head.forward(g, pooled)
     }
 }

@@ -24,6 +24,20 @@
 //! see the module docs there for the bit-exactness argument. A graph
 //! built with [`Graph::with_threads`] bands large training GEMMs across
 //! scoped threads without changing a single bit of any result.
+//!
+//! # Fused layer ops
+//!
+//! Three ops record a whole layer as one tape node, each bit-identical to
+//! the unfused chain that the unit tests keep as its oracle:
+//! [`Graph::linear`] (`x·W + b`), [`Graph::linear_relu`]
+//! (`relu(x·W + b)`), and the crate-private `linear_sum_groups`
+//! (`x·W + b`, then every `group` rows summed, as [`Graph::sum_groups`]
+//! does). The last is the final statement layer of PaCM and TensetMLP,
+//! reached through `Mlp::forward_sum_groups`: a group sum hands all of its
+//! rows one and the same gradient, so the op multiplies that gradient by
+//! `Wᵀ` once per group and copies the product, where the chain multiplies
+//! every row. `sum_groups` itself stays for pooling after a per-row mask,
+//! whose rows' gradients differ.
 
 use crate::gemm;
 use crate::tensor::Tensor;
@@ -32,7 +46,7 @@ use crate::tensor::Tensor;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(usize);
 
-/// Maximum inputs of any op (the fused `Linear`/`LinearRelu` take three).
+/// Maximum inputs of any op (the fused linear ops take three).
 const MAX_INPUTS: usize = 3;
 
 #[derive(Debug, Clone, Copy)]
@@ -45,6 +59,9 @@ enum Op {
     Linear,
     /// Fused `relu(x·W + bias)` (one tape node instead of three).
     LinearRelu,
+    /// Fused `x·W + bias` with every `group` rows summed (one tape node
+    /// instead of two, and an input-gradient product `1/group` the size).
+    LinearSumGroups(usize),
     /// Unfused row-bias add: the reference the fused linear ops are
     /// tested against.
     #[cfg(test)]
@@ -52,6 +69,8 @@ enum Op {
     Add,
     Mul,
     Scale(f32),
+    /// Unfused activation: the reference `LinearRelu` is tested against.
+    #[cfg(test)]
     Relu,
     SoftmaxRows,
     SumGroups(usize),
@@ -134,13 +153,44 @@ fn copy_of(ws: &mut Workspace, src: &Tensor) -> Tensor {
     t
 }
 
+/// Sums every consecutive `group` rows of `x`, in row order, into a pooled
+/// `[rows / group, cols]` tensor.
+///
+/// # Panics
+/// Panics if the row count is not a multiple of `group`.
+fn group_sums(ws: &mut Workspace, x: &Tensor, group: usize) -> Tensor {
+    let (rows, cols) = x.shape();
+    assert!(group > 0 && rows.is_multiple_of(group), "rows must divide into groups");
+    let b = rows / group;
+    let mut out = alloc(ws, b, cols);
+    out.as_mut_slice().fill(0.0);
+    for g in 0..b {
+        for s in 0..group {
+            for (o, &v) in out.row_mut(g).iter_mut().zip(x.row(g * group + s)) {
+                *o += v;
+            }
+        }
+    }
+    out
+}
+
+/// Copies row `r / group` of `g` to row `r` of a pooled `[rows, cols]`
+/// tensor: the gradient a group sum hands each of its summands.
+fn expand_groups(ws: &mut Workspace, g: &Tensor, rows: usize, group: usize) -> Tensor {
+    let mut out = alloc(ws, rows, g.cols());
+    for r in 0..rows {
+        out.row_mut(r).copy_from_slice(g.row(r / group));
+    }
+    out
+}
+
 /// The autodiff tape.
 ///
 /// A graph is built per forward pass (the usual define-by-run pattern).
 /// A layer binds each of its parameters as a leaf that the tape records in
 /// bind order, so `Module::absorb_grads` can pair the recorded leaves with
 /// the module's parameters after the backward sweep; other leaves enter
-/// through [`Graph::input`] / [`Graph::input_ref`], and data enters through
+/// through [`Graph::input_ref`], and data enters through
 /// [`Graph::constant`] and takes no gradient. Call [`Graph::reset`] between
 /// passes to recycle every buffer the previous pass used.
 pub struct Graph {
@@ -228,8 +278,11 @@ impl Graph {
         self.grads.get(id.0).and_then(|g| g.as_ref())
     }
 
-    /// Registers a leaf tensor (input or parameter), taking ownership.
-    pub fn input(&mut self, t: Tensor) -> NodeId {
+    /// Registers a gradient-taking leaf, taking ownership (unit tests; a
+    /// caller outside the crate binds data with [`Graph::constant`] and
+    /// other leaves with [`Graph::input_ref`]).
+    #[cfg(test)]
+    pub(crate) fn input(&mut self, t: Tensor) -> NodeId {
         self.push(Op::Input, &[], t)
     }
 
@@ -259,7 +312,7 @@ impl Graph {
     /// consumer would be this leaf (for a first-layer `linear` that is the
     /// whole input-gradient GEMM) and [`Graph::grad`] stays `None` for it;
     /// the gradients of all other nodes are bit-identical to binding the
-    /// same tensor with [`Graph::input`].
+    /// same tensor with [`Graph::input_ref`].
     pub fn constant(&mut self, t: Tensor) -> NodeId {
         self.push(Op::Constant, &[], t)
     }
@@ -311,6 +364,31 @@ impl Graph {
         let mut out = self.linear_value(x, w, bias);
         out.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
         self.push(Op::LinearRelu, &[x, w, bias], out)
+    }
+
+    /// Fused `x·W + bias`, then [`Graph::sum_groups`] over every `group`
+    /// rows: `[B·S, k] → [B, n]` as one tape node. The `[B·S, n]`
+    /// pre-activation is a pooled temporary that goes back to the pool at
+    /// once. The backward computes the input gradient on the `B` summed
+    /// rows and copies each row to its group's `S` rows. A GEMM computes
+    /// each output row from its own input row, in the same order at any
+    /// row count, so every bit equals the unfused `linear` + `sum_groups`
+    /// chain's.
+    ///
+    /// # Panics
+    /// Panics on shape mismatches or if the row count is not a multiple of
+    /// `group`.
+    pub(crate) fn linear_sum_groups(
+        &mut self,
+        x: NodeId,
+        w: NodeId,
+        bias: NodeId,
+        group: usize,
+    ) -> NodeId {
+        let pre = self.linear_value(x, w, bias);
+        let out = group_sums(&mut self.ws, &pre, group);
+        self.ws.put(pre.into_vec());
+        self.push(Op::LinearSumGroups(group), &[x, w, bias], out)
     }
 
     /// Shared forward of the fused linear ops: `x·W` then `+= bias` row.
@@ -388,14 +466,16 @@ impl Graph {
     }
 
     /// Multiplies every element by a constant.
-    pub fn scale(&mut self, x: NodeId, c: f32) -> NodeId {
+    pub(crate) fn scale(&mut self, x: NodeId, c: f32) -> NodeId {
         let mut out = copy_of(&mut self.ws, &self.nodes[x.0].value);
         out.as_mut_slice().iter_mut().for_each(|v| *v *= c);
         self.push(Op::Scale(c), &[x], out)
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&mut self, x: NodeId) -> NodeId {
+    /// Unfused rectified linear unit: the reference the fused
+    /// [`Graph::linear_relu`] is tested against.
+    #[cfg(test)]
+    fn relu(&mut self, x: NodeId) -> NodeId {
         let mut out = copy_of(&mut self.ws, &self.nodes[x.0].value);
         out.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
         self.push(Op::Relu, &[x], out)
@@ -425,19 +505,7 @@ impl Graph {
     /// # Panics
     /// Panics if the row count is not a multiple of `group`.
     pub fn sum_groups(&mut self, x: NodeId, group: usize) -> NodeId {
-        let (rows, cols) = self.nodes[x.0].value.shape();
-        assert!(group > 0 && rows.is_multiple_of(group), "rows must divide into groups");
-        let b = rows / group;
-        let mut out = alloc(&mut self.ws, b, cols);
-        out.as_mut_slice().fill(0.0);
-        let xv = &self.nodes[x.0].value;
-        for g in 0..b {
-            for s in 0..group {
-                for (o, &v) in out.row_mut(g).iter_mut().zip(xv.row(g * group + s)) {
-                    *o += v;
-                }
-            }
-        }
+        let out = group_sums(&mut self.ws, &self.nodes[x.0].value, group);
         self.push(Op::SumGroups(group), &[x], out)
     }
 
@@ -616,24 +684,42 @@ fn matmul_grads(
     w: NodeId,
     gout: &Tensor,
 ) {
-    let xv = &nodes[x.0].value;
-    let wv = &nodes[w.0].value;
     if !matches!(nodes[x.0].op, Op::Constant) {
-        let mut gx = alloc(ws, gout.rows(), wv.rows());
-        let mut wt = ws.take(wv.len());
-        gemm::matmul_nt_scratch_into(
-            gout.as_slice(),
-            wv.as_slice(),
-            &mut wt,
-            gx.as_mut_slice(),
-            gout.rows(),
-            gout.cols(),
-            wv.rows(),
-            threads,
-        );
-        ws.put(wt);
+        let gx = input_grad(ws, threads, gout, &nodes[w.0].value);
         add_grad(nodes, grads, ws, x, gx);
     }
+    weight_grad(nodes, grads, ws, threads, x, w, gout);
+}
+
+/// `gout × Wᵀ` into a pooled tensor (the input gradient of `x·W`).
+fn input_grad(ws: &mut Workspace, threads: usize, gout: &Tensor, wv: &Tensor) -> Tensor {
+    let mut gx = alloc(ws, gout.rows(), wv.rows());
+    let mut wt = ws.take(wv.len());
+    gemm::matmul_nt_scratch_into(
+        gout.as_slice(),
+        wv.as_slice(),
+        &mut wt,
+        gx.as_mut_slice(),
+        gout.rows(),
+        gout.cols(),
+        wv.rows(),
+        threads,
+    );
+    ws.put(wt);
+    gx
+}
+
+/// `gw = xᵀ × gout`, pushed into `w`'s gradient slot.
+fn weight_grad(
+    nodes: &[Node],
+    grads: &mut [Option<Tensor>],
+    ws: &mut Workspace,
+    threads: usize,
+    x: NodeId,
+    w: NodeId,
+    gout: &Tensor,
+) {
+    let xv = &nodes[x.0].value;
     let mut gw = alloc(ws, xv.cols(), gout.cols());
     gemm::matmul_tn_into(
         xv.as_slice(),
@@ -684,6 +770,25 @@ fn accumulate_inputs(
             add_grad(nodes, grads, ws, inputs[2], gb);
             ws.put(gm.into_vec());
         }
+        Op::LinearSumGroups(group) => {
+            // y = sum_groups(x·W + b): the pre-activation's gradient is
+            // `gout` row `r / group` at row `r`. Bias and W take it
+            // expanded, as `Linear` would; x takes `gout·Wᵀ` on the summed
+            // rows, expanded after the product instead of before it.
+            let (x, w) = (inputs[0], inputs[1]);
+            let rows = nodes[x.0].value.rows();
+            let gexp = expand_groups(ws, gout, rows, group);
+            let gb = row_bias_grad(ws, &gexp);
+            if !matches!(nodes[x.0].op, Op::Constant) {
+                let per_group = input_grad(ws, threads, gout, &nodes[w.0].value);
+                let gx = expand_groups(ws, &per_group, rows, group);
+                ws.put(per_group.into_vec());
+                add_grad(nodes, grads, ws, x, gx);
+            }
+            weight_grad(nodes, grads, ws, threads, x, w, &gexp);
+            add_grad(nodes, grads, ws, inputs[2], gb);
+            ws.put(gexp.into_vec());
+        }
         #[cfg(test)]
         Op::AddRowBias => {
             let gb = row_bias_grad(ws, gout);
@@ -719,6 +824,7 @@ fn accumulate_inputs(
             g.as_mut_slice().iter_mut().for_each(|v| *v *= c);
             add_grad(nodes, grads, ws, inputs[0], g);
         }
+        #[cfg(test)]
         Op::Relu => {
             let mut g = copy_of(ws, gout);
             for (gv, &y) in g.as_mut_slice().iter_mut().zip(nodes[idx].value.as_slice()) {
@@ -746,11 +852,7 @@ fn accumulate_inputs(
             add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::SumGroups(group) => {
-            let x_rows = nodes[inputs[0].0].value.rows();
-            let mut g = alloc(ws, x_rows, gout.cols());
-            for r in 0..x_rows {
-                g.row_mut(r).copy_from_slice(gout.row(r / group));
-            }
+            let g = expand_groups(ws, gout, nodes[inputs[0].0].value.rows(), group);
             add_grad(nodes, grads, ws, inputs[0], g);
         }
         Op::MeanAll => {
@@ -1178,6 +1280,66 @@ mod tests {
         let serial = run(1);
         for threads in [2, 4, 7] {
             assert_eq!(run(threads), serial, "{threads}-thread graph diverged");
+        }
+    }
+
+    /// One pass of `x·W + b`, pooled per `group` rows, under a seeded
+    /// upstream gradient: the fused node or the unfused `linear` +
+    /// `sum_groups` chain, with `x` bound as an `Input` or a `Constant`.
+    /// Returns the bits of the value and of the x, W and bias gradients
+    /// (`None` where no gradient was taken).
+    #[allow(clippy::type_complexity)]
+    fn pooled_linear(
+        (x0, w0, b0): (&Tensor, &Tensor, &Tensor),
+        group: usize,
+        fused: bool,
+        constant: bool,
+        threads: usize,
+    ) -> (Vec<u32>, Option<Vec<u32>>, Vec<u32>, Vec<u32>) {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut g = Graph::with_threads(threads);
+        let x = if constant { g.constant(x0.clone()) } else { g.input_ref(x0) };
+        let w = g.input_ref(w0);
+        let b = g.input_ref(b0);
+        let y = if fused {
+            g.linear_sum_groups(x, w, b, group)
+        } else {
+            let t = g.linear(x, w, b);
+            g.sum_groups(t, group)
+        };
+        let (rows, cols) = g.value(y).shape();
+        g.backward_from(y, seeded(rows, cols, 139));
+        (
+            bits(g.value(y)),
+            g.grad(x).map(bits),
+            bits(g.grad(w).unwrap()),
+            bits(g.grad(b).unwrap()),
+        )
+    }
+
+    #[test]
+    fn fused_linear_sum_groups_is_bit_identical_to_chain() {
+        let (x0, w0, b0) = (seeded(24, 5, 131), seeded(5, 7, 137), seeded(1, 7, 149));
+        for group in [1, 8] {
+            for constant in [false, true] {
+                let fused = pooled_linear((&x0, &w0, &b0), group, true, constant, 1);
+                let chain = pooled_linear((&x0, &w0, &b0), group, false, constant, 1);
+                assert_eq!(fused.1.is_none(), constant, "x takes a gradient iff it is an Input");
+                assert_eq!(fused, chain, "group {group}, constant x: {constant}");
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_fused_linear_sum_groups_is_bit_identical_to_serial_chain() {
+        // 1024 rows in groups of 4: the row-level products (16.8 M
+        // multiply-adds) and the 256-row pooled input-gradient product
+        // (4.2 M) all cross the banding threshold.
+        let (x0, w0, b0) = (seeded(1024, 128, 151), seeded(128, 128, 157), seeded(1, 128, 163));
+        let chain = pooled_linear((&x0, &w0, &b0), 4, false, false, 1);
+        for threads in [1, 2, 4] {
+            let fused = pooled_linear((&x0, &w0, &b0), 4, true, false, threads);
+            assert_eq!(fused, chain, "{threads}-thread fused node diverged");
         }
     }
 }

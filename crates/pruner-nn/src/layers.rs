@@ -195,12 +195,31 @@ impl Mlp {
     /// Applies the MLP (ReLU after every layer but the last); hidden layers
     /// run as fused `linear_relu` tape nodes.
     pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        let n = self.layers.len();
-        let mut h = x;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = if i + 1 < n { layer.forward_relu(g, h) } else { layer.forward(g, h) };
-        }
-        h
+        let (h, last) = self.hidden(g, x);
+        last.forward(g, h)
+    }
+
+    /// Applies the MLP to `[B·group, in]` rows and sums every `group`
+    /// consecutive outputs: `[B, out]`, bit-identical to
+    /// [`Mlp::forward`] followed by [`Graph::sum_groups`]. The last layer
+    /// and the sum are one fused tape node whose backward computes the
+    /// input gradient once per group instead of once per row — the
+    /// per-statement encoder of PaCM and TensetMLP, summed per program.
+    ///
+    /// # Panics
+    /// Panics if the row count is not a multiple of `group`.
+    pub fn forward_sum_groups(&self, g: &mut Graph, x: NodeId, group: usize) -> NodeId {
+        let (h, last) = self.hidden(g, x);
+        let w = last.w.bind(g);
+        let b = last.b.bind(g);
+        g.linear_sum_groups(h, w, b, group)
+    }
+
+    /// Runs every layer but the last (each a fused `linear_relu` node) and
+    /// returns their output with the last layer.
+    fn hidden(&self, g: &mut Graph, x: NodeId) -> (NodeId, &Linear) {
+        let (last, hidden) = self.layers.split_last().expect("an MLP has at least one layer");
+        (hidden.iter().fold(x, |h, layer| layer.forward_relu(g, h)), last)
     }
 }
 
@@ -445,5 +464,25 @@ mod tests {
         lin.absorb_grads(&g);
         lin.zero_grad();
         assert!(lin.params_mut().iter().all(|p| p.grad.norm() == 0.0));
+    }
+
+    #[test]
+    fn pooled_mlp_training_steps_keep_the_buffer_pool_flat() {
+        // The fused last layer's backward must hand its expanded gradient,
+        // its summed-row product and its transpose scratch back.
+        let mlp = Mlp::new(&[5, 8, 6], &mut rng());
+        let xs = Tensor::from_vec(24, 5, (0..120).map(|i| (i as f32 * 0.37).sin()).collect());
+        let mut g = Graph::new();
+        let mut pooled = Vec::new();
+        for _ in 0..300 {
+            g.reset();
+            let x = g.input_ref(&xs);
+            let y = mlp.forward_sum_groups(&mut g, x, 8);
+            let mut seed = g.scratch(3, 6);
+            seed.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = i as f32 - 9.0);
+            g.backward_from(y, seed);
+            pooled.push(g.workspace().pooled());
+        }
+        assert!(pooled[2..].iter().all(|&n| n == pooled[2]), "pool grew: {:?}", &pooled[..8]);
     }
 }

@@ -38,7 +38,7 @@
 //! for _ in 0..10 {
 //!     model.zero_grad();
 //!     let mut g = Graph::new();
-//!     let xi = g.input(x.clone());
+//!     let xi = g.constant(x.clone());
 //!     let pred = model.forward(&mut g, xi);
 //!     let loss = mse_loss(&mut g, pred, &[0.0, 1.0, 1.0, 2.0]);
 //!     g.backward(loss);
