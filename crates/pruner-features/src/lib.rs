@@ -17,10 +17,11 @@
 //!
 //! Each family is written once, from one fixed-size view of a candidate:
 //! its [`StatsRow`], [`FlowRow`] and [`GeneBuf`] plus its statements' kinds
-//! and destinations. [`program_features`] fills the view from a
-//! materialized program's statistics, [`features_arena_row`] from an arena
-//! row. Magnitudes are compressed with `ln(1+x)` and a fixed scale, and
-//! every block is padded to [`MAX_STMTS`], [`MAX_FLOW`] and [`MAX_TOKENS`]
+//! and destinations, all read through the candidate's [`WorkloadCtx`].
+//! [`program_features`] derives the stats row from a materialized
+//! program's genes, [`features_arena_row`] reads it from an arena row.
+//! Magnitudes are compressed with `ln(1+x)` and a fixed scale, and every
+//! block is padded to [`MAX_STMTS`], [`MAX_FLOW`] and [`MAX_TOKENS`]
 //! rows so batches stack into rectangular tensors.
 
 #![forbid(unsafe_code)]
@@ -29,7 +30,8 @@
 
 use pruner_ir::{OperatorClass, Workload};
 use pruner_sketch::{
-    CandidateArena, FlowRow, GeneBuf, MemLevel, Program, Schedule, SketchKind, StatsRow, StmtKind,
+    CandidateArena, FlowRow, GeneBuf, MemLevel, Program, SketchKind, StatsRow, StmtKind,
+    WorkloadCtx,
 };
 
 /// Dimensions of one statement-level feature vector.
@@ -75,7 +77,25 @@ struct View<'a> {
     flow: FlowRow,
 }
 
-impl View<'_> {
+impl<'a> View<'a> {
+    /// The view of `genes` with statistics `stats` under `ctx`: its
+    /// data-flow row and statement slots come from the context.
+    fn new(ctx: &'a WorkloadCtx, genes: GeneBuf, stats: StatsRow) -> View<'a> {
+        let mut v = View {
+            workload: ctx.workload(),
+            kind: ctx.kind(),
+            genes,
+            stats,
+            stmts: [(StmtKind::Compute, MemLevel::Global); MAX_STMTS],
+            flow: FlowRow::default(),
+        };
+        ctx.flow_row(&v.genes, &mut v.flow);
+        for (j, st) in v.stmts.iter_mut().enumerate().take(ctx.n_stmts()) {
+            *st = (ctx.stmt_kind(j), ctx.stmt_dst(j));
+        }
+        v
+    }
+
     fn features(&self) -> Features {
         let mut stmt = vec![0.0; MAX_STMTS * STMT_DIM];
         let mut flow = vec![0.0; MAX_FLOW * FLOW_DIM];
@@ -89,58 +109,14 @@ impl View<'_> {
 
 /// Features of a materialized program — the same bits as
 /// [`features_arena_row`] of the same candidate.
+///
+/// # Panics
+/// Panics where [`Program::genes`] does (a malformed schedule).
 pub fn program_features(prog: &Program) -> Features {
-    let ps = prog.stats();
-    let kind = match &prog.schedule {
-        Schedule::MultiTile(_) => SketchKind::MultiTile,
-        Schedule::Simple(_) => SketchKind::Simple,
-        Schedule::RowReduce(_) => SketchKind::RowReduce,
-    };
-    let mut v = View {
-        workload: &prog.workload,
-        kind,
-        genes: GeneBuf::from_schedule(&prog.schedule),
-        stats: StatsRow {
-            threads_per_block: ps.threads_per_block,
-            num_blocks: ps.num_blocks,
-            vthreads: ps.vthreads,
-            regs_per_thread: ps.regs_per_thread,
-            shared_bytes_per_block: ps.shared_bytes_per_block,
-            flops_total: ps.flops_total,
-            global_bytes: ps.global_bytes,
-            shared_traffic_bytes: ps.shared_traffic_bytes,
-            padding_waste: ps.padding_waste,
-            per_thread_flops: ps.per_thread_flops,
-            per_thread_reg_accesses: ps.per_thread_reg_accesses,
-            unroll: ps.unroll,
-            vectorize: ps.vectorize,
-            n_stmts: ps.stmts.len(),
-            ..StatsRow::default()
-        },
-        stmts: [(StmtKind::Compute, MemLevel::Global); MAX_STMTS],
-        flow: FlowRow { n: ps.dataflow.len(), ..FlowRow::default() },
-    };
-    for (j, st) in ps.stmts.iter().enumerate() {
-        v.stmts[j] = (st.kind, st.dst_level);
-        v.stats.stmt_n_ops[j] = st.n_ops;
-        v.stats.stmt_global[j] = st.global_bytes;
-        v.stats.stmt_shared[j] = st.shared_bytes;
-        v.stats.stmt_innermost[j] = st.innermost_len;
-    }
-    let f = &mut v.flow;
-    for (j, step) in ps.dataflow.iter().enumerate() {
-        f.src[j] = step.src;
-        f.dst[j] = step.dst;
-        f.bytes[j] = step.bytes;
-        f.alloc_bytes[j] = step.alloc_bytes;
-        f.steps[j] = step.steps;
-        f.contig[j] = step.contig;
-        f.threads[j] = step.threads;
-        f.reuse[j] = step.reuse;
-        f.vec[j] = step.vec;
-        f.ops[j] = step.ops;
-    }
-    v.features()
+    let (ctx, genes) = prog.genes();
+    let mut stats = StatsRow::default();
+    ctx.compute_row(&genes, &mut stats);
+    View::new(&ctx, genes, stats).features()
 }
 
 /// Features of arena candidate `i`, read from its stats row, data-flow row
@@ -152,21 +128,9 @@ pub fn program_features(prog: &Program) -> Features {
 /// dedup.
 pub fn features_arena_row(arena: &CandidateArena, i: usize) -> Features {
     assert!(arena.has_stats(), "features_arena_row needs stats: call ensure_stats() first");
-    let ctx = arena.ctx();
-    let mut v = View {
-        workload: ctx.workload(),
-        kind: ctx.kind(),
-        genes: arena.genes(i),
-        stats: StatsRow::default(),
-        stmts: [(StmtKind::Compute, MemLevel::Global); MAX_STMTS],
-        flow: FlowRow::default(),
-    };
-    arena.stats_row(i, &mut v.stats);
-    ctx.flow_row(&v.genes, &mut v.flow);
-    for (j, st) in v.stmts.iter_mut().enumerate().take(ctx.n_stmts()) {
-        *st = (ctx.stmt_kind(j), ctx.stmt_dst(j));
-    }
-    v.features()
+    let mut stats = StatsRow::default();
+    arena.stats_row(i, &mut stats);
+    View::new(arena.ctx(), arena.genes(i), stats).features()
 }
 
 /// Statement-level features: one row per statement, zero-padded.

@@ -28,6 +28,7 @@ use pruner_cost::{CostModel, ModelKind, ModelSnapshot, Sample};
 use pruner_durable::write_atomic_durable;
 use pruner_gpu::{GpuSpec, Simulator};
 use pruner_ir::Workload;
+use pruner_sketch::WorkloadCtx;
 use pruner_store::SharedStore;
 use pruner_trace::{Record, Recorder, Report, TraceHandle};
 use pruner_tuner::{
@@ -320,6 +321,15 @@ impl DaemonInner {
             Request::PredictOnly { model, programs } => {
                 if programs.is_empty() {
                     return Response::Scores { scores: Vec::new() };
+                }
+                // Wire programs are untrusted: a malformed schedule is
+                // answered, never featurized.
+                let malformed = programs.iter().enumerate().find_map(|(i, p)| {
+                    let checked = WorkloadCtx::new(&p.workload).try_genes(&p.schedule);
+                    checked.err().map(|e| format!("program {i}: {e}"))
+                });
+                if let Some(message) = malformed {
+                    return Response::Error { message };
                 }
                 let batcher = match self.batcher(&model) {
                     Ok(batcher) => batcher,

@@ -1,35 +1,38 @@
-//! Struct-of-arrays candidate arena: the million-candidate hot path.
+//! The schedule model on genes, and the struct-of-arrays candidate arena.
+//!
+//! A schedule is a fixed-size [`GeneBuf`], read through the
+//! [`WorkloadCtx`] of its workload. The routines here are the only
+//! definition of what a schedule samples to, mutates and crosses over to,
+//! whether it is launchable, how it is fingerprinted, and what statistics
+//! and data flow it derives. [`Program`]'s methods and
+//! [`crate::evolve`]'s operators pack a program's schedule into genes and
+//! call them.
 //!
 //! A pool that materializes every candidate as a [`Program`] (two
 //! heap-backed `Vec`s per schedule) and a [`crate::stats::ProgramStats`]
 //! (two more `Vec`s), then dedups by a formatted `String` key, costs
 //! hundreds of MB of short-lived allocation per second at pool sizes of
-//! 10⁶ candidates per round. This module instead keeps the pool as one flat
-//! buffer per axis family — tile splits, annotations, derived statistics —
-//! with *program identity = index*. Candidates are materialized back into
-//! [`Program`]s only at the measure boundary (a few hundred per round).
-//!
-//! Bit-exactness contract: every routine here mirrors its per-program
-//! counterpart operation-for-operation — the same RNG draw order as
-//! [`Program::sample`]/[`crate::evolve::mutate`]/[`crate::evolve::crossover`],
-//! the same floating-point evaluation order as
-//! [`crate::stats::ProgramStats::compute`], and the same FNV-1a stream as
-//! [`Program::fingerprint`]. The in-file test suite pins each mirror
-//! against its oracle with shared RNG streams.
+//! 10⁶ candidates per round. The [`CandidateArena`] instead keeps the pool
+//! as one flat buffer per axis family — tile splits, annotations, derived
+//! statistics — with *program identity = index*. Candidates are
+//! materialized back into [`Program`]s only at the measure boundary (a few
+//! hundred per round).
 
 use crate::config::{
-    ReduceConfig, Schedule, SimpleConfig, TileConfig, UNROLL_CANDIDATES, VECTORIZE_CANDIDATES,
+    reduce_thread_options, ReduceConfig, Schedule, SimpleConfig, TileConfig, REDUCE_THREADS,
+    ROW_CANDIDATES, SIMPLE_SERIAL, SIMPLE_THREADS, UNROLL_CANDIDATES, VECTORIZE_CANDIDATES,
 };
 use crate::limits::HardwareLimits;
 use crate::program::{fnv1a_u64, workload_fnv, Program};
-use crate::split::{divisors, pad_to_quantum};
+use crate::split::{divisors, draw_split, pad_to_quantum};
 use crate::stats::{MemLevel, StmtKind, ELEM_BYTES};
 use pruner_ir::{EwKind, Workload};
 use pruner_par::fan_out;
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Maximum spatial axes of any supported workload (conv3d has 5).
 pub(crate) const MAX_SPATIAL_AXES: usize = 5;
@@ -58,6 +61,15 @@ impl SketchKind {
             Workload::Elementwise { .. } => SketchKind::Simple,
             Workload::Reduction { .. } => SketchKind::RowReduce,
             _ => SketchKind::MultiTile,
+        }
+    }
+
+    /// The sketch kind `schedule` instantiates.
+    pub(crate) fn of_schedule(schedule: &Schedule) -> SketchKind {
+        match schedule {
+            Schedule::MultiTile(_) => SketchKind::MultiTile,
+            Schedule::Simple(_) => SketchKind::Simple,
+            Schedule::RowReduce(_) => SketchKind::RowReduce,
         }
     }
 }
@@ -101,7 +113,7 @@ impl GeneBuf {
     ///
     /// # Panics
     /// Panics if the schedule has more axes than any supported workload.
-    pub fn from_schedule(schedule: &Schedule) -> GeneBuf {
+    pub(crate) fn from_schedule(schedule: &Schedule) -> GeneBuf {
         let mut g = GeneBuf::default();
         match schedule {
             Schedule::MultiTile(t) => {
@@ -123,11 +135,42 @@ impl GeneBuf {
         }
         g
     }
+
+    /// Continues the FNV-1a state `h` (a workload key's hash) over every
+    /// gene of a `kind` schedule with `n_s`/`n_r` axes, behind a per-sketch
+    /// tag so different sketch kinds can never alias.
+    pub(crate) fn fingerprint(&self, mut h: u64, kind: SketchKind, n_s: usize, n_r: usize) -> u64 {
+        match kind {
+            SketchKind::MultiTile => {
+                h = fnv1a_u64(h, 1);
+                h = fnv1a_u64(h, n_s as u64);
+                for s in &self.spatial[..n_s] {
+                    for &v in s {
+                        h = fnv1a_u64(h, v);
+                    }
+                }
+                h = fnv1a_u64(h, n_r as u64);
+                for r in &self.reduce[..n_r] {
+                    for &v in r {
+                        h = fnv1a_u64(h, v);
+                    }
+                }
+                h = fnv1a_u64(h, self.a0);
+                fnv1a_u64(h, self.a1)
+            }
+            SketchKind::Simple | SketchKind::RowReduce => {
+                h = fnv1a_u64(h, if kind == SketchKind::Simple { 2 } else { 3 });
+                h = fnv1a_u64(h, self.a0);
+                h = fnv1a_u64(h, self.a1);
+                fnv1a_u64(h, self.a2)
+            }
+        }
+    }
 }
 
 /// Cached divisor lists for every padded-extent value sampling can reach.
 ///
-/// `sample_split` draws one divisor of the remaining quotient per tile
+/// A split draw takes one divisor of the remaining quotient per tile
 /// level; the quotient is always a divisor of the (possibly padded) axis
 /// extent, so the closure of reachable values is exactly the divisor sets
 /// of the padding bases. Dense-indexed by value for O(1) lookup.
@@ -172,6 +215,13 @@ impl DivisorTable {
             return None;
         }
         Some(&self.flat[off as usize..off as usize + len as usize])
+    }
+
+    /// The divisors of `n`: cached, or computed for a padded extent outside
+    /// the table (gigantic axes only).
+    #[inline]
+    fn divisors(&self, n: u64) -> Cow<'_, [u64]> {
+        self.entry(n).map_or_else(|| Cow::Owned(divisors(n)), Cow::Borrowed)
     }
 }
 
@@ -243,9 +293,9 @@ impl Default for StatsRow {
     }
 }
 
-/// One candidate's data-flow pattern in fixed-size row form — the arena
-/// counterpart of `ProgramStats::dataflow`, filled on demand for the
-/// shortlist only (empty for non-multi-tile sketches, per the paper).
+/// One candidate's data-flow pattern in fixed-size row form — the steps
+/// `ProgramStats::dataflow` lists, filled on demand for the shortlist only
+/// (empty for non-multi-tile sketches, per the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRow {
     /// Number of valid steps.
@@ -291,8 +341,15 @@ impl Default for FlowRow {
 }
 
 /// Everything about one workload that candidate generation, validity
-/// checking, statistics and fingerprinting need — computed once and shared
-/// (via `Arc`) by every arena of that workload.
+/// checking, statistics and fingerprinting need — shared (via `Arc`) by
+/// every arena of that workload.
+///
+/// What statistics, data flow and validity read — the sketch kind, the
+/// extents, flop and operand sizes, and the statement slots — is built
+/// up front and is cheap, so [`Program::stats`] builds a context per call.
+/// What only generation and dedup read (the divisor table, the rich-extent
+/// flags, the fallback genes and the workload key's hash) is built on
+/// first use.
 #[derive(Debug)]
 pub struct WorkloadCtx {
     workload: Workload,
@@ -301,73 +358,78 @@ pub struct WorkloadCtx {
     reduce_extents: Vec<u64>,
     n_s: usize,
     n_r: usize,
-    key_fnv: u64,
     flops: f64,
     output_elems: u64,
     operand_elems: Vec<u64>,
     num_operands: usize,
     /// `Π` true iteration extents as f64 (MultiTile padding denominator).
     true_iters: f64,
+    /// Rows and row length a row-reduce schedule reduces: a reduction's
+    /// own, else the flattened output as rows of the full reduction extent.
+    rr_rows: u64,
+    rr_reduce: u64,
+    n_stmts: usize,
+    stmt_kinds: [StmtKind; MAX_ARENA_STMTS],
+    stmt_dsts: [MemLevel; MAX_ARENA_STMTS],
+    gen: OnceLock<GenTables>,
+}
+
+/// The part of a [`WorkloadCtx`] only generation and dedup read.
+#[derive(Debug)]
+struct GenTables {
+    key_fnv: u64,
     /// Per spatial axis: divisor-rich extents are never padded.
     rich_s: [bool; MAX_SPATIAL_AXES],
     /// Per reduction axis: same.
     rich_r: [bool; MAX_REDUCE_AXES],
     divtab: DivisorTable,
-    /// RowReduce `reduce_threads` options (powers of two).
-    rr_options: Vec<u64>,
-    /// Reduction rows / reduce length (RowReduce only).
-    rr_rows: u64,
-    rr_reduce: u64,
     fallback: GeneBuf,
-    n_stmts: usize,
-    stmt_kinds: [StmtKind; MAX_ARENA_STMTS],
-    stmt_dsts: [MemLevel; MAX_ARENA_STMTS],
 }
 
-impl WorkloadCtx {
-    /// Builds the context for `workload`.
-    pub fn new(workload: &Workload) -> WorkloadCtx {
-        let kind = SketchKind::of(workload);
-        let spatial_extents = workload.spatial_extents();
-        let reduce_extents = workload.reduce_extents();
-        let n_s = spatial_extents.len();
-        let n_r = reduce_extents.len();
-        assert!(n_s <= MAX_SPATIAL_AXES, "workload has too many spatial axes");
-        assert!(n_r <= MAX_REDUCE_AXES, "workload has too many reduction axes");
-
+impl GenTables {
+    fn new(ctx: &WorkloadCtx) -> GenTables {
         let mut rich_s = [false; MAX_SPATIAL_AXES];
         let mut rich_r = [false; MAX_REDUCE_AXES];
         let mut bases: Vec<u64> = Vec::new();
-        if kind == SketchKind::MultiTile {
-            for (i, &e) in spatial_extents.iter().enumerate() {
-                rich_s[i] = divisors(e).len() >= 6;
-                bases.push(e);
-                for q in [2u64, 4, 8, 16] {
-                    bases.push(pad_to_quantum(e, q));
-                }
-            }
-            for (i, &e) in reduce_extents.iter().enumerate() {
-                rich_r[i] = divisors(e).len() >= 6;
+        if ctx.kind == SketchKind::MultiTile {
+            let axes = ctx.spatial_extents.iter().zip(&mut rich_s);
+            for (&e, rich) in axes.chain(ctx.reduce_extents.iter().zip(&mut rich_r)) {
+                *rich = divisors(e).len() >= 6;
                 bases.push(e);
                 for q in [2u64, 4, 8, 16] {
                     bases.push(pad_to_quantum(e, q));
                 }
             }
         }
-        let divtab = DivisorTable::build(bases.into_iter());
+        GenTables {
+            key_fnv: workload_fnv(&ctx.workload),
+            rich_s,
+            rich_r,
+            divtab: DivisorTable::build(bases.into_iter()),
+            fallback: GeneBuf::from_schedule(&Program::fallback(&ctx.workload).schedule),
+        }
+    }
+}
 
-        let (rr_rows, rr_reduce, rr_options) = match *workload {
-            Workload::Reduction { outer, reduce } => {
-                let max_rt = reduce.next_power_of_two().clamp(32, 1024);
-                let mut rt = 32u64;
-                let mut options = Vec::new();
-                while rt <= max_rt {
-                    options.push(rt);
-                    rt *= 2;
-                }
-                (outer, reduce, options)
-            }
-            _ => (0, 0, Vec::new()),
+impl WorkloadCtx {
+    /// Builds the context for `workload`.
+    pub fn new(workload: &Workload) -> WorkloadCtx {
+        WorkloadCtx::with_kind(workload, SketchKind::of(workload))
+    }
+
+    /// Builds the context for `kind` schedules of `workload` (a program
+    /// may carry a sketch kind its workload would not sample).
+    pub(crate) fn with_kind(workload: &Workload, kind: SketchKind) -> WorkloadCtx {
+        let spatial_extents = workload.spatial_extents();
+        let reduce_extents = workload.reduce_extents();
+        let n_s = spatial_extents.len();
+        let n_r = reduce_extents.len();
+        assert!(n_s <= MAX_SPATIAL_AXES, "workload has too many spatial axes");
+        assert!(n_r <= MAX_REDUCE_AXES, "workload has too many reduction axes");
+        let output_elems = workload.output_elems();
+        let (rr_rows, rr_reduce) = match *workload {
+            Workload::Reduction { outer, reduce } => (outer, reduce),
+            _ => (output_elems, reduce_extents.iter().product::<u64>().max(1)),
         };
 
         let num_operands = workload.num_operands();
@@ -408,12 +470,11 @@ impl WorkloadCtx {
             }
         }
 
-        let mut ctx = WorkloadCtx {
+        WorkloadCtx {
             workload: workload.clone(),
             kind,
-            key_fnv: workload_fnv(workload),
             flops: workload.flops(),
-            output_elems: workload.output_elems(),
+            output_elems,
             operand_elems: workload.operand_elems(),
             num_operands,
             true_iters: spatial_extents
@@ -424,19 +485,17 @@ impl WorkloadCtx {
             reduce_extents,
             n_s,
             n_r,
-            rich_s,
-            rich_r,
-            divtab,
-            rr_options,
             rr_rows,
             rr_reduce,
-            fallback: GeneBuf::default(),
             n_stmts,
             stmt_kinds,
             stmt_dsts,
-        };
-        ctx.fallback = ctx.genes_from_schedule(&Program::fallback(workload).schedule);
-        ctx
+            gen: OnceLock::new(),
+        }
+    }
+
+    fn gen(&self) -> &GenTables {
+        self.gen.get_or_init(|| GenTables::new(self))
     }
 
     /// The workload this context describes.
@@ -447,16 +506,6 @@ impl WorkloadCtx {
     /// The sketch kind every candidate of this context instantiates.
     pub fn kind(&self) -> SketchKind {
         self.kind
-    }
-
-    /// Number of spatial axes.
-    pub fn n_spatial(&self) -> usize {
-        self.n_s
-    }
-
-    /// Number of reduction axes.
-    pub fn n_reduce(&self) -> usize {
-        self.n_r
     }
 
     /// Number of buffer-statement slots per candidate.
@@ -474,21 +523,98 @@ impl WorkloadCtx {
         self.stmt_dsts[j]
     }
 
+    /// Bytes of the global tensor statement slot `j` touches: an operand
+    /// staged into shared memory, whatever a direct load or the writeback
+    /// moves, and 0 for statements that never reach global memory.
+    pub(crate) fn stmt_tensor_bytes(&self, j: usize, row: &StatsRow) -> f64 {
+        match self.stmt_kinds[j] {
+            StmtKind::GlobalToShared => (self.operand_elems[j] * ELEM_BYTES) as f64,
+            StmtKind::GlobalLoad | StmtKind::WriteBack => row.stmt_global[j],
+            StmtKind::SharedToRegister | StmtKind::Compute => 0.0,
+        }
+    }
+
     /// Packs a schedule into genes.
     ///
     /// # Panics
-    /// Panics if the schedule's sketch kind does not match the context.
+    /// Panics where [`WorkloadCtx::try_genes`] refuses the schedule.
     pub fn genes_from_schedule(&self, schedule: &Schedule) -> GeneBuf {
-        match (self.kind, schedule) {
-            (SketchKind::MultiTile, Schedule::MultiTile(t)) => {
-                assert_eq!(t.spatial.len(), self.n_s, "spatial rank mismatch");
-                assert_eq!(t.reduce.len(), self.n_r, "reduce rank mismatch");
-            }
-            (SketchKind::Simple, Schedule::Simple(_))
-            | (SketchKind::RowReduce, Schedule::RowReduce(_)) => {}
-            _ => panic!("schedule kind does not match arena context"),
+        self.try_genes(schedule).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Packs a schedule into genes, or says why it is not a schedule of
+    /// this context's workload: its sketch kind differs, a split rank
+    /// differs from the axis count, a factor is 0, a padded extent (the
+    /// product of an axis's factors) is below the true extent, or an
+    /// integer product the statistics form overflows a `u64`. Schedules
+    /// arriving from checkpoints, store lines or the wire pass through here
+    /// before any statistic is derived.
+    pub fn try_genes(&self, schedule: &Schedule) -> Result<GeneBuf, String> {
+        let kind = SketchKind::of_schedule(schedule);
+        if kind != self.kind {
+            return Err(format!(
+                "a {kind:?} schedule cannot schedule {} (a {:?} workload)",
+                self.workload.key(),
+                self.kind
+            ));
         }
-        GeneBuf::from_schedule(schedule)
+        let extents = self.spatial_extents.iter().chain(&self.reduce_extents);
+        let factors: Vec<u64> = match schedule {
+            Schedule::MultiTile(t) => {
+                t.spatial.iter().flatten().chain(t.reduce.iter().flatten()).copied().collect()
+            }
+            Schedule::Simple(c) => vec![c.threads, c.serial, c.vectorize],
+            Schedule::RowReduce(c) => vec![c.rows_per_block, c.reduce_threads, c.serial],
+        };
+        if factors.contains(&0) {
+            return Err(format!("a schedule factor is 0: {factors:?}"));
+        }
+        if let Schedule::MultiTile(t) = schedule {
+            for (what, splits, axes) in
+                [("spatial", t.spatial.len(), self.n_s), ("reduce", t.reduce.len(), self.n_r)]
+            {
+                if splits != axes {
+                    return Err(format!(
+                        "{what} split rank mismatch: {splits} splits for {axes} axes"
+                    ));
+                }
+            }
+            let splits = t.spatial.iter().map(|s| &s[..]);
+            for (f, &e) in splits.chain(t.reduce.iter().map(|r| &r[..])).zip(extents.clone()) {
+                if checked_product(f.iter().copied()).is_some_and(|p| p < e) {
+                    return Err(format!("padded extent below true extent {e}: {f:?}"));
+                }
+            }
+        }
+        // The largest integer products the statistics form, each an upper
+        // bound of the ones it stands for.
+        let mul = |a: Option<u64>, b: u64| a?.checked_mul(b);
+        let add = |a: Option<u64>, b: u64| a?.checked_add(b);
+        let products = match schedule {
+            // Padded iterations and writeback bytes; staging steps × outer
+            // steps.
+            Schedule::MultiTile(t) => [
+                mul(checked_product(factors.iter().copied()), ELEM_BYTES),
+                checked_product(t.reduce.iter().flat_map(|r| [r[0], r[0], r[1]])),
+            ],
+            // Covered elements: blocks × threads × serial × vector width.
+            Schedule::Simple(_) => {
+                [add(checked_product(factors.iter().copied()), self.output_elems), Some(0)]
+            }
+            // Shared bytes of every block's threads; the padded row.
+            Schedule::RowReduce(c) => {
+                let block_rows = add(Some(self.rr_rows), c.rows_per_block);
+                [
+                    mul(mul(block_rows, c.reduce_threads), ELEM_BYTES),
+                    add(c.reduce_threads.checked_mul(c.serial), self.rr_reduce),
+                ]
+            }
+        };
+        let tensor_bytes = mul(checked_product(extents.copied()), ELEM_BYTES);
+        if tensor_bytes.is_none() || products.contains(&None) {
+            return Err(format!("the schedule's products overflow: {factors:?}"));
+        }
+        Ok(GeneBuf::from_schedule(schedule))
     }
 
     /// Unpacks genes into a schedule (allocates — measure boundary only).
@@ -518,42 +644,17 @@ impl WorkloadCtx {
         Program::new(self.workload.clone(), self.schedule_from_genes(genes))
     }
 
-    /// FNV-1a fingerprint of the genes — bit-identical to
-    /// [`Program::fingerprint`] of the materialized program.
+    /// FNV-1a fingerprint of the genes: the workload key's hash, then
+    /// [`GeneBuf::fingerprint`]'s stream.
     pub(crate) fn fingerprint_genes(&self, genes: &GeneBuf) -> u64 {
-        let mut h = self.key_fnv;
-        match self.kind {
-            SketchKind::MultiTile => {
-                h = fnv1a_u64(h, 1);
-                h = fnv1a_u64(h, self.n_s as u64);
-                for s in &genes.spatial[..self.n_s] {
-                    for &v in s {
-                        h = fnv1a_u64(h, v);
-                    }
-                }
-                h = fnv1a_u64(h, self.n_r as u64);
-                for r in &genes.reduce[..self.n_r] {
-                    for &v in r {
-                        h = fnv1a_u64(h, v);
-                    }
-                }
-                h = fnv1a_u64(h, genes.a0);
-                fnv1a_u64(h, genes.a1)
-            }
-            SketchKind::Simple | SketchKind::RowReduce => {
-                h = fnv1a_u64(h, if self.kind == SketchKind::Simple { 2 } else { 3 });
-                h = fnv1a_u64(h, genes.a0);
-                h = fnv1a_u64(h, genes.a1);
-                fnv1a_u64(h, genes.a2)
-            }
-        }
+        genes.fingerprint(self.gen().key_fnv, self.kind, self.n_s, self.n_r)
     }
 
-    /// Samples one padded extent, mirroring `sample_padding` draw-for-draw:
-    /// rich extents return immediately (no draw), otherwise one `gen_bool`
-    /// and possibly one quantum draw.
+    /// Samples one padded extent: rich extents return immediately (no
+    /// draw), otherwise one `gen_bool` and possibly one quantum draw — the
+    /// way TVM pads prime-ish extents to unlock tiling.
     #[inline]
-    fn sample_padded_extent(&self, extent: u64, rich: bool, rng: &mut impl Rng) -> u64 {
+    fn sample_padded_extent(extent: u64, rich: bool, rng: &mut impl Rng) -> u64 {
         if rich || rng.gen_bool(0.5) {
             return extent;
         }
@@ -561,121 +662,93 @@ impl WorkloadCtx {
         pad_to_quantum(extent, quantum)
     }
 
-    /// Samples a divisor chain of `out.len()` factors multiplying to
-    /// `extent`, mirroring `sample_split` draw-for-draw but using the
-    /// cached divisor table instead of per-call `Vec` allocation.
+    /// Re-samples the `[block, vthread, thread, serial0, serial1]` split of
+    /// spatial axis `i` (`i < n_s`) or the `[outer, mid, inner]` split of
+    /// reduction axis `i - n_s`, padding the extent first.
     #[inline]
-    fn sample_split_into(&self, extent: u64, out: &mut [u64], rng: &mut impl Rng) {
-        let parts = out.len();
-        let mut remaining = extent;
-        for slot in out.iter_mut().take(parts - 1) {
-            let f = match self.divtab.entry(remaining) {
-                Some(divs) => divs[rng.gen_range(0..divs.len())],
-                None => {
-                    // Padded extent outside the table (gigantic axes only).
-                    let divs = divisors(remaining);
-                    divs[rng.gen_range(0..divs.len())]
-                }
-            };
-            *slot = f;
-            remaining /= f;
-        }
-        out[parts - 1] = remaining;
+    fn sample_axis(&self, t: &GenTables, g: &mut GeneBuf, i: usize, rng: &mut impl Rng) {
+        let (extent, rich, out) = if i < self.n_s {
+            (self.spatial_extents[i], t.rich_s[i], &mut g.spatial[i][..])
+        } else {
+            let r = i - self.n_s;
+            (self.reduce_extents[r], t.rich_r[r], &mut g.reduce[r][..])
+        };
+        let padded = Self::sample_padded_extent(extent, rich, rng);
+        draw_split(padded, out, rng, |n| t.divtab.divisors(n));
     }
 
-    /// Draws one raw (unvalidated) candidate, mirroring `sample_schedule`.
-    fn sample_genes_unchecked(&self, rng: &mut impl Rng) -> GeneBuf {
+    /// Draws one raw (unvalidated) candidate.
+    fn sample_genes_unchecked(&self, t: &GenTables, rng: &mut impl Rng) -> GeneBuf {
         let mut g = GeneBuf::default();
         match self.kind {
             SketchKind::MultiTile => {
-                for i in 0..self.n_s {
-                    let padded =
-                        self.sample_padded_extent(self.spatial_extents[i], self.rich_s[i], rng);
-                    self.sample_split_into(padded, &mut g.spatial[i], rng);
+                for i in 0..self.n_s + self.n_r {
+                    self.sample_axis(t, &mut g, i, rng);
                 }
-                for i in 0..self.n_r {
-                    let padded =
-                        self.sample_padded_extent(self.reduce_extents[i], self.rich_r[i], rng);
-                    self.sample_split_into(padded, &mut g.reduce[i], rng);
-                }
-                g.a0 = UNROLL_CANDIDATES[rng.gen_range(0..UNROLL_CANDIDATES.len())];
-                g.a1 = VECTORIZE_CANDIDATES[rng.gen_range(0..VECTORIZE_CANDIDATES.len())];
+                g.a0 = pick(&UNROLL_CANDIDATES, rng);
+                g.a1 = pick(&VECTORIZE_CANDIDATES, rng);
             }
             SketchKind::Simple => {
-                g.a0 = [32u64, 64, 128, 256, 512, 1024][rng.gen_range(0..6)];
-                g.a1 = [1u64, 2, 4, 8, 16][rng.gen_range(0..5)];
-                g.a2 = VECTORIZE_CANDIDATES[rng.gen_range(0..VECTORIZE_CANDIDATES.len())];
+                g.a0 = pick(&SIMPLE_THREADS, rng);
+                g.a1 = pick(&SIMPLE_SERIAL, rng);
+                g.a2 = pick(&VECTORIZE_CANDIDATES, rng);
             }
             SketchKind::RowReduce => {
-                g.a1 = self.rr_options[rng.gen_range(0..self.rr_options.len())];
-                g.a0 = [1u64, 2, 4, 8][rng.gen_range(0..4)];
-                g.a2 = [1u64, 2, 4, 8][rng.gen_range(0..4)];
+                g.a1 = pick(reduce_thread_options(self.rr_reduce), rng);
+                g.a0 = pick(&ROW_CANDIDATES, rng);
+                g.a2 = pick(&ROW_CANDIDATES, rng);
             }
         }
         g
     }
 
-    /// Samples a valid candidate, mirroring [`Program::sample`] (64
-    /// rejection tries, then the deterministic fallback).
+    /// Samples a valid candidate: 64 rejection tries, then the
+    /// deterministic fallback of [`Program::fallback`].
     pub fn sample_genes(&self, limits: &HardwareLimits, rng: &mut impl Rng) -> GeneBuf {
+        let t = self.gen();
         for _ in 0..64 {
-            let g = self.sample_genes_unchecked(rng);
+            let g = self.sample_genes_unchecked(t, rng);
             if self.genes_valid(&g, limits) {
                 return g;
             }
         }
-        self.fallback
+        t.fallback
     }
 
-    /// Mutates one gene, mirroring [`crate::evolve::mutate`] draw-for-draw
-    /// (16 rejection tries, then the unchanged parent).
+    /// Mutates one gene: a spatial-axis split, a reduction-axis split, the
+    /// unroll depth or the vector width (for the simple sketches: one of
+    /// the three knobs). 16 rejection tries, then the unchanged parent.
     pub(crate) fn mutate_genes(
         &self,
         parent: &GeneBuf,
         limits: &HardwareLimits,
         rng: &mut impl Rng,
     ) -> GeneBuf {
+        let t = self.gen();
         for _ in 0..16 {
             let mut child = *parent;
             match self.kind {
                 SketchKind::MultiTile => {
                     let gene = rng.gen_range(0..self.n_s + self.n_r + 2);
-                    if gene < self.n_s {
-                        let padded = self.sample_padded_extent(
-                            self.spatial_extents[gene],
-                            self.rich_s[gene],
-                            rng,
-                        );
-                        self.sample_split_into(padded, &mut child.spatial[gene], rng);
-                    } else if gene < self.n_s + self.n_r {
-                        let axis = gene - self.n_s;
-                        let padded = self.sample_padded_extent(
-                            self.reduce_extents[axis],
-                            self.rich_r[axis],
-                            rng,
-                        );
-                        self.sample_split_into(padded, &mut child.reduce[axis], rng);
+                    if gene < self.n_s + self.n_r {
+                        self.sample_axis(t, &mut child, gene, rng);
                     } else if gene == self.n_s + self.n_r {
-                        child.a0 = UNROLL_CANDIDATES[rng.gen_range(0..UNROLL_CANDIDATES.len())];
+                        child.a0 = pick(&UNROLL_CANDIDATES, rng);
                     } else {
-                        child.a1 =
-                            VECTORIZE_CANDIDATES[rng.gen_range(0..VECTORIZE_CANDIDATES.len())];
+                        child.a1 = pick(&VECTORIZE_CANDIDATES, rng);
                     }
                 }
                 SketchKind::Simple => match rng.gen_range(0..3) {
-                    0 => child.a0 = [32u64, 64, 128, 256, 512, 1024][rng.gen_range(0..6)],
-                    1 => child.a1 = [1u64, 2, 4, 8, 16][rng.gen_range(0..5)],
-                    _ => {
-                        child.a2 =
-                            VECTORIZE_CANDIDATES[rng.gen_range(0..VECTORIZE_CANDIDATES.len())]
-                    }
+                    0 => child.a0 = pick(&SIMPLE_THREADS, rng),
+                    1 => child.a1 = pick(&SIMPLE_SERIAL, rng),
+                    _ => child.a2 = pick(&VECTORIZE_CANDIDATES, rng),
                 },
                 SketchKind::RowReduce => match rng.gen_range(0..3) {
-                    0 => child.a0 = [1u64, 2, 4, 8][rng.gen_range(0..4)],
+                    0 => child.a0 = pick(&ROW_CANDIDATES, rng),
                     // Mutation draws from a fixed list, not the sampler's
-                    // extent-dependent options (mirrors evolve::mutate).
-                    1 => child.a1 = [32u64, 64, 128, 256, 512][rng.gen_range(0..5)],
-                    _ => child.a2 = [1u64, 2, 4, 8][rng.gen_range(0..4)],
+                    // extent-dependent options.
+                    1 => child.a1 = pick(&REDUCE_THREADS[..5], rng),
+                    _ => child.a2 = pick(&ROW_CANDIDATES, rng),
                 },
             }
             if self.genes_valid(&child, limits) {
@@ -685,9 +758,10 @@ impl WorkloadCtx {
         *parent
     }
 
-    /// Recombines two parents, mirroring [`crate::evolve::crossover`]
-    /// draw-for-draw. Both parents share this context, so the mismatched-
-    /// sketch arm of the legacy operator cannot occur.
+    /// Recombines two parents of this context: multi-tile parents exchange
+    /// whole per-axis splits and annotations gene by gene, the simple
+    /// sketches pick each knob from a random parent. 16 rejection tries,
+    /// then parent `a`.
     pub(crate) fn crossover_genes(
         &self,
         a: &GeneBuf,
@@ -735,8 +809,11 @@ impl WorkloadCtx {
         *a
     }
 
-    /// Allocation-free validity check, same verdicts in the same order as
-    /// [`Program::is_valid`].
+    /// Allocation-free check of the hard hardware limits: threads per
+    /// block, shared memory, registers (up to the spill slack), virtual
+    /// threads, block count, and (multi-tile) at most 1024 output elements
+    /// per thread, since pathological serial tails make a program
+    /// unmeasurable in practice.
     pub(crate) fn genes_valid(&self, genes: &GeneBuf, limits: &HardwareLimits) -> bool {
         let (threads, shared, regs, vthreads, blocks, ept) = match self.kind {
             SketchKind::MultiTile => {
@@ -813,8 +890,9 @@ impl WorkloadCtx {
         true
     }
 
-    /// Computes the full statistics row for `genes` — bit-identical to
-    /// [`crate::stats::ProgramStats::compute`] on the materialized program.
+    /// Computes the full statistics row for `genes`: launch geometry,
+    /// footprints, traffic, padding waste and, per statement slot, its
+    /// operations, global and shared bytes and innermost run.
     pub fn compute_row(&self, genes: &GeneBuf, row: &mut StatsRow) {
         match self.kind {
             SketchKind::MultiTile => self.compute_row_multitile(genes, row),
@@ -967,9 +1045,9 @@ impl WorkloadCtx {
         row.n_stmts = self.n_stmts;
     }
 
-    /// Fills the data-flow row for `genes` — bit-identical to
-    /// `ProgramStats::compute(..).dataflow`. Empty (`n == 0`) for
-    /// non-multi-tile sketches.
+    /// Fills the data-flow row for `genes`: global→shared staging and
+    /// shared→register loads per operand, then compute and writeback.
+    /// Empty (`n == 0`) for non-multi-tile sketches.
     pub fn flow_row(&self, genes: &GeneBuf, row: &mut FlowRow) {
         if self.kind != SketchKind::MultiTile {
             row.n = 0;
@@ -1036,7 +1114,7 @@ impl WorkloadCtx {
     }
 
     /// All multi-tile intermediates, computed once and shared by the stats
-    /// and flow row fillers so both stay bit-identical to the legacy path.
+    /// and flow row fillers.
     fn derive_mt(&self, genes: &GeneBuf) -> MtDerived {
         let mut num_blocks = 1u64;
         let mut vthreads = 1u64;
@@ -1067,7 +1145,6 @@ impl WorkloadCtx {
             reduce_chunk[i] = r[1] * r[2];
             reduce_inner[i] = r[2];
         }
-        // Same chained u64 product as the legacy `padded_iters`.
         let padded_iters = (padded_s_prod * padded_r_prod) as f64;
         let padding_waste = padded_iters / self.true_iters;
         let flops_total = self.flops * padding_waste;
@@ -1185,6 +1262,17 @@ struct MtDerived {
     out_contig_g: u64,
     out_contig_t: u64,
     wb_innermost: u64,
+}
+
+/// `Π values`, or `None` if it overflows a `u64`.
+fn checked_product(values: impl IntoIterator<Item = u64>) -> Option<u64> {
+    values.into_iter().try_fold(1u64, |p, v| p.checked_mul(v))
+}
+
+/// One uniform draw from `options`.
+#[inline]
+fn pick(options: &[u64], rng: &mut impl Rng) -> u64 {
+    options[rng.gen_range(0..options.len())]
 }
 
 /// Below this many rows the stats fill stays on the calling thread, as it
@@ -1635,7 +1723,8 @@ impl CandidateArena {
     pub fn append(&mut self, other: &CandidateArena) {
         assert!(
             Arc::ptr_eq(&self.ctx, &other.ctx)
-                || (self.ctx.key_fnv == other.ctx.key_fnv && self.ctx.kind == other.ctx.kind),
+                || (self.ctx.gen().key_fnv == other.ctx.gen().key_fnv
+                    && self.ctx.kind == other.ctx.kind),
             "cannot append arenas of different workloads"
         );
         let at = self.len;
@@ -1847,8 +1936,6 @@ impl CandidateArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evolve::{crossover, mutate};
-    use crate::program::sample_schedule;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1866,103 +1953,6 @@ mod tests {
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
-    }
-
-    /// Both RNGs must have consumed exactly the same number of draws.
-    fn assert_stream_sync(a: &mut ChaCha8Rng, b: &mut ChaCha8Rng, what: &str) {
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG streams diverged after {what}");
-    }
-
-    #[test]
-    fn sampling_mirrors_legacy_draw_for_draw() {
-        let limits = HardwareLimits::default();
-        for wl in zoo() {
-            let ctx = WorkloadCtx::new(&wl);
-            let mut r_legacy = rng(0xA11CE);
-            let mut r_arena = rng(0xA11CE);
-            for i in 0..50 {
-                let p = Program::sample(&wl, &limits, &mut r_legacy);
-                let g = ctx.sample_genes(&limits, &mut r_arena);
-                assert_eq!(
-                    ctx.schedule_from_genes(&g),
-                    p.schedule,
-                    "sample {i} diverged for {wl}"
-                );
-                assert_stream_sync(&mut r_legacy, &mut r_arena, "sample");
-            }
-        }
-    }
-
-    #[test]
-    fn mutation_mirrors_legacy_draw_for_draw() {
-        let limits = HardwareLimits::default();
-        for wl in zoo() {
-            let ctx = WorkloadCtx::new(&wl);
-            let mut seed_rng = rng(7);
-            let parent = Program::sample(&wl, &limits, &mut seed_rng);
-            let parent_genes = ctx.genes_from_schedule(&parent.schedule);
-            let mut r_legacy = rng(0xBEEF);
-            let mut r_arena = rng(0xBEEF);
-            for i in 0..30 {
-                let m = mutate(&parent, &limits, &mut r_legacy);
-                let g = ctx.mutate_genes(&parent_genes, &limits, &mut r_arena);
-                assert_eq!(
-                    ctx.schedule_from_genes(&g),
-                    m.schedule,
-                    "mutation {i} diverged for {wl}"
-                );
-                assert_stream_sync(&mut r_legacy, &mut r_arena, "mutate");
-            }
-        }
-    }
-
-    #[test]
-    fn crossover_mirrors_legacy_draw_for_draw() {
-        let limits = HardwareLimits::default();
-        for wl in zoo() {
-            let ctx = WorkloadCtx::new(&wl);
-            let mut seed_rng = rng(21);
-            let a = Program::sample(&wl, &limits, &mut seed_rng);
-            let b = Program::sample(&wl, &limits, &mut seed_rng);
-            let ga = ctx.genes_from_schedule(&a.schedule);
-            let gb = ctx.genes_from_schedule(&b.schedule);
-            let mut r_legacy = rng(0xF00D);
-            let mut r_arena = rng(0xF00D);
-            for i in 0..30 {
-                let c = crossover(&a, &b, &limits, &mut r_legacy);
-                let g = ctx.crossover_genes(&ga, &gb, &limits, &mut r_arena);
-                assert_eq!(
-                    ctx.schedule_from_genes(&g),
-                    c.schedule,
-                    "crossover {i} diverged for {wl}"
-                );
-                assert_stream_sync(&mut r_legacy, &mut r_arena, "crossover");
-            }
-        }
-    }
-
-    #[test]
-    fn validity_matches_legacy_on_raw_schedules() {
-        // Raw (unvalidated) samples exercise both verdicts.
-        let limits = HardwareLimits::default();
-        for wl in zoo() {
-            let ctx = WorkloadCtx::new(&wl);
-            let mut r = rng(0x5EED);
-            let mut rejected = 0usize;
-            for _ in 0..200 {
-                let schedule = sample_schedule(&wl, &mut r);
-                let p = Program::new(wl.clone(), schedule.clone());
-                let g = ctx.genes_from_schedule(&schedule);
-                let legacy = p.is_valid(&limits);
-                assert_eq!(ctx.genes_valid(&g, &limits), legacy, "verdict diverged for {wl}");
-                if !legacy {
-                    rejected += 1;
-                }
-            }
-            if wl.has_multi_tiling() {
-                assert!(rejected > 0, "no invalid raw samples for {wl}; test too weak");
-            }
-        }
     }
 
     #[test]
@@ -2014,34 +2004,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_rows_are_bit_identical_to_legacy() {
-        let limits = HardwareLimits::default();
-        for wl in zoo() {
-            let ctx = Arc::new(WorkloadCtx::new(&wl));
-            let mut r = rng(0xF10E);
-            for _ in 0..30 {
-                let p = Program::sample(&wl, &limits, &mut r);
-                let s = p.stats();
-                let mut row = FlowRow::default();
-                ctx.flow_row(&ctx.genes_from_schedule(&p.schedule), &mut row);
-                assert_eq!(row.n, s.dataflow.len(), "flow count for {wl}");
-                for (j, f) in s.dataflow.iter().enumerate() {
-                    assert_eq!(row.src[j], f.src);
-                    assert_eq!(row.dst[j], f.dst);
-                    assert_eq!(row.bytes[j].to_bits(), f.bytes.to_bits());
-                    assert_eq!(row.alloc_bytes[j].to_bits(), f.alloc_bytes.to_bits());
-                    assert_eq!(row.steps[j].to_bits(), f.steps.to_bits());
-                    assert_eq!(row.contig[j], f.contig);
-                    assert_eq!(row.threads[j], f.threads);
-                    assert_eq!(row.reuse[j].to_bits(), f.reuse.to_bits());
-                    assert_eq!(row.vec[j], f.vec);
-                    assert_eq!(row.ops[j].to_bits(), f.ops.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fingerprints_match_program_fingerprint() {
         let limits = HardwareLimits::default();
         for wl in zoo() {
@@ -2061,7 +2023,7 @@ mod tests {
         for wl in zoo() {
             let ctx = WorkloadCtx::new(&wl);
             assert_eq!(
-                ctx.schedule_from_genes(&ctx.fallback),
+                ctx.schedule_from_genes(&ctx.gen().fallback),
                 Program::fallback(&wl).schedule,
                 "{wl}"
             );
@@ -2151,10 +2113,37 @@ mod tests {
     }
 
     #[test]
+    fn try_genes_says_why_a_schedule_is_malformed() {
+        let wl = Workload::matmul(1, 64, 64, 64);
+        let ctx = WorkloadCtx::new(&wl);
+        let tile = |spatial: Vec<[u64; 5]>, reduce: Vec<[u64; 3]>| {
+            Schedule::MultiTile(TileConfig { spatial, reduce, unroll: 0, vectorize: 1 })
+        };
+        assert!(ctx.try_genes(&tile(vec![[4, 1, 16, 1, 1]; 2], vec![[4, 4, 4]])).is_ok());
+        let simple = Schedule::Simple(SimpleConfig { threads: 64, serial: 1, vectorize: 1 });
+        for (schedule, why) in [
+            (simple, "cannot schedule"),
+            (tile(vec![[4, 1, 16, 1, 1]], vec![[4, 4, 4]]), "spatial split rank mismatch"),
+            (tile(vec![[4, 1, 16, 1, 1]; 2], vec![]), "reduce split rank mismatch"),
+            (tile(vec![[0, 1, 16, 1, 1], [4, 1, 16, 1, 1]], vec![[4, 4, 4]]), "factor is 0"),
+            (tile(vec![[1; 5]; 2], vec![[4, 4, 4]]), "padded extent below"),
+            (tile(vec![[1 << 40, 1, 16, 1, 1]; 2], vec![[4, 4, 4]]), "overflow"),
+        ] {
+            let err = ctx.try_genes(&schedule).expect_err(why);
+            assert!(err.contains(why), "{err}");
+            // A program's own entry points read the schedule's sketch kind
+            // and refuse the rest.
+            let prog = Program::new(wl.clone(), schedule);
+            let stats = std::panic::catch_unwind(|| prog.stats());
+            assert_eq!(stats.is_ok(), why == "cannot schedule", "{why}");
+        }
+    }
+
+    #[test]
     fn divisor_table_matches_divisors_fn() {
         let ctx = WorkloadCtx::new(&Workload::matmul(1, 512, 512, 512));
         for n in [1u64, 2, 7, 16, 512, 513, 516, 520, 528] {
-            match ctx.divtab.entry(n) {
+            match ctx.gen().divtab.entry(n) {
                 Some(divs) => assert_eq!(divs, divisors(n).as_slice(), "n={n}"),
                 None => {
                     // Only values unreachable from the padding bases may be

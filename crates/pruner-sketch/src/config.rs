@@ -8,6 +8,27 @@ pub(crate) const UNROLL_CANDIDATES: [u64; 4] = [0, 16, 64, 512];
 /// Allowed vector widths for cooperative shared-memory loads.
 pub(crate) const VECTORIZE_CANDIDATES: [u64; 3] = [1, 2, 4];
 
+/// Threads per block of the element-wise sketch.
+pub(crate) const SIMPLE_THREADS: [u64; 6] = [32, 64, 128, 256, 512, 1024];
+
+/// Serial elements per thread of the element-wise sketch.
+pub(crate) const SIMPLE_SERIAL: [u64; 5] = [1, 2, 4, 8, 16];
+
+/// Rows per block, and serial elements per thread, of the row reduction.
+pub(crate) const ROW_CANDIDATES: [u64; 4] = [1, 2, 4, 8];
+
+/// Threads cooperating on one reduced row; a reduction samples the prefix
+/// [`reduce_thread_options`] picks, mutation the first five.
+pub(crate) const REDUCE_THREADS: [u64; 6] = [32, 64, 128, 256, 512, 1024];
+
+/// The `reduce_threads` choices sampling draws from for a reduction of
+/// length `reduce`: every power of two from 32 up to `reduce` rounded up to
+/// one, capped at 1024.
+pub(crate) fn reduce_thread_options(reduce: u64) -> &'static [u64] {
+    let max = reduce.next_power_of_two().clamp(32, 1024);
+    &REDUCE_THREADS[..REDUCE_THREADS.iter().take_while(|&&rt| rt <= max).count()]
+}
+
 /// Multi-level tiling configuration — the GPU "SSSRRSRS" sketch.
 ///
 /// Every spatial axis is split (outer → inner) into
@@ -46,41 +67,10 @@ impl TileConfig {
         self.spatial.iter().map(|s| s[2]).product()
     }
 
-    /// Output elements computed by one thread
-    /// (`vthreads × Π serial0_i·serial1_i`).
-    pub(crate) fn elems_per_thread(&self) -> u64 {
-        self.vthreads() * self.spatial.iter().map(|s| s[3] * s[4]).product::<u64>()
-    }
-
     /// Per-axis spatial tile owned by one block
     /// (`vthread × thread × serial0 × serial1`).
     pub fn block_tile(&self) -> Vec<u64> {
         self.spatial.iter().map(|s| s[1] * s[2] * s[3] * s[4]).collect()
-    }
-
-    /// Per-axis spatial tile owned by one thread (`serial0 × serial1`).
-    pub(crate) fn thread_tile(&self) -> Vec<u64> {
-        self.spatial.iter().map(|s| s[3] * s[4]).collect()
-    }
-
-    /// Per-axis padded spatial extents (`Π` of all five factors).
-    pub(crate) fn padded_spatial(&self) -> Vec<u64> {
-        self.spatial.iter().map(|s| s.iter().product()).collect()
-    }
-
-    /// Per-axis padded reduction extents.
-    pub(crate) fn padded_reduce(&self) -> Vec<u64> {
-        self.reduce.iter().map(|r| r.iter().product()).collect()
-    }
-
-    /// Per-axis reduction chunk staged into shared memory (`mid × inner`).
-    pub(crate) fn reduce_chunk(&self) -> Vec<u64> {
-        self.reduce.iter().map(|r| r[1] * r[2]).collect()
-    }
-
-    /// Per-axis innermost reduction tile.
-    pub(crate) fn reduce_inner(&self) -> Vec<u64> {
-        self.reduce.iter().map(|r| r[2]).collect()
     }
 
     /// Number of outer reduction iterations (shared-memory staging steps).
@@ -185,11 +175,7 @@ mod tests {
         assert_eq!(t.num_blocks(), 32);
         assert_eq!(t.vthreads(), 2);
         assert_eq!(t.threads_per_block(), 64);
-        assert_eq!(t.elems_per_thread(), 2 * 2);
         assert_eq!(t.block_tile(), vec![16, 16]);
-        assert_eq!(t.thread_tile(), vec![2, 1]);
-        assert_eq!(t.padded_spatial(), vec![64, 128]);
-        assert_eq!(t.reduce_chunk(), vec![8]);
         assert_eq!(t.reduce_outer_steps(), 4);
     }
 

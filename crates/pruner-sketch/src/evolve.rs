@@ -1,20 +1,20 @@
-//! Genetic operators over programs: mutation and crossover.
+//! Genetic operators over programs: mutation and crossover, and the
+//! generators that breed a round's candidates.
 //!
 //! These are the exploration moves of Ansor's evolutionary search. A
 //! mutation re-samples one gene (one axis split or one annotation); a
 //! crossover mixes per-axis genes of two parents of the same workload.
 //! Both preserve validity by rejection, falling back to returning a parent
-//! clone when no valid offspring is found within the retry budget.
+//! clone when no valid offspring is found within the retry budget. The
+//! operators are written once, on genes ([`WorkloadCtx`]); the program
+//! forms here pack their parents into genes and materialize the child.
 
-use crate::arena::{CandidateArena, FpSet, GeneBuf, WorkloadCtx};
-use crate::config::{Schedule, UNROLL_CANDIDATES, VECTORIZE_CANDIDATES};
+use crate::arena::{CandidateArena, FpSet, GeneBuf, SketchKind, WorkloadCtx};
 use crate::limits::HardwareLimits;
-use crate::program::{sample_reduce_split, sample_spatial_split, Program};
+use crate::program::Program;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-
-const MAX_TRIES: usize = 16;
 
 /// Returns a mutated copy of `prog`, valid under `limits`.
 ///
@@ -23,53 +23,16 @@ const MAX_TRIES: usize = 16;
 /// simple sketches: threads, serial length, or vector width). If every
 /// attempt produces an invalid program the input is returned unchanged.
 pub fn mutate(prog: &Program, limits: &HardwareLimits, rng: &mut impl Rng) -> Program {
-    for _ in 0..MAX_TRIES {
-        let mut child = prog.clone();
-        match &mut child.schedule {
-            Schedule::MultiTile(t) => {
-                let n_s = t.spatial.len();
-                let n_r = t.reduce.len();
-                // Gene indices: spatial axes, reduce axes, unroll, vectorize.
-                let gene = rng.gen_range(0..n_s + n_r + 2);
-                let extents_s = child.workload.spatial_extents();
-                let extents_r = child.workload.reduce_extents();
-                if gene < n_s {
-                    t.spatial[gene] = sample_spatial_split(extents_s[gene], rng);
-                } else if gene < n_s + n_r {
-                    t.reduce[gene - n_s] = sample_reduce_split(extents_r[gene - n_s], rng);
-                } else if gene == n_s + n_r {
-                    t.unroll = UNROLL_CANDIDATES[rng.gen_range(0..UNROLL_CANDIDATES.len())];
-                } else {
-                    t.vectorize =
-                        VECTORIZE_CANDIDATES[rng.gen_range(0..VECTORIZE_CANDIDATES.len())];
-                }
-            }
-            Schedule::Simple(c) => match rng.gen_range(0..3) {
-                0 => c.threads = [32u64, 64, 128, 256, 512, 1024][rng.gen_range(0..6)],
-                1 => c.serial = [1u64, 2, 4, 8, 16][rng.gen_range(0..5)],
-                _ => {
-                    c.vectorize =
-                        VECTORIZE_CANDIDATES[rng.gen_range(0..VECTORIZE_CANDIDATES.len())]
-                }
-            },
-            Schedule::RowReduce(c) => match rng.gen_range(0..3) {
-                0 => c.rows_per_block = [1u64, 2, 4, 8][rng.gen_range(0..4)],
-                1 => c.reduce_threads = [32u64, 64, 128, 256, 512][rng.gen_range(0..5)],
-                _ => c.serial = [1u64, 2, 4, 8][rng.gen_range(0..4)],
-            },
-        }
-        if child.is_valid(limits) {
-            return child;
-        }
-    }
-    prog.clone()
+    let (ctx, genes) = prog.genes();
+    ctx.program_from_genes(&ctx.mutate_genes(&genes, limits, rng))
 }
 
 /// Returns a crossover child of two parents scheduling the same workload.
 ///
 /// Multi-tile parents exchange whole per-axis splits and annotations gene by
 /// gene; simple sketches pick each field from a random parent. Falls back
-/// to cloning parent `a` if no valid child is found.
+/// to cloning parent `a` if no valid child is found, or if the parents are
+/// of different sketch kinds.
 ///
 /// # Panics
 /// Panics if the parents schedule different workloads.
@@ -80,77 +43,33 @@ pub(crate) fn crossover(
     rng: &mut impl Rng,
 ) -> Program {
     assert_eq!(a.workload, b.workload, "crossover requires a shared workload");
-    for _ in 0..MAX_TRIES {
-        let mut child = a.clone();
-        match (&mut child.schedule, &b.schedule) {
-            (Schedule::MultiTile(ta), Schedule::MultiTile(tb)) => {
-                for (sa, sb) in ta.spatial.iter_mut().zip(&tb.spatial) {
-                    if rng.gen_bool(0.5) {
-                        *sa = *sb;
-                    }
-                }
-                for (ra, rb) in ta.reduce.iter_mut().zip(&tb.reduce) {
-                    if rng.gen_bool(0.5) {
-                        *ra = *rb;
-                    }
-                }
-                if rng.gen_bool(0.5) {
-                    ta.unroll = tb.unroll;
-                }
-                if rng.gen_bool(0.5) {
-                    ta.vectorize = tb.vectorize;
-                }
-            }
-            (Schedule::Simple(ca), Schedule::Simple(cb)) => {
-                if rng.gen_bool(0.5) {
-                    ca.threads = cb.threads;
-                }
-                if rng.gen_bool(0.5) {
-                    ca.serial = cb.serial;
-                }
-                if rng.gen_bool(0.5) {
-                    ca.vectorize = cb.vectorize;
-                }
-            }
-            (Schedule::RowReduce(ca), Schedule::RowReduce(cb)) => {
-                if rng.gen_bool(0.5) {
-                    ca.rows_per_block = cb.rows_per_block;
-                }
-                if rng.gen_bool(0.5) {
-                    ca.reduce_threads = cb.reduce_threads;
-                }
-                if rng.gen_bool(0.5) {
-                    ca.serial = cb.serial;
-                }
-            }
-            // Mismatched sketch kinds cannot recombine; keep parent a.
-            _ => return a.clone(),
-        }
-        if child.is_valid(limits) {
-            return child;
-        }
+    if SketchKind::of_schedule(&a.schedule) != SketchKind::of_schedule(&b.schedule) {
+        return a.clone();
     }
-    a.clone()
+    let ((ctx, ga), (_, gb)) = (a.genes(), b.genes());
+    ctx.program_from_genes(&ctx.crossover_genes(&ga, &gb, limits, rng))
 }
 
 /// Samples an initial population of `size` *distinct* valid programs.
 ///
 /// Distinctness is by [`Program::fingerprint`]; the sampler stops early if
 /// the space appears exhausted (tiny workloads), so the result may be
-/// shorter than requested.
+/// shorter than requested. One context serves every draw, and only the
+/// kept candidates are materialized.
 pub fn init_population(
     workload: &pruner_ir::Workload,
     size: usize,
     limits: &HardwareLimits,
     rng: &mut impl Rng,
 ) -> Vec<Program> {
+    let ctx = WorkloadCtx::new(workload);
     let mut out: Vec<Program> = Vec::with_capacity(size);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FpSet::with_capacity_and_hasher(size, Default::default());
     let mut stale = 0usize;
     while out.len() < size && stale < 200 {
-        let p = Program::sample(workload, limits, rng);
-        if seen.insert(p.fingerprint()) {
-            out.push(p);
+        let genes = ctx.sample_genes(limits, rng);
+        if seen.insert(ctx.fingerprint_genes(&genes)) {
+            out.push(ctx.program_from_genes(&genes));
             stale = 0;
         } else {
             stale += 1;
@@ -183,8 +102,11 @@ fn item_rng(seed: u64, round: u64, item: usize) -> ChaCha8Rng {
 
 /// The executable definition of the arena generators: serial, one
 /// [`Program`] per item, built from [`Program::sample`], [`mutate`] and
-/// the crate's program crossover. Tests hold [`init_into`] and [`next_generation_into`] to
-/// these programs at any thread count; no campaign calls this module.
+/// the crate's program crossover (which call the same gene operators as
+/// the generators). Tests hold [`init_into`] and [`next_generation_into`]
+/// to these programs at any thread count, which pins what the generators
+/// add: batching, first-wins dedup, the stale budget and the per-item RNG
+/// streams. No campaign calls this module.
 pub mod reference {
     use super::{crossover, item_rng, mutate, HardwareLimits, Program};
     use rand::Rng;

@@ -7,18 +7,24 @@
 //! every reduction axis, with shared-memory staging), or the simpler
 //! block/thread schedules used for element-wise and reduction workloads.
 //!
-//! From a schedule the crate derives [`ProgramStats`]: threads per block,
+//! From a schedule the crate derives its statistics: threads per block,
 //! block count, register and shared-memory footprints, global-memory
-//! traffic, the list of innermost *buffer statements* the Parameterized
-//! Static Analyzer prices, and the temporal *data-flow steps*
+//! traffic, the innermost *buffer statements* the Parameterized Static
+//! Analyzer prices, and the temporal *data-flow steps*
 //! (global→shared→register→compute→writeback) that feed PaCM's data-flow
-//! features. Everything downstream — the GPU simulator, PSA and both
-//! feature extractors — consumes only `ProgramStats`, so this crate is the
-//! single source of truth for what a candidate schedule *does*.
+//! features. The GPU simulator, PSA and the feature writer read nothing
+//! else, so this crate is the single source of truth for what a candidate
+//! schedule *does*.
 //!
-//! Random sampling ([`Program::sample`]), mutation and crossover
-//! ([`evolve`]) implement the exploration primitives of Ansor's
-//! evolutionary search.
+//! The schedule model is written once, on fixed-size genes ([`GeneBuf`],
+//! read through a [`WorkloadCtx`]): sampling, mutation, crossover,
+//! validity, fingerprints, the [`StatsRow`] and the [`FlowRow`]. The
+//! candidate arena ([`CandidateArena`]) stores those rows column by column
+//! for million-candidate pools; a materialized [`Program`] packs its
+//! schedule into genes and calls the same routines —
+//! [`Program::sample`], [`Program::is_valid`], [`Program::fingerprint`],
+//! the [`evolve`] operators — and [`Program::stats`] assembles its
+//! [`ProgramStats`] from the two rows.
 //!
 //! # Example
 //!

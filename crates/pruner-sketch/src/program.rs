@@ -1,18 +1,20 @@
-//! Scheduled tensor programs: sampling and validity.
+//! Scheduled tensor programs: a workload bound to one schedule.
+//!
+//! Every method that samples, checks, fingerprints or derives statistics
+//! packs the schedule into genes and calls the one implementation on
+//! genes in [`crate::arena`].
 
+use crate::arena::{GeneBuf, SketchKind, WorkloadCtx};
 use crate::config::{
-    ReduceConfig, Schedule, SimpleConfig, TileConfig, UNROLL_CANDIDATES, VECTORIZE_CANDIDATES,
+    reduce_thread_options, ReduceConfig, Schedule, SimpleConfig, TileConfig, ROW_CANDIDATES,
+    SIMPLE_SERIAL, SIMPLE_THREADS, UNROLL_CANDIDATES, VECTORIZE_CANDIDATES,
 };
 use crate::limits::HardwareLimits;
-use crate::split::{divisors, pad_to_quantum, sample_split};
+use crate::split::{count_splits, divisors, pad_to_quantum};
 use crate::stats::ProgramStats;
 use pruner_ir::Workload;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Maximum rejection-sampling attempts before falling back to the
-/// deterministic canonical schedule.
-const MAX_SAMPLE_TRIES: usize = 64;
 
 /// A workload bound to one concrete schedule — a point in the search space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,14 +37,8 @@ impl Program {
     /// canonical schedule of [`Program::fallback`], so this always returns
     /// a launchable program.
     pub fn sample(workload: &Workload, limits: &HardwareLimits, rng: &mut impl Rng) -> Program {
-        for _ in 0..MAX_SAMPLE_TRIES {
-            let schedule = sample_schedule(workload, rng);
-            let prog = Program::new(workload.clone(), schedule);
-            if prog.is_valid(limits) {
-                return prog;
-            }
-        }
-        Program::fallback(workload)
+        let ctx = WorkloadCtx::new(workload);
+        ctx.program_from_genes(&ctx.sample_genes(limits, rng))
     }
 
     /// The deterministic canonical schedule: modest tiles, warp-aligned
@@ -88,37 +84,36 @@ impl Program {
         Program::new(workload.clone(), schedule)
     }
 
+    /// The program's genes, with the context (for the schedule's sketch
+    /// kind) that reads them.
+    ///
+    /// # Panics
+    /// Panics if the schedule is not a well-formed schedule of the
+    /// workload (a split rank differs from the axis count, a factor is 0, a
+    /// padded extent is below the true extent, …) — see
+    /// [`WorkloadCtx::try_genes`], which says why without panicking.
+    pub fn genes(&self) -> (WorkloadCtx, GeneBuf) {
+        let ctx = WorkloadCtx::with_kind(&self.workload, SketchKind::of_schedule(&self.schedule));
+        let genes = ctx.genes_from_schedule(&self.schedule);
+        (ctx, genes)
+    }
+
     /// Derives the program's statistics (footprints, traffic, statements).
+    ///
+    /// # Panics
+    /// Panics where [`Program::genes`] does.
     pub fn stats(&self) -> ProgramStats {
-        ProgramStats::compute(&self.workload, &self.schedule)
+        let (ctx, genes) = self.genes();
+        ProgramStats::from_genes(&ctx, &genes)
     }
 
     /// Whether the schedule satisfies the hard hardware limits.
+    ///
+    /// # Panics
+    /// Panics where [`Program::genes`] does.
     pub fn is_valid(&self, limits: &HardwareLimits) -> bool {
-        let stats = self.stats();
-        if stats.threads_per_block == 0 || stats.threads_per_block > limits.max_threads_per_block
-        {
-            return false;
-        }
-        if stats.shared_bytes_per_block > limits.max_shared_bytes_per_block {
-            return false;
-        }
-        if stats.regs_per_thread > limits.register_reject_bound() {
-            return false;
-        }
-        if stats.vthreads > limits.max_vthreads {
-            return false;
-        }
-        if stats.num_blocks == 0 || stats.num_blocks > u32::MAX as u64 {
-            return false;
-        }
-        // Pathological serial tails make a program unmeasurable in practice.
-        if let Schedule::MultiTile(t) = &self.schedule {
-            if t.elems_per_thread() > 1024 {
-                return false;
-            }
-        }
-        true
+        let (ctx, genes) = self.genes();
+        ctx.genes_valid(&genes, limits)
     }
 
     /// Stable dedup key: workload key plus the schedule encoding.
@@ -131,13 +126,20 @@ impl Program {
     }
 
     /// Allocation-free dedup identity: FNV-1a over the workload key and
-    /// every schedule field (same constants as `GpuSpec::fingerprint`).
+    /// every schedule field (same constants as `GpuSpec::fingerprint`) —
+    /// the fingerprint the candidate arena stores for the same genes.
     ///
     /// Two programs with equal [`Program::dedup_key`] always have equal
     /// fingerprints; the converse holds up to 64-bit hash collisions, which
     /// the test suite pins as absent over sampled pools.
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_schedule(workload_fnv(&self.workload), &self.schedule)
+        let (n_s, n_r) = match &self.schedule {
+            Schedule::MultiTile(t) => (t.spatial.len(), t.reduce.len()),
+            _ => (0, 0),
+        };
+        let kind = SketchKind::of_schedule(&self.schedule);
+        let genes = GeneBuf::from_schedule(&self.schedule);
+        genes.fingerprint(workload_fnv(&self.workload), kind, n_s, n_r)
     }
 
     /// Order-of-magnitude size of the workload's schedule space (ignoring
@@ -145,23 +147,25 @@ impl Program {
     /// the paper's introduction motivates pruning.
     ///
     /// Multi-tile spaces multiply the ordered factorizations of every axis
-    /// by the annotation choices; the simple sketches enumerate their few
-    /// knobs. Saturates at `u128::MAX` for gigantic spaces.
+    /// by the annotation choices; the simple sketches multiply the option
+    /// lists their sampler draws from. Saturates at `u128::MAX` for
+    /// gigantic spaces.
     pub fn space_size(workload: &Workload) -> u128 {
+        let choices = |lists: &[&[u64]]| lists.iter().map(|l| l.len() as u128).product::<u128>();
         match workload {
-            Workload::Elementwise { .. } => (6 * 5 * 3) as u128,
+            Workload::Elementwise { .. } => {
+                choices(&[&SIMPLE_THREADS, &SIMPLE_SERIAL, &VECTORIZE_CANDIDATES])
+            }
             Workload::Reduction { reduce, .. } => {
-                let rt_options =
-                    (64 - (*reduce).next_power_of_two().clamp(32, 1024).leading_zeros()) as u128;
-                4 * rt_options * 4
+                choices(&[&ROW_CANDIDATES, reduce_thread_options(*reduce), &ROW_CANDIDATES])
             }
             _ => {
-                let mut total: u128 = 4 * 3; // unroll × vectorize
+                let mut total = choices(&[&UNROLL_CANDIDATES, &VECTORIZE_CANDIDATES]);
                 for e in workload.spatial_extents() {
-                    total = total.saturating_mul(crate::split::count_splits(e, 5));
+                    total = total.saturating_mul(count_splits(e, 5));
                 }
                 for e in workload.reduce_extents() {
-                    total = total.saturating_mul(crate::split::count_splits(e, 3));
+                    total = total.saturating_mul(count_splits(e, 3));
                 }
                 total
             }
@@ -200,118 +204,6 @@ pub(crate) fn fnv1a_u64(h: u64, v: u64) -> u64 {
 /// arena caches this so per-candidate hashing never touches a `String`.
 pub(crate) fn workload_fnv(workload: &Workload) -> u64 {
     fnv1a_bytes(fnv1a_bytes(FNV_OFFSET, workload.key().as_bytes()), b"|")
-}
-
-/// Continues an FNV-1a state over every field of `schedule`, with a
-/// per-sketch tag so different sketch kinds can never alias.
-pub(crate) fn fingerprint_schedule(mut h: u64, schedule: &Schedule) -> u64 {
-    match schedule {
-        Schedule::MultiTile(t) => {
-            h = fnv1a_u64(h, 1);
-            h = fnv1a_u64(h, t.spatial.len() as u64);
-            for s in &t.spatial {
-                for &v in s {
-                    h = fnv1a_u64(h, v);
-                }
-            }
-            h = fnv1a_u64(h, t.reduce.len() as u64);
-            for r in &t.reduce {
-                for &v in r {
-                    h = fnv1a_u64(h, v);
-                }
-            }
-            h = fnv1a_u64(h, t.unroll);
-            fnv1a_u64(h, t.vectorize)
-        }
-        Schedule::Simple(c) => {
-            h = fnv1a_u64(h, 2);
-            h = fnv1a_u64(h, c.threads);
-            h = fnv1a_u64(h, c.serial);
-            fnv1a_u64(h, c.vectorize)
-        }
-        Schedule::RowReduce(c) => {
-            h = fnv1a_u64(h, 3);
-            h = fnv1a_u64(h, c.rows_per_block);
-            h = fnv1a_u64(h, c.reduce_threads);
-            fnv1a_u64(h, c.serial)
-        }
-    }
-}
-
-/// Samples a schedule appropriate to the workload's sketch family.
-pub(crate) fn sample_schedule(workload: &Workload, rng: &mut impl Rng) -> Schedule {
-    match workload {
-        Workload::Elementwise { .. } => Schedule::Simple(sample_simple(rng)),
-        Workload::Reduction { reduce, .. } => Schedule::RowReduce(sample_rowreduce(*reduce, rng)),
-        _ => Schedule::MultiTile(sample_multitile(workload, rng)),
-    }
-}
-
-/// Samples one multi-level tiling configuration.
-pub(crate) fn sample_multitile(workload: &Workload, rng: &mut impl Rng) -> TileConfig {
-    let spatial = workload
-        .spatial_extents()
-        .iter()
-        .map(|&e| sample_spatial_split(e, rng))
-        .collect();
-    let reduce = workload
-        .reduce_extents()
-        .iter()
-        .map(|&e| sample_reduce_split(e, rng))
-        .collect();
-    TileConfig {
-        spatial,
-        reduce,
-        unroll: UNROLL_CANDIDATES[rng.gen_range(0..UNROLL_CANDIDATES.len())],
-        vectorize: VECTORIZE_CANDIDATES[rng.gen_range(0..VECTORIZE_CANDIDATES.len())],
-    }
-}
-
-/// Samples the `[block, vthread, thread, serial0, serial1]` split of one
-/// spatial axis, optionally padding awkward extents.
-pub(crate) fn sample_spatial_split(extent: u64, rng: &mut impl Rng) -> [u64; 5] {
-    let padded = sample_padding(extent, rng);
-    let f = sample_split(rng, padded, 5);
-    [f[0], f[1], f[2], f[3], f[4]]
-}
-
-/// Samples the `[outer, mid, inner]` split of one reduction axis.
-pub(crate) fn sample_reduce_split(extent: u64, rng: &mut impl Rng) -> [u64; 3] {
-    let padded = sample_padding(extent, rng);
-    let f = sample_split(rng, padded, 3);
-    [f[0], f[1], f[2]]
-}
-
-/// Chooses the axis padding: usually none, sometimes the next multiple of a
-/// small power of two (the way TVM pads prime-ish extents to unlock tiling).
-fn sample_padding(extent: u64, rng: &mut impl Rng) -> u64 {
-    // Extents with rich divisor structure rarely need padding.
-    if divisors(extent).len() >= 6 || rng.gen_bool(0.5) {
-        return extent;
-    }
-    let quantum = [2u64, 4, 8, 16][rng.gen_range(0..4)];
-    pad_to_quantum(extent, quantum)
-}
-
-fn sample_simple(rng: &mut impl Rng) -> SimpleConfig {
-    let threads = [32u64, 64, 128, 256, 512, 1024][rng.gen_range(0..6)];
-    let serial = [1u64, 2, 4, 8, 16][rng.gen_range(0..5)];
-    let vectorize = VECTORIZE_CANDIDATES[rng.gen_range(0..VECTORIZE_CANDIDATES.len())];
-    SimpleConfig { threads, serial, vectorize }
-}
-
-fn sample_rowreduce(reduce_extent: u64, rng: &mut impl Rng) -> ReduceConfig {
-    let max_rt = reduce_extent.next_power_of_two().clamp(32, 1024);
-    let mut rt = 32u64;
-    let mut options = Vec::new();
-    while rt <= max_rt {
-        options.push(rt);
-        rt *= 2;
-    }
-    let reduce_threads = options[rng.gen_range(0..options.len())];
-    let rows_per_block = [1u64, 2, 4, 8][rng.gen_range(0..4)];
-    let serial = [1u64, 2, 4, 8][rng.gen_range(0..4)];
-    ReduceConfig { rows_per_block, reduce_threads, serial }
 }
 
 /// Canonical warp-friendly split of a spatial extent under a thread budget.
@@ -409,10 +301,14 @@ mod tests {
 
     #[test]
     fn prime_extent_padding_keeps_product_at_least_extent() {
+        let limits = HardwareLimits::default();
+        let wl = Workload::matmul(1, 197, 64, 64);
         let mut r = rng();
         for _ in 0..100 {
-            let s = sample_spatial_split(197, &mut r);
-            let product: u64 = s.iter().product();
+            let Schedule::MultiTile(t) = Program::sample(&wl, &limits, &mut r).schedule else {
+                panic!("a matmul samples multi-level tilings");
+            };
+            let product: u64 = t.spatial[0].iter().product();
             assert!(product >= 197);
             assert!(product <= 224, "padding should stay modest, got {product}");
         }
@@ -517,6 +413,25 @@ mod tests {
         let e = Program::space_size(&Workload::elementwise(EwKind::Relu, 1 << 20));
         assert!(e < 1000);
         assert!(s > e * 1_000_000);
+    }
+
+    #[test]
+    fn space_size_counts_the_reduction_sampler_choices() {
+        // rows_per_block × reduce_threads × serial, where reduce_threads
+        // runs over the powers of two from 32 to the row length rounded up
+        // (at most 1024): 4 × 6 × 4 for a 768-long row, 4 × 2 × 4 for 40.
+        assert_eq!(Program::space_size(&Workload::reduction(2048, 768)), 96);
+        assert_eq!(Program::space_size(&Workload::reduction(64, 40)), 32);
+        // Every schedule the sampler draws is one of them.
+        let limits = HardwareLimits::default();
+        let mut r = rng();
+        let wl = Workload::reduction(64, 40);
+        for _ in 0..200 {
+            let Schedule::RowReduce(c) = Program::sample(&wl, &limits, &mut r).schedule else {
+                panic!("a reduction samples row-reduce schedules");
+            };
+            assert!([32, 64].contains(&c.reduce_threads), "{c:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! object evolutionary search mutates.
 
 use rand::Rng;
+use std::borrow::Cow;
 
 /// All divisors of `n` in ascending order.
 ///
@@ -44,18 +45,30 @@ pub(crate) fn divisors(n: u64) -> Vec<u64> {
 pub fn sample_split(rng: &mut impl Rng, extent: u64, parts: usize) -> Vec<u64> {
     assert!(parts > 0, "cannot split into zero parts");
     assert!(extent > 0, "cannot split a zero extent");
+    let mut out = vec![0; parts];
+    draw_split(extent, &mut out, rng, |n| Cow::Owned(divisors(n)));
+    out
+}
+
+/// Fills `out` with a chain of factors multiplying to `extent`, the one
+/// definition of a split draw: each factor but the last is one uniform
+/// draw from `divisors_of` the remaining quotient (ascending divisors; the
+/// candidate arena passes a cached table), the last is what remains.
+pub(crate) fn draw_split<'a>(
+    extent: u64,
+    out: &mut [u64],
+    rng: &mut impl Rng,
+    divisors_of: impl Fn(u64) -> Cow<'a, [u64]>,
+) {
+    let parts = out.len();
     let mut remaining = extent;
-    let mut out = Vec::with_capacity(parts);
-    for _ in 0..parts - 1 {
-        // Pick any divisor of the remaining quotient; whatever is left
-        // after the last pick becomes the final factor.
-        let divs = divisors(remaining);
+    for slot in out.iter_mut().take(parts - 1) {
+        let divs = divisors_of(remaining);
         let f = divs[rng.gen_range(0..divs.len())];
-        out.push(f);
+        *slot = f;
         remaining /= f;
     }
-    out.push(remaining);
-    out
+    out[parts - 1] = remaining;
 }
 
 /// Counts the number of ordered `parts`-way factorizations of `extent`.

@@ -5,9 +5,13 @@
 //! penalty estimation, pruning, and featurization — runs through
 //! [`pruner::sketch::CandidateArena`] columns. The oracle is the serial,
 //! scalar, one-[`Program`]-at-a-time code (`evolve::reference`,
-//! `Psa::estimate` / `Psa::prune`, `Sample::unlabeled`). These tests drive
-//! the arena over a zoo of workloads × pool sizes × thread counts and
-//! demand `to_bits`-level equality with it.
+//! `Psa::estimate` / `Psa::prune`, `Sample::unlabeled`). A schedule is
+//! sampled, fingerprinted and priced by one set of gene routines either
+//! way, so what these tests pin is what the arena adds on top: batched,
+//! banded generation and dedup, column storage and gathers, and the SIMD
+//! PSA columns against the scalar estimate. They drive the arena over a
+//! zoo of workloads × pool sizes × thread counts and demand `to_bits`-level
+//! equality with the oracle.
 //!
 //! CI's arena-smoke step reruns this suite with `THREADS=1` and `THREADS=4`
 //! to pin thread-count invariance of the arena path specifically.

@@ -362,6 +362,58 @@ fn failed_marker_write_is_traced_not_silent() {
 
 /// Every wire-format example line in `docs/SERVING.md` must parse — the
 /// doc cannot drift from the implementation.
+/// A malformed program in a `PredictOnly` batch is answered with an error
+/// naming it, and the connection stays up for the next request.
+#[test]
+fn malformed_predict_programs_get_an_error_not_a_hangup() {
+    use pruner::sketch::{Program, Schedule, SimpleConfig, TileConfig};
+    let dir = scratch_dir("malformed");
+    let cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
+    let daemon = Daemon::start(cfg).expect("daemon starts");
+    let mut client =
+        Client::connect_with_retry(daemon.socket(), Duration::from_secs(5)).expect("connects");
+    let wl = tenant_workload(0);
+    let tile = |spatial: Vec<[u64; 5]>, reduce: Vec<[u64; 3]>| {
+        let t = TileConfig { spatial, reduce, unroll: 0, vectorize: 1 };
+        Program::new(wl.clone(), Schedule::MultiTile(t))
+    };
+    let malformed = [
+        // One spatial split for a two-axis matmul.
+        tile(vec![[1, 1, 64, 1, 1]], vec![[4, 4, 4]]),
+        // Every factor 1: padded extents below the true extents.
+        tile(vec![[1; 5]; 2], vec![[1; 3]]),
+        // A zero factor.
+        tile(vec![[0, 1, 64, 1, 1], [1, 1, 64, 1, 1]], vec![[4, 4, 4]]),
+        // Factors whose products overflow.
+        tile(vec![[1 << 40, 1, 64, 1, 1], [1 << 40, 1, 64, 1, 1]], vec![[4, 4, 4]]),
+        // An element-wise schedule of a matmul.
+        Program::new(
+            wl.clone(),
+            Schedule::Simple(SimpleConfig { threads: 64, serial: 1, vectorize: 1 }),
+        ),
+    ];
+    for bad in malformed {
+        let programs = vec![Program::fallback(&wl), bad];
+        let req = Request::PredictOnly { model: "pacm".into(), programs };
+        match client.call(&req).expect("the error crosses the wire") {
+            Response::Error { message } => assert!(message.contains("program 1"), "{message}"),
+            other => panic!("a malformed program was answered {other:?}"),
+        }
+    }
+    let programs = vec![Program::fallback(&wl)];
+    let req = Request::PredictOnly { model: "pacm".into(), programs };
+    match client.call(&req).expect("the connection survives") {
+        Response::Scores { scores } => assert_eq!(scores.len(), 1),
+        other => panic!("predict answered {other:?}"),
+    }
+    match client.call(&Request::Shutdown).expect("shutdown crosses the wire") {
+        Response::ShuttingDown => {}
+        other => panic!("shutdown answered {other:?}"),
+    }
+    daemon.shutdown().expect("daemon tears down");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serving_doc_examples_parse() {
     let doc = fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SERVING.md"))
